@@ -1,9 +1,12 @@
 """Data-structure substrates described by the paper.
 
-These are not conveniences: the parser's symbol table *is*
-:class:`~repro.adt.hashtable.HashTable` and the mapper's priority queue
-*is* :class:`~repro.adt.heap.BinaryHeap`, mirroring how the original C
-program was built from exactly these pieces.
+The reference mapper's priority queue *is*
+:class:`~repro.adt.heap.BinaryHeap`, as in the original C program.
+:class:`~repro.adt.hashtable.HashTable` is the original's double-hashing
+symbol table, kept for experiment E5 (probes per access, secondary
+hash, growth schedules), which measures it on its own; the graph
+builder interns host names in a ``dict``, because the table's
+pure-Python key fold cost more than the probing it models.
 """
 
 from repro.adt.arena import ArenaAllocator

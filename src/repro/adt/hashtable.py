@@ -73,8 +73,8 @@ class HashTable:
     find-or-insert-slot primitive the parser uses for interning.
     """
 
-    __slots__ = ("_size", "_count", "_names", "_values", "_keys",
-                 "secondary", "growth", "probes", "accesses", "rehashes",
+    __slots__ = ("_size", "_count", "_names", "_values", "secondary",
+                 "growth", "probes", "accesses", "rehashes",
                  "retired_slots")
 
     def __init__(self, initial_size: int = 31,
@@ -84,7 +84,6 @@ class HashTable:
         self._count = 0
         self._names: list[str | None] = [None] * self._size
         self._values: list[Any] = [None] * self._size
-        self._keys: list[int] = [0] * self._size
         self.secondary = secondary
         self.growth = growth
         #: total probe slots examined, for E5

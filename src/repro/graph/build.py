@@ -3,9 +3,10 @@
 Implements the semantic rules of the paper's DATA STRUCTURES and PARSING
 sections:
 
-* host names are interned in the double-hashing symbol table
-  (:class:`repro.adt.hashtable.HashTable`) — the same substrate the
-  original used;
+* host names are interned in a ``dict``.  The original's double-hashing
+  symbol table is :class:`repro.adt.hashtable.HashTable`, which
+  experiment E5 measures on its own; here its pure-Python key fold, run
+  byte by byte on every probe, was a large share of graph-build time;
 * ``private`` declarations narrow a name's scope from the point of
   declaration to the end of its file, yielding distinct nodes for
   identically named hosts;
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.adt.hashtable import HashTable
 from repro.config import DEAD, DEFAULT_LINK_COST
 from repro.errors import GraphError
 from repro.graph.node import Link, LinkKind, Node
@@ -46,12 +46,13 @@ class Graph:
     """The finished connectivity graph handed to the mapping phase."""
 
     nodes: list[Node]
-    table: HashTable
+    #: global (non-private) names to their nodes
+    table: dict[str, Node]
     warnings: list[str] = field(default_factory=list)
 
     def find(self, name: str) -> Node | None:
         """Look up a (global, non-private) node by name."""
-        node = self.table.lookup(name)
+        node = self.table.get(name)
         if node is not None and node.deleted:
             return None
         return node
@@ -84,7 +85,7 @@ class GraphBuilder:
     """Accumulates declarations (possibly across files) into a graph."""
 
     def __init__(self) -> None:
-        self.table: HashTable = HashTable()
+        self.table: dict[str, Node] = {}
         self.nodes: list[Node] = []
         self.warnings: list[str] = []
         self._private: dict[str, Node] = {}  # current file's private names
@@ -106,11 +107,11 @@ class GraphBuilder:
         node = self._private.get(name)
         if node is not None:
             return node
-        node = self.table.lookup(name)
+        node = self.table.get(name)
         if node is None:
             node = Node(name, index=len(self.nodes),
                         origin=self._current_file)
-            self.table.insert(name, node)
+            self.table[name] = node
             self.nodes.append(node)
         return node
 
@@ -249,7 +250,7 @@ class GraphBuilder:
                      table=self.table, warnings=self.warnings)
 
     def _lookup_global(self, name: str, context: str) -> Node | None:
-        node = self.table.lookup(name)
+        node = self.table.get(name)
         if node is None:
             self.warnings.append(f"{context}: unknown host {name!r}")
         return node

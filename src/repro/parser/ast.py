@@ -1,9 +1,12 @@
 """Declaration AST produced by the grammar, consumed by the graph builder.
 
-One dataclass per statement form of the input language.  Every
+One value class per statement form of the input language.  Every
 declaration carries its source coordinates so the builder can attribute
 warnings ("duplicate link", "private redeclared") the way the original
-attributed them on stderr.
+attributed them on stderr.  Host declarations and their links are the
+bulk of every map (~30k per USENET-scale compile), so they are slotted
+:class:`~repro.parser.tokens.SlotValue` classes; the rarer forms stay
+frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Union
+
+from repro.parser.tokens import SlotValue
 
 
 class Direction(enum.Enum):
@@ -24,28 +29,35 @@ class Direction(enum.Enum):
     RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(SlotValue):
     """One neighbor in a host declaration's link list.
 
     ``cost`` is already evaluated to an integer; ``None`` means the
     declaration named no cost and the builder applies the default.
     """
 
-    name: str
-    op: str = "!"
-    direction: Direction = Direction.LEFT
-    cost: int | None = None
+    __slots__ = ("name", "op", "direction", "cost")
+
+    def __init__(self, name: str, op: str = "!",
+                 direction: Direction = Direction.LEFT,
+                 cost: int | None = None) -> None:
+        self.name = name
+        self.op = op
+        self.direction = direction
+        self.cost = cost
 
 
-@dataclass(frozen=True)
-class HostDecl:
+class HostDecl(SlotValue):
     """``host  neighbor(COST), @other(COST), ...``"""
 
-    name: str
-    links: tuple[LinkSpec, ...]
-    filename: str = "<stdin>"
-    line: int = 0
+    __slots__ = ("name", "links", "filename", "line")
+
+    def __init__(self, name: str, links: tuple[LinkSpec, ...],
+                 filename: str = "<stdin>", line: int = 0) -> None:
+        self.name = name
+        self.links = links
+        self.filename = filename
+        self.line = line
 
 
 @dataclass(frozen=True)

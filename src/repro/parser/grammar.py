@@ -24,7 +24,8 @@ it (host on the LEFT: ``b!`` means ``b!%s``); bare names default to
 
 from __future__ import annotations
 
-from repro.errors import ParseError
+from repro.config import COST_SYMBOLS
+from repro.errors import CostExpressionError, ParseError
 from repro.parser.ast import (
     AdjustDecl,
     AliasDecl,
@@ -58,9 +59,10 @@ class Parser:
         self.tokens = tokens
         self.filename = filename
         self.case_fold = case_fold
-        #: cost-symbol table; None means the paper's (experiments
-        #: substitute alternatives, e.g. the additive-theory table)
-        self.symbols = symbols
+        #: cost-symbol table: the paper's unless the caller passes one
+        #: (experiments substitute alternatives, e.g. the additive-theory
+        #: table)
+        self.symbols = COST_SYMBOLS if symbols is None else symbols
         self.pos = 0
 
     # -- token plumbing -----------------------------------------------------
@@ -146,8 +148,24 @@ class Parser:
         return LinkSpec(name, op, direction, cost)
 
     def _optional_cost(self) -> int | None:
-        if self._peek().kind is not TokenKind.LPAREN:
+        tokens, pos = self.tokens, self.pos
+        if tokens[pos].kind is not TokenKind.LPAREN:
             return None
+        # Most costs are a lone factor, "(DAILY)" or "(7)": evaluate
+        # those inline, exactly as CostExpression would.
+        tok = tokens[pos + 1]
+        kind = tok.kind
+        if (kind is TokenKind.NAME or kind is TokenKind.NUMBER) \
+                and tokens[pos + 2].kind is TokenKind.RPAREN:
+            self.pos = pos + 3
+            if kind is TokenKind.NUMBER:
+                return tok.value
+            try:
+                return self.symbols[tok.text]
+            except KeyError:
+                raise CostExpressionError(
+                    f"unknown cost symbol {tok.text!r}",
+                    self.filename, tok.line) from None
         self._advance()
         evaluator = CostExpression(self.tokens, self.pos, self.filename,
                                    symbols=self.symbols)

@@ -37,6 +37,12 @@ _ACCEPT = {
     _PUNCT: None,  # resolved from the lexeme text
 }
 
+#: Default transitions, taken on any character the state's row lacks:
+#: what a complemented class like lex's ``[^"]`` compiles to.  Inside a
+#: string every character but the closing quote stays in the string,
+#: as in the hand scanner.
+_DEFAULT = {_STRING: _STRING}
+
 
 def _build_table(cost_context: bool) -> dict[int, dict[str, int]]:
     """Construct the char-indexed transition table, lex-style.
@@ -71,10 +77,6 @@ def _build_table(cost_context: bool) -> dict[int, dict[str, int]]:
     for c in punct:
         table[_START][c] = _PUNCT
     table[_START]['"'] = _STRING
-    for code in range(32, 127):
-        c = chr(code)
-        if c != '"':
-            table[_STRING][c] = _STRING
     table[_STRING]['"'] = _STRING_END
     return table
 
@@ -109,7 +111,9 @@ class LexScanner(Scanner):
                     break
                 nxt = row.get(line[j])
                 if nxt is None:
-                    break
+                    nxt = _DEFAULT.get(state)
+                    if nxt is None:
+                        break
                 state = nxt
                 j += 1
                 if state in _ACCEPT:

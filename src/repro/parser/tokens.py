@@ -13,7 +13,37 @@ and ``-`` become operators instead of name characters; this is how
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+
+
+class SlotValue:
+    """Base of the front end's high-volume value classes.
+
+    A frozen dataclass's generated ``__init__`` pays one
+    ``object.__setattr__`` per field; a compile makes ~135k tokens and
+    ~30k host declarations, so those classes are plain slotted classes
+    instead.  They keep a frozen dataclass's value semantics: equality
+    and hash over the fields named in ``__slots__`` (equal only within
+    one class) and a field-by-field repr.  Instances are treated as
+    immutable, though nothing enforces it.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class TokenKind(enum.Enum):
@@ -35,14 +65,17 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(SlotValue):
     """A lexical token with source coordinates for diagnostics."""
 
-    kind: TokenKind
-    text: str
-    line: int
-    value: int = 0  # numeric payload for NUMBER tokens
+    __slots__ = ("kind", "text", "line", "value")
+
+    def __init__(self, kind: TokenKind, text: str, line: int,
+                 value: int = 0) -> None:
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.value = value  # numeric payload for NUMBER tokens
 
     def __repr__(self) -> str:
         return f"Token({self.kind.name}, {self.text!r}, line {self.line})"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import CostExpressionError, ParseError
 from repro.parser.ast import (
     AdjustDecl,
     AliasDecl,
@@ -12,10 +12,14 @@ from repro.parser.ast import (
     FileDecl,
     GatewayedDecl,
     HostDecl,
+    LinkSpec,
     NetDecl,
     PrivateDecl,
 )
-from repro.parser.grammar import parse_text
+from repro.parser.costexpr import CostExpression
+from repro.parser.grammar import Parser, parse_text
+from repro.parser.scanner import Scanner
+from repro.parser.tokens import Token, TokenKind
 
 
 def one(text: str):
@@ -201,3 +205,93 @@ class TestErrors:
     def test_multiple_statements(self):
         decls = parse_text("a b(1)\nc d(2)\nNET = {x, y}(3)")
         assert len(decls) == 3
+
+
+class TestInlineCost:
+    """The parser evaluates a lone ``(NAME)`` or ``(NUMBER)`` cost
+    itself; every cost must still read as CostExpression reads it."""
+
+    @staticmethod
+    def evaluate(run):
+        try:
+            return run(), None
+        except CostExpressionError as exc:
+            return None, (str(exc), exc.message, exc.line)
+
+    @pytest.mark.parametrize("cost,value", [
+        ("(DAILY)", 5000),
+        ("(7)", 7),
+        ("(NOSUCH)", None),
+        ("((DAILY))", 5000),
+        ("(DAILY*2)", 10000),
+    ])
+    def test_matches_cost_expression(self, cost, value):
+        text = f"# header\n\na\tb{cost}, c\n"
+        tokens = Scanner(text, "m").tokens()
+        lparen = [t.kind for t in tokens].index(TokenKind.LPAREN)
+        want = self.evaluate(
+            lambda: CostExpression(tokens, lparen + 1, "m").parse())
+        got = self.evaluate(
+            lambda: parse_text(text, "m")[0].links[0].cost)
+        assert got == want
+        assert got[0] == value
+        if value is None:
+            assert got[1] == ('"m", line 3: unknown cost symbol '
+                              "'NOSUCH'", "unknown cost symbol 'NOSUCH'",
+                              3)
+
+    def test_custom_symbol_table(self):
+        tokens = Scanner("a b(X), c(HOURLY*0+X)").tokens()
+        decl = Parser(tokens, symbols={"X": 21, "HOURLY": 1}).parse()[0]
+        assert [l.cost for l in decl.links] == [21, 21]
+        with pytest.raises(CostExpressionError):
+            Parser(Scanner("a b(HOURLY)").tokens(),
+                   symbols={"X": 21}).parse()
+
+
+class TestValueClasses:
+    """Token, LinkSpec and HostDecl are slotted classes with a frozen
+    dataclass's value semantics."""
+
+    MAKERS = [
+        lambda: Token(TokenKind.NUMBER, "7", 3, 7),
+        lambda: LinkSpec("b", "@", Direction.RIGHT, 10),
+        lambda: HostDecl("a", (LinkSpec("b", cost=10),), "m", 2),
+    ]
+
+    @pytest.mark.parametrize("make", MAKERS)
+    def test_hashable_and_equal_by_value(self, make):
+        x, y = make(), make()
+        assert x is not y
+        assert x == y
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1
+        assert not hasattr(x, "__dict__")
+
+    @pytest.mark.parametrize("make", MAKERS)
+    def test_unequal_to_other_classes_with_same_fields(self, make):
+        x = make()
+        fields = tuple(getattr(x, name) for name in x.__slots__)
+        twin = type("Twin", (type(x),), {})(*fields)
+        for other in (twin, fields):
+            assert x != other
+            assert other != x
+        assert hash(x) == hash(fields)
+
+    def test_defaults(self):
+        assert Token(TokenKind.NAME, "a", 1).value == 0
+        assert LinkSpec("b") == LinkSpec(
+            name="b", op="!", direction=Direction.LEFT, cost=None)
+        assert HostDecl("a", ()) == HostDecl(
+            name="a", links=(), filename="<stdin>", line=0)
+
+    def test_reprs(self):
+        assert repr(Token(TokenKind.NUMBER, "7", 3, 7)) == \
+            "Token(NUMBER, '7', line 3)"
+        assert repr(LinkSpec("b", cost=10)) == (
+            "LinkSpec(name='b', op='!', "
+            "direction=<Direction.LEFT: 'left'>, cost=10)")
+        assert repr(HostDecl("a", (LinkSpec("b", "@", Direction.RIGHT),))) \
+            == ("HostDecl(name='a', links=(LinkSpec(name='b', op='@', "
+                "direction=<Direction.RIGHT: 'right'>, cost=None),), "
+                "filename='<stdin>', line=0)")

@@ -24,6 +24,8 @@ SAMPLES = [
     ".edu = {.rutgers}",
     "3com 4votes(5)",
     "gatewayed {ARPA, CSNET}",
+    'file "a\tb"',
+    'file "café"',
 ]
 
 
