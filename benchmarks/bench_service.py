@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Measure the serving tier and record it in BENCH_routing.json.
 
-Seven numbers the ROADMAP cares about:
+Six numbers the ROADMAP cares about:
 
 * snapshot build time (the offline cost of the store);
 * incremental update vs full rebuild after a single link-cost change
@@ -13,19 +13,12 @@ Seven numbers the ROADMAP cares about:
   stitched lookups under load — plus the cost of refreshing ONE
   region (incremental update + single-shard RELOAD) against
   rebuilding every region from scratch;
-* what snapshot format v2 costs and buys: the per-state-record byte
-  overhead vs v1, and incremental-update *coverage* on revisions
-  touching nets/domains/private nodes and on second-best snapshots
-  over the ``tests/data/d.*`` fixture suite — cases where a v1
-  snapshot always fell back to a full remap (target: zero fallbacks
-  on v2);
 * **fan-out throughput**: the same stitched-lookup workload answered
   by the in-process federation front end vs the remote-backend front
   end (one spawned shard-daemon *process* per region, whole lookups
-  pushed down over sockets) — measured both over the lockstep wire
-  (one request in flight per connection) and the pipelined wire
-  (tagged frames + speculative stitch), each with its round trips
-  per lookup.  On a single-core runner the socket hop is pure
+  pushed down over sockets on the pipelined wire — tagged frames +
+  speculative stitch), with its round trips per lookup.  On a
+  single-core runner the socket hop is pure
   overhead; the ratio is the price paid for sharding the CPU, and on
   multicore hosts the per-shard daemons buy it back.
 * **multi-worker serving**: lookup throughput against the same
@@ -368,12 +361,11 @@ def bench_fanout(tmp: Path, regions: int, hosts: int,
     """Stitched-lookup throughput: in-process front end vs socket
     fan-out to per-shard daemon processes, same workload.
 
-    The fan-out pass runs twice — once forced lockstep (one request
-    in flight per backend connection, the pre-pipelining wire) and
-    once pipelined (tagged frames, speculative stitch) — and each
-    pass records *round trips per lookup* (total backend requests /
-    lookups answered), so the mechanism of any speedup — fewer
-    awaited socket hops — is in the numbers, not just the rate.
+    The fan-out pass runs on the pipelined wire (tagged frames,
+    speculative stitch) and records *round trips per lookup* (total
+    backend requests / lookups answered), so the mechanism of any
+    speedup — fewer awaited socket hops — is in the numbers, not just
+    the rate.
     """
     import subprocess
 
@@ -434,10 +426,10 @@ def bench_fanout(tmp: Path, regions: int, hosts: int,
             procs.append(proc)
             backends[name] = addr
 
-        async def run_fanout(pipeline: bool):
+        async def run_fanout():
             service = await FederationService.create(
                 backends=backends, default_source="r0h000",
-                pipeline=pipeline, cache_size=0)
+                cache_size=0)
             total, elapsed = await hammer(service)
             shards = service.view.shards.values()
             roundtrips = sum(s.backend.requests for s in shards)
@@ -452,10 +444,10 @@ def bench_fanout(tmp: Path, regions: int, hosts: int,
                 "backend_health": health,
             }
 
-        # lockstep first so the pipelined pass (the headline number)
-        # runs against warmed daemon processes, not cold ones
-        lock_total, lockstep = asyncio.run(run_fanout(False))
-        fan_total, pipelined = asyncio.run(run_fanout(True))
+        # one untimed pass first, so the timed pass (the headline
+        # number) runs against warmed daemon processes, not cold ones
+        warm_total, _ = asyncio.run(run_fanout())
+        fan_total, pipelined = asyncio.run(run_fanout())
     finally:
         for proc in procs:
             proc.terminate()
@@ -472,12 +464,11 @@ def bench_fanout(tmp: Path, regions: int, hosts: int,
         "requests": in_total,
         "backend_daemons": len(procs),
         "inprocess_lookups_per_sec": round(in_rate, 1),
-        "lockstep": lockstep,
         "pipelined": pipelined,
         # the headline pair tracked across PRs: the pipelined wire
         "fanout_lookups_per_sec": pipelined["lookups_per_sec"],
         "fanout_vs_inprocess": pipelined["vs_inprocess"],
-        "all_answered": fan_total == in_total == lock_total,
+        "all_answered": fan_total == in_total == warm_total,
     }
 
 
@@ -578,76 +569,6 @@ def bench_workers(tmp: Path, hosts: int, clients: int,
             if mmap_ms > 0 else None,
         },
         "throughput": throughput,
-    }
-
-
-def bench_format_v2(tmp: Path, hosts: int) -> dict:
-    """Format v2's costs (bytes) and wins (incremental coverage)."""
-    import pickle
-
-    from repro.config import HeuristicConfig
-    from repro.core.pathalias import Pathalias as PathaliasTool
-    from repro.graph.compact import CompactGraph, K_NORMAL
-    from repro.service.incremental import _link_owner
-
-    graph = build(ring_map(hosts))
-    v1, v2 = tmp / "fmt1.snap", tmp / "fmt2.snap"
-    v1_bytes = build_snapshot(graph, v1, fmt=1).size
-    v2_bytes = build_snapshot(graph, v2).size
-
-    def candidates(cg):
-        """NORMAL links touching nets/domains/private nodes — the
-        revisions v1 had to remap fully — else any NORMAL link."""
-        touching = [j for j in range(cg.link_count)
-                    if cg.kind[j] == K_NORMAL and cg.cost[j] > 8
-                    and (cg.netlike[_link_owner(cg, j)]
-                         or cg.private[_link_owner(cg, j)]
-                         or cg.netlike[cg.to[j]]
-                         or cg.private[cg.to[j]])]
-        if touching:
-            return touching[:3]
-        return [j for j in range(cg.link_count)
-                if cg.kind[j] == K_NORMAL and cg.cost[j] > 8][:3]
-
-    fixtures = sorted(
-        (Path(__file__).resolve().parent.parent / "tests" / "data"
-         ).glob("d.*"))
-    revisions = 0
-    fallbacks = {1: 0, 2: 0}
-    for path in fixtures:
-        for second in (False, True):
-            cfg = HeuristicConfig(second_best=second)
-            fixture_graph = PathaliasTool(heuristics=cfg).build(
-                [(path.name, path.read_text())])
-            cg = CompactGraph.compile(fixture_graph)
-            snaps = {}
-            for fmt in (1, 2):
-                snaps[fmt] = tmp / f"cover-{path.name}-{second}-{fmt}"
-                build_snapshot(cg, snaps[fmt], heuristics=cfg,
-                               fmt=fmt)
-            for j in candidates(cg):
-                for delta in (7, -7):
-                    revised = pickle.loads(pickle.dumps(cg))
-                    revised.cost[j] += delta
-                    revisions += 1
-                    for fmt in (1, 2):
-                        report = update_snapshot(
-                            snaps[fmt], revised, tmp / "cover-out",
-                            full_threshold=1.0)
-                        if report.mode == "full":
-                            fallbacks[fmt] += 1
-    return {
-        "hosts": hosts,
-        "snapshot_bytes_v1": v1_bytes,
-        "snapshot_bytes_v2": v2_bytes,
-        "state_record_overhead_pct": round(
-            100.0 * (v2_bytes - v1_bytes) / v1_bytes, 1),
-        "fixture_coverage": {
-            "fixtures": [p.name for p in fixtures],
-            "revisions": revisions,
-            "full_fallbacks_v1": fallbacks[1],
-            "full_fallbacks_v2": fallbacks[2],
-        },
     }
 
 
@@ -1121,10 +1042,6 @@ def main(argv: list[str] | None = None) -> int:
                   "mmap vs read...", file=sys.stderr)
             section["workers"] = bench_workers(
                 tmp, args.hosts, args.clients, args.requests)
-        if args.only is None:
-            print("benchmarking format v2 overhead + incremental "
-                  "coverage...", file=sys.stderr)
-            section["format_v2"] = bench_format_v2(tmp, args.hosts)
         if args.only in (None, "churn"):
             print("benchmarking churn replay (revision stream -> "
                   "incremental update -> RELOAD)...", file=sys.stderr)

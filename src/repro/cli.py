@@ -13,7 +13,6 @@ The serving tier lives behind subcommands (the flat form above stays
 the default when the first argument is not one of them)::
 
     pathalias snapshot -o routes.snap [map ...]     build a snapshot
-    pathalias snapshot --upgrade OLD NEW            rewrite v1 as v2
     pathalias update old.snap -o new.snap [map ...] diff-driven update
     pathalias lookup routes.snap dest [user]        one-shot query
     pathalias lookup --connect HOST:PORT dest       ... against a daemon
@@ -143,24 +142,12 @@ def build_service_parser(command: str) -> argparse.ArgumentParser:
         snap = argparse.ArgumentParser(
             prog="pathalias snapshot",
             description="precompute every source's routes into a "
-                        "binary snapshot, or rewrite an existing "
-                        "snapshot as format v2 (--upgrade)")
+                        "binary snapshot")
         snap.add_argument("files", nargs="*",
                           help="map files (default: standard input)")
         snap.add_argument("-o", "--out", metavar="FILE",
                           help="snapshot file to write "
                                "(atomic replace)")
-        snap.add_argument("--upgrade", nargs=2,
-                          metavar=("OLD", "NEW"),
-                          help="instead of mapping: rewrite snapshot "
-                               "OLD as format v2 at NEW, backfilling "
-                               "per-state costs by remapping the "
-                               "stored graph (no map files needed)")
-        snap.add_argument("--format", type=int, choices=(1, 2),
-                          default=2, dest="fmt",
-                          help="snapshot format to write (default 2; "
-                               "1 = the legacy layout without "
-                               "per-state costs)")
         snap.add_argument("-j", "--jobs", type=int, default=1,
                           metavar="N",
                           help="worker processes (0 = all CPUs)")
@@ -194,13 +181,6 @@ def build_service_parser(command: str) -> argparse.ArgumentParser:
                          help="affected-source fraction beyond which "
                               "a full rebuild is cheaper (default "
                               "0.5)")
-        upd.add_argument("--format", type=int, choices=(1, 2),
-                         default=None, dest="fmt",
-                         help="snapshot format to write (default: "
-                              "keep the old snapshot's format, so "
-                              "incremental splicing stays possible; "
-                              "asking for the other format migrates "
-                              "with one full rebuild)")
         upd.add_argument("-i", "--ignore-case", action="store_true",
                          help="fold host names to lower case")
         return upd
@@ -307,15 +287,6 @@ def build_service_parser(command: str) -> argparse.ArgumentParser:
                      help="serve from N SO_REUSEPORT worker processes "
                           "sharing one mmapped snapshot copy (default "
                           "1; single-snapshot mode only)")
-    srv.add_argument("--format", type=int, choices=(1, 2),
-                     default=None, dest="fmt",
-                     help="require the served snapshot(s) to be this "
-                          "format version (default: serve either)")
-    srv.add_argument("--no-pipeline", action="store_false",
-                     dest="pipeline",
-                     help="talk lockstep to --backend daemons even "
-                          "when they support tagged pipelining "
-                          "(federation mode only)")
     srv.add_argument("--dispatch", choices=("fsm", "dict"),
                      default="fsm",
                      help="suffix-lookup dispatch: the compiled "
@@ -399,7 +370,6 @@ def _daemon_lookup(args) -> int:
 
 
 def _run_cluster(shard_snaps: dict, host: str, port: int,
-                 require_format: int | None = None,
                  workers: int = 1) -> int:
     """``pathalias federate --spawn``: one daemon process per shard
     snapshot (ephemeral ports, parsed from their startup line), then
@@ -467,8 +437,7 @@ def _run_cluster(shard_snaps: dict, host: str, port: int,
                   f"(pid {proc.pid}) on {backends[name]}",
                   file=sys.stderr, flush=True)
         return run_federation_daemon(
-            {}, host=host, port=port, backends=backends,
-            require_format=require_format)
+            {}, host=host, port=port, backends=backends)
     finally:
         for proc in procs:
             proc.terminate()
@@ -493,40 +462,10 @@ def service_main(argv: list[str]) -> int:
 
     try:
         if args.command == "snapshot":
-            from repro.service.store import (
-                build_snapshot,
-                upgrade_snapshot,
-            )
+            from repro.service.store import build_snapshot
 
-            if args.upgrade:
-                if args.files or args.out:
-                    raise PathaliasError(
-                        "--upgrade rewrites an existing snapshot; it "
-                        "takes no map files and no -o")
-                if args.fmt != 2:
-                    raise PathaliasError(
-                        "--upgrade always writes format v2 (to write "
-                        "v1, rebuild from the map with --format 1)")
-                if args.ignore_case or args.second_best \
-                        or args.no_back_links:
-                    raise PathaliasError(
-                        "--upgrade takes no build options (-i/-s/"
-                        "--no-back-links): the old snapshot's header "
-                        "already records how its tables were mapped")
-                old_path, new_path = args.upgrade
-                t0 = time.perf_counter()
-                info = upgrade_snapshot(
-                    old_path, new_path,
-                    jobs=_effective_jobs(args.jobs))
-                elapsed = time.perf_counter() - t0
-                print(f"pathalias: snapshot: upgraded {old_path} -> "
-                      f"{info.path} (format v{info.format}, "
-                      f"{len(info.sources)} sources, {info.size} "
-                      f"bytes) in {elapsed:.2f}s", file=sys.stderr)
-                return 0
             if not args.out:
-                raise PathaliasError("snapshot needs -o FILE (or "
-                                     "--upgrade OLD NEW)")
+                raise PathaliasError("snapshot needs -o FILE")
             named = _read_named(args.files)
             if named is None:
                 return 2
@@ -539,13 +478,12 @@ def service_main(argv: list[str]) -> int:
             graph = tool.build(named)
             info = build_snapshot(graph, args.out, heuristics,
                                   jobs=_effective_jobs(args.jobs),
-                                  case_fold=args.ignore_case,
-                                  fmt=args.fmt)
+                                  case_fold=args.ignore_case)
             elapsed = time.perf_counter() - t0
             print(f"pathalias: snapshot: {len(info.sources)} sources "
-                  f"-> {info.path} ({info.size} bytes, format "
-                  f"v{info.format}) in {elapsed:.2f}s "
-                  f"(engine={info.engine})", file=sys.stderr)
+                  f"-> {info.path} ({info.size} bytes) in "
+                  f"{elapsed:.2f}s (engine={info.engine})",
+                  file=sys.stderr)
             return 0
 
         if args.command == "update":
@@ -567,7 +505,7 @@ def service_main(argv: list[str]) -> int:
                 reader, graph, args.out,
                 jobs=_effective_jobs(args.jobs),
                 full_threshold=args.full_threshold,
-                case_fold=case_fold, fmt=args.fmt)
+                case_fold=case_fold)
             print(f"pathalias: update: {report.summary()} -> "
                   f"{report.out_path} in {report.seconds:.2f}s",
                   file=sys.stderr)
@@ -612,10 +550,6 @@ def service_main(argv: list[str]) -> int:
             for source in sources:
                 table = reader.table(source)
                 blocks = table.block_map()
-                if not blocks:
-                    print(f"source {source}: v1 layout "
-                          f"({len(table)} records, no tagged blocks)")
-                    continue
                 print(f"source {source}: {len(table)} records, "
                       f"{len(blocks)} blocks")
                 for tag, off, length in blocks:
@@ -702,8 +636,7 @@ def service_main(argv: list[str]) -> int:
                         f"both --shard and --backend")
                 return run_federation_daemon(
                     shards, host=args.host, port=args.port,
-                    source=args.source, require_format=args.fmt,
-                    backends=backends, pipeline=args.pipeline,
+                    source=args.source, backends=backends,
                     dispatch=args.dispatch,
                     cache_size=0 if args.no_cache else args.cache)
             if args.snapshot is None:
@@ -714,7 +647,6 @@ def service_main(argv: list[str]) -> int:
 
             return run_daemon(args.snapshot, host=args.host,
                               port=args.port, source=args.source,
-                              require_format=args.fmt,
                               workers=args.workers,
                               dispatch=args.dispatch,
                               cache_size=0 if args.no_cache else

@@ -28,9 +28,9 @@ separate program, grown into a serving tier:
   independently reloadable *shards* behind one front end, with
   cross-shard routes stitched through gateway hosts;
 * :mod:`repro.service.backend` — the scale-out tier: a shard served
-  by a separate per-shard daemon *process*, fanned out to over a
-  pooled socket client, so the front end shards CPU and not just
-  snapshots.
+  by a separate per-shard daemon *process*, fanned out to over one
+  pipelined socket connection, so the front end shards CPU and not
+  just snapshots.
 
 See ``docs/architecture.md`` for the layer map, ``docs/protocol.md``
 for the normative line-protocol reference, and
@@ -56,7 +56,6 @@ from repro.service.store import (
     SnapshotResolver,
     SnapshotTable,
     build_snapshot,
-    upgrade_snapshot,
 )
 from repro.service.incremental import UpdateReport, update_snapshot
 from repro.service.daemon import (
@@ -96,7 +95,6 @@ __all__ = [
     "SnapshotResolver",
     "SnapshotTable",
     "build_snapshot",
-    "upgrade_snapshot",
     "UpdateReport",
     "update_snapshot",
     "DaemonRouteDatabase",

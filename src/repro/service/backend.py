@@ -1,4 +1,4 @@
-"""Remote federation backends: per-shard daemons behind a client pool.
+"""Remote federation backends: per-shard daemons behind one connection.
 
 The federation front end (:mod:`repro.service.federation`) historically
 answered every lookup itself from in-process
@@ -12,27 +12,23 @@ protocol.
 
 Two classes:
 
-* :class:`ShardBackend` — the asyncio client for one shard daemon.
-  Against a pipelining daemon (negotiated with one ``PIPELINE`` probe
-  per connection) it runs a single multiplexed connection: a writer
-  task serializes tagged request frames onto the wire and a reply
-  demultiplexer routes tagged reply frames — out of order, bulk
+* :class:`ShardBackend` — the asyncio client for one shard daemon: a
+  single multiplexed connection speaking the tagged wire protocol.  A
+  writer task serializes tagged request frames onto the wire and a
+  reply demultiplexer routes tagged reply frames — out of order, bulk
   replies interleaved — back to their waiting futures, so many
-  requests share one connection's round trip instead of queueing for
-  pooled sockets.  Against an older daemon (``ERR unknown-command
-  PIPELINE``) it transparently falls back to the lockstep connection
-  pool, so mixed-version clusters interoperate unchanged.  Both modes
-  keep the transparent single-retry on a stale socket,
-  reconnect-with-backoff while the daemon restarts, and health state
-  (``connected`` / ``down`` / counters, including pipelined-request
-  and out-of-order-reply counts) surfaced through the federation's
+  requests share one connection's round trip.  It keeps a
+  transparent single retry on a stale socket, reconnect-with-backoff
+  while the daemon restarts, and health state (``connected`` /
+  ``down`` / counters, including tagged-request and
+  out-of-order-reply counts) surfaced through the federation's
   ``STATS`` line.
 
 * :class:`BackendShard` — a federation shard whose answers come from a
   backend daemon.  It quacks exactly like an in-process
   :class:`~repro.service.shard.Shard`: the ownership index and source
-  set are fetched once at attach time with the daemon's bulk ``TABLE``
-  verb, gateway legs are fetched batched (one ``TABLE``/``COSTS``
+  set are fetched once at attach time with the daemon's bulk ``TABLE
+  --fsm`` verb, gateway legs are fetched batched (one ``TABLE``/``COSTS``
   round trip per Dijkstra expansion, cached per entry) and the final
   in-shard lookup is one ``ROUTE``/``EXACT`` dispatched to the daemon.
   A :class:`~repro.service.shard.FederationView` mixes local and
@@ -62,7 +58,6 @@ from repro.service.fsm import (
     NAME_F_DOMAIN,
     AutomatonError,
     FlatSuffixAutomaton,
-    SuffixAutomaton,
 )
 
 #: ``host:port`` — how a remote backend is named on the CLI
@@ -80,61 +75,6 @@ def parse_backend_spec(spec: str) -> tuple[str, int] | None:
     if not 0 < port < 65536:
         return None
     return match.group("host"), port
-
-
-class _BackendConnection:
-    """One persistent daemon connection plus its protocol registers.
-
-    ``bound_source`` mirrors the daemon's per-connection source
-    register so repeated queries from the same entry host skip the
-    redundant ``SOURCE`` round trip.
-    """
-
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter):
-        self.reader = reader
-        self.writer = writer
-        self.bound_source: str | None = None
-
-    async def request(self, line: str) -> str:
-        """One request line out, the first reply line back."""
-        self.writer.write(line.encode("utf-8") + b"\n")
-        await self.writer.drain()
-        raw = await self.reader.readline()
-        if not raw:
-            raise ConnectionError("backend closed the connection")
-        return raw.decode("utf-8").rstrip("\r\n")
-
-    async def request_bulk(self, line: str) -> tuple[str, list[str]]:
-        """A bulk request: the ``OK <kind> <n>`` head line plus its
-        ``n`` continuation lines (none for an ``ERR`` head)."""
-        head = await self.request(line)
-        if not head.startswith("OK"):
-            return head, []
-        try:
-            count = int(head.split()[-1])
-        except ValueError:
-            raise FederationError(
-                f"backend protocol error: {head!r}") from None
-        lines = []
-        for _ in range(count):
-            raw = await self.reader.readline()
-            if not raw:
-                raise ConnectionError("backend closed mid-reply")
-            lines.append(raw.decode("utf-8").rstrip("\r\n"))
-        return head, lines
-
-    def close(self) -> None:
-        """Close the transport (errors at teardown are moot)."""
-        try:
-            self.writer.close()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
-
-
-#: Sentinel returned by the mux path when the PIPELINE probe found an
-#: old lockstep-only daemon: the caller reruns on the pooled path.
-_LOCKSTEP = object()
 
 
 class _Pending:
@@ -345,52 +285,40 @@ class _MuxConnection:
 
 
 class ShardBackend:
-    """An asyncio client pool for one per-shard route daemon.
+    """An asyncio client for one per-shard route daemon.
 
-    At most ``pool_size`` persistent connections; concurrent requests
-    each hold one connection for their round trip, so up to
-    ``pool_size`` requests are in flight at once and the rest queue on
-    the pool semaphore.  A request that finds its pooled socket stale
-    (the daemon restarted since the last call) transparently opens a
-    fresh connection — waiting out a restart window up to
-    ``reconnect_patience`` seconds with exponential backoff — and
-    retries exactly once.  Health is observable: :attr:`state` plus
-    the request/error/connect counters, which the federation daemon
-    reports per backend in its ``STATS`` line.
+    One persistent pipelined connection (:class:`_MuxConnection`)
+    carries every request, many of them in flight at once.  A request
+    that finds the connection stale (the daemon restarted since the
+    last call) transparently re-dials — waiting out a restart window
+    up to ``reconnect_patience`` seconds with exponential backoff —
+    and retries exactly once.  Health is observable: :attr:`state`
+    plus the request/error/connect counters, which the federation
+    daemon reports per backend in its ``STATS`` line.
 
     A backend address served by ``serve --workers N`` needs no special
-    handling: the kernel lands each pooled connection on some worker,
-    and because every request round trip states its ``SOURCE``
-    per-connection and the workers serve one identical mmapped
-    snapshot, any worker answers any pooled request identically.
+    handling: the kernel lands the connection on some worker, and
+    because every request states its ``SOURCE`` on the connection and
+    the workers serve one identical mmapped snapshot, any worker
+    answers identically.
     """
 
     def __init__(self, name: str, host: str, port: int,
-                 pool_size: int = 2, timeout: float = 5.0,
-                 reconnect_patience: float = 2.0,
-                 pipeline: bool = True):
-        """``pipeline=False`` forces the lockstep pool even against a
-        daemon that would negotiate the tagged protocol."""
+                 timeout: float = 5.0,
+                 reconnect_patience: float = 2.0):
         self.name = name
         self.host = host
         self.port = port
-        self.pool_size = max(1, pool_size)
         self.timeout = timeout
         self.reconnect_patience = reconnect_patience
-        self.pipeline = pipeline
-        self._idle: list[_BackendConnection] = []
-        self._slots = asyncio.Semaphore(self.pool_size)
         self.requests = 0
         self.errors = 0
         self.connects = 0
-        #: Tagged request frames sent on the pipelined path, and
-        #: replies that completed out of submission order — the two
-        #: extra fields of the :meth:`health` token.
+        #: Tagged request frames sent, and replies that completed out
+        #: of submission order — the two extra fields of the
+        #: :meth:`health` token.
         self.pipelined = 0
         self.out_of_order = 0
-        #: Whether the daemon answered the PIPELINE probe (None until
-        #: the first connection learns the answer).
-        self._pipeline_ok: bool | None = None
         self._mux: _MuxConnection | None = None
         self._mux_lock = asyncio.Lock()
         self._inflight = 0
@@ -398,9 +326,9 @@ class ShardBackend:
         self._last_failure: str | None = None
         self._draining = False
         #: The NOTIFY push channel (see :meth:`subscribe_reloads`):
-        #: its dedicated connection, the listener task, and the count
-        #: of reload pushes received on it.
-        self._notify_conn: _BackendConnection | None = None
+        #: its dedicated connection's writer, the listener task, and
+        #: the count of reload pushes received on it.
+        self._notify_writer: asyncio.StreamWriter | None = None
         self._notify_task: asyncio.Task | None = None
         self.notifies = 0
 
@@ -425,15 +353,15 @@ class ShardBackend:
         """The ``STATS`` token value:
         ``<state>:<requests>:<errors>:<connects>:<pipelined>:<ooo>``
         — the last two are tagged request frames sent and replies
-        that returned out of submission order (0:0 for a lockstep
-        backend)."""
+        that returned out of submission order."""
         return (f"{self.state}:{self.requests}:{self.errors}:"
                 f"{self.connects}:{self.pipelined}:"
                 f"{self.out_of_order}")
 
-    # -- pool mechanics -------------------------------------------------------
+    # -- the connection -------------------------------------------------------
 
-    async def _open(self) -> _BackendConnection:
+    async def _open(self) -> tuple[asyncio.StreamReader,
+                                   asyncio.StreamWriter]:
         """Dial the daemon, waiting out a restart with backoff."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + (self.reconnect_patience
@@ -441,7 +369,7 @@ class ShardBackend:
         delay = RECONNECT_DELAY
         while True:
             try:
-                reader, writer = await asyncio.wait_for(
+                streams = await asyncio.wait_for(
                     asyncio.open_connection(self.host, self.port),
                     self.timeout)
                 break
@@ -456,66 +384,10 @@ class ShardBackend:
         self._ever_connected = True
         self._last_failure = None
         self.connects += 1
-        return _BackendConnection(reader, writer)
+        return streams
 
-    async def _roundtrip(self, fn):
-        """Run ``fn(conn)`` on a pooled connection.
-
-        One transparent retry on a connection-class failure: the
-        pooled socket may be stale after a daemon restart, and a fresh
-        connect (patient, see :meth:`_open`) plus one resend is
-        indistinguishable from a healthy first attempt.  Protocol
-        errors (``ERR`` replies) are not retried — they reached the
-        daemon and back.
-        """
-        if self._draining:
-            raise FederationError(
-                f"backend {self.name} ({self.address}) is closed")
-        await self._slots.acquire()
-        self._inflight += 1
-        self.requests += 1
-        conn = None
-        try:
-            conn = self._idle.pop() if self._idle else await self._open()
-            try:
-                result = await asyncio.wait_for(fn(conn), self.timeout)
-            except (ConnectionError, OSError, asyncio.TimeoutError,
-                    asyncio.IncompleteReadError):
-                conn.close()
-                conn = None
-                conn = await self._open()
-                result = await asyncio.wait_for(fn(conn), self.timeout)
-        except Exception:
-            self.errors += 1
-            if conn is not None:
-                conn.close()
-                conn = None
-            raise
-        except BaseException:
-            # cancelled mid-roundtrip (a speculative prefetch the
-            # stitch abandoned): the request may be on the wire with
-            # its reply unread, so the socket must not go back in the
-            # pool — the next request would read the stale reply
-            if conn is not None:
-                conn.close()
-                conn = None
-            raise
-        finally:
-            if conn is not None:
-                if self._draining:
-                    conn.close()
-                else:
-                    self._idle.append(conn)
-            self._inflight -= 1
-            self._slots.release()
-        return result
-
-    # -- the pipelined path ---------------------------------------------------
-
-    async def _mux_get(self) -> _MuxConnection | None:
-        """The shared pipelined connection, dialing and probing
-        ``PIPELINE`` if needed; None when the daemon is lockstep-only
-        (the probed connection is handed to the pool instead)."""
+    async def _mux_get(self) -> _MuxConnection:
+        """The shared pipelined connection, dialing it if needed."""
         conn = self._mux
         if conn is not None and conn.broken is None:
             return conn
@@ -526,23 +398,8 @@ class ShardBackend:
             if self._draining:
                 raise FederationError(
                     f"backend {self.name} ({self.address}) is closed")
-            if self._pipeline_ok is False:
-                return None
-            raw = await self._open()
-            try:
-                probe = await asyncio.wait_for(
-                    raw.request("PIPELINE"), self.timeout)
-            except Exception:
-                raw.close()
-                raise
-            if not probe.startswith("OK pipeline"):
-                # An older daemon: remember, and donate the perfectly
-                # good probed connection to the lockstep pool.
-                self._pipeline_ok = False
-                self._idle.append(raw)
-                return None
-            self._pipeline_ok = True
-            self._mux = _MuxConnection(self, raw.reader, raw.writer)
+            reader, writer = await self._open()
+            self._mux = _MuxConnection(self, reader, writer)
             return self._mux
 
     def _drop_mux(self, conn: _MuxConnection, exc: Exception) -> None:
@@ -552,14 +409,17 @@ class ShardBackend:
         if self._mux is conn:
             self._mux = None
 
-    async def _mux_roundtrip(self, line: str, *, bulk: bool,
-                             source: str | None):
-        """One tagged request over the shared mux connection, with
-        the same transparent single-retry the pooled path has: a
-        connection-class failure tears the mux down, re-dials (with
-        restart patience) and resubmits exactly once.  Returns the
-        reply (or ``(head, lines)`` for bulk), or the
-        :data:`_LOCKSTEP` sentinel when the daemon cannot pipeline.
+    async def _call(self, line: str, *, bulk: bool = False,
+                    source: str | None = None):
+        """One tagged request over the shared connection; returns the
+        reply line, or ``(head, continuation lines)`` with ``bulk``.
+
+        With ``source``, the connection's source register is bound
+        first by a tagged ``SOURCE`` ride-along.  One transparent
+        retry: a connection-class failure tears the connection down,
+        re-dials (with restart patience) and resubmits exactly once.
+        Protocol errors (``ERR`` replies) are not retried — they
+        reached the daemon and back.
         """
         if self._draining:
             raise FederationError(
@@ -571,9 +431,6 @@ class ShardBackend:
                 conn = None
                 try:
                     conn = await self._mux_get()
-                    if conn is None:
-                        self.requests -= 1  # the pooled path recounts
-                        return _LOCKSTEP
                     fut, src_fut = conn.submit(line, bulk=bulk,
                                                source=source)
                     result = await asyncio.wait_for(fut, self.timeout)
@@ -602,68 +459,20 @@ class ShardBackend:
         finally:
             self._inflight -= 1
 
-    # -- the one request surface ----------------------------------------------
-
-    def _use_pipeline(self) -> bool:
-        """Whether requests should try the tagged mux path."""
-        return self.pipeline and self._pipeline_ok is not False
-
-    async def _call(self, line: str, *,
-                    source: str | None = None) -> str:
-        """One single-line request, on whichever wire mode the daemon
-        negotiated; with ``source``, the connection's source register
-        is bound first (pipelined: a tagged ride-along; lockstep: a
-        ``SOURCE`` round trip skipped when already bound)."""
-        if self._use_pipeline():
-            result = await self._mux_roundtrip(line, bulk=False,
-                                               source=source)
-            if result is not _LOCKSTEP:
-                return result
-
-        async def fn(conn):
-            if source is not None:
-                await self._bound(conn, source)
-            return await conn.request(line)
-
-        return await self._roundtrip(fn)
-
-    async def _call_bulk(self, line: str, *,
-                         source: str | None = None
-                         ) -> tuple[str, list[str]]:
-        """One bulk request (``OK <kind> <n>`` head plus ``n``
-        continuation lines), on whichever wire mode the daemon
-        negotiated."""
-        if self._use_pipeline():
-            result = await self._mux_roundtrip(line, bulk=True,
-                                               source=source)
-            if result is not _LOCKSTEP:
-                return result
-
-        async def fn(conn):
-            if source is not None:
-                await self._bound(conn, source)
-            return await conn.request_bulk(line)
-
-        return await self._roundtrip(fn)
-
     async def aclose(self, grace: float = 2.0) -> None:
-        """Close the pool after a grace window.
+        """Close the connection after a grace window.
 
         A lookup pinned to a just-detached view may still need
-        *future* round trips on this backend (it is between awaits,
-        holding no connection yet), so the pool keeps serving for the
-        whole ``grace`` window before it starts refusing — then idle
-        connections close immediately and stragglers get a short
-        drain.  Callers that hold the swap lock should not await
-        this; the federation retires pools on a background task.
+        *future* round trips on this backend (it is between awaits),
+        so the backend keeps serving for the whole ``grace`` window
+        before it starts refusing — then in-flight stragglers get a
+        short drain.  Callers that hold the swap lock should not await
+        this; the federation retires backends on a background task.
         """
         loop = asyncio.get_running_loop()
         if grace > 0:
             await asyncio.sleep(grace)
         self._draining = True
-        for conn in self._idle:
-            conn.close()
-        self._idle.clear()
         deadline = loop.time() + max(grace, 0.1)
         while self._inflight and loop.time() < deadline:
             await asyncio.sleep(0.01)
@@ -676,27 +485,15 @@ class ShardBackend:
         if self._notify_task is not None:
             self._notify_task.cancel()
             self._notify_task = None
-        if self._notify_conn is not None:
-            self._notify_conn.close()
-            self._notify_conn = None
+        if self._notify_writer is not None:
+            self._notify_writer.close()
+            self._notify_writer = None
 
     # -- the daemon conversation ----------------------------------------------
 
     #: the one shared wire-token validator (see
     #: :func:`repro.service.daemon.wire_token`)
     _token = staticmethod(wire_token)
-
-    async def _bound(self, conn: _BackendConnection,
-                     entry: str) -> None:
-        """Bind the connection's source register to ``entry``."""
-        if conn.bound_source == entry:
-            return
-        reply = await conn.request(f"SOURCE {entry}")
-        if not reply.startswith("OK"):
-            conn.bound_source = None
-            raise FederationError(
-                f"backend {self.name}: {reply}")
-        conn.bound_source = entry
 
     async def stats(self) -> dict[str, str]:
         """The backend daemon's ``STATS`` counters as a dict."""
@@ -710,32 +507,10 @@ class ShardBackend:
             out[key] = value
         return out
 
-    async def routing_index(self) -> list[tuple[str, bool]]:
-        """The daemon's source/domain ownership index (bulk
-        ``TABLE``): sorted ``(name, is_domain)`` pairs."""
-        head, lines = await self._call_bulk("TABLE")
-        if not head.startswith("OK index"):
-            raise FederationError(
-                f"backend {self.name} protocol error: {head!r}")
-        out = []
-        for line in lines:
-            kind, _, name = line.partition(" ")
-            if kind not in ("S", "D") or not name:
-                raise FederationError(
-                    f"backend {self.name} protocol error: {line!r}")
-            out.append((name, kind == "D"))
-        return out
-
-    async def index_fsm(self) -> bytes | None:
+    async def index_fsm(self) -> bytes:
         """The daemon's ownership index as a compiled suffix-automaton
-        block (bulk ``TABLE --fsm``), or None against an older daemon
-        that does not serve the block (callers fall back to the text
-        :meth:`routing_index`)."""
-        head, lines = await self._call_bulk("TABLE --fsm")
-        if head.startswith("ERR unknown-source") or \
-                head.startswith("ERR unknown-command") or \
-                head.startswith("ERR usage"):
-            return None  # pre-FSM daemon: it parsed --fsm as a source
+        block (bulk ``TABLE --fsm``), routing-index names embedded."""
+        head, lines = await self._call("TABLE --fsm", bulk=True)
         if not head.startswith("OK fsm"):
             raise FederationError(
                 f"backend {self.name} protocol error: {head!r}")
@@ -757,7 +532,7 @@ class ShardBackend:
         if dests:
             request += "".join(f" {self._token(d, 'destination')}"
                                for d in dests)
-        head, lines = await self._call_bulk(request)
+        head, lines = await self._call(request, bulk=True)
         if not head.startswith("OK table"):
             raise FederationError(
                 f"backend {self.name}: {head}")
@@ -774,18 +549,14 @@ class ShardBackend:
         return out
 
     async def state_costs(self, source: str, names=None
-                          ) -> dict[str, int] | None:
-        """Exact per-state costs by name (bulk ``COSTS``), or None
-        when the backend serves a v1 snapshot (``ERR no-state-costs``)
-        — callers fall back to printed record costs, exactly like an
-        in-process v1 shard."""
+                          ) -> dict[str, int]:
+        """Exact per-state costs by name (bulk ``COSTS``); unreached
+        names are absent from the answer."""
         request = f"COSTS {self._token(source, 'source')}"
         if names:
             request += "".join(f" {self._token(n, 'name')}"
                                for n in names)
-        head, lines = await self._call_bulk(request)
-        if head.startswith("ERR no-state-costs"):
-            return None
+        head, lines = await self._call(request, bulk=True)
         if not head.startswith("OK costs"):
             raise FederationError(
                 f"backend {self.name}: {head}")
@@ -847,51 +618,59 @@ class ShardBackend:
 
     # -- reload push (NOTIFY) -------------------------------------------------
 
-    async def subscribe_reloads(self, callback) -> bool:
+    async def _notify_dial(self) -> tuple[asyncio.StreamReader,
+                                          asyncio.StreamWriter, str]:
+        """Dial a dedicated connection and send ``NOTIFY``: the
+        streams plus the daemon's reply line (the caller closes the
+        writer unless the reply is ``OK``)."""
+        reader, writer = await self._open()
+        try:
+            writer.write(b"NOTIFY\n")
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.readline(), self.timeout)
+            if not raw:
+                raise ConnectionError("backend closed the connection")
+        except BaseException:
+            writer.close()
+            raise
+        return reader, writer, raw.decode("utf-8").rstrip("\r\n")
+
+    async def subscribe_reloads(self, callback) -> None:
         """Subscribe to the daemon's reload push channel.
 
-        Opens a **dedicated** connection — never the pool and never
-        the mux, since push frames are untagged and the pipelined mux
-        treats any untagged frame as a framing violation — sends
-        ``NOTIFY``, and spawns a listener task that calls
-        ``callback(path)`` (a plain callable; exceptions are
-        swallowed) for every ``NOTIFY reloaded <sources> <path>``
-        frame the daemon pushes.  Returns True once subscribed, or
-        False against a daemon that predates the verb (``ERR
-        unknown-command``), leaving the caller on pull-only behavior.
-        The listener resubscribes with backoff if the daemon
+        Opens a **dedicated** connection — never the mux, since push
+        frames are untagged and the pipelined mux treats any untagged
+        frame as a framing violation — sends ``NOTIFY``, and spawns a
+        listener task that calls ``callback(path)`` (a plain callable;
+        exceptions are swallowed) for every ``NOTIFY reloaded
+        <sources> <path>`` frame the daemon pushes.  Raises
+        :class:`FederationError` when the daemon is unreachable or
+        refuses.  The listener resubscribes with backoff if the daemon
         restarts; :meth:`aclose` tears it down.
         """
         if self._notify_task is not None:
-            return True
-        conn = await self._open()
+            return
         try:
-            reply = await asyncio.wait_for(conn.request("NOTIFY"),
-                                           self.timeout)
+            reader, writer, reply = await self._notify_dial()
         except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-            conn.close()
             raise FederationError(
                 f"backend {self.name} ({self.address}) notify "
                 f"subscription failed: {exc}") from None
         if not reply.startswith("OK"):
-            conn.close()
-            if reply.startswith("ERR unknown-command"):
-                return False
+            writer.close()
             raise FederationError(
                 f"backend {self.name} refused notify: {reply}")
-        self._notify_conn = conn
+        self._notify_writer = writer
         self._notify_task = asyncio.get_running_loop().create_task(
-            self._notify_loop(callback))
-        return True
+            self._notify_loop(reader, writer, callback))
 
-    async def _notify_loop(self, callback) -> None:
+    async def _notify_loop(self, reader: asyncio.StreamReader,
+                           writer: asyncio.StreamWriter,
+                           callback) -> None:
         """Listener body: deliver push frames, outlive restarts."""
         while not self._draining:
-            conn = self._notify_conn
-            if conn is None:
-                return
             try:
-                raw = await conn.reader.readline()
+                raw = await reader.readline()
             except (ConnectionError, OSError):
                 raw = b""
             if raw:
@@ -906,23 +685,21 @@ class ShardBackend:
                         pass  # a broken callback never kills the loop
                 continue
             # EOF or error: the daemon went away — resubscribe.
-            conn.close()
-            self._notify_conn = None
+            writer.close()
+            self._notify_writer = None
             delay = RECONNECT_DELAY
             while not self._draining:
                 try:
-                    conn = await self._open()
-                    reply = await asyncio.wait_for(
-                        conn.request("NOTIFY"), self.timeout)
+                    reader, writer, reply = await self._notify_dial()
                 except (FederationError, ConnectionError, OSError,
                         asyncio.TimeoutError):
                     await asyncio.sleep(delay)
                     delay = min(delay * 2, RECONNECT_DELAY_MAX)
                     continue
                 if reply.startswith("OK"):
-                    self._notify_conn = conn
+                    self._notify_writer = writer
                     break
-                conn.close()
+                writer.close()
                 return  # verb refused after a restart: stop pushing
 
     def __repr__(self) -> str:
@@ -937,7 +714,7 @@ class BackendShard:
     the same ownership, gateway, and async entry-query surface the
     :class:`~repro.service.shard.FederationView` stitches over — but
     every answer comes from the backend daemon: the index was fetched
-    at attach time (bulk ``TABLE``), gateway legs are fetched batched
+    at attach time (bulk ``TABLE --fsm``), gateway legs are fetched batched
     and cached per entry (``TABLE``/``COSTS``), and the final in-shard
     lookup is a ``ROUTE``/``EXACT`` executed *by the daemon*, which is
     what actually shards the CPU.
@@ -954,14 +731,13 @@ class BackendShard:
 
     def __init__(self, name: str, backend: ShardBackend,
                  index: list[tuple[str, bool]], version: int,
-                 snapshot: str,
-                 index_auto: SuffixAutomaton | None = None):
+                 snapshot: str, reloads: int):
         self.name = name
         self.backend = backend
-        #: the backend's ownership index as a ready-made suffix
-        #: automaton when the daemon shipped its compiled ``DFSM``
-        #: block (``TABLE --fsm``); None against pre-FSM daemons.
-        self.index_automaton = index_auto
+        #: The daemon's reload count as of this shard's ``STATS``:
+        #: with :attr:`snapshot`, what tells a reload of new bytes at
+        #: the same path from the echo of a reload already re-synced.
+        self.reloads = reloads
         self._index = list(index)
         self._sources = [n for n, is_domain in index if not is_domain]
         self._source_set = frozenset(self._sources)
@@ -983,35 +759,29 @@ class BackendShard:
     async def connect(cls, name: str,
                       backend: ShardBackend) -> "BackendShard":
         """Assemble the shard from backend answers: one ``STATS`` for
-        the format/snapshot identity, one bulk ``TABLE --fsm`` that
-        ships the daemon's compiled ownership automaton verbatim (the
-        index names and flags ride inside the block, so nothing is
-        re-derived from dicts).  Pre-FSM daemons answer with an error
-        for ``--fsm``; the shard falls back to the text ``TABLE``
-        index and leaves :attr:`index_automaton` unset."""
+        the format/snapshot/reload-count identity, and one bulk
+        ``TABLE --fsm`` whose compiled ownership block carries the
+        index names and flags, read straight out of it."""
+        # Not the smaller text TABLE: freeing this larger reply lifts
+        # glibc's mmap threshold over asyncio's 256 KiB recv buffers.
         stats, blob = await asyncio.gather(backend.stats(),
                                            backend.index_fsm())
-        auto = None
-        if blob is None:
-            index = await backend.routing_index()
-        else:
-            try:
-                flat = FlatSuffixAutomaton(blob)
-                index = [(n, bool(flags & NAME_F_DOMAIN))
-                         for n, flags in flat.names()]
-                auto = flat.inflate()
-            except AutomatonError as exc:
-                raise FederationError(
-                    f"backend {name} ({backend.address}) sent a "
-                    f"corrupt index automaton: {exc}") from None
+        try:
+            names = FlatSuffixAutomaton(blob).names()
+        except AutomatonError as exc:
+            raise FederationError(
+                f"backend {name} ({backend.address}) sent a "
+                f"corrupt index automaton: {exc}") from None
         try:
             version = int(stats.get("format", ""))
+            reloads = int(stats.get("reloads", ""))
         except ValueError:
             raise FederationError(
                 f"backend {name} ({backend.address}) reported no "
-                f"snapshot format in STATS") from None
-        return cls(name, backend, index, version,
-                   stats.get("snapshot", ""), index_auto=auto)
+                f"snapshot format or reload count in STATS") from None
+        return cls(name, backend,
+                   [(n, bool(flags & NAME_F_DOMAIN)) for n, flags in names],
+                   version, stats.get("snapshot", ""), reloads)
 
     # -- the Shard surface ----------------------------------------------------
 
@@ -1072,17 +842,11 @@ class BackendShard:
     # -- the async entry-query surface ----------------------------------------
 
     async def _fetch_legs(self, entry: str, fetch: list[str]) -> None:
-        """One batched TABLE (+COSTS on v2) round trip for ``fetch``,
-        filling the per-(entry, gate) cache — misses included."""
-        if self._version >= 2:
-            rows, costs = await asyncio.gather(
-                self.backend.table_rows(entry, fetch),
-                self.backend.state_costs(entry, fetch))
-        else:
-            rows = await self.backend.table_rows(entry, fetch)
-            costs = None
-        if costs is None:
-            costs = {}
+        """One batched TABLE + COSTS round trip for ``fetch``, filling
+        the per-(entry, gate) cache — misses included."""
+        rows, costs = await asyncio.gather(
+            self.backend.table_rows(entry, fetch),
+            self.backend.state_costs(entry, fetch))
         for gate in fetch:
             hit = rows.get(gate)
             self._legs[(entry, gate)] = None if hit is None else \
@@ -1092,9 +856,9 @@ class BackendShard:
                          gates: list[str]) -> dict[str, tuple[int, str]]:
         """Gateway legs out of ``entry``, one batched round trip.
 
-        ``TABLE entry g1 g2 ...`` for the printed templates and (on a
-        v2 backend, concurrently) ``COSTS entry g1 g2 ...`` for the
-        exact per-state prices — the same cost selection an in-process
+        ``TABLE entry g1 g2 ...`` for the printed templates and
+        (concurrently) ``COSTS entry g1 g2 ...`` for the exact
+        per-state prices — the same cost selection an in-process
         shard makes.  Cached per ``(entry, gate)`` — misses included —
         and only the uncached gates ride the wire: the backend's
         snapshot is pinned for this shard's lifetime, so repeat

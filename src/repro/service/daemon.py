@@ -18,9 +18,8 @@ per request:
                           source table, or batched exact lookups —
                           multi-line replies a federation front end
                           assembles its remote view from.
-``COSTS <src> [name...]`` bulk per-state costs (format v2) by node
-                          name — exact gateway-leg pricing over the
-                          wire.
+``COSTS <src> [name...]`` bulk per-state costs by node name — exact
+                          gateway-leg pricing over the wire.
 ``RELOAD <snapshot>``     open a new snapshot off-loop and hot-swap it;
                           in-flight lookups keep the old reader (the
                           old mmap stays valid until its last view
@@ -38,9 +37,9 @@ per request:
                           connection — push frames are untagged and
                           would poison pipelined framing.
 ``PIPELINE``              capability probe: ``OK pipeline 1`` means the
-                          daemon accepts *tagged* requests (below); an
-                          older daemon answers ``ERR unknown-command``
-                          and the client stays lockstep.
+                          daemon accepts *tagged* requests (below) —
+                          kept for third-party clients that probe
+                          before pipelining.
 ``STATS``                 one ``key=value`` line of counters; in
                           multi-worker mode the *aggregate* across all
                           workers, plus ``workers=`` and per-worker
@@ -61,8 +60,8 @@ requests in flight on one connection and replies may return out of
 order; *every* reply frame (including each continuation line of a
 bulk ``TABLE``/``COSTS`` reply) carries the same ``@<tag> `` prefix,
 so interleaved bulk replies reassemble by tag.  Untagged requests
-keep the exact lockstep one-in/one-out behavior, so old clients are
-unchanged byte-for-byte; see ``docs/protocol.md`` for the grammar.
+keep the exact lockstep one-in/one-out behavior for simple clients;
+see ``docs/protocol.md`` for the grammar.
 
 **Multi-worker serving.**  ``pathalias serve --workers N``
 (:func:`run_multi_daemon`) forks N worker processes that each
@@ -155,7 +154,7 @@ class LineService:
     INLINE_VERBS = frozenset({"SOURCE", "RELOAD", "WRELOAD", "NOTIFY",
                               "ATTACH", "DETACH", "PIPELINE", "QUIT"})
 
-    def __init__(self, require_format: int | None = None) -> None:
+    def __init__(self) -> None:
         self.connections = 0
         self.verb_counts = {verb: 0 for verb in self.VERBS}
         #: Requests answered with an ``ERR`` reply (malformed lines,
@@ -172,25 +171,6 @@ class LineService:
         #: key): the observable pipeline depth.
         self.inflight = 0
         self.inflight_hwm = 0
-        #: Pinned snapshot format version (``--format``): services
-        #: check it against every snapshot they open — at startup and
-        #: on every later RELOAD/ATTACH — via :meth:`_check_format`.
-        self.require_format = require_format
-
-    def _check_format(self, reader) -> None:
-        """Refuse a snapshot whose format differs from the pin.
-
-        Duck-typed on ``version``/``path``: callers hand it a
-        :class:`~repro.service.store.SnapshotReader`, a local
-        :class:`~repro.service.shard.Shard`, or a remote
-        :class:`~repro.service.backend.BackendShard` — the pin applies
-        identically to all three.
-        """
-        if self.require_format is not None \
-                and reader.version != self.require_format:
-            raise SnapshotError(
-                f"{reader.path}: snapshot format v{reader.version}, "
-                f"but --format {self.require_format} was required")
 
     def initial_state(self) -> dict:
         """Fresh per-connection state for :meth:`handle_line`."""
@@ -421,22 +401,18 @@ class RouteService(LineService):
     def __init__(self, snapshot_path: str | None = None,
                  reader: SnapshotReader | None = None,
                  default_source: str | None = None,
-                 require_format: int | None = None,
                  dispatch: str = "fsm",
                  cache_size: int | None = None):
-        """``require_format`` pins the snapshot format version: the
-        initial snapshot *and every later RELOAD* must match, so an
-        operator who depends on v2-only data (per-state costs) cannot
-        be silently downgraded mid-flight.  ``dispatch`` selects the
-        suffix-search engine — ``fsm`` (the compiled automaton,
-        default) or ``dict`` (the original walk, kept as a live
-        differential oracle; ``serve --dispatch dict``).
+        """``dispatch`` selects the suffix-search engine — ``fsm``
+        (the compiled automaton, default) or ``dict`` (the original
+        walk, kept as a live differential oracle; ``serve --dispatch
+        dict``).
         ``cache_size`` bounds the generation-stamped result cache
         (``serve --cache``): None takes the default, 0 disables
         (``--no-cache``), and ``dict`` dispatch forces it off — the
         dict walk *is* the differential oracle, and an oracle that
         answered from a cache would compare cache to cache."""
-        super().__init__(require_format=require_format)
+        super().__init__()
         self.dispatch = dispatch
         if dispatch == "dict":
             cache_size = 0
@@ -452,7 +428,6 @@ class RouteService(LineService):
                 raise SnapshotError("RouteService needs a snapshot "
                                     "path or an open reader")
             reader = SnapshotReader.open(snapshot_path)
-        self._check_format(reader)
         self.reader = reader
         if default_source is None:
             sources = reader.sources()
@@ -635,10 +610,7 @@ class RouteService(LineService):
         * ``TABLE --fsm`` — the routing index as a precompiled
           suffix-automaton block (``OK fsm <n>`` then n base64 lines
           of the serialized ``DFSM`` bytes, names embedded): the
-          front end inflates it in one linear pass instead of
-          re-deriving dicts.  An older daemon answers this form ``ERR
-          unknown-source --fsm`` (it parses ``--fsm`` as a source
-          name), which clients treat as "fall back to ``TABLE``";
+          front end reads the index names straight out of it;
         * ``TABLE <source>`` — the whole route table (``OK table <n>``
           then ``<cost> <name> <route>`` lines in name order);
         * ``TABLE <source> <dest>...`` — batched exact lookups, one
@@ -682,11 +654,9 @@ class RouteService(LineService):
         one ``<cost> <name>`` line per node (``- <name>`` for an
         unreached or unknown name when names were given; without
         names, every reachable public node).  Costs come from the
-        format-v2 ``STAT`` records — exact mapper state costs, keyed
-        by node, covering nets/domains and hosts the route records
-        display under domain-qualified names.  A v1 snapshot answers
-        ``ERR no-state-costs``, and clients fall back to the printed
-        record costs, exactly as an in-process v1 shard does.
+        ``STAT`` records — exact mapper state costs, keyed by node,
+        covering nets/domains and hosts the route records display
+        under domain-qualified names.
         """
         reader = self.reader
         if not args:
@@ -694,9 +664,6 @@ class RouteService(LineService):
         source, names = args[0], args[1:]
         if not reader.has_source(source):
             return f"ERR unknown-source {source}"
-        if not reader.has_state_costs:
-            return (f"ERR no-state-costs format v{reader.version} "
-                    f"snapshots store no per-state records")
         if names:
             lines = []
             for name in names:
@@ -722,7 +689,6 @@ class RouteService(LineService):
         async with self._reload_lock:
             reader = await asyncio.to_thread(SnapshotReader.open,
                                              snapshot_path)
-            self._check_format(reader)
             if not reader.has_source(self.default_source):
                 sources = reader.sources()
                 if not sources:
@@ -892,8 +858,7 @@ class RouteService(LineService):
     def stats_line(self) -> str:
         """The one-line ``key=value`` counters the STATS verb returns.
 
-        ``format`` is the *current* snapshot's format version (it can
-        flip when a RELOAD swaps in a file of the other format); the
+        ``format`` is the served snapshot's format version; the
         ``n_<verb>`` counters live on the service and survive every
         reload.
         """
@@ -1025,7 +990,6 @@ async def serve(service: LineService, host: str = "127.0.0.1",
 
 def run_daemon(snapshot_path: str, host: str = "127.0.0.1",
                port: int = 4176, source: str | None = None,
-               require_format: int | None = None,
                workers: int = 1, dispatch: str = "fsm",
                cache_size: int | None = None) -> int:
     """Blocking daemon entry point for ``pathalias serve``.
@@ -1035,14 +999,12 @@ def run_daemon(snapshot_path: str, host: str = "127.0.0.1",
     """
     if workers > 1:
         return run_multi_daemon(snapshot_path, host=host, port=port,
-                                source=source,
-                                require_format=require_format,
-                                workers=workers, dispatch=dispatch,
+                                source=source, workers=workers,
+                                dispatch=dispatch,
                                 cache_size=cache_size)
 
     async def main() -> None:
         service = RouteService(snapshot_path, default_source=source,
-                               require_format=require_format,
                                dispatch=dispatch,
                                cache_size=cache_size)
         server = await serve(service, host, port)
@@ -1061,14 +1023,12 @@ def run_daemon(snapshot_path: str, host: str = "127.0.0.1",
 
 
 async def _worker_serve(worker_id: int, snapshot_path: str, host: str,
-                        port: int, source: str | None,
-                        require_format: int | None, conn,
+                        port: int, source: str | None, conn,
                         dispatch: str = "fsm",
                         cache_size: int | None = None) -> None:
     """One worker's async body: the shared-port listener, the loopback
     control listener, and the control-port exchange with the parent."""
     service = RouteService(snapshot_path, default_source=source,
-                           require_format=require_format,
                            dispatch=dispatch, cache_size=cache_size)
     service.worker_id = worker_id
     server = await asyncio.start_server(
@@ -1085,16 +1045,14 @@ async def _worker_serve(worker_id: int, snapshot_path: str, host: str,
 
 
 def _worker_main(worker_id: int, snapshot_path: str, host: str,
-                 port: int, source: str | None,
-                 require_format: int | None, conn,
+                 port: int, source: str | None, conn,
                  dispatch: str = "fsm",
                  cache_size: int | None = None) -> None:
     """Process entry point of one SO_REUSEPORT worker."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent coordinates
     try:
         asyncio.run(_worker_serve(worker_id, snapshot_path, host, port,
-                                  source, require_format, conn,
-                                  dispatch=dispatch,
+                                  source, conn, dispatch=dispatch,
                                   cache_size=cache_size))
     except SnapshotError as exc:
         print(f"pathalias: serve: worker {worker_id}: {exc}",
@@ -1104,7 +1062,6 @@ def _worker_main(worker_id: int, snapshot_path: str, host: str,
 
 def run_multi_daemon(snapshot_path: str, host: str = "127.0.0.1",
                      port: int = 4176, source: str | None = None,
-                     require_format: int | None = None,
                      workers: int = 2, dispatch: str = "fsm",
                      cache_size: int | None = None) -> int:
     """Serve one snapshot from N ``SO_REUSEPORT`` worker processes.
@@ -1131,10 +1088,9 @@ def run_multi_daemon(snapshot_path: str, host: str = "127.0.0.1",
             "--workers needs SO_REUSEPORT, which this platform "
             "lacks; run single-worker daemons on separate ports "
             "behind --backend fan-out instead")
-    # Validate snapshot, source, and format pin once, up front — one
-    # clear error beats N concurrent worker tracebacks.
+    # Validate snapshot and source once, up front — one clear error
+    # beats N concurrent worker tracebacks.
     probe = RouteService(snapshot_path, default_source=source,
-                         require_format=require_format,
                          dispatch=dispatch)
     source_count = probe.reader.source_count
     probe.reader.close()
@@ -1156,8 +1112,7 @@ def run_multi_daemon(snapshot_path: str, host: str = "127.0.0.1",
             proc = ctx.Process(
                 target=_worker_main,
                 args=(wid, snapshot_path, host, port, source,
-                      require_format, child_conn, dispatch,
-                      cache_size))
+                      child_conn, dispatch, cache_size))
             proc.start()
             child_conn.close()
             procs.append(proc)

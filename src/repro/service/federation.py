@@ -41,7 +41,7 @@ A shard is either a **local snapshot** (the front end reads the file
 in process) or a **remote backend** (a per-shard
 :class:`~repro.service.daemon.RouteService` daemon the front end fans
 out to through a :class:`~repro.service.backend.ShardBackend`
-connection pool — see :mod:`repro.service.backend`); the two mix
+connection — see :mod:`repro.service.backend`); the two mix
 freely in one view, and the reply bytes are identical either way.
 The front end also subscribes to each backend daemon's ``NOTIFY``
 reload push channel: when a backend reloads *itself* (an operator
@@ -105,22 +105,19 @@ class FederationService(LineService):
              "RELOAD", "PIPELINE", "STATS", "QUIT")
 
     def __init__(self, shards, default_source: str | None = None,
-                 require_format: int | None = None,
                  dispatch: str = "fsm",
                  cache_size: int | None = None):
         """``shards`` maps shard names to snapshot paths (or is an
         iterable of :class:`Shard` / :class:`BackendShard` objects —
         remote backends need the async :meth:`create` constructor).
-        ``require_format`` pins every shard's snapshot format — at
-        startup and on every later ATTACH/RELOAD.  ``dispatch``
-        selects the suffix-dispatch engine for the ownership index
-        and every locally-served shard table: ``fsm`` (the compiled
-        automaton, default) or ``dict`` (the original walk — the
-        differential oracle, ``serve --dispatch dict``).
+        ``dispatch`` selects the suffix-dispatch engine for the
+        ownership index and every locally-served shard table: ``fsm``
+        (the compiled automaton, default) or ``dict`` (the original
+        walk — the differential oracle, ``serve --dispatch dict``).
         ``cache_size`` bounds the generation-stamped result cache:
         None takes the default, 0 disables, and ``dict`` dispatch
         forces it off (the oracle must never answer from a cache)."""
-        super().__init__(require_format=require_format)
+        super().__init__()
         self.dispatch = dispatch
         if dispatch == "dict":
             cache_size = 0
@@ -142,10 +139,6 @@ class FederationService(LineService):
         if not shards:
             raise SnapshotError(
                 "FederationService needs at least one shard")
-        for shard in shards:
-            # shards duck-type the reader's version/path attributes,
-            # so the format pin applies to backends identically
-            self._check_format(shard)
         self.view = FederationView(shards, dispatch=dispatch)
         if default_source is None:
             first = next(iter(self.view.shards.values()))
@@ -180,16 +173,7 @@ class FederationService(LineService):
         self.resyncs = 0
         self._resync_pending: set = set()
         self._resync_tasks: set = set()
-        #: Connection-pool width for backend shards attached at
-        #: runtime (ATTACH host:port); :meth:`create` overrides it
-        #: with its ``pool_size`` so later attaches match startup.
-        self.backend_pool_size = 2
-        #: Whether backend shards attached at runtime may negotiate
-        #: the pipelined (tagged) wire protocol; :meth:`create`
-        #: overrides it with its ``pipeline`` flag so later attaches
-        #: match startup (``serve --no-pipeline`` forces lockstep).
-        self.backend_pipeline = True
-        #: How long a replaced/detached backend pool keeps serving
+        #: How long a replaced/detached backend keeps serving
         #: lookups still pinned to the outgoing view before closing.
         self.retire_grace = 2.0
         self._swap_lock = asyncio.Lock()
@@ -198,9 +182,6 @@ class FederationService(LineService):
     @classmethod
     async def create(cls, shards=None, backends=None,
                      default_source: str | None = None,
-                     require_format: int | None = None,
-                     pool_size: int = 2,
-                     pipeline: bool = True,
                      dispatch: str = "fsm",
                      cache_size: int | None = None
                      ) -> "FederationService":
@@ -210,9 +191,6 @@ class FederationService(LineService):
         process); ``backends`` maps shard names to ``host:port``
         specs, each dialed now — the ownership index is fetched from
         the daemon before the service answers its first request.
-        ``pool_size`` is the per-backend connection pool width;
-        ``pipeline=False`` forces the lockstep wire protocol even
-        against a backend daemon that would negotiate tagging.
         ``dispatch`` picks the suffix-dispatch engine (see
         :class:`FederationService`).
         """
@@ -224,15 +202,10 @@ class FederationService(LineService):
                 raise FederationError(
                     f"backend {name}={spec!r} is not of the form "
                     f"HOST:PORT")
-            backend = ShardBackend(name, addr[0], addr[1],
-                                   pool_size=pool_size,
-                                   pipeline=pipeline)
+            backend = ShardBackend(name, addr[0], addr[1])
             objs.append(await BackendShard.connect(name, backend))
         service = cls(objs, default_source=default_source,
-                      require_format=require_format, dispatch=dispatch,
-                      cache_size=cache_size)
-        service.backend_pool_size = pool_size
-        service.backend_pipeline = pipeline
+                      dispatch=dispatch, cache_size=cache_size)
         for name, shard in service.view.shards.items():
             backend = getattr(shard, "backend", None)
             if backend is not None:
@@ -246,7 +219,7 @@ class FederationService(LineService):
     # object for its whole lifetime — across every await point.  The
     # mutators below build a new view under ``_swap_lock`` and publish
     # it with one attribute assignment, so a racing request sees the
-    # old picture or the new one, never a mixture; backend pools are
+    # old picture or the new one, never a mixture; backends are
     # closed only after the swap, with a grace window for requests
     # still pinned to the outgoing view.
 
@@ -393,9 +366,9 @@ class FederationService(LineService):
         return cost, route
 
     def _retire(self, old) -> None:
-        """Schedule a replaced/removed backend shard's pool for
+        """Schedule a replaced/removed backend shard's connection for
         closing on a background task: the view has already swapped,
-        and the pool keeps serving lookups pinned to the outgoing
+        and the backend keeps serving lookups pinned to the outgoing
         view for :attr:`retire_grace` seconds before it drains —
         without holding up the ATTACH/DETACH reply."""
         backend = getattr(old, "backend", None)
@@ -409,43 +382,36 @@ class FederationService(LineService):
     async def _open_shard(self, name: str, spec: str):
         """Open an attachable shard from its spec: a ``host:port``
         backend (dialed and index-synced now) or a snapshot path
-        (opened off-loop).  Format pin enforced either way; a backend
-        that fails the sync or the pin has its freshly-opened pool
-        closed rather than leaked."""
+        (opened off-loop).  A backend that fails the sync has its
+        freshly-opened connection closed rather than leaked."""
         addr = parse_backend_spec(spec)
         if addr is not None:
-            backend = ShardBackend(name, addr[0], addr[1],
-                                   pool_size=self.backend_pool_size,
-                                   pipeline=self.backend_pipeline)
+            backend = ShardBackend(name, addr[0], addr[1])
             try:
                 shard = await BackendShard.connect(name, backend)
-                self._check_format(shard)
             except Exception:
                 await backend.aclose(grace=0.0)
                 raise
             await self._subscribe_backend(name, backend)
             return shard
         reader = await asyncio.to_thread(SnapshotReader.open, spec)
-        shard = Shard(name, reader, dispatch=self.dispatch)
-        self._check_format(shard)
-        return shard
+        return Shard(name, reader, dispatch=self.dispatch)
 
     async def _subscribe_backend(self, name: str,
-                                 backend: ShardBackend) -> bool:
+                                 backend: ShardBackend) -> None:
         """Best-effort NOTIFY subscription on a backend daemon.
 
         Once up, the backend's own reloads push ``NOTIFY reloaded``
         frames and :meth:`_on_backend_reload` re-syncs this front
         end's cached ownership index and leg cache — no front-end
-        RELOAD needed.  A daemon that predates the verb (or an
-        unreachable one) degrades to pull-only behavior; subscription
-        failure never fails the attach.
+        RELOAD needed.  Subscription failure (an unreachable daemon)
+        never fails the attach.
         """
         try:
-            return await backend.subscribe_reloads(
+            await backend.subscribe_reloads(
                 lambda path, _n=name: self._on_backend_reload(_n, path))
         except FederationError:
-            return False
+            pass
 
     def _on_backend_reload(self, name: str, path: str) -> None:
         """Push callback: schedule a re-sync of shard ``name``.
@@ -458,17 +424,13 @@ class FederationService(LineService):
         lands): the backend daemon has already swapped its snapshot,
         so cached answers touching this shard may already be stale —
         exactly the shard's generation token moves.  The bump is
-        skipped when the view already describes the pushed path,
-        which is the forwarded-RELOAD coalescing case:
-        :meth:`reload_shard` re-synced and bumped inside its own
-        swap, and this push is its echo.  (A daemon too old to carry
-        NOTIFY never calls this at all — the front end degrades to
-        pull-only re-syncs, exactly its pre-push behavior.)
+        unconditional: a pushed path equal to the one the view names
+        may still hold new bytes (the file was rewritten in place),
+        and only the re-sync can tell that case from the echo of a
+        forwarded RELOAD.
         """
         if self.cache is not None:
-            current = self.view.shards.get(name)
-            if getattr(current, "snapshot", "") != path:
-                self.cache.bump(name)
+            self.cache.bump(name)
         if name in self._resync_pending:
             return
         self._resync_pending.add(name)
@@ -481,11 +443,13 @@ class FederationService(LineService):
         """Re-fetch a backend shard's index after its daemon's own
         reload and swap the refreshed picture into the view.
 
-        Skips when the view already describes ``path`` — that is the
-        forwarded-RELOAD case, where :meth:`reload_shard` re-synced
-        inside the same swap and the push would only repeat the work.
-        A failed re-fetch leaves the current view serving; the next
-        push (or a front-end RELOAD) tries again.
+        Skips the swap when the daemon still reports the snapshot path
+        *and* reload count the view already holds — the echo of a
+        forwarded RELOAD, which :meth:`reload_shard` re-synced inside
+        its own swap.  A reload of new bytes at the same path moves
+        the count, so it re-syncs.  A failed re-fetch leaves the
+        current view serving; the next push (or a front-end RELOAD)
+        tries again.
         """
         try:
             async with self._swap_lock:
@@ -493,12 +457,12 @@ class FederationService(LineService):
                 backend = getattr(current, "backend", None)
                 if backend is None:
                     return
-                if getattr(current, "snapshot", "") == path:
-                    return
                 try:
                     shard = await BackendShard.connect(name, backend)
-                    self._check_format(shard)
-                except (FederationError, SnapshotError):
+                except FederationError:
+                    return
+                if (shard.snapshot, shard.reloads) == \
+                        (current.snapshot, current.reloads):
                     return
                 current.drop_cached_legs()
                 self.view = self.view.with_shard(shard)
@@ -528,11 +492,10 @@ class FederationService(LineService):
     async def detach(self, name: str) -> None:
         """Remove a shard; the remaining shards keep serving.
 
-        A backend shard's connection pool is closed only after the
-        view swap, on a background task with a
-        :attr:`retire_grace` window: a lookup that pinned the old
-        view mid-flight finishes its round trips before the pool
-        drains.
+        A backend shard's connection is closed only after the view
+        swap, on a background task with a :attr:`retire_grace`
+        window: a lookup that pinned the old view mid-flight finishes
+        its round trips before the connection closes.
         """
         async with self._swap_lock:
             old = self.view.shards.get(name)
@@ -568,8 +531,7 @@ class FederationService(LineService):
                 await backend.reload(snapshot_path)
                 try:
                     shard = await BackendShard.connect(name, backend)
-                    self._check_format(shard)
-                except (FederationError, SnapshotError):
+                except FederationError:
                     # The backend daemon already swapped; serving on
                     # with the OLD cached index against its NEW
                     # snapshot would split-brain the shard.  Best
@@ -601,7 +563,6 @@ class FederationService(LineService):
                 reader = await asyncio.to_thread(SnapshotReader.open,
                                                  snapshot_path)
                 shard = Shard(name, reader, dispatch=self.dispatch)
-                self._check_format(shard)
             self.view = self.view.with_shard(shard)
             self.reloads += 1
             if self.cache is not None:
@@ -614,10 +575,9 @@ class FederationService(LineService):
         """The one-line ``key=value`` counters the STATS verb returns.
 
         ``formats`` lists the attached shards' snapshot format
-        versions in shard-name order (a per-shard RELOAD can flip
-        one); the ``n_<verb>`` counters live on the service and
-        survive every view swap.  Remote backends add ``backends=``
-        plus one health token per backend —
+        versions in shard-name order; the ``n_<verb>`` counters live
+        on the service and survive every view swap.  Remote backends
+        add ``backends=`` plus one health token per backend —
         ``backend_<name>=<state>:<requests>:<errors>:<connects>`` —
         so an operator sees a bouncing shard daemon from the front
         end's STATS line alone.
@@ -761,17 +721,13 @@ class FederationService(LineService):
 def run_federation_daemon(shards: dict, host: str = "127.0.0.1",
                           port: int = 4176,
                           source: str | None = None,
-                          require_format: int | None = None,
                           backends: dict | None = None,
-                          pipeline: bool = True,
                           dispatch: str = "fsm",
                           cache_size: int | None = None) -> int:
     """Blocking entry point for ``pathalias serve --shard/--backend``.
 
     ``shards`` maps names to local snapshot paths, ``backends`` maps
     names to ``host:port`` daemon addresses; the two mix freely.
-    ``pipeline=False`` (``--no-pipeline``) keeps the backend
-    connections on the lockstep wire protocol.
 
     The front end itself is one process (its work is stitching, not
     route computation); the CPU-heavy half scales by pointing each
@@ -784,7 +740,6 @@ def run_federation_daemon(shards: dict, host: str = "127.0.0.1",
     async def main() -> None:
         service = await FederationService.create(
             shards=shards, backends=backends, default_source=source,
-            require_format=require_format, pipeline=pipeline,
             dispatch=dispatch, cache_size=cache_size)
         server = await serve(service, host, port)
         bound = server.sockets[0].getsockname()

@@ -22,15 +22,11 @@ the previous snapshot and the new map, this module
 4. falls back to a full rebuild whenever the incremental path cannot
    be proven equivalent.
 
-With a **format-v2** snapshot the triangle test runs on the stored
-per-state costs (the ``STAT`` block): exact final costs for every
-state of every node — nets, domains, private shadows, and both
-second-best domain classes included — so the only remaining full
-fallbacks are topology changes, negative link costs, a requested
-format change, and the ``full_threshold`` economy cut-off.  A v1
-snapshot has no per-state costs, so the historical conservative
-fallbacks remain for it: second-best snapshots and changed links
-touching nets, domains, or private nodes remap fully.
+The triangle test runs on the stored per-state costs (the ``STAT``
+block): exact final costs for every state of every node — nets,
+domains, private shadows, and both second-best domain classes
+included — so the only full fallbacks are topology changes, negative
+link costs, and the ``full_threshold`` economy cut-off.
 
 The conservative direction is always "remap more": a source wrongly
 counted as affected costs one redundant (identical) remap; a source
@@ -57,7 +53,7 @@ from repro.service.store import (
     encode_graph_section,
     encode_meta_section,
     encode_table_section,
-    payload_for_format,
+    snapshot_payload,
     write_snapshot,
 )
 
@@ -76,13 +72,12 @@ class UpdateReport:
     seconds: float = 0.0
     out_path: Path | None = None
     heuristics: HeuristicConfig | None = None
-    format: int = 2           # snapshot format version written
 
     def summary(self) -> str:
         """One human-readable line: mode, reason, remap/reuse counts."""
         base = (f"{self.mode} update ({self.reason}): "
                 f"{len(self.remapped)}/{self.total_sources} sources "
-                f"remapped, {self.reused} reused (format v{self.format})")
+                f"remapped, {self.reused} reused")
         if self.diff is not None:
             base += f"; map diff: {self.diff.summary()}"
         return base
@@ -161,76 +156,10 @@ def _link_owner(cg: CompactGraph, j: int) -> int:
     return lo
 
 
-def _changed_link_facts(reader: SnapshotReader, new_cg: CompactGraph,
-                        changed: list[int]):
-    """Per-changed-link tuples for the affected-source scans, or None
-    when a negative cost (either side) makes any triangle test
-    unsound."""
-    old_cg = reader.decode_graph()
-    links = []
-    for j in changed:
-        u = _link_owner(new_cg, j)
-        v = new_cg.to[j]
-        c_old, c_new = old_cg.cost[j], new_cg.cost[j]
-        if c_old < 0 or c_new < 0:
-            return None
-        links.append((u, v, new_cg.names[u], new_cg.names[v],
-                      c_old, c_new))
-    return links
-
-
-def affected_sources(reader: SnapshotReader, new_cg: CompactGraph,
-                     changed: list[int]) -> list[str] | None:
-    """Sources whose tables could differ after the cost changes — the
-    **v1** analysis over route records only.
-
-    Returns None when the triangle test cannot be trusted for some
-    changed link (an endpoint that is a net, domain, or private node,
-    or a negative cost on either side) — callers rebuild fully.  A v2
-    snapshot stores the per-state costs those cases need; see
-    :func:`affected_sources_exact`.
-    """
-    links = _changed_link_facts(reader, new_cg, changed)
-    if links is None:
-        return None
-    for u, v, _, _, c_old, c_new in links:
-        if c_new < c_old and (
-                new_cg.netlike[u] or new_cg.private[u]
-                or new_cg.netlike[v] or new_cg.private[v]):
-            # A cheaper link into or out of a placeholder or private
-            # node: its costs are not in the stored route records, so
-            # the triangle test has nothing to stand on.
-            return None
-
-    affected = []
-    for source in reader.sources():
-        table = reader.table(source)
-        pairs = table.tree_links()
-        for _, _, u_name, v_name, c_old, c_new in links:
-            if (u_name, v_name) in pairs:
-                affected.append(source)
-                break
-            if c_new < c_old:
-                # The cheaper edge can change this source if it opens
-                # a path to its head that is better *or equal*: an
-                # exact tie can still steal the label by relaxation
-                # order (the earlier labeler wins under strict-<
-                # decrease) and change the route text at the same
-                # cost.  Unknown cost to the tail is conservative (a
-                # host displayed under a domain name, say): count it
-                # affected.
-                cu = table.cost(u_name)
-                cv = table.cost(v_name)
-                if cu is None or cv is None or cu + c_new <= cv:
-                    affected.append(source)
-                    break
-    return affected
-
-
 def affected_sources_exact(reader: SnapshotReader,
                            new_cg: CompactGraph,
                            changed: list[int]) -> list[str] | None:
-    """The **v2** affected-source analysis over stored per-state costs.
+    """The affected-source analysis over stored per-state costs.
 
     Two screens per (source, changed link), both exact:
 
@@ -253,9 +182,16 @@ def affected_sources_exact(reader: SnapshotReader,
     Returns None only for negative link costs (Dijkstra's preconditions
     are gone — rebuild fully).
     """
-    links = _changed_link_facts(reader, new_cg, changed)
-    if links is None:
-        return None
+    old_cg = reader.decode_graph()
+    links = []
+    for j in changed:
+        u = _link_owner(new_cg, j)
+        v = new_cg.to[j]
+        c_old, c_new = old_cg.cost[j], new_cg.cost[j]
+        if c_old < 0 or c_new < 0:
+            return None
+        links.append((u, v, new_cg.names[u], new_cg.names[v],
+                      c_old, c_new))
     second = reader.second_best
     classes = (0, 1) if second else (0,)
     is_domain = new_cg.is_domain
@@ -301,8 +237,7 @@ def update_snapshot(old: str | Path | SnapshotReader,
                     out_path: str | Path,
                     jobs: int | None = None,
                     full_threshold: float = 0.5,
-                    case_fold: bool | None = None,
-                    fmt: int | None = None) -> UpdateReport:
+                    case_fold: bool | None = None) -> UpdateReport:
     """Produce the snapshot for ``new_graph`` at ``out_path``, reusing
     the old snapshot's table sections wherever the revision provably
     cannot have changed them.
@@ -316,18 +251,13 @@ def update_snapshot(old: str | Path | SnapshotReader,
     when the caller parsed the revision differently (the CLI's ``-i``)
     so the output header stays truthful.  ``full_threshold`` is the
     affected fraction beyond which incremental splicing loses to a
-    plain rebuild.  ``fmt`` selects the output format (default: the
-    old snapshot's own format; asking for a different one forces a
-    full rebuild, since sections cannot be spliced across layouts —
-    this is how ``pathalias update --format 2`` upgrades in passing).
-    Output bytes are identical to ``build_snapshot(new_graph,
-    out_path, heuristics=old.heuristics(), case_fold=..., fmt=...)``
-    in every mode.
+    plain rebuild.  Output bytes are identical to
+    ``build_snapshot(new_graph, out_path, heuristics=old.heuristics(),
+    case_fold=...)`` in every mode.
     """
     t0 = time.perf_counter()
     reader = old if isinstance(old, SnapshotReader) \
         else SnapshotReader.open(old)
-    out_fmt = reader.version if fmt is None else fmt
     cfg = reader.heuristics()
     fold = reader.case_fold if case_fold is None else case_fold
     out_flags = (FLAG_SECOND_BEST if cfg.second_best else 0) \
@@ -338,33 +268,20 @@ def update_snapshot(old: str | Path | SnapshotReader,
 
     def full(reason: str) -> UpdateReport:
         info = build_snapshot(new_cg, out_path, heuristics=cfg,
-                              jobs=jobs, case_fold=fold, fmt=out_fmt)
+                              jobs=jobs, case_fold=fold)
         return UpdateReport(
             mode="full", reason=reason, diff=diff,
             total_sources=len(info.sources),
             remapped=list(info.sources), reused=0, engine=info.engine,
             seconds=time.perf_counter() - t0,
-            out_path=Path(out_path), heuristics=cfg, format=out_fmt)
+            out_path=Path(out_path), heuristics=cfg)
 
-    if out_fmt != reader.version:
-        return full(f"format change (v{reader.version} -> "
-                    f"v{out_fmt})")
     changed = _cost_only_changes(reader.decode_graph(), new_cg)
     if changed is None:
         return full("topology changed")
-    if reader.has_state_costs:
-        affected = affected_sources_exact(reader, new_cg, changed)
-        if affected is None:
-            return full("negative link cost")
-    else:
-        if reader.second_best or cfg.second_best:
-            return full("second-best v1 snapshots store no per-state "
-                        "costs; remapping fully (upgrade to v2)")
-        affected = affected_sources(reader, new_cg, changed)
-        if affected is None:
-            return full("changed link touches a net, domain, private "
-                        "node, or negative cost (v1 snapshot stores "
-                        "no per-state costs; upgrade to v2)")
+    affected = affected_sources_exact(reader, new_cg, changed)
+    if affected is None:
+        return full("negative link cost")
     sources = eligible_sources(new_cg)
     if sources != reader.sources():
         # Cannot happen when the structural guard passed, but the
@@ -374,8 +291,7 @@ def update_snapshot(old: str | Path | SnapshotReader,
         return full(f"{len(affected)}/{len(sources)} sources affected "
                     f"(threshold {full_threshold:.0%})")
 
-    payloads, engine = map_sources(new_cg, affected,
-                                   payload_for_format(out_fmt),
+    payloads, engine = map_sources(new_cg, affected, snapshot_payload,
                                    cfg, jobs)
 
     def reusable_dfsm(source: str, records) -> bytes | None:
@@ -384,21 +300,16 @@ def update_snapshot(old: str | Path | SnapshotReader,
         reachability is cost-independent).  The block is a pure
         function of the sorted names, so splicing it skips the
         recompile while staying byte-identical to one."""
-        if out_fmt == 1:
-            return None
         old_table = reader.table(source)
-        stored = old_table.dfsm_bytes()
-        if stored is None:
-            return None
         names = sorted((name for _, name, _ in records),
                        key=lambda n: n.encode("utf-8"))
         if names != old_table.record_names():
             return None
-        return stored
+        return old_table.dfsm_bytes()
 
     fresh = {
         source: encode_table_section(records, unreachable, pairs,
-                                     states, fmt=out_fmt,
+                                     states,
                                      dfsm=reusable_dfsm(source, records))
         for source, (records, unreachable, pairs, states)
         in zip(affected, payloads)}
@@ -409,7 +320,7 @@ def update_snapshot(old: str | Path | SnapshotReader,
     write_snapshot(
         out_path, encode_graph_section(new_cg),
         encode_meta_section(cfg), table_sections,
-        flags=out_flags, fmt=out_fmt)
+        flags=out_flags)
     reason = ("no route-relevant changes" if not changed
               else f"{len(changed)} link cost change(s)")
     return UpdateReport(
@@ -417,4 +328,4 @@ def update_snapshot(old: str | Path | SnapshotReader,
         total_sources=len(sources), remapped=list(affected),
         reused=len(sources) - len(affected), engine=engine,
         seconds=time.perf_counter() - t0, out_path=Path(out_path),
-        heuristics=cfg, format=out_fmt)
+        heuristics=cfg)

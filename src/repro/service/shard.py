@@ -173,8 +173,8 @@ class Shard:
 
     def state_cost(self, source: str, target: str) -> int | None:
         """The mapper's exact final cost ``source -> target`` from the
-        stored per-state records (format v2), or None when the shard
-        is v1 or the target is unreached.
+        stored per-state records, or None when the target is
+        unreached.
 
         Keyed by compact id rather than route-record display name, and
         covering nodes the printed records omit entirely (nets,
@@ -203,9 +203,9 @@ class Shard:
 
         One batched question per Dijkstra expansion: for every
         candidate gateway, the printed route template from ``entry``
-        and its cost — the exact per-state mapper cost where stored
-        (format v2), else the printed record's.  Gateways ``entry``
-        cannot reach are absent from the answer.
+        and its cost — the exact per-state mapper cost where stored,
+        else the printed record's.  Gateways ``entry`` cannot reach
+        are absent from the answer.
         """
         table = self.table(entry)
         out: dict[str, tuple[int, str]] = {}
@@ -502,14 +502,14 @@ class FederationView:
         ``resolver(shard, entry)`` is an awaitable returning ``(cost,
         template, matched)`` for the final in-shard lookup, or None on
         a miss — local shards answer in place, remote backend shards
-        over their socket pool.  Returns the winning ``(cost,
+        over their socket connection.  Returns the winning ``(cost,
         template, matched, shard name, via)`` with deterministic
         tie-breaks; raises :class:`FederationError` when no gateway
         chain reaches any owner, :class:`RouteError` when owners were
         reached but none resolved the target.
 
         Gateway legs are priced with the shard's exact per-state
-        mapper cost (:meth:`Shard.state_cost`, format v2) rather than
+        mapper cost (:meth:`Shard.state_cost`) rather than
         the printed route record; the numbers coincide where both
         exist, and the state table stays authoritative because it is
         keyed by node, not display name.  (Crossing a gateway still

@@ -19,25 +19,22 @@ no mapping, no per-line scan:
   deduplicated string pool (names, operators, warnings);
 * **meta** records the heuristic configuration the tables were mapped
   with, so an incremental update can reproduce them exactly;
-* each **table section** is self-contained; in format **v2** (the
-  default) it is a directory of tagged blocks — route records
-  (``RECS``), unreachable hosts (``UNRC``), tree links (``TREE``),
-  the mapper's full per-state cost/kind records (``STAT``), the
-  section-local string blob (``BLOB``), and the compiled
-  suffix-dispatch automaton (``DFSM``, optional on read — see
-  :mod:`repro.service.fsm`).  The ``STAT`` block is what
-  v1 threw away: the exact final cost (and state kind, flags, and
-  tree-parent link id) for *every* labeled state — nets, domains, and
-  private shadows included — which is what lets
+* each **table section** is self-contained: a directory of tagged
+  blocks — route records (``RECS``), unreachable hosts (``UNRC``),
+  tree links (``TREE``), the mapper's full per-state cost/kind
+  records (``STAT``), the section-local string blob (``BLOB``), and
+  the compiled suffix-dispatch automaton (``DFSM``, see
+  :mod:`repro.service.fsm`), every one required.  The ``STAT`` block
+  holds the exact final cost (and state kind, flags, and tree-parent
+  link id) for *every* labeled state — nets, domains, and private
+  shadows included — which is what lets
   :mod:`repro.service.incremental` run its triangle test on exact
   numbers and federation read exact gateway costs;
 * the **source index** maps source names (sorted, binary-searchable)
   to their table sections.
 
-Format **v1** files (no ``STAT`` block, fixed-layout table sections)
-are still read through a compatibility shim; :func:`upgrade_snapshot`
-rewrites one as v2 by remapping the *stored* graph in memory — no
-source map required.
+The reader speaks exactly one format, :data:`VERSION`; a file of any
+other version is refused, and is rebuilt from its map.
 
 Every encoder here is deterministic — no timestamps, no hash-order
 dependence — so rebuilding a snapshot from the same map bytes yields
@@ -83,17 +80,12 @@ from repro.service.resolver import Resolution, SuffixResolver
 
 MAGIC = b"PATHSNP1"
 
-#: The format this store writes by default.
+#: The one snapshot format this store writes and reads.
 VERSION = 2
 
-#: Formats the reader understands (v1 through the compat shim).
-SUPPORTED_VERSIONS = (1, 2)
-
-#: The tagged blocks a v2 table section is made of, in emission order.
-#: ``docs/snapshot-format.md`` must document exactly these tags —
-#: ``tools/check_docs.py`` enforces it.  ``DFSM`` (the compiled
-#: suffix-automaton dispatch block) is *optional on read*: pre-PR-9
-#: v2 files lack it and lazily compile the automaton in memory.
+#: The tagged blocks a table section is made of, in emission order;
+#: the reader requires every one.  ``docs/snapshot-format.md`` must
+#: document exactly these tags — ``tools/check_docs.py`` enforces it.
 TABLE_SECTION_TAGS = ("RECS", "UNRC", "TREE", "STAT", "BLOB", "DFSM")
 
 #: header flag bits
@@ -113,20 +105,16 @@ _RECORD = struct.Struct("<qIIII")
 #: one tree-link pair: from ref, to ref.
 _PAIR = struct.Struct("<IIII")
 
-#: one v2 per-state record: cid, cost, tree-parent link id, flags
+#: one per-state record: cid, cost, tree-parent link id, flags
 #: (``STATE_F_*``), state kind (``SK_*``).
 _STATE = struct.Struct("<IqiBB")
 
-#: one v2 tag-directory entry: 4-byte ASCII tag, block length.
+#: one tag-directory entry: 4-byte ASCII tag, block length.
 _TAG = struct.Struct("<4sI")
 
 #: one source-index entry: name ref (index blob), absolute table
 #: offset, table length.
 _INDEX_ENTRY = struct.Struct("<IIQI")
-
-#: v1 table section prefix: record count, unreachable count, tree-pair
-#: count, blob length.
-_TABLE_HEADER = struct.Struct("<IIII")
 
 #: graph section prefix: node count, link count, warning count.
 _GRAPH_HEADER = struct.Struct("<III")
@@ -137,15 +125,6 @@ _META = struct.Struct("<qqqqqBB")
 
 class SnapshotError(PathaliasError):
     """A snapshot file is missing, malformed, corrupt, or truncated."""
-
-
-def _check_format(fmt: int) -> int:
-    """Validate a requested write format; returns it."""
-    if fmt not in SUPPORTED_VERSIONS:
-        raise SnapshotError(
-            f"unknown snapshot format {fmt!r} (supported: "
-            f"{', '.join(map(str, SUPPORTED_VERSIONS))})")
-    return fmt
 
 
 class _StringPool:
@@ -268,17 +247,15 @@ def decode_meta_section(data: bytes) -> HeuristicConfig:
 
 
 def encode_table_section(records, unreachable, tree_links,
-                         states=(), fmt: int = VERSION,
-                         dfsm: bytes | None = None) -> bytes:
-    """Encode one source's table in the requested format.
+                         states=(), dfsm: bytes | None = None) -> bytes:
+    """Encode one source's table section.
 
     ``records`` is ``(cost, name, route)`` tuples (any order — they are
     re-sorted by encoded name for binary search), ``unreachable`` a
     name list, ``tree_links`` ``(from, to)`` pairs, and ``states`` the
-    per-state records from :func:`repro.core.fastmap.state_costs`
-    (ignored by the v1 layout, which has nowhere to put them).
+    per-state records from :func:`repro.core.fastmap.state_costs`.
 
-    For v2 the section also carries a ``DFSM`` block — the record
+    The section also carries a ``DFSM`` block — the record
     names compiled into a serialized suffix automaton
     (:mod:`repro.service.fsm`), built here once so every later open
     maps it zero-copy.  ``dfsm`` lets the incremental updater splice a
@@ -287,7 +264,6 @@ def encode_table_section(records, unreachable, tree_links,
     name sequence, a spliced block is byte-identical to a recompiled
     one (and asserted so in the tests).
     """
-    _check_format(fmt)
     pool = _StringPool()
     by_name = sorted(records, key=lambda r: r[1].encode("utf-8"))
     record_refs = [(cost, pool.add(name), pool.add(route))
@@ -302,11 +278,6 @@ def encode_table_section(records, unreachable, tree_links,
     tree = b"".join(_PAIR.pack(aref[0], aref[1], bref[0], bref[1])
                     for aref, bref in pair_refs)
     blob = pool.getvalue()
-    if fmt == 1:
-        return b"".join([
-            _TABLE_HEADER.pack(len(record_refs), len(unreachable_refs),
-                               len(pair_refs), len(blob)),
-            recs, unrc, tree, blob])
     stat = b"".join(
         _STATE.pack(cid, cost, parent, flags, kind)
         for cid, flags, kind, cost, parent in states)
@@ -341,73 +312,35 @@ class SnapshotTable(SuffixResolver):
     leaves as an exercise.  The suffix-search surface
     (:meth:`resolve_with_cost` and the inherited ``resolve`` /
     ``resolve_bang``) dispatches through the section's compiled suffix
-    automaton (the ``DFSM`` block, inflated lazily on first use;
-    sections without one — v1, or v2 files written before the block
-    existed — compile it in memory from the record names), and is
-    byte-identical to the dict walk in
+    automaton (the ``DFSM`` block, inflated lazily on first use), and
+    is byte-identical to the dict walk in
     :class:`~repro.service.resolver.SuffixResolver`, which stays
     reachable as :meth:`resolve_with_cost_dict` for differential
     oracles.
 
-    For v2 sections the mapper's per-state records are exposed through
+    The mapper's per-state records are exposed through
     :meth:`state_records` / :meth:`state_cost_map` /
-    :meth:`state_cost_of`; a v1 section reports none
-    (:attr:`has_state_costs` is False).
+    :meth:`state_cost_of`.
     """
 
-    __slots__ = ("source", "version", "_data", "_state_map",
+    __slots__ = ("source", "_data", "_state_map",
                  "_rc", "_uc", "_tc", "_sc",
                  "_records_off", "_unreach_off", "_pairs_off",
                  "_states_off", "_blob_off", "_file_off",
                  "_dfsm_off", "_dfsm_len", "_auto")
 
-    def __init__(self, source: str, data, version: int = VERSION,
+    def __init__(self, source: str, data,
                  file_offset: int | None = None):
-        """``file_offset`` (when known) is the section's absolute
-        offset in the snapshot file, so malformed-section errors can
-        name where in the file the damage sits."""
+        """Parse the section's tag directory; every block in
+        :data:`TABLE_SECTION_TAGS` must be present.  ``file_offset``
+        (when known) is the section's absolute offset in the snapshot
+        file, so malformed-section errors can name where in the file
+        the damage sits."""
         self.source = source
-        self.version = version
         self._data = data
         self._file_off = file_offset
         self._state_map: dict | None = None
-        self._dfsm_off = None
-        self._dfsm_len = 0
         self._auto: SuffixAutomaton | None = None
-        if version == 1:
-            self._init_v1(data)
-        else:
-            self._init_v2(data)
-
-    def _where(self) -> str:
-        """``" at file offset N"`` when the section offset is known."""
-        if self._file_off is None:
-            return ""
-        return f" at file offset {self._file_off}"
-
-    def _init_v1(self, data) -> None:
-        """The fixed v1 layout: counted arrays, then the blob."""
-        try:
-            (self._rc, self._uc, self._tc,
-             blob_len) = _TABLE_HEADER.unpack_from(data, 0)
-        except struct.error as exc:
-            raise SnapshotError(
-                f"table section for {self.source!r}{self._where()} "
-                f"malformed: {exc}") from None
-        self._sc = 0
-        self._records_off = _TABLE_HEADER.size
-        self._unreach_off = self._records_off + self._rc * _RECORD.size
-        self._pairs_off = self._unreach_off + self._uc * _REF.size
-        self._states_off = self._blob_off = \
-            self._pairs_off + self._tc * _PAIR.size
-        if self._blob_off + blob_len > len(data):
-            raise SnapshotError(
-                f"table section for {self.source!r}{self._where()} "
-                f"truncated")
-
-    def _init_v2(self, data) -> None:
-        """The tagged v2 layout: a block directory, then the blocks."""
-        source = self.source
         try:
             (tag_count,) = struct.unpack_from("<I", data, 0)
             if tag_count > len(data):  # absurd count == corruption
@@ -435,7 +368,7 @@ class SnapshotTable(SuffixResolver):
                 f"{len(data)} bytes)")
         for tag, size in ((b"RECS", _RECORD.size), (b"UNRC", _REF.size),
                           (b"TREE", _PAIR.size), (b"STAT", _STATE.size),
-                          (b"BLOB", 1)):
+                          (b"BLOB", 1), (b"DFSM", 1)):
             if tag not in blocks:
                 raise SnapshotError(
                     f"table section for {source!r} lacks the "
@@ -455,21 +388,19 @@ class SnapshotTable(SuffixResolver):
         self._states_off, length = blocks[b"STAT"]
         self._sc = length // _STATE.size
         self._blob_off, _ = blocks[b"BLOB"]
-        # DFSM is the optional compiled-dispatch block: absent in v2
-        # files written before it existed (the automaton is then
-        # compiled lazily in memory — every existing file keeps
-        # serving, byte-identically).
-        if b"DFSM" in blocks:
-            self._dfsm_off, self._dfsm_len = blocks[b"DFSM"]
+        self._dfsm_off, self._dfsm_len = blocks[b"DFSM"]
+
+    def _where(self) -> str:
+        """``" at file offset N"`` when the section offset is known."""
+        if self._file_off is None:
+            return ""
+        return f" at file offset {self._file_off}"
 
     def block_map(self) -> list[tuple[str, int, int]]:
         """The section's tagged blocks as ``(tag, offset, length)`` in
-        directory order, offsets relative to the section start (v1
-        sections have no directory and report an empty list).  What
-        ``pathalias inspect`` prints and the format-compat CI job
-        asserts over."""
-        if self.version == 1:
-            return []
+        directory order, offsets relative to the section start.  What
+        ``pathalias inspect`` prints and the packaging CI job asserts
+        over."""
         data = self._data
         (tag_count,) = struct.unpack_from("<I", data, 0)
         pos = 4
@@ -551,28 +482,16 @@ class SnapshotTable(SuffixResolver):
 
     # -- compiled suffix dispatch ---------------------------------------------
 
-    @property
-    def has_automaton(self) -> bool:
-        """Whether this section carries a stored ``DFSM`` block (False
-        means :meth:`automaton` compiles one in memory on first use)."""
-        return self._dfsm_off is not None
-
-    def dfsm_bytes(self) -> bytes | None:
+    def dfsm_bytes(self) -> bytes:
         """The raw stored ``DFSM`` block as real ``bytes`` (splice
-        export, like :meth:`SnapshotReader.table_bytes`), or None for
-        sections without one."""
-        if self._dfsm_off is None:
-            return None
+        export, like :meth:`SnapshotReader.table_bytes`)."""
         return bytes(self._data[self._dfsm_off:
                                 self._dfsm_off + self._dfsm_len])
 
-    def flat_automaton(self) -> FlatSuffixAutomaton | None:
-        """A zero-copy flat matcher over the stored ``DFSM`` block
-        (None when the section has no block).  Used by ``pathalias
-        inspect`` and the differential tests; the serving hot path
-        inflates instead (:meth:`automaton`)."""
-        if self._dfsm_off is None:
-            return None
+    def flat_automaton(self) -> FlatSuffixAutomaton:
+        """A zero-copy flat matcher over the stored ``DFSM`` block.
+        Used by ``pathalias inspect`` and the differential tests; the
+        serving hot path inflates instead (:meth:`automaton`)."""
         try:
             return FlatSuffixAutomaton(
                 self._data[self._dfsm_off:
@@ -583,23 +502,14 @@ class SnapshotTable(SuffixResolver):
                 f"{exc}") from None
 
     def automaton(self) -> SuffixAutomaton:
-        """The section's suffix-dispatch matcher (cached).
-
-        Inflated from the mapped ``DFSM`` block when the section has
-        one — a single linear pass, no trie rebuild — and compiled
-        from the record names otherwise (the lazy-build fallback that
-        keeps every pre-block snapshot serving).  Payloads are record
-        indexes into this section's sorted ``RECS`` array.
+        """The section's suffix-dispatch matcher (cached), inflated
+        from the mapped ``DFSM`` block in a single linear pass — no
+        trie rebuild.  Payloads are record indexes into this
+        section's sorted ``RECS`` array.
         """
-        auto = self._auto
-        if auto is None:
-            flat = self.flat_automaton()
-            if flat is not None:
-                auto = flat.inflate()
-            else:
-                auto = compile_keys(self.record_names())
-            self._auto = auto
-        return auto
+        if self._auto is None:
+            self._auto = self.flat_automaton().inflate()
+        return self._auto
 
     def resolve_with_cost(self, target: str, user: str = "%s"
                           ) -> tuple[int, Resolution]:
@@ -651,16 +561,11 @@ class SnapshotTable(SuffixResolver):
             out.add((self._text(aoff, alen), self._text(boff, blen)))
         return out
 
-    # -- per-state costs (format v2) ------------------------------------------
-
-    @property
-    def has_state_costs(self) -> bool:
-        """Whether this section carries the mapper's ``STAT`` block."""
-        return self.version >= 2
+    # -- per-state costs ------------------------------------------------------
 
     @property
     def state_count(self) -> int:
-        """Number of stored per-state records (0 for v1 sections)."""
+        """Number of stored per-state records."""
         return self._sc
 
     def state_records(self):
@@ -686,7 +591,7 @@ class SnapshotTable(SuffixResolver):
 
     def state_cost_of(self, cid: int) -> int | None:
         """The cheapest stored state cost for a node (compact id), or
-        None when the node is unreached or the section is v1.  Keyed
+        None when the node is unreached.  Keyed
         by cid, not display name, so a gateway that the route records
         display under a domain-qualified name still answers exactly."""
         states = self.state_cost_map()
@@ -720,7 +625,6 @@ class SnapshotInfo:
     sources: list[str]
     size: int
     engine: str
-    format: int = VERSION
 
 
 class SnapshotReader:
@@ -742,9 +646,9 @@ class SnapshotReader:
     references; tables handed out earlier each hold their own view of
     the map, so the old mapping stays valid until the last such
     reference drains (the swap is safe mid-request).  ``version``
-    reports the stored format (1 or 2); both are served through the
-    same query surface, v1 simply without per-state costs.  ``mapped``
-    tells whether this reader is mmap-backed.
+    reports the stored format, always :data:`VERSION` (a file of any
+    other version is refused at open).  ``mapped`` tells whether this
+    reader is mmap-backed.
     """
 
     def __init__(self, path: str | Path, data, mapping=None):
@@ -792,11 +696,11 @@ class SnapshotReader:
         if magic != MAGIC:
             raise SnapshotError(
                 f"{self.path}: not a route snapshot (bad magic)")
-        if version not in SUPPORTED_VERSIONS:
+        if version != VERSION:
             raise SnapshotError(
                 f"{self.path}: unsupported snapshot version {version} "
-                f"(this reader speaks "
-                f"{', '.join(map(str, SUPPORTED_VERSIONS))})")
+                f"(this reader speaks {VERSION}); rebuild it from its "
+                f"map with 'pathalias snapshot'")
         self.version = version
         for off, length in ((self._graph_off, self._graph_len),
                             (self._meta_off, self._meta_len),
@@ -945,11 +849,6 @@ class SnapshotReader:
         ``-i`` option); updates must parse revisions the same way."""
         return bool(self.flags & FLAG_CASE_FOLD)
 
-    @property
-    def has_state_costs(self) -> bool:
-        """Whether table sections carry per-state ``STAT`` records."""
-        return self.version >= 2
-
     def sources(self) -> list[str]:
         """Source names, in index (sorted) order."""
         return list(self._sources)
@@ -1002,7 +901,6 @@ class SnapshotReader:
                     f"{self.path}: no table for source {source!r}")
             off, length = self._entries[i]
             cached = SnapshotTable(source, data[off:off + length],
-                                   version=self.version,
                                    file_offset=off)
             self._tables[source] = cached
         return cached
@@ -1055,8 +953,8 @@ class SnapshotReader:
 
     def state_cost(self, source: str, target: str) -> int | None:
         """The mapper's exact final cost ``source -> target`` from the
-        stored per-state records (format v2), or None when the
-        snapshot is v1 or the target is unreached.
+        stored per-state records, or None when the target is
+        unreached.
 
         Keyed through the stored graph's name index (compact id), so
         nodes the printed route records omit — nets, domains, hosts
@@ -1066,8 +964,6 @@ class SnapshotReader:
         ``COSTS`` bulk verb.
         """
         table = self.table(source)
-        if not table.has_state_costs:
-            return None
         cid = self.decode_graph().find(target)
         if cid is None:
             return None
@@ -1192,34 +1088,19 @@ def snapshot_payload(mapper, source: str):
             unreachable, tree_link_pairs(result), state_costs(result))
 
 
-def snapshot_payload_v1(mapper, source: str):
-    """The format-v1 worker payload: same shape, empty state list —
-    the v1 layout has nowhere to put per-state records, so neither
-    computing them nor shipping them across the pool is paid for."""
-    result = mapper.run(source)
-    _, records, unreachable, _ = build_portable_table(result)
-    return ([(cost, name, route) for cost, name, route, _ in records],
-            unreachable, tree_link_pairs(result), ())
-
-
-def payload_for_format(fmt: int):
-    """The per-source worker payload callable for a write format."""
-    return snapshot_payload if fmt >= 2 else snapshot_payload_v1
-
-
 def write_snapshot(path: str | Path, graph_section: bytes,
                    meta_section: bytes,
                    table_sections: list[tuple[str, bytes]],
-                   flags: int = 0, fmt: int = VERSION) -> int:
+                   flags: int = 0) -> int:
     """Assemble and atomically write a snapshot file.
 
     ``table_sections`` must be sorted by source name and already
-    encoded in format ``fmt`` (the header's version field is all this
-    function stamps); the file appears at ``path`` via write-to-temp +
-    rename so a daemon never observes a half-written snapshot.
+    encoded; the file appears at ``path`` via write-to-temp + rename
+    so a daemon never observes a half-written snapshot.  The temp file
+    is uniquely named in ``path``'s directory, so concurrent writers
+    of one path never share it, and is removed if the write fails.
     Returns the byte size.
     """
-    _check_format(fmt)
     pool = _StringPool()
     header_size = _HEADER.size
     graph_off = header_size
@@ -1241,32 +1122,43 @@ def write_snapshot(path: str | Path, graph_section: bytes,
                         index])
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     header = _HEADER.pack(
-        MAGIC, fmt, flags, len(table_sections), crc,
+        MAGIC, VERSION, flags, len(table_sections), crc,
         graph_off, len(graph_section), meta_off, len(meta_section),
         index_off, len(index), tables_off, tables_len)
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(header + payload)
-    os.replace(tmp, path)
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+        try:
+            # 0o666 under the umask: the mode a plain write would give
+            # (mkstemp's 0o600 would hide snapshots from other users)
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                         | getattr(os, "O_BINARY", 0), 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(header)
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return header_size + len(payload)
 
 
 def build_snapshot(graph: Graph | CompactGraph, path: str | Path,
                    heuristics: HeuristicConfig | None = None,
                    jobs: int | None = None,
-                   case_fold: bool = False,
-                   fmt: int = VERSION) -> SnapshotInfo:
+                   case_fold: bool = False) -> SnapshotInfo:
     """Map every eligible source and write the snapshot to ``path``.
 
     With ``jobs > 1`` the per-source mapping fans out over the batch
     pool (:func:`repro.core.batch.map_sources`); output bytes are
     identical at any worker count.  ``case_fold`` records (in the
     header flags) that the map was parsed with host names folded, so
-    an update can parse the revision identically.  ``fmt`` selects the
-    written format — v2 (default, with per-state cost records) or the
-    legacy v1 layout.
+    an update can parse the revision identically.
     """
-    _check_format(fmt)
     cg = graph if isinstance(graph, CompactGraph) \
         else CompactGraph.compile(graph)
     negatives = sum(1 for c in cg.cost if c < 0)
@@ -1288,38 +1180,18 @@ def build_snapshot(graph: Graph | CompactGraph, path: str | Path,
         cg.cost = [c if c >= 0 else 0 for c in cg.cost]
     cfg = heuristics if heuristics is not None else DEFAULT_HEURISTICS
     sources = eligible_sources(cg)
-    payloads, engine = map_sources(cg, sources,
-                                   payload_for_format(fmt),
+    payloads, engine = map_sources(cg, sources, snapshot_payload,
                                    heuristics, jobs)
     table_sections = [
         (source,
-         encode_table_section(records, unreachable, pairs, states,
-                              fmt=fmt))
+         encode_table_section(records, unreachable, pairs, states))
         for source, (records, unreachable, pairs, states)
         in zip(sources, payloads)]
     flags = (FLAG_SECOND_BEST if cfg.second_best else 0) \
         | (FLAG_CASE_FOLD if case_fold else 0)
     size = write_snapshot(
         path, encode_graph_section(cg), encode_meta_section(cfg),
-        table_sections, flags=flags, fmt=fmt)
+        table_sections, flags=flags)
     return SnapshotInfo(path=Path(path), sources=sources, size=size,
-                        engine=engine, format=fmt)
+                        engine=engine)
 
-
-def upgrade_snapshot(old: str | Path | SnapshotReader,
-                     out_path: str | Path,
-                     jobs: int | None = None) -> SnapshotInfo:
-    """Rewrite a stored snapshot as format v2 without its source map.
-
-    The per-state costs a v1 file never recorded are backfilled by a
-    single in-memory remap of the *stored* graph section — the graph,
-    heuristic configuration, and case-folding flag all come from the
-    old file, so the output is byte-identical to a native v2 build
-    from the same map bytes.  (A v2 input is simply rewritten, which
-    makes the operation idempotent.)
-    """
-    reader = old if isinstance(old, SnapshotReader) \
-        else SnapshotReader.open(old)
-    return build_snapshot(reader.decode_graph(), out_path,
-                          heuristics=reader.heuristics(), jobs=jobs,
-                          case_fold=reader.case_fold, fmt=VERSION)

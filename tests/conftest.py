@@ -48,6 +48,23 @@ motown\ttopaz(200)
 
 
 @pytest.fixture
+def v1_stamped(tmp_path):
+    """A factory: copy a snapshot with its header's version field set
+    to 1, the retired format.  The field sits outside the payload CRC,
+    so only the reader's version check can refuse the copy."""
+    from pathlib import Path
+
+    def stamp(snapshot) -> Path:
+        data = bytearray(Path(snapshot).read_bytes())
+        data[8:12] = (1).to_bytes(4, "little")
+        out = tmp_path / "format-v1.snap"
+        out.write_bytes(bytes(data))
+        return out
+
+    return stamp
+
+
+@pytest.fixture
 def paper_map() -> str:
     return PAPER_1981_MAP
 

@@ -50,6 +50,16 @@ def shard_paths(tmp_path_factory):
     return paths
 
 
+def repriced_universities() -> str:
+    """d.universities with princeton->rutgers-ru repriced from LOCAL
+    to DEMAND, which moves ihnp4->topaz from cost 650 to 925."""
+    return (DATA / "d.universities").read_text().replace(
+        "princeton\tallegra(DEMAND), rutgers-ru(LOCAL), "
+        "winnie(HOURLY)",
+        "princeton\tallegra(DEMAND), rutgers-ru(DEMAND), "
+        "winnie(HOURLY)")
+
+
 class _Cluster:
     """Per-shard RouteService daemons on one event loop, plus their
     ``host:port`` backend specs — the in-loop stand-in for separate
@@ -176,29 +186,6 @@ class TestBulkVerbs:
 
         asyncio.run(scenario())
 
-    def test_costs_on_v1_snapshot(self, tmp_path):
-        """A v1 snapshot has no STAT block: COSTS answers the distinct
-        no-state-costs error and the connection survives."""
-        text = (DATA / "d.backbone").read_text()
-        v1 = tmp_path / "v1.snap"
-        build_snapshot(Pathalias().build([("d.backbone", text)]), v1,
-                       fmt=1)
-
-        async def scenario():
-            service = RouteService(str(v1))
-            server = await serve(service)
-            port = server.sockets[0].getsockname()[1]
-            r, w = await asyncio.open_connection("127.0.0.1", port)
-            head, _ = await self.request_lines(r, w, "COSTS ihnp4")
-            assert head.startswith("ERR no-state-costs")
-            head, _ = await self.request_lines(r, w, "TABLE ihnp4")
-            assert head.startswith("OK table")
-            w.close()
-            server.close()
-            await server.wait_closed()
-
-        asyncio.run(scenario())
-
 
 class TestBackendShard:
     def test_connect_assembles_the_shard_surface(self, shard_paths):
@@ -230,48 +217,25 @@ class TestBackendShard:
         asyncio.run(scenario())
 
     def test_connect_ships_the_compiled_index(self, shard_paths):
-        # the front end gets its ownership automaton over the wire
-        # (bulk TABLE --fsm), not by re-deriving dicts from the text
-        # index — and the shipped block answers like a local compile
-        async def scenario():
-            cluster = _Cluster()
-            spec = await cluster.start("arpa", shard_paths["arpa"])
-            host, port = parse_backend_spec(spec)
-            shard = await BackendShard.connect(
-                "arpa", ShardBackend("arpa", host, port))
-            assert shard.index_automaton is not None
-            local = Shard.open("arpa", shard_paths["arpa"])
-            index = local.routing_index()
-            assert shard.routing_index() == index
-            # payload i is position i of the shipped name table, and
-            # every index name is a literal key of the automaton
-            match = shard.index_automaton.matcher()
-            for i, (name, _is_domain) in enumerate(index):
-                assert match(name) == i
-            assert match("no.such.name.anywhere") == -1
-            await cluster.close()
-
-        asyncio.run(scenario())
-
-    def test_pre_fsm_daemon_falls_back_to_text_index(self,
-                                                     shard_paths):
-        # an old daemon parses "--fsm" as a source name and answers
-        # ERR unknown-source; the client must fall back to TABLE text
+        # the front end reads its ownership index out of the compiled
+        # block (bulk TABLE --fsm), never the text TABLE index, and
+        # sends no PIPELINE probe
         async def scenario():
             cluster = _Cluster()
             spec = await cluster.start("arpa", shard_paths["arpa"])
             host, port = parse_backend_spec(spec)
             backend = ShardBackend("arpa", host, port)
-            real_call = backend._call_bulk
+            sent = []
+            real_call = backend._call
 
-            async def old_daemon(line):
-                if line == "TABLE --fsm":
-                    return "ERR unknown-source --fsm", []
-                return await real_call(line)
+            async def spy(line, **kwargs):
+                sent.append(line)
+                return await real_call(line, **kwargs)
 
-            backend._call_bulk = old_daemon
+            backend._call = spy
             shard = await BackendShard.connect("arpa", backend)
-            assert shard.index_automaton is None
+            assert sorted(sent) == ["STATS", "TABLE --fsm"]
+            assert cluster.services["arpa"].verb_counts["PIPELINE"] == 0
             local = Shard.open("arpa", shard_paths["arpa"])
             assert shard.routing_index() == local.routing_index()
             await cluster.close()
@@ -285,14 +249,14 @@ class TestBackendShard:
             spec = await cluster.start("arpa", shard_paths["arpa"])
             host, port = parse_backend_spec(spec)
             backend = ShardBackend("arpa", host, port)
-            real_call = backend._call_bulk
+            real_call = backend._call
 
-            async def corrupting(line):
+            async def corrupting(line, **kwargs):
                 if line == "TABLE --fsm":
                     return "OK fsm 1", ["bm90LWEtYmxvY2s="]
-                return await real_call(line)
+                return await real_call(line, **kwargs)
 
-            backend._call_bulk = corrupting
+            backend._call = corrupting
             with pytest.raises(FederationError,
                                match="corrupt index automaton"):
                 await BackendShard.connect("arpa", backend)
@@ -333,10 +297,13 @@ class TestLegSingleFlight:
                 await self.release.wait()
                 return {g: (100, f"{entry}!{g}!%s") for g in gates}
 
+            async def state_costs(self, entry, gates):
+                return {}
+
         async def scenario():
             backend = SlowBackend()
             shard = BackendShard("slow", backend,
-                                 [("a", False)], 1, "x.snap")
+                                 [("a", False)], 2, "x.snap", 0)
             owner = asyncio.ensure_future(shard.route_legs("a", ["g"]))
             await asyncio.sleep(0)  # owner claims the fetch
             waiter = asyncio.ensure_future(shard.route_legs("a", ["g"]))
@@ -366,10 +333,13 @@ class TestLegSingleFlight:
                     await asyncio.Event().wait()
                 return {g: (7, f"{g}!%s") for g in gates}
 
+            async def state_costs(self, entry, gates):
+                return {}
+
         async def scenario():
             backend = Backend()
             shard = BackendShard("slow", backend,
-                                 [("a", False)], 1, "x.snap")
+                                 [("a", False)], 2, "x.snap", 0)
             owner = asyncio.ensure_future(shard.route_legs("a", ["g"]))
             await asyncio.sleep(0)
             waiter = asyncio.ensure_future(shard.route_legs("a", ["g"]))
@@ -702,11 +672,7 @@ class TestBackendAdministration:
                                                     tmp_path):
         """RELOAD <shard> <snap> on a backend shard reloads the remote
         daemon and re-synchronizes the cached index in one swap."""
-        revised = (DATA / "d.universities").read_text().replace(
-            "princeton\tallegra(DEMAND), rutgers-ru(LOCAL), "
-            "winnie(HOURLY)",
-            "princeton\tallegra(DEMAND), rutgers-ru(DEMAND), "
-            "winnie(HOURLY)")
+        revised = repriced_universities()
         revised_snap = tmp_path / "universities2.snap"
         build_snapshot(
             Pathalias().build([("d.universities", revised)]),
@@ -749,18 +715,17 @@ class TestBackendAdministration:
 
         asyncio.run(scenario())
 
-    def test_pinned_format_reload_rolls_the_backend_back(
-            self, shard_paths, tmp_path):
-        """A forwarded reload that violates the front end's --format
-        pin must not split-brain the shard: the backend daemon is
-        rolled back to the snapshot the cached index still describes,
-        and answers stay consistent."""
-        v1 = tmp_path / "universities-v1.snap"
+    def test_failed_resync_rolls_the_backend_back(
+            self, shard_paths, tmp_path, monkeypatch):
+        """A forwarded reload whose index re-sync fails must not
+        split-brain the shard: the backend daemon is rolled back to
+        the snapshot the cached index still describes, and answers
+        stay unchanged."""
+        revised = repriced_universities()
+        revised_snap = tmp_path / "universities2.snap"
         build_snapshot(
-            Pathalias().build(
-                [("d.universities",
-                  (DATA / "d.universities").read_text())]),
-            v1, fmt=1)
+            Pathalias().build([("d.universities", revised)]),
+            revised_snap)
 
         async def scenario():
             cluster = _Cluster()
@@ -768,17 +733,22 @@ class TestBackendAdministration:
             for name, path in shard_paths.items():
                 backends[name] = await cluster.start(name, path)
             service = await FederationService.create(
-                backends=backends, default_source="ihnp4",
-                require_format=2)
+                backends=backends, default_source="ihnp4")
             server = await serve(service)
             port = server.sockets[0].getsockname()[1]
             r, w = await asyncio.open_connection("127.0.0.1", port)
             assert (await self.request(r, w, "ROUTE topaz u")
                     ).startswith("OK 650 ")
-            reply = await self.request(r, w,
-                                       f"RELOAD universities {v1}")
+
+            async def failing_sync(cls, name, backend):
+                raise FederationError(f"backend {name}: sync failed")
+
+            monkeypatch.setattr(BackendShard, "connect",
+                                classmethod(failing_sync))
+            reply = await self.request(
+                r, w, f"RELOAD universities {revised_snap}")
             assert reply.startswith("ERR reload")
-            assert "--format 2" in reply
+            assert "sync failed" in reply
             # the backend daemon was rolled back, so the front end's
             # cached index and the remote snapshot still agree ...
             assert cluster.services["universities"].reader.path == \
@@ -786,8 +756,7 @@ class TestBackendAdministration:
             # ... and stitched answers are unchanged
             assert (await self.request(r, w, "ROUTE topaz u")
                     ).startswith("OK 650 ")
-            stats = await self.request(r, w, "STATS")
-            assert "formats=2,2,2" in stats
+            assert service.reloads == 0
             w.close()
             server.close()
             await server.wait_closed()
@@ -810,11 +779,7 @@ class TestNotifyInvalidatesCache:
 
     def test_direct_backend_reload_bumps_the_front_cache(
             self, shard_paths, tmp_path):
-        revised = (DATA / "d.universities").read_text().replace(
-            "princeton\tallegra(DEMAND), rutgers-ru(LOCAL), "
-            "winnie(HOURLY)",
-            "princeton\tallegra(DEMAND), rutgers-ru(DEMAND), "
-            "winnie(HOURLY)")
+        revised = repriced_universities()
         revised_snap = tmp_path / "universities-notify.snap"
         build_snapshot(
             Pathalias().build([("d.universities", revised)]),
@@ -857,6 +822,54 @@ class TestNotifyInvalidatesCache:
                     ).startswith("OK 925 ")
             stats = await self.request(r, w, "STATS")
             assert "n_cache_invalidations=" in stats
+            w.close()
+            server.close()
+            await server.wait_closed()
+            await cluster.close()
+
+        asyncio.run(scenario())
+
+    def test_same_path_backend_reload_resyncs(self, shard_paths,
+                                              tmp_path):
+        """A backend reloaded directly at the path the front end's
+        view already names, after the file was rewritten in place, is
+        new bytes, not the echo of a forwarded reload: the front end
+        must re-sync and answer like a fresh dict-walk oracle."""
+        import shutil
+
+        # the module-scoped fixture file is shared: rewrite a copy
+        universities = tmp_path / "universities.snap"
+        shutil.copyfile(shard_paths["universities"], universities)
+        paths = dict(shard_paths, universities=str(universities))
+
+        async def scenario():
+            cluster = _Cluster()
+            backends = {}
+            for name, path in paths.items():
+                backends[name] = await cluster.start(name, path)
+            service = await FederationService.create(
+                backends=backends, default_source="ihnp4")
+            server = await serve(service)
+            port = server.sockets[0].getsockname()[1]
+            r, w = await asyncio.open_connection("127.0.0.1", port)
+            assert (await self.request(r, w, "ROUTE topaz u")
+                    ).startswith("OK 650 ")
+            build_snapshot(Pathalias().build(
+                [("d.universities", repriced_universities())]),
+                universities)
+            await cluster.services["universities"].reload(
+                str(universities))
+            for _ in range(500):
+                if service.resyncs >= 1:
+                    break
+                await asyncio.sleep(0.01)
+            assert service.resyncs == 1
+            oracle = FederationService(paths, default_source="ihnp4",
+                                       dispatch="dict")
+            want = await oracle.handle_line("ROUTE topaz u",
+                                            oracle.initial_state())
+            assert want.startswith("OK 925 ")
+            assert await self.request(r, w, "ROUTE topaz u") == want
             w.close()
             server.close()
             await server.wait_closed()

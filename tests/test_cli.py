@@ -243,109 +243,20 @@ class TestServiceCommands:
         assert exc.value.code == 0
         assert "lookup daemon" in capsys.readouterr().out
 
-    def test_snapshot_format_flag(self, map_file, tmp_path, capsys):
-        from repro.service.store import SnapshotReader
-
-        v1 = tmp_path / "v1.snap"
-        v2 = tmp_path / "v2.snap"
-        assert main(["snapshot", "-o", str(v1), "--format", "1",
-                     map_file]) == 0
-        assert main(["snapshot", "-o", str(v2), map_file]) == 0
-        err = capsys.readouterr().err
-        assert "format v1" in err and "format v2" in err
-        assert SnapshotReader.open(v1).version == 1
-        assert SnapshotReader.open(v2).version == 2
-        # the v1 compat shim serves lookups identically
-        capsys.readouterr()
-        assert main(["lookup", str(v1), "phs", "honey",
-                     "-l", "unc"]) == 0
-        assert main(["lookup", str(v2), "phs", "honey",
-                     "-l", "unc"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == lines[1] == "800\tphs\tduke!phs!honey"
-
-    def test_snapshot_upgrade(self, map_file, tmp_path, capsys):
-        v1 = tmp_path / "v1.snap"
-        v2 = tmp_path / "v2.snap"
-        up = tmp_path / "up.snap"
-        assert main(["snapshot", "-o", str(v1), "--format", "1",
-                     map_file]) == 0
-        assert main(["snapshot", "-o", str(v2), map_file]) == 0
-        assert main(["snapshot", "--upgrade", str(v1),
-                     str(up)]) == 0
-        assert "upgraded" in capsys.readouterr().err
-        # the round trip: upgrade == native v2 build, byte for byte
-        assert up.read_bytes() == v2.read_bytes()
-
-    def test_snapshot_upgrade_rejects_extra_args(self, map_file,
-                                                 tmp_path, capsys):
-        assert main(["snapshot", "--upgrade", "a", "b",
-                     "-o", str(tmp_path / "x.snap")]) == 1
-        assert "--upgrade" in capsys.readouterr().err
-
-    def test_snapshot_upgrade_rejects_format_1(self, capsys):
-        assert main(["snapshot", "--upgrade", "a", "b",
-                     "--format", "1"]) == 1
-        assert "always writes format v2" in capsys.readouterr().err
-
-    def test_snapshot_upgrade_rejects_build_options(self, capsys):
-        assert main(["snapshot", "--upgrade", "a", "b", "-i"]) == 1
-        assert "no build options" in capsys.readouterr().err
-
     def test_snapshot_without_out_fails(self, map_file, capsys):
         assert main(["snapshot", map_file]) == 1
         assert "-o FILE" in capsys.readouterr().err
 
-    def test_update_preserves_v1_format_by_default(self, tmp_path,
-                                                   capsys):
-        """Without --format, update keeps the old snapshot's format —
-        a v1 pipeline keeps its incremental updates instead of being
-        silently migrated (and fully remapped) every month."""
-        from repro.service.store import SnapshotReader
-
-        old_map = tmp_path / "v1.map"
-        old_map.write_text("a b(10), c(100)\nb a(10), c(10)\n"
-                           "c b(10), a(100), d(10)\nd c(10)\n")
-        new_map = tmp_path / "v2.map"
-        new_map.write_text("a b(10), c(100)\nb a(10), c(500)\n"
-                           "c b(10), a(100), d(10)\nd c(10)\n")
-        old = tmp_path / "old.snap"
-        out = tmp_path / "out.snap"
-        assert main(["snapshot", "-o", str(old), "--format", "1",
-                     str(old_map)]) == 0
-        assert main(["update", str(old), "-o", str(out),
-                     str(new_map)]) == 0
-        err = capsys.readouterr().err
-        assert "incremental update" in err
-        assert "format v1" in err
-        assert SnapshotReader.open(out).version == 1
-
-    def test_update_format_flag_upgrades(self, map_file, tmp_path,
-                                         capsys):
-        from repro.service.store import SnapshotReader
-
-        v1 = tmp_path / "v1.snap"
-        out = tmp_path / "out.snap"
-        ref = tmp_path / "ref.snap"
-        assert main(["snapshot", "-o", str(v1), "--format", "1",
-                     map_file]) == 0
-        assert main(["update", str(v1), "-o", str(out), "--format",
-                     "2", map_file]) == 0
-        err = capsys.readouterr().err
-        assert "format change" in err
-        assert SnapshotReader.open(out).version == 2
-        assert main(["snapshot", "-o", str(ref), map_file]) == 0
-        assert out.read_bytes() == ref.read_bytes()
-
     def test_serve_format_mismatch_fails_fast(self, map_file,
-                                              tmp_path, capsys):
-        v1 = tmp_path / "v1.snap"
-        assert main(["snapshot", "-o", str(v1), "--format", "1",
-                     map_file]) == 0
+                                              tmp_path, capsys,
+                                              v1_stamped):
+        snap = tmp_path / "routes.snap"
+        assert main(["snapshot", "-o", str(snap), map_file]) == 0
+        v1 = v1_stamped(snap)
         capsys.readouterr()
-        assert main(["serve", str(v1), "--format", "2"]) == 1
+        assert main(["serve", str(v1)]) == 1
         err = capsys.readouterr().err
-        assert "format v1" in err and "--format 2" in err
+        assert "version 1" in err and "rebuild" in err
 
     def test_flat_cli_untouched_by_subcommands(self, map_file, capsys):
         # a file named like a subcommand must still route to the flat

@@ -115,15 +115,10 @@ class TestProtocol:
         with pytest.raises(SnapshotError, match="no table"):
             RouteService(snap1, default_source="ghost")
 
-    def test_stats_format_and_verb_counters(self, snapshots,
-                                            tmp_path):
-        """STATS reports the served snapshot's format version (which
-        flips when RELOAD swaps formats) and per-verb counters that a
-        RELOAD must never reset."""
-        snap1, _ = snapshots
-        v1 = tmp_path / "fmt1.snap"
-        build_snapshot(Pathalias().build([("d.map", MAP_V1)]), v1,
-                       fmt=1)
+    def test_stats_format_and_verb_counters(self, snapshots):
+        """STATS reports the served snapshot's format version and
+        per-verb counters that a RELOAD must never reset."""
+        snap1, snap2 = snapshots
 
         def parse(reply):
             return dict(token.partition("=")[::2]
@@ -142,11 +137,12 @@ class TestProtocol:
             assert stats["n_exact"] == "1"
             assert stats["n_stats"] == "1"
             assert stats["n_reload"] == "0"
-            reply = await request(r, w, f"RELOAD {v1}")
+            reply = await request(r, w, f"RELOAD {snap2}")
             assert reply.startswith("OK reloaded")
             stats = parse(await request(r, w, "STATS"))
-            # the reload swapped in a v1 file and reset NO counters
-            assert stats["format"] == "1"
+            # the reload swapped in another snapshot and reset NO
+            # counters
+            assert stats["format"] == "2"
             assert stats["n_route"] == "1"
             assert stats["n_exact"] == "1"
             assert stats["n_reload"] == "1"
@@ -158,27 +154,23 @@ class TestProtocol:
         asyncio.run(scenario())
 
     def test_pinned_format_enforced_on_reload(self, snapshots,
-                                              tmp_path):
-        """A --format pin is a standing contract: the startup check
-        and every later RELOAD enforce it, so the daemon can never be
-        silently downgraded mid-flight."""
+                                              v1_stamped):
+        """The served format is pinned to v2 by the reader itself: the
+        startup open and every later RELOAD refuse a retired-format
+        file, so the daemon can never be downgraded mid-flight."""
         snap1, snap2 = snapshots
-        v1 = tmp_path / "fmt1.snap"
-        build_snapshot(Pathalias().build([("d.map", MAP_V1)]), v1,
-                       fmt=1)
-        with pytest.raises(SnapshotError, match="--format 2"):
-            RouteService(str(v1), default_source="a",
-                         require_format=2)
+        v1 = v1_stamped(snap1)
+        with pytest.raises(SnapshotError, match="version 1"):
+            RouteService(str(v1), default_source="a")
 
         async def scenario():
-            service = RouteService(snap1, default_source="a",
-                                   require_format=2)
+            service = RouteService(snap1, default_source="a")
             server = await serve(service)
             port = server.sockets[0].getsockname()[1]
             r, w = await asyncio.open_connection("127.0.0.1", port)
             reply = await request(r, w, f"RELOAD {v1}")
             assert reply.startswith("ERR reload")
-            assert "--format 2" in reply
+            assert "version 1" in reply and "rebuild" in reply
             # the refused reload left the pinned snapshot serving
             assert (await request(r, w, "ROUTE d u")).startswith(
                 "OK 30 d")

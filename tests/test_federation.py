@@ -243,7 +243,6 @@ class TestStitchedCostExactness:
         (exact mapper state costs, keyed by node), and agree with the
         printed record where both exist."""
         backbone = view.shards["backbone"]
-        assert backbone.reader.has_state_costs
         for gate in view.gateways("backbone", "universities"):
             exact = backbone.state_cost("ihnp4", gate)
             record = backbone.table("ihnp4").cost(gate)
@@ -258,33 +257,6 @@ class TestStitchedCostExactness:
         cost = arpa.state_cost("seismo", "ARPA")
         assert cost is not None
         assert arpa.table("seismo").cost("ARPA") is None
-
-    def test_v1_shards_fall_back_to_record_costs(self, shard_paths,
-                                                 tmp_path):
-        """A v1 shard has no STAT block; state_cost answers None and
-        the stitch keeps using record costs — same routes, same
-        costs, on these fixtures."""
-        from repro.service.store import upgrade_snapshot
-
-        v1 = tmp_path / "backbone1.snap"
-        text = (DATA / "d.backbone").read_text()
-        build_snapshot(Pathalias().build([("d.backbone", text)]), v1,
-                       fmt=1)
-        mixed = FederationView(
-            [Shard.open("backbone", v1),
-             Shard.open("universities", shard_paths["universities"]),
-             Shard.open("arpa", shard_paths["arpa"])])
-        assert mixed.shards["backbone"].state_cost(
-            "ihnp4", "allegra") is None
-        fed = mixed.resolve_with_cost("ihnp4", "topaz", "user")
-        assert fed.cost == 650
-        assert fed.resolution.address == \
-            "allegra!princeton!rutgers-ru!topaz!user"
-        # ... and an upgraded v1 shard prices identically to native v2
-        up = tmp_path / "backbone2.snap"
-        upgrade_snapshot(v1, up)
-        assert Shard.open("backbone", up).state_cost(
-            "ihnp4", "allegra") == 300
 
 
 class TestEdgeCases:
@@ -428,33 +400,28 @@ class TestFederationDaemon:
         asyncio.run(scenario())
 
     def test_pinned_format_enforced_on_attach_and_reload(
-            self, shard_paths, tmp_path):
-        """The federation's --format pin covers ATTACH and per-shard
-        RELOAD, not just startup."""
+            self, shard_paths, v1_stamped):
+        """The format pin (v2, enforced by the reader) covers ATTACH
+        and per-shard RELOAD, not just startup."""
         from repro.service.store import SnapshotError
 
-        v1 = tmp_path / "fmt1.snap"
-        build_snapshot(
-            Pathalias().build(
-                [("d.backbone",
-                  (DATA / "d.backbone").read_text())]),
-            v1, fmt=1)
-        with pytest.raises(SnapshotError, match="--format 2"):
-            FederationService({"backbone": str(v1)}, require_format=2)
+        v1 = v1_stamped(shard_paths["backbone"])
+        with pytest.raises(SnapshotError, match="version 1"):
+            FederationService({"backbone": str(v1)})
 
         async def scenario():
             service = FederationService(shard_paths,
-                                        default_source="ihnp4",
-                                        require_format=2)
+                                        default_source="ihnp4")
             server = await serve(service)
             port = server.sockets[0].getsockname()[1]
             r, w = await asyncio.open_connection("127.0.0.1", port)
             reply = await request(r, w, f"RELOAD backbone {v1}")
             assert reply.startswith("ERR reload")
-            assert "--format 2" in reply
+            assert "version 1" in reply
             reply = await request(r, w, f"ATTACH extra {v1}")
             assert reply.startswith("ERR attach")
-            # the pinned federation keeps serving v2 shards only
+            assert "version 1" in reply
+            # the federation keeps serving v2 shards only
             stats = await request(r, w, "STATS")
             assert "formats=2,2,2" in stats
             assert (await request(r, w, "ROUTE topaz u")).startswith(

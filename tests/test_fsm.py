@@ -180,8 +180,7 @@ def reader(tmp_path_factory):
 class TestSnapshotTableDifferential:
     def test_stored_block_serves_lookups(self, reader):
         table = reader.table("a")
-        assert table.has_automaton
-        assert table.flat_automaton() is not None
+        assert table.flat_automaton().state_count > 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_resolve_agrees_with_dict_walk(self, reader, seed):
@@ -199,19 +198,6 @@ class TestSnapshotTableDifferential:
                 else:
                     assert table.resolve_with_cost(target, "u") \
                         == expect
-
-    def test_v1_snapshot_lazily_compiles(self, tmp_path):
-        graph = Pathalias().build([("d.map", MAP)])
-        out = tmp_path / "v1.snap"
-        build_snapshot(graph, out, fmt=1)
-        table = SnapshotReader.open(out).table("a")
-        assert not table.has_automaton
-        assert table.dfsm_bytes() is None
-        # ...but the automaton surface still answers, identically
-        assert table.resolve_with_cost("b", "u") \
-            == table.resolve_with_cost_dict("b", "u")
-        with pytest.raises(RouteError):
-            table.resolve_with_cost("nowhere.at.all", "u")
 
 
 # -- the federation ownership surface -----------------------------------------

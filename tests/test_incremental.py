@@ -12,7 +12,6 @@ from repro.config import HeuristicConfig
 from repro.core.pathalias import Pathalias
 from repro.graph.compact import CompactGraph, K_NORMAL
 from repro.service.incremental import (
-    affected_sources,
     affected_sources_exact,
     compact_link_costs,
     diff_compact_graphs,
@@ -41,10 +40,9 @@ def snap(graph, path, **kwargs):
     return build_snapshot(graph, path, **kwargs)
 
 
-def assert_identical_to_full_rebuild(out: Path, new_graph, cfg=None,
-                                     fmt=2):
+def assert_identical_to_full_rebuild(out: Path, new_graph, cfg=None):
     reference = out.parent / (out.name + ".reference")
-    build_snapshot(new_graph, reference, heuristics=cfg, fmt=fmt)
+    build_snapshot(new_graph, reference, heuristics=cfg)
     assert out.read_bytes() == reference.read_bytes()
 
 
@@ -128,18 +126,18 @@ class TestAffectedSet:
         assert_identical_to_full_rebuild(out, revised)
 
     def test_affected_sources_directly(self, tmp_path):
+        """The triangle test on its own: cheapening the unused a->c
+        link to 15 can only improve a's routes."""
         old = tmp_path / "old.snap"
         snap(build(DIAMOND), old)
         reader = SnapshotReader.open(old)
-        from repro.graph.compact import CompactGraph
-
         new_cg = CompactGraph.compile(
-            build(DIAMOND.replace("b\ta(10), c(10)",
-                                  "b\ta(10), c(500)")))
+            build(DIAMOND.replace("a\tb(10), c(100)",
+                                  "a\tb(10), c(15)")))
         changed = [j for j in range(new_cg.link_count)
                    if new_cg.cost[j] != reader.decode_graph().cost[j]]
         assert len(changed) == 1
-        assert affected_sources(reader, new_cg, changed) == ["a", "b"]
+        assert affected_sources_exact(reader, new_cg, changed) == ["a"]
 
 
 class TestFullFallbacks:
@@ -179,41 +177,6 @@ class TestFullFallbacks:
         assert "threshold" in report.reason
         assert_identical_to_full_rebuild(out, revised)
 
-    def test_second_best_v1_snapshot_forces_full(self, tmp_path):
-        """A v1 snapshot stores no per-state costs, so the historical
-        conservative fallback remains for it."""
-        cfg = HeuristicConfig(second_best=True)
-        old = self.make_old(tmp_path, heuristics=cfg, fmt=1)
-        revised = build(DIAMOND.replace("b\ta(10), c(10)",
-                                        "b\ta(10), c(500)"))
-        out = tmp_path / "new.snap"
-        report = update_snapshot(old, revised, out)
-        assert report.mode == "full"
-        assert "second-best" in report.reason
-        assert_identical_to_full_rebuild(out, revised, cfg=cfg, fmt=1)
-
-    def test_net_touching_v1_snapshot_forces_full(self, tmp_path):
-        """Same v1 restriction for a cheaper link whose endpoint is a
-        structural placeholder."""
-        text = DIAMOND + "NET = {a, b}(50)\nn2\ta(40), NET(60)\n"
-        old = self.make_old(tmp_path, text=text, fmt=1)
-        revised = build(text.replace("NET(60)", "NET(30)"))
-        out = tmp_path / "new.snap"
-        report = update_snapshot(old, revised, out)
-        assert report.mode == "full"
-        assert "net, domain, private" in report.reason
-        assert_identical_to_full_rebuild(out, revised, fmt=1)
-
-    def test_format_change_forces_full(self, tmp_path):
-        old = self.make_old(tmp_path, fmt=1)
-        out = tmp_path / "new.snap"
-        report = update_snapshot(old, build(DIAMOND), out, fmt=2)
-        assert report.mode == "full"
-        assert "format change" in report.reason
-        assert report.format == 2
-        assert SnapshotReader.open(out).version == 2
-        assert_identical_to_full_rebuild(out, build(DIAMOND), fmt=2)
-
     def test_update_preserves_stored_heuristics(self, tmp_path):
         cfg = HeuristicConfig(back_link_factor=2)
         old = self.make_old(tmp_path, heuristics=cfg)
@@ -236,8 +199,8 @@ class TestFullFallbacks:
 
 
 #: p is private (file-scoped); NET is a placeholder; .dom a domain.
-#: All three have NORMAL links whose costs can change — exactly the
-#: revisions a v1 snapshot had to remap fully.
+#: All three have NORMAL links whose costs can change — revisions that
+#: only the stored per-state costs can screen (route records omit them).
 STRUCTURED = """\
 private {p}
 a\tb(10), p(20), NET(40), .dom(90)
@@ -318,21 +281,6 @@ class TestExactAffectedV2:
         assert report.reused > 0
         assert_identical_to_full_rebuild(out, revised)
 
-    def test_exact_analysis_tighter_than_v1(self, tmp_path):
-        """The same revision that forces a v1 full rebuild updates a
-        v2 snapshot incrementally — the open item this PR closes."""
-        v1, v2 = tmp_path / "v1.snap", tmp_path / "v2.snap"
-        snap(build(STRUCTURED), v1, fmt=1)
-        snap(build(STRUCTURED), v2)
-        revised = build(STRUCTURED.replace("NET(40)", "NET(15)"))
-        full = update_snapshot(v1, revised, tmp_path / "o1.snap",
-                               full_threshold=1.0)
-        incremental = update_snapshot(v2, revised,
-                                      tmp_path / "o2.snap",
-                                      full_threshold=1.0)
-        assert full.mode == "full"
-        assert incremental.mode == "incremental"
-
     def test_affected_sources_exact_directly(self, tmp_path):
         old = tmp_path / "old.snap"
         snap(build(DIAMOND), old)
@@ -343,7 +291,7 @@ class TestExactAffectedV2:
         changed = [j for j in range(new_cg.link_count)
                    if new_cg.cost[j] != reader.decode_graph().cost[j]]
         assert affected_sources_exact(reader, new_cg, changed) == \
-            affected_sources(reader, new_cg, changed) == ["a", "b"]
+            ["a", "b"]
 
     def test_negative_cost_returns_none(self, tmp_path):
         """Negative costs void Dijkstra's preconditions: the exact
@@ -356,7 +304,6 @@ class TestExactAffectedV2:
                  if cg.kind[j] == K_NORMAL)
         revised = repriced(cg, j, -(cg.cost[j] + 5))
         assert affected_sources_exact(reader, revised, [j]) is None
-        assert affected_sources(reader, revised, [j]) is None
 
 
 class TestNegativeCostRevisionV2:
@@ -377,7 +324,7 @@ class TestNegativeCostRevisionV2:
         report = update_snapshot(old, revised, out)
         assert report.mode == "full"
         assert "negative link cost" in report.reason
-        assert report.format == 2
+        assert SnapshotReader.open(out).version == 2
         assert report.reused == 0
         assert len(report.remapped) == report.total_sources
 
@@ -414,8 +361,8 @@ class TestNegativeCostRevisionV2:
 
 def structural_candidates(cg: CompactGraph) -> list[int]:
     """NORMAL link ids touching a net, domain, or private node —
-    preferred revision targets (they exercised the v1 fallback) —
-    falling back to any NORMAL link."""
+    preferred revision targets (only the stored per-state costs can
+    screen them) — falling back to any NORMAL link."""
     touching = [j for j in range(cg.link_count)
                 if cg.kind[j] == K_NORMAL and cg.cost[j] > 8
                 and (cg.netlike[_owner(cg, j)] or

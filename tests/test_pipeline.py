@@ -10,10 +10,8 @@ The acceptance bars:
 * a daemon restart with N tagged requests in flight loses and
   misdelivers nothing — every request is retried transparently or
   errors cleanly;
-* mixed-version clusters negotiate via the ``PIPELINE`` probe and stay
-  byte-identical to the in-process federation in both directions
-  (pipelined front end / lockstep daemon, lockstep front end /
-  pipelined daemon).
+* a front end over pipelined backend daemons stays byte-identical to
+  the in-process federation.
 """
 
 from __future__ import annotations
@@ -46,17 +44,6 @@ def shard_paths(tmp_path_factory):
         build_snapshot(Pathalias().build([(f"d.{name}", text)]), path)
         paths[name] = str(path)
     return paths
-
-
-class _LegacyRouteService(RouteService):
-    """A stand-in for a daemon from before pipelining: the PIPELINE
-    probe is an unknown verb, so clients must stay lockstep."""
-
-    async def handle_line(self, line, state):
-        verb = line.split(None, 1)[0].upper() if line.strip() else ""
-        if verb == "PIPELINE":
-            return "ERR unknown-command PIPELINE"
-        return await super().handle_line(line, state)
 
 
 async def _start(service):
@@ -242,14 +229,13 @@ class TestMuxDemux:
     to write whole replies atomically."""
 
     def test_interleaved_table_and_costs_come_apart(self):
+        received = []
+
         async def scripted(reader, writer):
-            line = (await reader.readline()).decode().strip()
-            assert line == "PIPELINE"
-            writer.write(b"OK pipeline 1\n")
-            await writer.drain()
             tags = {}
             while len(tags) < 2:
                 line = (await reader.readline()).decode().strip()
+                received.append(line)
                 tagtok, _, body = line.partition(" ")
                 tags[body.split()[0]] = tagtok[1:]
             t, c = tags["TABLE"], tags["COSTS"]
@@ -281,6 +267,9 @@ class TestMuxDemux:
             assert backend.out_of_order == 1
             assert backend.pipelined == 2
             assert backend.health().startswith("connected:2:0:1:2:1")
+            # no capability probe: the first frame is already tagged
+            assert [line.split()[1] for line in received] == \
+                ["TABLE", "COSTS"]
             await backend.aclose(grace=0.0)
             server.close()
             await server.wait_closed()
@@ -345,15 +334,14 @@ class TestRestartMidPipeline:
         asyncio.run(scenario())
 
 
-class TestMixedVersionClusters:
-    """The negotiation bar: stitched answers stay byte-identical to
-    the in-process federation whichever side is old."""
+class TestPipelinedCluster:
+    """The cluster bar: stitched answers over pipelined backend
+    daemons stay byte-identical to the in-process federation."""
 
     DESTS = ("topaz", "caip.rutgers.edu", "mit-ai", "mcvax",
              "x.edu", "nowhere")
 
-    def _sweep(self, shard_paths, make_service, *, pipeline,
-               check_backend):
+    def test_pipelined_cluster_end_to_end(self, shard_paths):
         local_view = FederationView(
             [Shard.open(name, path)
              for name, path in shard_paths.items()])
@@ -362,12 +350,11 @@ class TestMixedVersionClusters:
             servers = {}
             backends = {}
             for name, path in shard_paths.items():
-                server, port = await _start(make_service(name, path))
+                server, port = await _start(RouteService(path))
                 servers[name] = server
                 backends[name] = f"127.0.0.1:{port}"
             service = await FederationService.create(
-                backends=backends, default_source="ihnp4",
-                pipeline=pipeline)
+                backends=backends, default_source="ihnp4")
             checked = 0
             for source in local_view.sources():
                 for dest in self.DESTS:
@@ -393,44 +380,12 @@ class TestMixedVersionClusters:
                     checked += 1
             assert checked > 100
             for shard in service.view.shards.values():
-                check_backend(shard.backend)
+                assert shard.backend.pipelined > 0
             for server in servers.values():
                 server.close()
                 await server.wait_closed()
 
         asyncio.run(scenario())
-
-    def test_pipelined_front_end_lockstep_daemons(self, shard_paths):
-        """New client, old daemons: the probe gets ERR and the client
-        quietly runs the v1 lockstep conversation."""
-        def check(backend):
-            assert backend._pipeline_ok is False
-            assert backend.pipelined == 0
-            assert backend.health().split(":")[-2:] == ["0", "0"]
-
-        self._sweep(shard_paths,
-                    lambda name, path: _LegacyRouteService(path),
-                    pipeline=True, check_backend=check)
-
-    def test_lockstep_front_end_pipelined_daemons(self, shard_paths):
-        """Old client (``--no-pipeline``), new daemons: tagged frames
-        never go out, answers unchanged."""
-        def check(backend):
-            assert backend.pipelined == 0
-
-        self._sweep(shard_paths,
-                    lambda name, path: RouteService(path),
-                    pipeline=False, check_backend=check)
-
-    def test_pipelined_cluster_end_to_end(self, shard_paths):
-        """Both sides new: the whole sweep rides tagged frames."""
-        def check(backend):
-            assert backend._pipeline_ok is True
-            assert backend.pipelined > 0
-
-        self._sweep(shard_paths,
-                    lambda name, path: RouteService(path),
-                    pipeline=True, check_backend=check)
 
 
 class TestFederationObservability:

@@ -17,7 +17,6 @@ from repro.service.store import (
     SnapshotTable,
     build_snapshot,
     decode_graph_section,
-    upgrade_snapshot,
 )
 
 from tests.conftest import DOMAIN_TREE_MAP, PAPER_1981_MAP
@@ -162,14 +161,13 @@ class TestHeuristicsMeta:
 
 
 class TestFormatV2:
-    """The v2 layout: per-state cost records and the v1 compat shim."""
+    """The v2 layout's per-state cost records."""
 
     def test_default_build_is_v2(self, snapped):
         _, reader = snapped
         assert reader.version == 2
-        assert reader.has_state_costs
         for source in reader.sources():
-            assert reader.table(source).has_state_costs
+            assert reader.table(source).state_count > 0
 
     def test_state_records_match_a_fresh_mapping(self, snapped):
         """The stored STAT block is exactly what the mapper computed:
@@ -234,67 +232,6 @@ class TestFormatV2:
                        in table.state_records()}
             assert parents[root] == -1
 
-    def test_v1_reads_through_compat_shim(self, tmp_path):
-        graph = build(named_file(DATA_MAPS[0]))
-        v1, v2 = tmp_path / "v1.snap", tmp_path / "v2.snap"
-        build_snapshot(graph, v1, fmt=1)
-        build_snapshot(graph, v2)
-        old = SnapshotReader.open(v1)
-        new = SnapshotReader.open(v2)
-        assert old.version == 1 and new.version == 2
-        assert not old.has_state_costs
-        assert old.sources() == new.sources()
-        for source in old.sources():
-            a, b = old.table(source), new.table(source)
-            assert list(a.records()) == list(b.records())
-            assert a.unreachable() == b.unreachable()
-            assert a.tree_links() == b.tree_links()
-            assert a.state_count == 0
-            assert a.state_cost_of(0) is None
-        # v1 is strictly smaller: no STAT block
-        assert old.size < new.size
-
-    def test_v1_rejects_unknown_format_request(self, tmp_path):
-        graph = build(named_file(DATA_MAPS[0]))
-        with pytest.raises(SnapshotError, match="unknown snapshot"):
-            build_snapshot(graph, tmp_path / "x.snap", fmt=3)
-
-    def test_upgrade_is_byte_identical_to_native_v2(self, tmp_path):
-        """The --upgrade satellite: a v1 snapshot rewritten from its
-        own stored graph equals a native v2 build from the map."""
-        graph = build(named_file(DATA_MAPS[0]))
-        v1 = tmp_path / "v1.snap"
-        v2 = tmp_path / "v2.snap"
-        up = tmp_path / "up.snap"
-        build_snapshot(graph, v1, fmt=1)
-        build_snapshot(graph, v2)
-        info = upgrade_snapshot(v1, up)
-        assert info.format == 2
-        assert up.read_bytes() == v2.read_bytes()
-
-    def test_upgrade_preserves_flags_and_heuristics(self, tmp_path):
-        cfg = HeuristicConfig(back_link_factor=2, second_best=True)
-        graph = build(named_file(DATA_MAPS[0]))
-        v1 = tmp_path / "v1.snap"
-        up = tmp_path / "up.snap"
-        build_snapshot(graph, v1, heuristics=cfg, case_fold=True,
-                       fmt=1)
-        upgrade_snapshot(v1, up)
-        reader = SnapshotReader.open(up)
-        assert reader.heuristics() == cfg
-        assert reader.second_best and reader.case_fold
-        ref = tmp_path / "ref.snap"
-        build_snapshot(graph, ref, heuristics=cfg, case_fold=True)
-        assert up.read_bytes() == ref.read_bytes()
-
-    def test_upgrade_is_idempotent_on_v2(self, tmp_path):
-        graph = build(named_file(DATA_MAPS[0]))
-        v2 = tmp_path / "v2.snap"
-        again = tmp_path / "again.snap"
-        build_snapshot(graph, v2)
-        upgrade_snapshot(v2, again)
-        assert again.read_bytes() == v2.read_bytes()
-
 
 class TestDamage:
     @pytest.fixture()
@@ -319,6 +256,12 @@ class TestDamage:
         bad.write_bytes(snap_bytes[:8] + b"\x63\x00\x00\x00"
                         + snap_bytes[12:])
         with pytest.raises(SnapshotError, match="version 99"):
+            SnapshotReader.open(bad)
+        # the retired v1 format is refused the same way, with the cure
+        bad.write_bytes(snap_bytes[:8] + b"\x01\x00\x00\x00"
+                        + snap_bytes[12:])
+        with pytest.raises(SnapshotError,
+                           match="version 1.*rebuild it from its map"):
             SnapshotReader.open(bad)
 
     @pytest.mark.parametrize("keep", [0, 4, 40, 87, 200])
@@ -362,7 +305,20 @@ class TestDamage:
 
         directory = struct.pack("<I", 1) + _TAG.pack(b"RECS", 0)
         with pytest.raises(SnapshotError, match="BLOB|UNRC"):
-            SnapshotTable("x", directory, version=2)
+            SnapshotTable("x", directory)
+
+    def test_v2_section_without_dfsm_rejected(self):
+        """The compiled-dispatch block is required like the others: a
+        section carrying every block but DFSM names the missing one."""
+        import struct
+
+        from repro.service.store import _TAG
+
+        directory = struct.pack("<I", 5) + b"".join(
+            _TAG.pack(tag, 0)
+            for tag in (b"RECS", b"UNRC", b"TREE", b"STAT", b"BLOB"))
+        with pytest.raises(SnapshotError, match="lacks the DFSM block"):
+            SnapshotTable("x", directory)
 
     def test_v2_section_with_truncated_blocks_rejected(self):
         import struct
@@ -372,7 +328,7 @@ class TestDamage:
         directory = struct.pack("<I", 2) \
             + _TAG.pack(b"RECS", 24) + _TAG.pack(b"BLOB", 1000)
         with pytest.raises(SnapshotError, match="truncated"):
-            SnapshotTable("x", directory + b"\x00" * 24, version=2)
+            SnapshotTable("x", directory + b"\x00" * 24)
 
     def test_v2_section_with_ragged_block_rejected(self):
         import struct
@@ -383,8 +339,8 @@ class TestDamage:
             _TAG.pack(tag, 7 if tag == b"STAT" else 0)
             for tag in (b"RECS", b"UNRC", b"TREE", b"STAT", b"BLOB"))
         with pytest.raises(SnapshotError, match="whole number"):
-            SnapshotTable("x", directory + b"\x00" * 7, version=2)
+            SnapshotTable("x", directory + b"\x00" * 7)
 
     def test_v2_truncated_tag_directory_rejected(self):
         with pytest.raises(SnapshotError, match="malformed"):
-            SnapshotTable("x", b"\x05\x00\x00\x00RE", version=2)
+            SnapshotTable("x", b"\x05\x00\x00\x00RE")

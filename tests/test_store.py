@@ -245,3 +245,69 @@ class TestRaggedFiles:
         message = str(err.value)
         assert source in message
         assert f"at file offset {off}" in message
+
+
+class TestAtomicWrite:
+    """``write_snapshot``'s temp file: private to each writer, removed
+    on failure, and created with the mode a plain write gives."""
+
+    @staticmethod
+    def graphs():
+        backbone = DATA / "d.backbone"
+        return (Pathalias().build([(backbone.name,
+                                    backbone.read_text())]),
+                Pathalias().build([("d.map", PAPER_1981_MAP)]))
+
+    def test_concurrent_writers_of_one_path(self, tmp_path,
+                                            monkeypatch):
+        """A second build of the same path lands between the first
+        writer's write and its rename; both renames must succeed."""
+        first, second = self.graphs()
+        out = tmp_path / "x.snap"
+        real_replace = store.os.replace
+        renamed = []
+
+        def interleaved(src, dst):
+            renamed.append(str(src))
+            if len(renamed) == 1:
+                build_snapshot(second, out)  # the racing writer
+            real_replace(src, dst)
+
+        monkeypatch.setattr(store.os, "replace", interleaved)
+        build_snapshot(first, out)
+        monkeypatch.undo()
+        assert len(set(renamed)) == 2
+        # the first writer renamed last, so its bytes are the file's
+        ref = tmp_path / "ref.snap"
+        build_snapshot(first, ref)
+        assert out.read_bytes() == ref.read_bytes()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path,
+                                              monkeypatch):
+        first, second = self.graphs()
+        out = tmp_path / "x.snap"
+        build_snapshot(first, out)
+        before = out.read_bytes()
+
+        def failing(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(store.os, "replace", failing)
+        with pytest.raises(OSError, match="no space"):
+            build_snapshot(second, out)
+        assert out.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_mode_matches_a_plain_write(self, tmp_path):
+        import os
+
+        first, _ = self.graphs()
+        old = os.umask(0o022)
+        try:
+            build_snapshot(first, tmp_path / "x.snap")
+            (tmp_path / "plain").write_bytes(b"")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "x.snap").stat().st_mode == \
+            (tmp_path / "plain").stat().st_mode

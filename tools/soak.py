@@ -371,8 +371,8 @@ async def _soak(args: argparse.Namespace, workdir: Path) -> dict:
                 procs.append(proc)
                 specs[name] = f"{addr[0]}:{addr[1]}"
             front = await FederationService.create(
-                backends=specs, pipeline=not args.no_pipeline,
-                dispatch=args.dispatch, cache_size=cache_size)
+                backends=specs, dispatch=args.dispatch,
+                cache_size=cache_size)
         else:
             front = FederationService(dict(paths),
                                       dispatch=args.dispatch,
@@ -395,7 +395,7 @@ async def _soak(args: argparse.Namespace, workdir: Path) -> dict:
         latencies: list[float] = []
         clients = [asyncio.create_task(_client(
             i, addr, scenario, args.seed,
-            pipelined=(i % 2 == 0 and not args.no_pipeline),
+            pipelined=(i % 2 == 0),
             stop=stop, latencies=latencies, violations=violations))
             for i in range(args.clients)]
         admin = await Conn.open(*addr)
@@ -579,7 +579,6 @@ def main(argv: list[str] | None = None) -> int:
                              "cadence in generations (0 disables)")
     parser.add_argument("--staleness-sec", type=float, default=10.0,
                         help="backend-reload visibility bound")
-    parser.add_argument("--no-pipeline", action="store_true")
     parser.add_argument("--workdir", default=None)
     parser.add_argument("--json", dest="json_out", default=None,
                         help="write the metrics dict to this file")
