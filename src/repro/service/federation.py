@@ -172,6 +172,8 @@ class FederationService(LineService):
         #: ``resyncs`` STATS key.
         self.resyncs = 0
         self._resync_pending: set = set()
+        #: Shards pushed again while their re-sync was pending.
+        self._resync_dirty: set = set()
         self._resync_tasks: set = set()
         #: How long a replaced/detached backend keeps serving
         #: lookups still pinned to the outgoing view before closing.
@@ -418,7 +420,8 @@ class FederationService(LineService):
 
         Runs on the backend's notify-listener task, so it only
         *schedules* — the swap itself takes ``_swap_lock``.  Pushes
-        for a shard whose re-sync is already pending coalesce.
+        for a shard whose re-sync is already pending coalesce into one
+        more re-sync after it.
 
         The result cache is bumped *immediately* (before the re-sync
         lands): the backend daemon has already swapped its snapshot,
@@ -432,14 +435,21 @@ class FederationService(LineService):
         if self.cache is not None:
             self.cache.bump(name)
         if name in self._resync_pending:
+            # that re-sync may already have read the older STATS: mark
+            # the shard so it runs once more when it finishes
+            self._resync_dirty.add(name)
             return
+        self._schedule_resync(name)
+
+    def _schedule_resync(self, name: str) -> None:
+        """Start shard ``name``'s re-sync task and mark it pending."""
         self._resync_pending.add(name)
         task = asyncio.get_running_loop().create_task(
-            self._resync_backend(name, path))
+            self._resync_backend(name))
         self._resync_tasks.add(task)
         task.add_done_callback(self._resync_tasks.discard)
 
-    async def _resync_backend(self, name: str, path: str) -> None:
+    async def _resync_backend(self, name: str) -> None:
         """Re-fetch a backend shard's index after its daemon's own
         reload and swap the refreshed picture into the view.
 
@@ -449,31 +459,43 @@ class FederationService(LineService):
         its own swap.  A reload of new bytes at the same path moves
         the count, so it re-syncs.  A failed re-fetch leaves the
         current view serving; the next push (or a front-end RELOAD)
-        tries again.
+        tries again.  A push that arrived while this re-sync ran
+        schedules one more re-sync once it finishes (not when it is
+        cancelled), so a reload pushed after this one read ``STATS``
+        is never lost.
         """
         try:
             async with self._swap_lock:
-                current = self.view.shards.get(name)
-                backend = getattr(current, "backend", None)
-                if backend is None:
-                    return
-                try:
-                    shard = await BackendShard.connect(name, backend)
-                except FederationError:
-                    return
-                if (shard.snapshot, shard.reloads) == \
-                        (current.snapshot, current.reloads):
-                    return
-                current.drop_cached_legs()
-                self.view = self.view.with_shard(shard)
-                self.resyncs += 1
-                if self.cache is not None:
-                    # a second bump, after the swap: lookups cached
-                    # during the push-to-re-sync window were computed
-                    # against the outgoing view and must not outlive it
-                    self.cache.bump(name)
+                await self._swap_resynced(name)
         finally:
             self._resync_pending.discard(name)
+        if name in self._resync_dirty:
+            self._resync_dirty.discard(name)
+            self._schedule_resync(name)
+
+    async def _swap_resynced(self, name: str) -> None:
+        """Fetch backend shard ``name``'s picture and swap it into the
+        view unless it is the one the view holds (caller holds
+        ``_swap_lock``)."""
+        current = self.view.shards.get(name)
+        backend = getattr(current, "backend", None)
+        if backend is None:
+            return
+        try:
+            shard = await BackendShard.connect(name, backend)
+        except FederationError:
+            return
+        if (shard.snapshot, shard.reloads) == \
+                (current.snapshot, current.reloads):
+            return
+        current.drop_cached_legs()
+        self.view = self.view.with_shard(shard)
+        self.resyncs += 1
+        if self.cache is not None:
+            # a second bump, after the swap: lookups cached during the
+            # push-to-re-sync window were computed against the
+            # outgoing view and must not outlive it
+            self.cache.bump(name)
 
     async def attach(self, name: str, spec: str):
         """Attach (or replace, by name) a shard: a snapshot path or a

@@ -419,22 +419,23 @@ class FlatSuffixAutomaton:
         labels once, then wire each state's edges into a dict — with
         no trie construction and no sorting, which is what makes
         opening a precompiled snapshot much cheaper than recompiling
-        its key set.
+        its key set.  Each table is unpacked by one
+        ``Struct.iter_unpack`` over its slice of the block.
         """
         data = self._data
-        labels = [str(self._label_bytes(i), "utf-8")
-                  for i in range(self.label_count)]
+        blob = bytes(data[self._blob_off:])
+        labels = [blob[off:off + length].decode("utf-8")
+                  for off, length in _FSM_LABEL.iter_unpack(
+                      data[self._labels_off:self._names_off])]
+        edges = [(labels[lid], target)
+                 for lid, target in _FSM_EDGE.iter_unpack(
+                     data[self._edges_off:self._labels_off])]
         trans = []
         exact = []
         domain = []
-        for s in range(self.state_count):
-            start, count, ex, dom = self._state(s)
-            t = {}
-            for e in range(start, start + count):
-                lid, target = _FSM_EDGE.unpack_from(
-                    data, self._edges_off + e * _FSM_EDGE.size)
-                t[labels[lid]] = target
-            trans.append(t)
+        for start, count, ex, dom in _FSM_STATE.iter_unpack(
+                data[self._states_off:self._edges_off]):
+            trans.append(dict(edges[start:start + count]))
             exact.append(ex)
             domain.append(dom)
         return SuffixAutomaton(trans, exact, domain)

@@ -177,6 +177,10 @@ def affected_sources_exact(reader: SnapshotReader,
       a source counted affected by it at worst remaps to an identical
       section.
 
+    Both screens are point lookups — a binary search of the sorted
+    ``TREE`` pairs and of the sorted ``STAT`` records — so a source
+    costs O(changed links x log table), not a decode of its table.
+
     Nets, domains, private shadows, and second-best snapshots all have
     their states stored, so none of them force a full rebuild here.
     Returns None only for negative link costs (Dijkstra's preconditions
@@ -199,11 +203,9 @@ def affected_sources_exact(reader: SnapshotReader,
     affected = []
     for source in reader.sources():
         table = reader.table(source)
-        pairs = table.tree_links()
-        states = None
         hit = False
         for u, v, u_name, v_name, c_old, c_new in links:
-            if (u_name, v_name) in pairs:
+            if table.has_tree_link(u_name, v_name):
                 hit = True
                 break
             if c_new >= c_old:
@@ -211,17 +213,15 @@ def affected_sources_exact(reader: SnapshotReader,
                 # cannot move any label (costs are non-negative and
                 # ties already resolved against it).
                 continue
-            if states is None:
-                states = table.state_cost_map()
             for dclass in classes:
-                cu = states.get((u, dclass))
+                cu = table.state_cost_at(u, dclass)
                 if cu is None:
                     # This state of u is unreachable from the source;
                     # reachability is cost-independent, so the cheaper
                     # link cannot open a path through it.
                     continue
                 vclass = (dclass | is_domain[v]) if second else 0
-                cv = states.get((v, vclass))
+                cv = table.state_cost_at(v, vclass)
                 if cv is None or cu + c_new <= cv:
                     hit = True
                     break
@@ -293,24 +293,12 @@ def update_snapshot(old: str | Path | SnapshotReader,
 
     payloads, engine = map_sources(new_cg, affected, snapshot_payload,
                                    cfg, jobs)
-
-    def reusable_dfsm(source: str, records) -> bytes | None:
-        """The old section's compiled-dispatch block, when the record
-        name set is unchanged (always, for a cost-only revision:
-        reachability is cost-independent).  The block is a pure
-        function of the sorted names, so splicing it skips the
-        recompile while staying byte-identical to one."""
-        old_table = reader.table(source)
-        names = sorted((name for _, name, _ in records),
-                       key=lambda n: n.encode("utf-8"))
-        if names != old_table.record_names():
-            return None
-        return old_table.dfsm_bytes()
-
+    # A cost-only revision keeps every record name set (reachability
+    # is cost-independent), so the encoder splices each old DFSM block.
     fresh = {
         source: encode_table_section(records, unreachable, pairs,
                                      states,
-                                     dfsm=reusable_dfsm(source, records))
+                                     previous=reader.table(source))
         for source, (records, unreachable, pairs, states)
         in zip(affected, payloads)}
     table_sections = [

@@ -51,6 +51,7 @@ import struct
 import sys
 import zlib
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 try:  # pragma: no cover - exercised by the fallback-path tests
@@ -246,46 +247,87 @@ def decode_meta_section(data: bytes) -> HeuristicConfig:
         second_best=bool(second))
 
 
+def _pack_all(record: struct.Struct, fields: list, count: int) -> bytes:
+    """``count`` records of one fixed-width layout packed in a single
+    ``struct`` call; ``fields`` holds their values flattened in
+    order.  The format is compiled into a throwaway :class:`Struct`,
+    not through ``struct.pack``, whose module cache would keep up to
+    a hundred of these one-off, thousands-of-fields formats alive."""
+    return struct.Struct("<" + record.format[1:] * count).pack(*fields)
+
+
 def encode_table_section(records, unreachable, tree_links,
-                         states=(), dfsm: bytes | None = None) -> bytes:
+                         states=(),
+                         previous: SnapshotTable | None = None) -> bytes:
     """Encode one source's table section.
 
     ``records`` is ``(cost, name, route)`` tuples (any order — they are
     re-sorted by encoded name for binary search), ``unreachable`` a
     name list, ``tree_links`` ``(from, to)`` pairs, and ``states`` the
-    per-state records from :func:`repro.core.fastmap.state_costs`.
+    per-state records from :func:`repro.core.fastmap.state_costs`, in
+    the ``(cid, domain class)`` order it returns them in.
+
+    Strings are interned into the section blob in first-use order —
+    record name, record route, unreachable names, then tree-pair
+    names — exactly as :class:`_StringPool` would, and each fixed-width
+    block is packed in one pass.
 
     The section also carries a ``DFSM`` block — the record
     names compiled into a serialized suffix automaton
     (:mod:`repro.service.fsm`), built here once so every later open
-    maps it zero-copy.  ``dfsm`` lets the incremental updater splice a
-    previous section's block verbatim when the record *name set* is
-    unchanged; since the encoding is a pure function of the sorted
-    name sequence, a spliced block is byte-identical to a recompiled
-    one (and asserted so in the tests).
+    maps it zero-copy.  ``previous`` is the source's old table when
+    the incremental updater remaps it: when that table's record names
+    are byte-equal to this section's sorted names its ``DFSM`` block
+    is spliced verbatim — the encoding is a pure function of the
+    sorted name sequence, so a spliced block is byte-identical to a
+    recompiled one (and asserted so in the tests).
     """
-    pool = _StringPool()
-    by_name = sorted(records, key=lambda r: r[1].encode("utf-8"))
-    record_refs = [(cost, pool.add(name), pool.add(route))
-                   for cost, name, route in by_name]
-    unreachable_refs = [pool.add(name) for name in sorted(unreachable)]
-    pair_refs = [(pool.add(a), pool.add(b))
-                 for a, b in sorted(tree_links)]
-    recs = b"".join(
-        _RECORD.pack(cost, nref[0], nref[1], rref[0], rref[1])
-        for cost, nref, rref in record_refs)
-    unrc = b"".join(_REF.pack(*ref) for ref in unreachable_refs)
-    tree = b"".join(_PAIR.pack(aref[0], aref[1], bref[0], bref[1])
-                    for aref, bref in pair_refs)
-    blob = pool.getvalue()
-    stat = b"".join(
-        _STATE.pack(cid, cost, parent, flags, kind)
-        for cid, flags, kind, cost, parent in states)
-    if dfsm is None:
+    by_name = sorted(((name.encode("utf-8"), cost, name, route)
+                      for cost, name, route in records),
+                     key=itemgetter(0))
+    unreachable = sorted(unreachable)
+    pairs = sorted(tree_links)
+    seen: dict[str, tuple[int, int]] = {}
+    blob = bytearray()
+    recs: list[int] = []
+    for key, cost, name, route in by_name:
+        recs.append(cost)
+        ref = seen.get(name)
+        if ref is None:
+            ref = seen[name] = (len(blob), len(key))
+            blob += key
+        recs += ref
+        ref = seen.get(route)
+        if ref is None:
+            raw = route.encode("utf-8")
+            ref = seen[route] = (len(blob), len(raw))
+            blob += raw
+        recs += ref
+    unrc: list[int] = []
+    tree: list[int] = []
+    for refs, names in ((unrc, unreachable),
+                        (tree, [name for pair in pairs for name in pair])):
+        for name in names:
+            ref = seen.get(name)
+            if ref is None:
+                raw = name.encode("utf-8")
+                ref = seen[name] = (len(blob), len(raw))
+                blob += raw
+            refs += ref
+    stat: list[int] = []
+    for cid, flags, kind, cost, parent in states:
+        stat += (cid, cost, parent, flags, kind)
+    if previous is not None and previous.record_names() \
+            == [key for key, _, _, _ in by_name]:
+        dfsm = previous.dfsm_bytes()
+    else:
         dfsm = compile_keys(
-            [name for _, name, _ in by_name]).to_bytes()
-    blocks = dict(RECS=recs, UNRC=unrc, TREE=tree, STAT=stat,
-                  BLOB=blob, DFSM=dfsm)
+            [name for _, _, name, _ in by_name]).to_bytes()
+    blocks = dict(RECS=_pack_all(_RECORD, recs, len(by_name)),
+                  UNRC=_pack_all(_REF, unrc, len(unreachable)),
+                  TREE=_pack_all(_PAIR, tree, len(pairs)),
+                  STAT=_pack_all(_STATE, stat, len(states)),
+                  BLOB=bytes(blob), DFSM=dfsm)
     parts = [struct.pack("<I", len(TABLE_SECTION_TAGS))]
     parts += [_TAG.pack(tag.encode("ascii"), len(blocks[tag]))
               for tag in TABLE_SECTION_TAGS]
@@ -320,13 +362,15 @@ class SnapshotTable(SuffixResolver):
 
     The mapper's per-state records are exposed through
     :meth:`state_records` / :meth:`state_cost_map` /
-    :meth:`state_cost_of`.
+    :meth:`state_cost_of`, and by point lookup through
+    :meth:`state_cost_at`; the tree links through the point query
+    :meth:`has_tree_link`.
     """
 
     __slots__ = ("source", "_data", "_state_map",
                  "_rc", "_uc", "_tc", "_sc",
                  "_records_off", "_unreach_off", "_pairs_off",
-                 "_states_off", "_blob_off", "_file_off",
+                 "_states_off", "_blob_off", "_blob_len", "_file_off",
                  "_dfsm_off", "_dfsm_len", "_auto")
 
     def __init__(self, source: str, data,
@@ -387,7 +431,7 @@ class SnapshotTable(SuffixResolver):
         self._tc = length // _PAIR.size
         self._states_off, length = blocks[b"STAT"]
         self._sc = length // _STATE.size
-        self._blob_off, _ = blocks[b"BLOB"]
+        self._blob_off, self._blob_len = blocks[b"BLOB"]
         self._dfsm_off, self._dfsm_len = blocks[b"DFSM"]
 
     def _where(self) -> str:
@@ -469,16 +513,18 @@ class SnapshotTable(SuffixResolver):
             cost, noff, nlen, roff, rlen = self._record(i)
             yield cost, self._text(noff, nlen), self._text(roff, rlen)
 
-    def record_names(self) -> list[str]:
-        """The record names alone, in (sorted) record order — the key
-        sequence the section's ``DFSM`` block is compiled from, and
-        what the incremental updater compares to decide whether a
-        stored block can be spliced verbatim."""
-        out = []
-        for i in range(self._rc):
-            _, noff, nlen, _, _ = self._record(i)
-            out.append(self._text(noff, nlen))
-        return out
+    def record_names(self) -> list[bytes]:
+        """The record names alone, as UTF-8 bytes in (sorted) record
+        order — the key sequence the section's ``DFSM`` block is
+        compiled from, and what :func:`encode_table_section` compares
+        to decide whether a stored block can be spliced verbatim."""
+        data = self._data
+        start = self._records_off
+        recs = data[start:start + self._rc * _RECORD.size]
+        blob_off = self._blob_off
+        blob = bytes(data[blob_off:blob_off + self._blob_len])
+        return [blob[noff:noff + nlen]
+                for _, noff, nlen, _, _ in _RECORD.iter_unpack(recs)]
 
     # -- compiled suffix dispatch ---------------------------------------------
 
@@ -552,14 +598,31 @@ class SnapshotTable(SuffixResolver):
             out.append(self._text(off, length))
         return out
 
-    def tree_links(self) -> set[tuple[str, str]]:
-        """The NORMAL links this source's mapping leaned on."""
-        out = set()
-        for i in range(self._tc):
-            aoff, alen, boff, blen = _PAIR.unpack_from(
-                self._data, self._pairs_off + i * _PAIR.size)
-            out.add((self._text(aoff, alen), self._text(boff, blen)))
-        return out
+    def _tree_pair(self, i: int) -> tuple[bytes, bytes]:
+        """The i-th ``TREE`` pair as its two names' UTF-8 bytes."""
+        aoff, alen, boff, blen = _PAIR.unpack_from(
+            self._data, self._pairs_off + i * _PAIR.size)
+        a = self._blob_off + aoff
+        b = self._blob_off + boff
+        return bytes(self._data[a:a + alen]), bytes(self._data[b:b + blen])
+
+    def has_tree_link(self, from_name: str, to_name: str) -> bool:
+        """Whether this source's mapping leaned on the NORMAL link
+        ``from_name -> to_name``.
+
+        A binary search over the ``TREE`` pairs, which the writer sorts
+        by ``(from, to)``: code-point order on names is UTF-8 byte
+        order, so the search compares blob bytes and decodes nothing.
+        """
+        key = (from_name.encode("utf-8"), to_name.encode("utf-8"))
+        lo, hi = 0, self._tc
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._tree_pair(mid) < key:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo < self._tc and self._tree_pair(lo) == key
 
     # -- per-state costs ------------------------------------------------------
 
@@ -584,10 +647,38 @@ class SnapshotTable(SuffixResolver):
         incremental updater's triangle test can address states exactly
         as the mapper's relaxation does."""
         if self._state_map is None:
+            start = self._states_off
+            block = self._data[start:start + self._sc * _STATE.size]
             self._state_map = {
                 (cid, flags & STATE_F_DOMAIN_CLASS): cost
-                for cid, flags, _, cost, _ in self.state_records()}
+                for cid, cost, _, flags, _ in _STATE.iter_unpack(block)}
         return self._state_map
+
+    def _state_entry(self, i: int) -> tuple[tuple[int, int], int]:
+        """The i-th ``STAT`` record as ``((cid, domain class), cost)``."""
+        cid, cost, _, flags, _ = _STATE.unpack_from(
+            self._data, self._states_off + i * _STATE.size)
+        return (cid, flags & STATE_F_DOMAIN_CLASS), cost
+
+    def state_cost_at(self, cid: int, dclass: int) -> int | None:
+        """The stored final cost of state ``(cid, domain class)``, or
+        None when the source never reached that state — the same
+        answer as ``state_cost_map().get((cid, dclass))``, found by a
+        binary search over the ``STAT`` block (sorted by ``(cid,
+        domain class)``) without decoding it."""
+        key = (cid, dclass)
+        lo, hi = 0, self._sc
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._state_entry(mid)[0] < key:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo < self._sc:
+            found, cost = self._state_entry(lo)
+            if found == key:
+                return cost
+        return None
 
     def state_cost_of(self, cid: int) -> int | None:
         """The cheapest stored state cost for a node (compact id), or

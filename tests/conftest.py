@@ -84,3 +84,21 @@ def run_paper(text: str, localhost: str, **kwargs):
     from repro import Pathalias
 
     return Pathalias(**kwargs).run_text(text, localhost=localhost)
+
+
+def stored_tree_links(reader, source: str) -> set:
+    """Every ``(from, to)`` pair in ``source``'s ``TREE`` block, decoded
+    whole from the section bytes — the reference the point query
+    ``SnapshotTable.has_tree_link`` is checked against."""
+    import struct
+
+    data = reader.table_bytes(source)
+    blocks = {tag: data[off:off + length] for tag, off, length
+              in reader.table(source).block_map()}
+    blob = blocks["BLOB"]
+
+    def text(off: int, length: int) -> str:
+        return blob[off:off + length].decode("utf-8")
+
+    return {(text(aoff, alen), text(boff, blen)) for aoff, alen, boff, blen
+            in struct.iter_unpack("<IIII", blocks["TREE"])}

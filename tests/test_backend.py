@@ -829,6 +829,79 @@ class TestNotifyInvalidatesCache:
 
         asyncio.run(scenario())
 
+    def test_push_during_resync_is_not_lost(self, shard_paths, tmp_path,
+                                            monkeypatch):
+        """A second push that lands while the first push's re-sync
+        already holds the older picture must still reach the view:
+        the front end re-syncs once more after that re-sync finishes,
+        with no third push."""
+        gen1 = tmp_path / "universities-gen1.snap"
+        build_snapshot(Pathalias().build(
+            [("d.universities", repriced_universities())]), gen1)
+        gen2 = tmp_path / "universities-gen2.snap"
+        build_snapshot(Pathalias().build(
+            [("d.universities",
+              repriced_universities() + "princeton\tnewhost(DEMAND)\n")]),
+            gen2)
+        real_connect = BackendShard.connect.__func__
+
+        async def scenario():
+            cluster = _Cluster()
+            backends = {}
+            for name, path in shard_paths.items():
+                backends[name] = await cluster.start(name, path)
+            service = await FederationService.create(
+                backends=backends, default_source="ihnp4")
+            fetched = asyncio.Event()
+            release = asyncio.Event()
+            connects = []
+
+            async def holding_connect(cls, name, backend):
+                shard = await real_connect(cls, name, backend)
+                connects.append(shard.snapshot)
+                if len(connects) == 1:
+                    # the first re-sync has read the gen-1 STATS and
+                    # index; hold it there
+                    fetched.set()
+                    await release.wait()
+                return shard
+
+            monkeypatch.setattr(BackendShard, "connect",
+                                classmethod(holding_connect))
+            daemon = cluster.services["universities"]
+            await daemon.reload(str(gen1))
+            await asyncio.wait_for(fetched.wait(), 5)
+            assert connects == [str(gen1)]
+            bumps = service.cache.invalidations
+            await daemon.reload(str(gen2))
+            for _ in range(500):
+                if service.cache.invalidations > bumps:
+                    break
+                await asyncio.sleep(0.01)
+            assert service.cache.invalidations > bumps
+            release.set()
+
+            oracle = FederationService(
+                dict(shard_paths, universities=str(gen2)),
+                default_source="ihnp4", dispatch="dict")
+            want = await oracle.handle_line("ROUTE newhost u",
+                                            oracle.initial_state())
+            assert want.startswith("OK ")
+            state = service.initial_state()
+            for _ in range(500):
+                got = await service.handle_line("ROUTE newhost u", state)
+                if got == want:
+                    break
+                await asyncio.sleep(0.01)
+            assert got == want
+            assert daemon.notify_pushes == 2
+            assert service.resyncs == 2
+            for shard in service.view.shards.values():
+                await shard.backend.aclose(grace=0.0)
+            await cluster.close()
+
+        asyncio.run(scenario())
+
     def test_same_path_backend_reload_resyncs(self, shard_paths,
                                               tmp_path):
         """A backend reloaded directly at the path the front end's

@@ -187,7 +187,8 @@ class TestSnapshotTableDifferential:
         rng = random.Random(seed)
         for source in reader.sources():
             table = reader.table(source)
-            targets = probe_targets(rng, table.record_names())
+            targets = probe_targets(
+                rng, [name.decode() for name in table.record_names()])
             for target in targets:
                 try:
                     expect = table.resolve_with_cost_dict(target, "u")

@@ -19,6 +19,8 @@ from repro.service.incremental import (
 )
 from repro.service.store import SnapshotReader, build_snapshot
 
+from tests.conftest import stored_tree_links
+
 #: a: close to b, far from c.  b: bridges a and c.  d: pendant on c.
 #: Every source's tree crosses the cheap b<->c bridge; the expensive
 #: direct a->c link is relaxed but never used.
@@ -380,11 +382,60 @@ def _owner(cg: CompactGraph, j: int) -> int:
     return _link_owner(cg, j)
 
 
+def reference_affected_sources(reader: SnapshotReader,
+                               new_cg: CompactGraph,
+                               changed: list[int]) -> list[str] | None:
+    """The affected-source analysis by whole-table decodes: every
+    source's ``TREE`` pairs decoded into a set and its ``STAT`` block
+    into a dict — the reference ``affected_sources_exact``'s point
+    lookups must agree with.  A wrongly *extra* source never breaks
+    byte identity, so only this comparison catches one."""
+    old_cg = reader.decode_graph()
+    links = []
+    for j in changed:
+        u = _owner(new_cg, j)
+        v = new_cg.to[j]
+        c_old, c_new = old_cg.cost[j], new_cg.cost[j]
+        if c_old < 0 or c_new < 0:
+            return None
+        links.append((u, v, new_cg.names[u], new_cg.names[v],
+                      c_old, c_new))
+    second = reader.second_best
+    classes = (0, 1) if second else (0,)
+    affected = []
+    for source in reader.sources():
+        pairs = stored_tree_links(reader, source)
+        states = reader.table(source).state_cost_map()
+        hit = False
+        for u, v, u_name, v_name, c_old, c_new in links:
+            if (u_name, v_name) in pairs:
+                hit = True
+                break
+            if c_new >= c_old:
+                continue
+            for dclass in classes:
+                cu = states.get((u, dclass))
+                if cu is None:
+                    continue
+                vclass = (dclass | new_cg.is_domain[v]) if second else 0
+                cv = states.get((v, vclass))
+                if cv is None or cu + c_new <= cv:
+                    hit = True
+                    break
+            if hit:
+                break
+        if hit:
+            affected.append(source)
+    return affected
+
+
 class TestFixtureSuiteV2:
     """The acceptance bar on the real regional maps: every synthetic
     cost revision — including ones touching nets, domains, and
     private nodes, and including second-best snapshots — updates
-    incrementally and lands byte-identical to a from-scratch build."""
+    incrementally, remaps exactly the sources the whole-table
+    reference analysis names, and lands byte-identical to a
+    from-scratch build."""
 
     @pytest.mark.parametrize("path", sorted(DATA.glob("d.*")),
                              ids=lambda p: p.name)
@@ -407,6 +458,8 @@ class TestFixtureSuiteV2:
             report = update_snapshot(reader, revised, out,
                                      full_threshold=1.0)
             assert report.mode == "incremental", report.reason
+            assert report.remapped == reference_affected_sources(
+                reader, revised, [j])
             reference = tmp_path / "ref.snap"
             build_snapshot(revised, reference, heuristics=cfg)
             assert out.read_bytes() == reference.read_bytes()

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.config import HeuristicConfig
 from repro.core.batch import BatchMapper
 from repro.core.pathalias import Pathalias
@@ -23,6 +25,27 @@ from tests.conftest import DOMAIN_TREE_MAP, PAPER_1981_MAP
 
 DATA = Path(__file__).parent / "data"
 DATA_MAPS = sorted(DATA.glob("d.*"))
+
+#: SHA-256 of ``pathalias snapshot [-s | -i] -o OUT MAPS`` for each
+#: fixture map and the three-file map, as (default, -s, -i).
+GOLDEN_DIGESTS = {
+    "d.arpa": (
+        "ecd3f9d621f965207d8d05b948066089bcf1c6526fa791344b28eacba8ff1f52",
+        "cff0cc06e26f99b116a476c943062cbcab27a71c8eb1bf900597fd200720af0a",
+        "ffb967e50369f09e50a1fa3e28f663259a65fe80729a2a0aa31e2a6d84cefd7d"),
+    "d.backbone": (
+        "3695f713cc876422a1cc4b601346d1c551ea15af1c3c522c26b0fa2756831d71",
+        "82eba0fc70a958b066996b52dabe6bc8395e64237be0bb180fd4c67e63e1d317",
+        "ecb89f4397b643b1f4915226366ff0484c215567b462faf4d00aff3093bb4160"),
+    "d.universities": (
+        "b1873b2f4f7820170351365879333e90b5281a71ca073dc9ff09e72cc8f68627",
+        "dcb53be1b40d47d2f0124f8dd7e8bf05348ef95f5050b5c9fa96345e0421f9f1",
+        "92d315511fda5d593291922b290557d007494ee28a00d3809e2c65594d46286b"),
+    "d.backbone d.universities d.arpa": (
+        "09411bb711b0f1bff1c1120f9821fa8907fd14b82f4c6fa3e1c1b351afe8987a",
+        "9beb15bbee93a69d9dbab2789db93256ad80cf78f9d732ca1efa7c8365a81fdb",
+        "7c83b6fa2a7dcd532af85d6b5e24dc6f4307c685b8322be67185045a731fbda0"),
+}
 
 
 def build(named):
@@ -106,6 +129,22 @@ class TestDeterminism:
         build_snapshot(graph, serial, jobs=1)
         build_snapshot(graph, pooled, jobs=2)
         assert serial.read_bytes() == pooled.read_bytes()
+
+    @pytest.mark.parametrize("maps, option, digest", [
+        pytest.param(maps, option, digest,
+                     id=maps.replace(" ", "+") + (option or "-default"))
+        for maps, digests in GOLDEN_DIGESTS.items()
+        for option, digest in zip(("", "-s", "-i"), digests)])
+    def test_snapshot_bytes_match_golden_digest(self, tmp_path, maps,
+                                                option, digest):
+        """``pathalias snapshot`` writes exactly the bytes pinned
+        here, so an encoder change that alters every output alike —
+        which rebuild-vs-rebuild comparisons cannot see — fails."""
+        out = tmp_path / "golden.snap"
+        args = ["snapshot", *([option] if option else []), "-o", str(out),
+                *(str(DATA / name) for name in maps.split())]
+        assert main(args) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSuffixSearch:

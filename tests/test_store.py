@@ -58,13 +58,19 @@ class TestMappedReader:
         assert plain.sources() == mapped.sources()
         assert plain.graph_section() == mapped.graph_section()
         assert plain.heuristics() == mapped.heuristics()
+        cg = mapped.decode_graph()
+        # every link of the map: tree links and links no tree used
+        pairs = [(cg.names[u], cg.names[cg.to[j]]) for u in range(cg.n)
+                 for j in range(cg.off[u], cg.off[u + 1])]
         for source in mapped.sources():
             assert plain.table_bytes(source) \
                 == mapped.table_bytes(source)
             mt, pt = mapped.table(source), plain.table(source)
             assert list(pt.records()) == list(mt.records())
             assert pt.unreachable() == mt.unreachable()
-            assert pt.tree_links() == mt.tree_links()
+            assert pt.record_names() == mt.record_names()
+            for a, b in pairs:
+                assert pt.has_tree_link(a, b) == mt.has_tree_link(a, b)
             assert pt.state_cost_map() == mt.state_cost_map()
         mapped.close()
         plain.close()
