@@ -86,7 +86,8 @@ class RouteDatabase(SuffixResolver):
     # -- the Resolver protocol surface ----------------------------------------
     # resolve / resolve_bang come from SuffixResolver; resolve_with_cost
     # is overridden onto the compiled automaton (one O(labels) match
-    # instead of a dict probe per suffix), byte-identical to the walk.
+    # instead of a dict probe per suffix), byte-identical to the walk
+    # that resolver.resolve_with_cost_dict runs over lookup.
 
     def _automaton(self) -> SuffixAutomaton:
         if self._auto is None:
@@ -110,11 +111,6 @@ class RouteDatabase(SuffixResolver):
         return cost, Resolution(
             target=target, matched=key, route=route,
             address=route.replace("%s", argument, 1))
-
-    #: The uncompiled per-suffix dict walk, kept reachable as the
-    #: differential oracle for the automaton path (aliased, not
-    #: wrapped: the method object *is* the shared implementation).
-    resolve_with_cost_dict = SuffixResolver.resolve_with_cost
 
     def source_table(self) -> str | None:
         """The source host these routes were mapped from (if known)."""

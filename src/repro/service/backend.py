@@ -52,6 +52,7 @@ from repro.errors import FederationError
 from repro.service.daemon import (
     RECONNECT_DELAY,
     RECONNECT_DELAY_MAX,
+    parse_stats,
     wire_token,
 )
 from repro.service.fsm import (
@@ -417,9 +418,11 @@ class ShardBackend:
         With ``source``, the connection's source register is bound
         first by a tagged ``SOURCE`` ride-along.  One transparent
         retry: a connection-class failure tears the connection down,
-        re-dials (with restart patience) and resubmits exactly once.
-        Protocol errors (``ERR`` replies) are not retried — they
-        reached the daemon and back.
+        re-dials (with restart patience) and resubmits exactly once; a
+        second one raises :class:`FederationError`, so it fails the
+        one request and never the caller's connection.  Protocol
+        errors (``ERR`` replies) are not retried — they reached the
+        daemon and back.
         """
         if self._draining:
             raise FederationError(
@@ -452,7 +455,10 @@ class ShardBackend:
                         self._drop_mux(conn, exc)
                     if attempt:
                         self.errors += 1
-                        raise
+                        raise FederationError(
+                            f"backend {self.name} ({self.address}) "
+                            f"failed: {str(exc) or type(exc).__name__}"
+                        ) from exc
                 except Exception:
                     self.errors += 1
                     raise
@@ -495,25 +501,33 @@ class ShardBackend:
     #: :func:`repro.service.daemon.wire_token`)
     _token = staticmethod(wire_token)
 
+    def _protocol_error(self, frame: str) -> FederationError:
+        """The error for a reply frame that breaks the protocol: it
+        fails the one request, never the caller's connection."""
+        return FederationError(
+            f"backend {self.name} protocol error: {frame!r}")
+
+    def _cost(self, field: str, frame: str) -> int:
+        """The cost field of one reply frame, which must be an
+        integer."""
+        try:
+            return int(field)
+        except ValueError:
+            raise self._protocol_error(frame) from None
+
     async def stats(self) -> dict[str, str]:
         """The backend daemon's ``STATS`` counters as a dict."""
         reply = await self._call("STATS")
         if not reply.startswith("OK "):
-            raise FederationError(
-                f"backend {self.name} protocol error: {reply!r}")
-        out = {}
-        for token in reply[3:].split():
-            key, _, value = token.partition("=")
-            out[key] = value
-        return out
+            raise self._protocol_error(reply)
+        return parse_stats(reply)
 
     async def index_fsm(self) -> bytes:
         """The daemon's ownership index as a compiled suffix-automaton
         block (bulk ``TABLE --fsm``), routing-index names embedded."""
         head, lines = await self._call("TABLE --fsm", bulk=True)
         if not head.startswith("OK fsm"):
-            raise FederationError(
-                f"backend {self.name} protocol error: {head!r}")
+            raise self._protocol_error(head)
         try:
             return base64.b64decode("".join(lines), validate=True)
         except binascii.Error as exc:
@@ -540,12 +554,11 @@ class ShardBackend:
         for line in lines:
             parts = line.split()
             if len(parts) != 3:
-                raise FederationError(
-                    f"backend {self.name} protocol error: {line!r}")
+                raise self._protocol_error(line)
             cost, name, route = parts
             if cost == "-":
                 continue  # batched miss
-            out[name] = (int(cost), route)
+            out[name] = (self._cost(cost, line), route)
         return out
 
     async def state_costs(self, source: str, names=None
@@ -562,10 +575,13 @@ class ShardBackend:
                 f"backend {self.name}: {head}")
         out = {}
         for line in lines:
-            cost, _, name = line.partition(" ")
+            parts = line.split()
+            if len(parts) != 2:
+                raise self._protocol_error(line)
+            cost, name = parts
             if cost == "-":
                 continue
-            out[name] = int(cost)
+            out[name] = self._cost(cost, line)
         return out
 
     async def route(self, entry: str, target: str):
@@ -587,7 +603,7 @@ class ShardBackend:
                 f"backend {self.name}: {reply}")
         _, cost, matched, _route, address = parts
         # without a user the address IS the relative template
-        return int(cost), address, matched
+        return self._cost(cost, reply), address, matched
 
     async def exact(self, entry: str, target: str):
         """Exact-name lookup dispatched to the daemon:
@@ -601,7 +617,7 @@ class ShardBackend:
         if len(parts) != 4 or parts[0] != "OK":
             raise FederationError(
                 f"backend {self.name}: {reply}")
-        return int(parts[1]), parts[3]
+        return self._cost(parts[1], reply), parts[3]
 
     async def reload(self, snapshot_path: str) -> str:
         """Forward a snapshot reload to the backend daemon; returns

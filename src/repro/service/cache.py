@@ -49,11 +49,11 @@ The mutator's mirror obligation: bump *after* publishing the new
 snapshot (and before acknowledging the reload), so anything stamped
 with the new epoch was computed against the new data.
 
-The dict-walk differential oracles are never cached:
-:meth:`CachingResolver.resolve_with_cost_dict` bypasses the cache
-unconditionally, and a service pinned to ``dispatch="dict"`` disables
-its cache outright — an oracle that answered from a cache would be
-comparing cache to cache.
+The dict-walk differential oracle is never cached:
+:func:`~repro.service.resolver.resolve_with_cost_dict` walks a
+:class:`CachingResolver`'s inner surface, never its cache, and a
+service pinned to ``dispatch="dict"`` disables its cache outright — an
+oracle that answered from a cache would be comparing cache to cache.
 """
 
 from __future__ import annotations
@@ -278,10 +278,10 @@ class CachingResolver:
     (a pinned snapshot table, a bound federation view, the in-memory
     mailer database) never needs it.
 
-    The differential-oracle alias :meth:`resolve_with_cost_dict`
-    bypasses the cache *unconditionally*, delegating to the inner
-    surface's own oracle — fuzz suites comparing engine to oracle
-    must never compare cache to cache.
+    The differential oracle
+    (:func:`~repro.service.resolver.resolve_with_cost_dict`) walks
+    :attr:`inner` and never this cache — fuzz suites comparing engine
+    to oracle must never compare cache to cache.
     """
 
     def __init__(self, inner, size: int = DEFAULT_CACHE_SIZE,
@@ -336,17 +336,6 @@ class CachingResolver:
                 f"target!user)")
         target, user = bang_address.split("!", 1)
         return self.resolve(target, user)
-
-    def resolve_with_cost_dict(self, target: str, user: str = "%s"
-                               ) -> tuple[int, Resolution]:
-        """The differential-oracle path: **bypasses the cache
-        unconditionally**, delegating to the inner surface's own
-        dict-walk oracle (or its plain resolve where none exists) —
-        a poisoned or stale cache entry is invisible here."""
-        oracle = getattr(self.inner, "resolve_with_cost_dict", None)
-        if oracle is None:
-            oracle = self.inner.resolve_with_cost
-        return oracle(target, user)
 
     def lookup(self, name: str) -> tuple[int, str] | None:
         """Cached exact-name lookup (None on a miss, like the inner

@@ -90,11 +90,12 @@ import signal
 import socket
 import sys
 import time
+from typing import NamedTuple
 
-from repro.errors import RouteError
+from repro.errors import FederationError, RouteError
 from repro.service.cache import (DEFAULT_CACHE_SIZE, ResultCache,
                                  cache_stats_tokens, instantiate)
-from repro.service.resolver import Resolution
+from repro.service.resolver import Resolution, resolve_with_cost_dict
 from repro.service.store import SnapshotError, SnapshotReader
 
 #: Reconnect backoff shared by every client of the line protocol
@@ -123,38 +124,114 @@ def wire_token(value: str, what: str) -> str:
     return value
 
 
-class LineService:
-    """The shared newline-delimited connection loop.
+def parse_stats(reply: str) -> dict[str, str]:
+    """A ``STATS`` or ``WSTATS`` reply's ``key=value`` tokens, in wire
+    order, after the leading ``OK`` — the one parser the clients and
+    the worker-pool roll-up share."""
+    out: dict[str, str] = {}
+    for token in reply.split()[1:]:
+        key, _, value = token.partition("=")
+        out[key] = value
+    return out
 
-    Subclasses implement :meth:`handle_line` (one request line in, one
-    reply line out) and :meth:`initial_state` (per-connection mutable
-    state, e.g. the chosen source table).  Both the single-snapshot
-    :class:`RouteService` and the federated
-    :class:`~repro.service.federation.FederationService` serve through
-    this loop, so :func:`serve` works for either.
 
-    The loop also owns the **per-verb counters**: every request line
-    whose verb appears in the subclass's ``VERBS`` table bumps
-    ``verb_counts[verb]`` before dispatch.  The counters live on the
-    service — not on any snapshot or view — so a ``RELOAD`` (which
-    swaps those) can never reset them; ``STATS`` reports them as
-    ``n_<verb>`` keys and the reload-under-load tests assert they
-    stay consistent across swaps.
+class Verb(NamedTuple):
+    """One row of a service's verb table.
+
+    A request with fewer than ``least`` or more than ``most`` argument
+    tokens (``most`` None: no limit) is answered with
+    :attr:`usage_reply`, which quotes ``usage``, and never reaches the
+    handler — the service's ``do_<name>(args, state)`` method.  An
+    ``inline`` verb changes connection or service state (or closes the
+    connection), so a tagged one is applied in read order: a pipelined
+    ``SOURCE`` governs exactly the tagged requests read after it, and
+    a tagged swap is never reordered against the requests around it
+    on its connection.  Every other tagged request runs on its own
+    task.
     """
 
-    #: Protocol verbs (subclasses override; used to seed verb_counts).
+    name: str
+    usage: str = ""
+    least: int = 0
+    most: int | None = 0
+    inline: bool = False
+
+    @property
+    def usage_reply(self) -> str:
+        """The ``ERR usage`` reply for a malformed request."""
+        return f"ERR usage {self.name} {self.usage}".rstrip()
+
+
+#: The verbs both daemons answer the same way: their handlers live on
+#: :class:`LineService`, and a service's table names them by string.
+SHARED_VERBS = {row.name: row for row in (
+    Verb("ROUTE", "<dest> [user]", 1, 2),
+    Verb("EXACT", "<dest>", 1, 1),
+    Verb("PIPELINE", inline=True),
+    Verb("QUIT", most=None, inline=True),
+)}
+
+
+def verb_table(*rows) -> dict[str, Verb]:
+    """A service's verb table, in the order ``docs/protocol.md``
+    documents the verbs; each row is a :class:`Verb` or the name of
+    one of :data:`SHARED_VERBS`."""
+    table = {}
+    for row in rows:
+        row = SHARED_VERBS[row] if isinstance(row, str) else row
+        table[row.name] = row
+    return table
+
+
+class LineService:
+    """The one request pipeline every line-protocol daemon serves
+    through.
+
+    :meth:`handle_connection` frames and counts requests;
+    :meth:`handle_line` looks each verb up in the service's
+    :attr:`VERB_TABLE`, checks its argument count, and calls its
+    ``do_<VERB>`` handler.  The verbs every daemon answers alike
+    (``ROUTE``, ``EXACT``, ``PIPELINE``, ``QUIT``) are handled here,
+    with their error-to-wire mapping, and so is the cached, counted
+    lookup path behind ``ROUTE`` and ``EXACT`` (:meth:`lookup`,
+    :meth:`exact`).  A service supplies three hooks — :meth:`_pin`
+    (the snapshot or view one request works against) and the two
+    computations against it, :meth:`_lookup_pinned` and
+    :meth:`_exact_pinned` — plus the handlers of its own verbs.  Both
+    the single-snapshot :class:`RouteService` and the federated
+    :class:`~repro.service.federation.FederationService` serve through
+    this pipeline, so :func:`serve` works for either.
+
+    Each service binds ``handle_line = LineService.handle_line`` in its
+    own class body: perfbench's tracer times the method it finds in a
+    class's own ``vars()``, and would find nothing on an inherited one.
+
+    Every counter lives on the service — not on any snapshot or view —
+    so a ``RELOAD`` (which swaps those) can never reset one: the
+    per-verb ``n_<verb>`` counters (bumped by the connection loop for
+    every request whose verb is in :attr:`VERBS`), ``n_errors``, the
+    lookup counters, and the result cache's own.  The reload-under-load
+    tests assert they stay consistent across swaps.
+    """
+
+    #: The verb table (subclasses build theirs with :func:`verb_table`).
+    VERB_TABLE: dict = {}
+
+    #: The table's verbs in documentation order (subclasses derive
+    #: theirs from their table); seeds ``verb_counts``.
     VERBS: tuple = ()
 
-    #: Verbs handled *inline in read order* even when tagged, because
-    #: they mutate connection or service state (or close the
-    #: connection): a pipelined ``SOURCE`` deterministically governs
-    #: exactly the tagged requests read after it, and a tagged
-    #: ``RELOAD``/``ATTACH``/``DETACH`` swap is never reordered
-    #: against the requests around it on this connection.
-    INLINE_VERBS = frozenset({"SOURCE", "RELOAD", "WRELOAD", "NOTIFY",
-                              "ATTACH", "DETACH", "PIPELINE", "QUIT"})
-
-    def __init__(self) -> None:
+    def __init__(self, dispatch: str = "fsm",
+                 cache_size: int | None = None) -> None:
+        """``dispatch`` selects the suffix-search engine — ``fsm``
+        (the compiled automaton, default) or ``dict`` (the original
+        walk, kept as a live differential oracle; ``serve --dispatch
+        dict``).
+        ``cache_size`` bounds the generation-stamped result cache
+        (``serve --cache``): None takes the default, 0 disables
+        (``--no-cache``), and ``dict`` dispatch forces it off — the
+        dict walk *is* the differential oracle, and an oracle that
+        answered from a cache would compare cache to cache."""
         self.connections = 0
         self.verb_counts = {verb: 0 for verb in self.VERBS}
         #: Requests answered with an ``ERR`` reply (malformed lines,
@@ -171,10 +248,34 @@ class LineService:
         #: key): the observable pipeline depth.
         self.inflight = 0
         self.inflight_hwm = 0
+        self.dispatch = dispatch
+        if dispatch == "dict":
+            cache_size = 0
+        size = DEFAULT_CACHE_SIZE if cache_size is None else cache_size
+        #: The generation-stamped result cache (None when disabled).
+        #: Service-owned like every counter here: a swap bumps the
+        #: cache's generation, but the cache object — and its
+        #: hit/miss/invalidation counters — survive.
+        self.cache: ResultCache | None = \
+            ResultCache(size) if size > 0 else None
+        self.started = time.monotonic()
+        self.lookups = 0
+        self.hits = 0
+        self.misses = 0
+        #: Automaton dispatches that matched / missed.  Both stay 0 in
+        #: ``dict`` mode, which is how an operator reads the active
+        #: engine off STATS (``dispatch=`` says it explicitly too).
+        self.fsm_hits = 0
+        self.fsm_misses = 0
+        #: Answers whose route crossed a shard boundary.
+        self.federated = 0
+        #: The source every new connection starts on (subclasses set
+        #: it once their snapshot or view is open).
+        self.default_source = ""
 
     def initial_state(self) -> dict:
-        """Fresh per-connection state for :meth:`handle_line`."""
-        return {}
+        """Fresh per-connection state: the default source."""
+        return {"source": self.default_source}
 
     def connection_closed(self, state: dict) -> None:
         """Hook: the connection owning ``state`` is gone.
@@ -196,9 +297,187 @@ class LineService:
         tokens.append(f"inflight_hwm={self.inflight_hwm}")
         return " ".join(tokens)
 
+    # -- one request ----------------------------------------------------------
+
     async def handle_line(self, line: str, state: dict) -> str | None:
-        """One request in, one reply line out (None closes)."""
+        """One request in, one reply line out (None closes): the verb's
+        table row checks the argument count, then its ``do_<VERB>``
+        handler answers."""
+        words = line.split()
+        if not words:
+            return "ERR empty-request send " + "/".join(self.VERBS)
+        verb = words[0].upper()
+        row = self.VERB_TABLE.get(verb)
+        if row is None:
+            return f"ERR unknown-command {verb}"
+        args = words[1:]
+        if len(args) < row.least or \
+                (row.most is not None and len(args) > row.most):
+            return row.usage_reply
+        return await getattr(self, "do_" + verb)(args, state)
+
+    async def do_ROUTE(self, args: list[str], state: dict) -> str:
+        """Domain-suffix search from the connection's source: ``OK
+        <cost> <matched> <route> <address>``."""
+        try:
+            cost, res = await self.lookup(state["source"], *args)
+        except (RouteError, SnapshotError) as exc:
+            return self._lookup_error(exc, args[0], state["source"])
+        return f"OK {cost} {res.matched} {res.route} {res.address}"
+
+    async def do_EXACT(self, args: list[str], state: dict) -> str:
+        """Exact-name lookup: ``OK <cost> <dest> <route>``."""
+        try:
+            cost, route = await self.exact(state["source"], args[0])
+        except (RouteError, SnapshotError) as exc:
+            return self._lookup_error(exc, args[0], state["source"])
+        return f"OK {cost} {args[0]} {route}"
+
+    @staticmethod
+    def _lookup_error(exc: Exception, dest: str, source: str) -> str:
+        """The wire reply for a failed lookup of ``dest``: a topology
+        gap between shards, a plain miss, or a source that a swap has
+        since removed."""
+        if isinstance(exc, FederationError):
+            return f"ERR federation {exc}"
+        if isinstance(exc, RouteError):
+            return f"ERR noroute {dest}"
+        return f"ERR unknown-source {source}"
+
+    async def do_PIPELINE(self, args: list[str], state: dict) -> str:
+        """Capability probe: ``OK pipeline 1`` — tagged requests are
+        accepted (kept for third-party clients that probe first)."""
+        return "OK pipeline 1"
+
+    async def do_QUIT(self, args: list[str], state: dict) -> None:
+        """Close the connection."""
+        return None
+
+    # -- the cached, counted lookup path --------------------------------------
+
+    def _pin(self):
+        """The snapshot or view one request works against; read once
+        per request, never again across its await points."""
         raise NotImplementedError
+
+    async def _lookup_pinned(self, pinned, source: str, target: str,
+                             user: str) -> tuple:
+        """Suffix-search ``target`` from ``source`` against ``pinned``:
+        ``(cost, resolution, federated)``.  Raises ``RouteError`` on a
+        miss and ``SnapshotError`` when ``source`` has no table."""
+        raise NotImplementedError
+
+    async def _exact_pinned(self, pinned, source: str,
+                            target: str) -> tuple:
+        """Exact-name lookup against ``pinned``: ``(cost, route,
+        federated)``, raising like :meth:`_lookup_pinned`."""
+        raise NotImplementedError
+
+    async def lookup(self, source: str, target: str,
+                     user: str = "%s") -> tuple[int, Resolution]:
+        """Suffix-search ``target`` from ``source``: ``(cost,
+        resolution)``.
+
+        Raises :class:`~repro.errors.RouteError` on a miss — a
+        :class:`~repro.errors.FederationError` when the owner shard is
+        unreachable through gateways — and :class:`SnapshotError` when
+        ``source`` has no table (a swap may have removed it).  Counts
+        both ways.
+
+        With the result cache on, the relative-template answer for
+        ``(source, target)`` is cached generation-stamped and
+        instantiated per user, so repeat traffic on a hot pair skips
+        the search entirely.  Misses are cached too, as their error
+        class, so a replayed ``FederationError`` still reports the
+        ``federation`` wire code.
+        """
+        if self.cache is None or "%s" in target:
+            # a literal %s in the name cannot template-substitute
+            cost, res, _ = await self._counted(
+                "R", self._pin(), source, target, user)
+            return cost, res
+        cost, template = await self._cached("R", source, target)
+        return cost, instantiate(template, user)
+
+    async def exact(self, source: str, target: str) -> tuple[int, str]:
+        """Exact-name lookup from ``source``: ``(cost, route)``.
+
+        Cached under its own key kind (``EXACT`` and ``ROUTE`` answers
+        for one pair differ), with the same stamp discipline as
+        :meth:`lookup`."""
+        if self.cache is None:
+            cost, route, _ = await self._counted(
+                "E", self._pin(), source, target)
+            return cost, route
+        return await self._cached("E", source, target)
+
+    async def _cached(self, kind: str, source: str, target: str):
+        """``(cost, answer)`` for one ``kind`` of lookup through the
+        result cache.
+
+        The stamp is read before the snapshot or view is pinned, in
+        the same event-loop step, and every swap bumps only after
+        publishing itself: an answer computed across await points
+        against a swapped-out picture carries a stranded stamp, and
+        :meth:`~repro.service.cache.ResultCache.put` drops it.  A hit
+        counts ``lookups`` and ``hits`` (or ``misses`` for a cached
+        error) but not the ``fsm_*`` counters: no dispatch ran.
+        """
+        cache = self.cache
+        stamp = cache.epoch   # read the stamp, *then* pin: a swap
+        pinned = self._pin()  # between the two strands the stamp
+        key = (kind, source, target)
+        hit = cache.get(key)
+        if hit is not None:
+            self.lookups += 1
+            negative, payload = hit
+            if negative:
+                self.misses += 1
+                cache.raise_negative(payload)
+            self.hits += 1
+            cost, answer, federated = payload
+            if federated:
+                self.federated += 1
+            return cost, answer
+        try:
+            result = await self._counted(kind, pinned, source, target)
+        except SnapshotError:
+            raise  # never cached: the source may reappear on a swap
+        except RouteError as exc:
+            cache.put_negative(key, exc, stamp)
+            raise
+        cache.put(key, result, stamp)
+        return result[:2]
+
+    async def _counted(self, kind: str, pinned, source: str,
+                       target: str, user: str = "%s") -> tuple:
+        """One uncached lookup against ``pinned`` — ``R`` a suffix
+        search, ``E`` an exact name — counted.  Only a suffix search
+        under ``fsm`` dispatch moves the ``fsm_*`` counters."""
+        self.lookups += 1
+        fsm = kind == "R" and self.dispatch != "dict"
+        try:
+            if kind == "R":
+                result = await self._lookup_pinned(pinned, source,
+                                                   target, user)
+            else:
+                result = await self._exact_pinned(pinned, source, target)
+        except SnapshotError:
+            self.misses += 1
+            raise
+        except RouteError:
+            self.misses += 1
+            if fsm:
+                self.fsm_misses += 1
+            raise
+        self.hits += 1
+        if fsm:
+            self.fsm_hits += 1
+        if result[2]:
+            self.federated += 1
+        return result
+
+    # -- the connection loop --------------------------------------------------
 
     @staticmethod
     async def _read_request_line(reader: asyncio.StreamReader
@@ -253,14 +532,14 @@ class LineService:
         each spawns a per-request task over a *snapshot* of the
         connection state, its reply frames written atomically under a
         per-connection lock, so replies may interleave and return out
-        of order — the tag is the correlation.  Verbs that mutate
-        connection or service state (:attr:`INLINE_VERBS`) are applied
-        inline in read order even when tagged, which is what makes
-        ``@1 SOURCE a`` / ``@2 ROUTE x`` deterministic: the SOURCE is
-        in effect — and its reply on the wire — before the ROUTE is
-        even read.  Untagged requests keep the strict lockstep
-        behavior, including draining all in-flight tagged work first,
-        so the two styles serialize cleanly if a client mixes them.
+        of order — the tag is the correlation.  Verbs whose table row
+        is ``inline`` (see :class:`Verb`) are applied inline in read
+        order even when tagged, which is what makes ``@1 SOURCE a`` /
+        ``@2 ROUTE x`` deterministic: the SOURCE is in effect — and
+        its reply on the wire — before the ROUTE is even read.
+        Untagged requests keep the strict lockstep behavior, including
+        draining all in-flight tagged work first, so the two styles
+        serialize cleanly if a client mixes them.
         """
         self.connections += 1
         state = self.initial_state()
@@ -328,8 +607,9 @@ class LineService:
                 verb = line.split(None, 1)[0].upper() if line else ""
                 if verb in self.verb_counts:
                     self.verb_counts[verb] += 1
+                row = self.VERB_TABLE.get(verb)
                 if tag is not None and line \
-                        and verb not in self.INLINE_VERBS:
+                        and not (row is not None and row.inline):
                     await gate.acquire()
                     task = asyncio.get_running_loop().create_task(
                         answer_tagged(tag, line, dict(state)))
@@ -388,9 +668,20 @@ class RouteService(LineService):
     #: verbs a federation front end assembles its remote view from;
     #: WRELOAD and WSTATS are the worker-coordination halves of RELOAD
     #: and STATS (present — and harmless — in single-worker mode too).
-    VERBS = ("ROUTE", "EXACT", "SOURCE", "TABLE", "COSTS", "RELOAD",
-             "WRELOAD", "NOTIFY", "PIPELINE", "STATS", "WSTATS",
-             "QUIT")
+    VERB_TABLE = verb_table(
+        "ROUTE", "EXACT",
+        Verb("SOURCE", "<host>", 1, 1, inline=True),
+        Verb("TABLE", "[--fsm | <source> [dest ...]]", 0, None),
+        Verb("COSTS", "<source> [name ...]", 1, None),
+        Verb("RELOAD", "<snapshot>", 1, 1, inline=True),
+        Verb("WRELOAD", "<snapshot>", 1, 1, inline=True),
+        Verb("NOTIFY", inline=True),
+        "PIPELINE",
+        Verb("STATS", most=None),
+        Verb("WSTATS", most=None),
+        "QUIT")
+    VERBS = tuple(VERB_TABLE)
+    handle_line = LineService.handle_line  # see LineService
 
     #: STATS counters summed across workers in an aggregated reply
     #: (the ``n_<verb>``/``n_errors``/``n_pipelined`` keys are summed
@@ -403,26 +694,9 @@ class RouteService(LineService):
                  default_source: str | None = None,
                  dispatch: str = "fsm",
                  cache_size: int | None = None):
-        """``dispatch`` selects the suffix-search engine — ``fsm``
-        (the compiled automaton, default) or ``dict`` (the original
-        walk, kept as a live differential oracle; ``serve --dispatch
-        dict``).
-        ``cache_size`` bounds the generation-stamped result cache
-        (``serve --cache``): None takes the default, 0 disables
-        (``--no-cache``), and ``dict`` dispatch forces it off — the
-        dict walk *is* the differential oracle, and an oracle that
-        answered from a cache would compare cache to cache."""
-        super().__init__()
-        self.dispatch = dispatch
-        if dispatch == "dict":
-            cache_size = 0
-        size = DEFAULT_CACHE_SIZE if cache_size is None else cache_size
-        #: The generation-stamped result cache (None when disabled).
-        #: Service-owned like every counter here: a RELOAD swaps the
-        #: reader and bumps the cache's generation, but the cache
-        #: object — and its hit/miss/invalidation counters — survive.
-        self.cache: ResultCache | None = \
-            ResultCache(size) if size > 0 else None
+        """Serve ``reader``, or the snapshot at ``snapshot_path``;
+        ``dispatch`` and ``cache_size`` as for :class:`LineService`."""
+        super().__init__(dispatch, cache_size)
         if reader is None:
             if snapshot_path is None:
                 raise SnapshotError("RouteService needs a snapshot "
@@ -440,17 +714,6 @@ class RouteService(LineService):
                 f"{reader.path}: no table for source "
                 f"{default_source!r}")
         self.default_source = default_source
-        self.started = time.monotonic()
-        self.lookups = 0
-        self.hits = 0
-        self.misses = 0
-        #: Automaton dispatches that matched / missed — service-owned
-        #: like every counter here, so RELOAD (which swaps readers and
-        #: their compiled automata) never resets them.  Both stay 0 in
-        #: ``dict`` mode, which is how an operator reads the active
-        #: engine off STATS (`dispatch=` says it explicitly too).
-        self.fsm_hits = 0
-        self.fsm_misses = 0
         self.reloads = 0
         self._reload_lock = asyncio.Lock()
         #: Per-connection push callables registered by the NOTIFY
@@ -471,136 +734,44 @@ class RouteService(LineService):
         self.worker_id = 0
         self.worker_peers: dict[int, int] = {}
 
-    # -- operations -----------------------------------------------------------
+    # -- the lookup hooks -----------------------------------------------------
 
-    def _resolve_pinned(self, reader: SnapshotReader, source: str,
-                        target: str, user: str | None
-                        ) -> tuple[int, Resolution]:
-        """The uncached suffix search against one pinned reader,
-        counting lookups/hits/misses and the dispatch counters."""
-        self.lookups += 1
-        fsm = self.dispatch != "dict"
-        try:
-            # The cached SnapshotTable *is* the in-process Resolver
-            # surface; no per-request wrapper on the hot path.  The
-            # suffix search runs through the table's compiled
-            # automaton, or the original dict walk in ``dict`` mode.
-            table = reader.table(source)
-            if fsm:
-                cost, resolution = table.resolve_with_cost(
-                    target, "%s" if user is None else user)
-            else:
-                cost, resolution = table.resolve_with_cost_dict(
-                    target, "%s" if user is None else user)
-        except RouteError:
-            self.misses += 1
-            if fsm:
-                self.fsm_misses += 1
-            raise
-        except SnapshotError:
-            # the connection's source table vanished in a RELOAD
-            self.misses += 1
-            raise
-        self.hits += 1
-        if fsm:
-            self.fsm_hits += 1
-        return cost, resolution
+    def _pin(self) -> SnapshotReader:
+        """The reader one request works against."""
+        return self.reader
 
-    def lookup(self, source: str, target: str,
-               user: str | None = None) -> tuple[int, Resolution]:
-        """Suffix-search ``target`` in ``source``'s table.
+    async def _lookup_pinned(self, reader: SnapshotReader, source: str,
+                             target: str, user: str) -> tuple:
+        """The suffix search in ``source``'s table of one pinned
+        reader, through the table's compiled automaton, or the
+        original dict walk in ``dict`` mode."""
+        # The cached SnapshotTable *is* the in-process Resolver
+        # surface; no per-request wrapper on the hot path.
+        table = reader.table(source)
+        if self.dispatch == "dict":
+            cost, resolution = resolve_with_cost_dict(table, target, user)
+        else:
+            cost, resolution = table.resolve_with_cost(target, user)
+        return cost, resolution, False
 
-        Returns ``(cost, resolution)``; raises
-        :class:`~repro.errors.RouteError` on a miss.  Counts both ways.
-
-        With the result cache on, the relative-template resolution of
-        ``(source, target)`` is cached generation-stamped and
-        instantiated per user, so repeat traffic on a hot pair skips
-        the suffix walk entirely; a cache hit bumps ``lookups`` and
-        ``hits`` (or ``misses`` for a cached noroute) but *not* the
-        ``fsm_*`` dispatch counters — no dispatch ran.  The stamp is
-        read before the reader is pinned, and :meth:`reload` bumps
-        only after publishing its swap, so an entry stamped current
-        was computed against the current snapshot.
-        """
-        cache = self.cache
-        if cache is None or "%s" in target:
-            # a literal %s in the name cannot template-substitute
-            return self._resolve_pinned(self.reader, source, target,
-                                        user)
-        stamp = cache.epoch   # read the stamp, *then* pin: a swap
-        reader = self.reader  # between the two strands the stamp
-        key = ("R", source, target)
-        hit = cache.get(key)
-        if hit is not None:
-            self.lookups += 1
-            negative, payload = hit
-            if negative:
-                self.misses += 1
-                cache.raise_negative(payload)
-            self.hits += 1
-            cost, template = payload
-            return cost, instantiate(template,
-                                     "%s" if user is None else user)
-        try:
-            cost, template = self._resolve_pinned(reader, source,
-                                                  target, None)
-        except SnapshotError:
-            raise  # never cached: the source may reappear on reload
-        except RouteError as exc:
-            cache.put_negative(key, exc, stamp)
-            raise
-        cache.put(key, (cost, template), stamp)
-        return cost, instantiate(template,
-                                 "%s" if user is None else user)
-
-    def _exact_pinned(self, reader: SnapshotReader, source: str,
-                      target: str) -> tuple[int, str]:
-        """The uncached exact-name lookup against one pinned reader."""
-        self.lookups += 1
-        try:
-            hit = reader.table(source).lookup(target)
-        except SnapshotError:
-            self.misses += 1
-            raise
+    async def _exact_pinned(self, reader: SnapshotReader, source: str,
+                            target: str) -> tuple:
+        """The exact-name lookup against one pinned reader."""
+        hit = reader.table(source).lookup(target)
         if hit is None:
-            self.misses += 1
             raise RouteError(f"no route to {target!r}")
-        self.hits += 1
-        return hit
+        return hit[0], hit[1], False
 
-    def exact(self, source: str, target: str) -> tuple[int, str]:
-        """Exact-name lookup in ``source``'s table: ``(cost, route)``.
+    # -- this daemon's verbs --------------------------------------------------
 
-        Cached under its own key kind (``EXACT`` and ``ROUTE`` answers
-        for one pair differ), with the same stamp discipline as
-        :meth:`lookup`."""
-        cache = self.cache
-        if cache is None:
-            return self._exact_pinned(self.reader, source, target)
-        stamp = cache.epoch
-        reader = self.reader
-        key = ("E", source, target)
-        hit = cache.get(key)
-        if hit is not None:
-            self.lookups += 1
-            negative, payload = hit
-            if negative:
-                self.misses += 1
-                cache.raise_negative(payload)
-            self.hits += 1
-            return payload
-        try:
-            result = self._exact_pinned(reader, source, target)
-        except SnapshotError:
-            raise
-        except RouteError as exc:
-            cache.put_negative(key, exc, stamp)
-            raise
-        cache.put(key, result, stamp)
-        return result
+    async def do_SOURCE(self, args: list[str], state: dict) -> str:
+        """Switch this connection's source table."""
+        if not self.reader.has_source(args[0]):
+            return f"ERR unknown-source {args[0]}"
+        state["source"] = args[0]
+        return f"OK source {args[0]}"
 
-    def table_reply(self, args: list[str]) -> str:
+    async def do_TABLE(self, args: list[str], state: dict) -> str:
         """The TABLE bulk verb: a multi-line data export.
 
         Four forms, all answered from one pinned snapshot:
@@ -627,7 +798,7 @@ class RouteService(LineService):
             return "\n".join([f"OK index {len(lines)}"] + lines)
         if args[0] == "--fsm":
             if len(args) > 1:
-                return "ERR usage TABLE [--fsm | <source> [dest ...]]"
+                return self.VERB_TABLE["TABLE"].usage_reply
             blob = base64.b64encode(
                 reader.index_fsm_bytes()).decode("ascii")
             lines = [blob[i:i + 76] for i in range(0, len(blob), 76)]
@@ -647,7 +818,7 @@ class RouteService(LineService):
                      for cost, name, route in table.records()]
         return "\n".join([f"OK table {len(lines)}"] + lines)
 
-    def costs_reply(self, args: list[str]) -> str:
+    async def do_COSTS(self, args: list[str], state: dict) -> str:
         """The COSTS bulk verb: exact per-state costs by node name.
 
         ``COSTS <source> [name ...]`` answers ``OK costs <n>`` then
@@ -659,8 +830,6 @@ class RouteService(LineService):
         under domain-qualified names.
         """
         reader = self.reader
-        if not args:
-            return "ERR usage COSTS <source> [name ...]"
         source, names = args[0], args[1:]
         if not reader.has_source(source):
             return f"ERR unknown-source {source}"
@@ -786,16 +955,7 @@ class RouteService(LineService):
             *(push(wid, port) for wid, port in self._peer_ports()))
         return [note for note in notes if note]
 
-    @staticmethod
-    def _parse_stats(reply: str) -> dict[str, str]:
-        """``OK k=v k=v ...`` into an ordered ``{k: v}`` dict."""
-        out: dict[str, str] = {}
-        for token in reply.split()[1:]:
-            key, _, value = token.partition("=")
-            out[key] = value
-        return out
-
-    async def stats_reply(self) -> str:
+    async def do_STATS(self, args: list[str], state: dict) -> str:
         """The STATS reply: local counters, or — in multi-worker mode
         — the aggregate across the whole worker pool.
 
@@ -819,10 +979,10 @@ class RouteService(LineService):
                 return wid, None
             if not reply.startswith("OK"):
                 return wid, None
-            return wid, self._parse_stats(reply)
+            return wid, parse_stats(reply)
 
         per_worker: dict[int, dict[str, str] | None] = {
-            self.worker_id: self._parse_stats(local)}
+            self.worker_id: parse_stats(local)}
         for wid, stats in await asyncio.gather(
                 *(fetch(wid, port) for wid, port in self._peer_ports())):
             per_worker[wid] = stats
@@ -882,102 +1042,38 @@ class RouteService(LineService):
                 f"source={self.default_source} "
                 f"snapshot={reader.path}")
 
-    # -- protocol -------------------------------------------------------------
+    # -- the swap and notify verbs -------------------------------------------
 
-    async def handle_line(self, line: str, state: dict) -> str | None:
-        """One request in, one reply line out (None closes)."""
-        parts = line.split(None, 1)
-        if not parts:
-            return "ERR empty-request send ROUTE/EXACT/SOURCE/TABLE/" \
-                   "COSTS/RELOAD/WRELOAD/NOTIFY/PIPELINE/STATS/" \
-                   "WSTATS/QUIT"
-        command = parts[0].upper()
-        rest = parts[1] if len(parts) > 1 else ""
-        if command == "ROUTE":
-            args = rest.split()
-            if not args or len(args) > 2:
-                return "ERR usage ROUTE <dest> [user]"
-            try:
-                cost, res = self.lookup(
-                    state["source"], args[0],
-                    args[1] if len(args) == 2 else None)
-            except RouteError:
-                return f"ERR noroute {args[0]}"
-            except SnapshotError:
-                # a RELOAD replaced the snapshot and this connection's
-                # chosen source is not in the new one
-                return f"ERR unknown-source {state['source']}"
-            return (f"OK {cost} {res.matched} {res.route} "
-                    f"{res.address}")
-        if command == "EXACT":
-            args = rest.split()
-            if len(args) != 1:
-                return "ERR usage EXACT <dest>"
-            try:
-                cost, route = self.exact(state["source"], args[0])
-            except RouteError:
-                return f"ERR noroute {args[0]}"
-            except SnapshotError:
-                return f"ERR unknown-source {state['source']}"
-            return f"OK {cost} {args[0]} {route}"
-        if command == "SOURCE":
-            args = rest.split()
-            if len(args) != 1:
-                return "ERR usage SOURCE <host>"
-            if not self.reader.has_source(args[0]):
-                return f"ERR unknown-source {args[0]}"
-            state["source"] = args[0]
-            return f"OK source {args[0]}"
-        if command == "TABLE":
-            return self.table_reply(rest.split())
-        if command == "COSTS":
-            return self.costs_reply(rest.split())
-        if command == "RELOAD":
-            path = rest.strip()
-            if not path:
-                return "ERR usage RELOAD <snapshot>"
-            try:
-                reader = await self.reload(path)
-            except SnapshotError as exc:
-                return f"ERR reload {exc}"
-            if self.worker_peers:
-                failures = await self.broadcast_reload(path)
-                if failures:
-                    return "ERR reload " + "; ".join(failures)
-            return f"OK reloaded {reader.source_count} {reader.path}"
-        if command == "WRELOAD":
-            path = rest.strip()
-            if not path:
-                return "ERR usage WRELOAD <snapshot>"
-            try:
-                reader = await self.reload(path)
-            except SnapshotError as exc:
-                return f"ERR reload {exc}"
-            return f"OK reloaded {reader.source_count} {reader.path}"
-        if command == "NOTIFY":
-            if rest.strip():
-                return "ERR usage NOTIFY"
-            push = state.get("#push")
-            if push is None:
-                return ("ERR notify this transport cannot carry "
-                        "unsolicited push frames")
-            self.notify_subscribers.add(push)
-            return "OK notify 1"
-        if command == "PIPELINE":
-            if rest.strip():
-                return "ERR usage PIPELINE"
-            return "OK pipeline 1"
-        if command == "STATS":
-            return await self.stats_reply()
-        if command == "WSTATS":
-            return f"OK worker={self.worker_id} {self.stats_line()}"
-        if command == "QUIT":
-            return None
-        return f"ERR unknown-command {command}"
+    async def do_RELOAD(self, args: list[str], state: dict) -> str:
+        """Swap in a new snapshot; in multi-worker mode, on every
+        sibling worker too before the OK comes back."""
+        reply = await self.do_WRELOAD(args, state)
+        if reply.startswith("OK") and self.worker_peers:
+            failures = await self.broadcast_reload(args[0])
+            if failures:
+                return "ERR reload " + "; ".join(failures)
+        return reply
 
-    def initial_state(self) -> dict:
-        """Each connection starts on the default source table."""
-        return {"source": self.default_source}
+    async def do_WRELOAD(self, args: list[str], state: dict) -> str:
+        """Swap in a new snapshot on this worker only."""
+        try:
+            reader = await self.reload(args[0])
+        except SnapshotError as exc:
+            return f"ERR reload {exc}"
+        return f"OK reloaded {reader.source_count} {reader.path}"
+
+    async def do_NOTIFY(self, args: list[str], state: dict) -> str:
+        """Subscribe this connection to reload pushes."""
+        push = state.get("#push")
+        if push is None:
+            return ("ERR notify this transport cannot carry "
+                    "unsolicited push frames")
+        self.notify_subscribers.add(push)
+        return "OK notify 1"
+
+    async def do_WSTATS(self, args: list[str], state: dict) -> str:
+        """This worker's own counters, unaggregated."""
+        return f"OK worker={self.worker_id} {self.stats_line()}"
 
 
 async def serve(service: LineService, host: str = "127.0.0.1",
@@ -1331,11 +1427,7 @@ class DaemonRouteDatabase:
         reply = self._request("STATS")
         if not reply.startswith("OK "):
             raise RouteError(f"daemon protocol error: {reply!r}")
-        out: dict[str, str] = {}
-        for token in reply[3:].split():
-            key, _, value = token.partition("=")
-            out[key] = value
-        return out
+        return parse_stats(reply)
 
     def reload(self, snapshot_path: str) -> int:
         """Ask the daemon to hot-swap a new snapshot; returns its

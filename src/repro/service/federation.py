@@ -83,10 +83,13 @@ from repro.service.backend import (
     ShardBackend,
     parse_backend_spec,
 )
-from repro.service.cache import (DEFAULT_CACHE_SIZE, ResultCache,
-                                 cache_stats_tokens, instantiate)
-from repro.service.daemon import DaemonRouteDatabase, LineService, serve
-from repro.service.resolver import Resolution
+from repro.service.cache import cache_stats_tokens
+# Imported for perfbench's tracer alone, whose patch list names
+# ``repro.service.federation.instantiate``; the cache hits call the
+# one in ``repro.service.daemon``.
+from repro.service.cache import instantiate  # noqa: F401
+from repro.service.daemon import (DaemonRouteDatabase, LineService, Verb,
+                                  serve, verb_table)
 from repro.service.shard import FederationView, Shard
 from repro.service.store import SnapshotError, SnapshotReader
 
@@ -96,13 +99,28 @@ class FederationService(LineService):
 
     The view is immutable; ATTACH/DETACH/RELOAD build a new one under
     a lock and swap it in, so concurrent lookups pin a consistent
-    picture with a single attribute read.
+    picture with a single attribute read.  Every view swap — ATTACH,
+    DETACH, per-shard RELOAD, and NOTIFY-driven re-syncs — bumps the
+    result cache's generation, which strands every stamped entry: a
+    repriced shard can change the best *stitched* route for pairs
+    whose old answer never touched it, so per-entry dependency
+    tracking could not invalidate safely.
     """
 
     #: The verbs this daemon's line protocol implements (the CI docs
     #: job checks ``docs/protocol.md`` against this table).
-    VERBS = ("ROUTE", "EXACT", "SOURCE", "SHARDS", "ATTACH", "DETACH",
-             "RELOAD", "PIPELINE", "STATS", "QUIT")
+    VERB_TABLE = verb_table(
+        "ROUTE", "EXACT",
+        Verb("SOURCE", "<host>", 1, 1, inline=True),
+        Verb("SHARDS", most=None),
+        Verb("ATTACH", "<name> <snapshot|host:port>", 2, 2, inline=True),
+        Verb("DETACH", "<name>", 1, 1, inline=True),
+        Verb("RELOAD", "<shard> <snapshot>", 2, 2, inline=True),
+        "PIPELINE",
+        Verb("STATS", most=None),
+        "QUIT")
+    VERBS = tuple(VERB_TABLE)
+    handle_line = LineService.handle_line  # see LineService
 
     def __init__(self, shards, default_source: str | None = None,
                  dispatch: str = "fsm",
@@ -111,26 +129,10 @@ class FederationService(LineService):
         iterable of :class:`Shard` / :class:`BackendShard` objects —
         remote backends need the async :meth:`create` constructor).
         ``dispatch`` selects the suffix-dispatch engine for the
-        ownership index and every locally-served shard table: ``fsm``
-        (the compiled automaton, default) or ``dict`` (the original
-        walk — the differential oracle, ``serve --dispatch dict``).
-        ``cache_size`` bounds the generation-stamped result cache:
-        None takes the default, 0 disables, and ``dict`` dispatch
-        forces it off (the oracle must never answer from a cache)."""
-        super().__init__()
-        self.dispatch = dispatch
-        if dispatch == "dict":
-            cache_size = 0
-        size = DEFAULT_CACHE_SIZE if cache_size is None else cache_size
-        #: The generation-stamped result cache (None when disabled).
-        #: Every view swap — ATTACH, DETACH, per-shard RELOAD, and
-        #: NOTIFY-driven re-syncs — bumps the reloaded shard's
-        #: generation token, which strands every stamped entry: a
-        #: repriced shard can change the best *stitched* route for
-        #: pairs whose old answer never touched it, so per-entry
-        #: dependency tracking could not invalidate safely.
-        self.cache: ResultCache | None = \
-            ResultCache(size) if size > 0 else None
+        ownership index and every locally-served shard table, and
+        ``cache_size`` bounds the result cache, both as for
+        :class:`~repro.service.daemon.LineService`."""
+        super().__init__(dispatch, cache_size)
         if isinstance(shards, dict):
             shards = [Shard.open(name, path, dispatch=dispatch)
                       for name, path in sorted(shards.items())]
@@ -152,17 +154,6 @@ class FederationService(LineService):
                 f"no shard holds a table for source "
                 f"{default_source!r}")
         self.default_source = default_source
-        self.started = time.monotonic()
-        self.lookups = 0
-        self.hits = 0
-        self.misses = 0
-        #: Suffix dispatches answered through the compiled automaton
-        #: path that matched / missed — service-owned, so per-shard
-        #: RELOADs and view swaps never reset them; both stay 0 in
-        #: ``dict`` mode.
-        self.fsm_hits = 0
-        self.fsm_misses = 0
-        self.federated = 0
         self.reloads = 0
         self.attaches = 0
         self.detaches = 0
@@ -225,85 +216,26 @@ class FederationService(LineService):
     # closed only after the swap, with a grace window for requests
     # still pinned to the outgoing view.
 
-    async def _lookup_pinned(self, view, source: str, target: str,
-                             user: str | None):
-        """The uncached federated search against one pinned view,
-        counting lookups/hits/misses and the dispatch counters;
-        returns the :class:`~repro.service.shard.FederatedResolution`.
-        """
-        self.lookups += 1
-        fsm = self.dispatch != "dict"
+    def _pin(self) -> FederationView:
+        """The view one request works against."""
+        return self.view
+
+    async def _lookup_pinned(self, view: FederationView, source: str,
+                             target: str, user: str) -> tuple:
+        """The federated search against one pinned view (a test seam:
+        the cache race tests stall it mid-compute)."""
         if view.home_shard(source) is None:
-            self.misses += 1
             raise SnapshotError(f"no shard owns source {source!r}")
-        try:
-            fed = await view.aresolve_with_cost(
-                source, target, "%s" if user is None else user)
-        except RouteError:  # includes FederationError
-            self.misses += 1
-            if fsm:
-                self.fsm_misses += 1
-            raise
-        self.hits += 1
-        if fsm:
-            self.fsm_hits += 1
-        if fed.federated:
-            self.federated += 1
-        return fed
+        fed = await view.aresolve_with_cost(source, target, user)
+        return fed.cost, fed.resolution, fed.federated
 
-    async def lookup(self, source: str, target: str,
-                     user: str | None = None) -> tuple[int, Resolution]:
-        """Federated suffix-search from ``source``: ``(cost, resolution)``.
-
-        Raises :class:`FederationError` when the owner shard is
-        unreachable through gateways, :class:`RouteError` on a plain
-        miss, and :class:`SnapshotError` when no shard owns ``source``
-        (it may have vanished in a DETACH or RELOAD).
-
-        With the result cache on, the relative-template answer for
-        ``(source, target)`` is cached generation-stamped —
-        *including* federated misses, cached as their error class so a
-        replayed ``FederationError`` still reports the ``federation``
-        wire code.  The stamp is read in the same event-loop step that
-        pins the view (no await between), and every mutator bumps
-        only *after* publishing its swap, so a stitched answer
-        computed across await points against a swapped-out view can
-        never be inserted as current: its stamp is already stranded
-        and :meth:`~repro.service.cache.ResultCache.put` drops it.
-        """
-        cache = self.cache
-        if cache is None or "%s" in target:
-            # a literal %s in the name cannot template-substitute
-            fed = await self._lookup_pinned(self.view, source,
-                                            target, user)
-            return fed.cost, fed.resolution
-        stamp = cache.epoch  # stamp, *then* pin — same loop step
-        view = self.view
-        key = ("R", source, target)
-        hit = cache.get(key)
-        if hit is not None:
-            self.lookups += 1
-            negative, payload = hit
-            if negative:
-                self.misses += 1
-                cache.raise_negative(payload)
-            self.hits += 1
-            cost, template, federated = payload
-            if federated:
-                self.federated += 1
-            return cost, instantiate(template,
-                                     "%s" if user is None else user)
-        try:
-            fed = await self._lookup_pinned(view, source, target, None)
-        except SnapshotError:
-            raise  # never cached: sources can reappear on ATTACH
-        except RouteError as exc:
-            cache.put_negative(key, exc, stamp)
-            raise
-        cache.put(key, (fed.cost, fed.resolution, fed.federated),
-                  stamp)
-        return fed.cost, instantiate(fed.resolution,
-                                     "%s" if user is None else user)
+    async def _exact_pinned(self, view: FederationView, source: str,
+                            target: str) -> tuple:
+        """The exact federated lookup against one pinned view."""
+        if view.home_shard(source) is None:
+            raise SnapshotError(f"no shard owns source {source!r}")
+        fed = await view.aexact(source, target)
+        return fed.cost, fed.resolution.route, fed.federated
 
     def resolver(self, source: str):
         """The bound :class:`~repro.service.resolver.Resolver` surface
@@ -311,61 +243,6 @@ class FederationService(LineService):
         :class:`~repro.service.shard.FederationResolver`); pins one
         federation picture, like every request handler does."""
         return self.view.resolver(source)
-
-    async def _exact_pinned(self, view, source: str,
-                            target: str) -> tuple[int, str, bool]:
-        """The uncached exact federated lookup against one pinned
-        view: ``(cost, route template, crossed a shard boundary)``."""
-        self.lookups += 1
-        if view.home_shard(source) is None:
-            self.misses += 1
-            raise SnapshotError(f"no shard owns source {source!r}")
-        try:
-            fed = await view.aexact(source, target)
-        except RouteError:
-            self.misses += 1
-            raise
-        self.hits += 1
-        if fed.federated:
-            self.federated += 1
-        return fed.cost, fed.resolution.route, fed.federated
-
-    async def exact(self, source: str, target: str) -> tuple[int, str]:
-        """Exact-name federated lookup: ``(cost, route template)``.
-
-        Cached under its own key kind (EXACT and ROUTE answers for a
-        pair differ), with the same stamp discipline as
-        :meth:`lookup`."""
-        cache = self.cache
-        if cache is None:
-            cost, route, _ = await self._exact_pinned(self.view,
-                                                      source, target)
-            return cost, route
-        stamp = cache.epoch
-        view = self.view
-        key = ("E", source, target)
-        hit = cache.get(key)
-        if hit is not None:
-            self.lookups += 1
-            negative, payload = hit
-            if negative:
-                self.misses += 1
-                cache.raise_negative(payload)
-            self.hits += 1
-            cost, route, federated = payload
-            if federated:
-                self.federated += 1
-            return cost, route
-        try:
-            cost, route, federated = await self._exact_pinned(
-                view, source, target)
-        except SnapshotError:
-            raise
-        except RouteError as exc:
-            cache.put_negative(key, exc, stamp)
-            raise
-        cache.put(key, (cost, route, federated), stamp)
-        return cost, route
 
     def _retire(self, old) -> None:
         """Schedule a replaced/removed backend shard's connection for
@@ -634,110 +511,59 @@ class FederationService(LineService):
                 f"source={self.default_source} "
                 f"shard_names={','.join(view.shard_names())}")
 
-    def shards_line(self) -> str:
-        """The SHARDS reply: ``<n> <name>=<sources>:<path>`` sorted."""
+    # -- this daemon's verbs --------------------------------------------------
+
+    async def do_SOURCE(self, args: list[str], state: dict) -> str:
+        """Switch this connection's source; its home shard is found
+        automatically."""
+        home = self.view.home_shard(args[0])
+        if home is None:
+            return f"ERR unknown-source {args[0]}"
+        state["source"] = args[0]
+        return f"OK source {args[0]} {home.name}"
+
+    async def do_SHARDS(self, args: list[str], state: dict) -> str:
+        """The attached shards: ``OK <n> <name>=<sources>:<path>``
+        ... in name order."""
         view = self.view
         parts = [f"{name}={shard.source_count}:{shard.path}"
                  for name, shard in view.shards.items()]
-        return " ".join([str(len(parts))] + parts)
+        return " ".join(["OK", str(len(parts))] + parts)
 
-    # -- protocol -------------------------------------------------------------
+    async def do_ATTACH(self, args: list[str], state: dict) -> str:
+        """Attach (or replace) a shard from a snapshot path or a
+        ``host:port`` backend spec."""
+        try:
+            shard = await self.attach(*args)
+        except (SnapshotError, FederationError) as exc:
+            return f"ERR attach {exc}"
+        return (f"OK attached {shard.name} {shard.source_count} "
+                f"{shard.path}")
 
-    async def handle_line(self, line: str, state: dict) -> str | None:
-        """One request in, one reply line out (None closes)."""
-        parts = line.split(None, 1)
-        if not parts:
-            return "ERR empty-request send ROUTE/EXACT/SOURCE/SHARDS/" \
-                   "ATTACH/DETACH/RELOAD/PIPELINE/STATS/QUIT"
-        command = parts[0].upper()
-        rest = parts[1] if len(parts) > 1 else ""
-        if command == "ROUTE":
-            args = rest.split()
-            if not args or len(args) > 2:
-                return "ERR usage ROUTE <dest> [user]"
-            try:
-                cost, res = await self.lookup(
-                    state["source"], args[0],
-                    args[1] if len(args) == 2 else None)
-            except FederationError as exc:
-                return f"ERR federation {exc}"
-            except RouteError:
-                return f"ERR noroute {args[0]}"
-            except SnapshotError:
-                return f"ERR unknown-source {state['source']}"
-            return (f"OK {cost} {res.matched} {res.route} "
-                    f"{res.address}")
-        if command == "EXACT":
-            args = rest.split()
-            if len(args) != 1:
-                return "ERR usage EXACT <dest>"
-            try:
-                cost, route = await self.exact(state["source"],
-                                               args[0])
-            except FederationError as exc:
-                return f"ERR federation {exc}"
-            except RouteError:
-                return f"ERR noroute {args[0]}"
-            except SnapshotError:
-                return f"ERR unknown-source {state['source']}"
-            return f"OK {cost} {args[0]} {route}"
-        if command == "SOURCE":
-            args = rest.split()
-            if len(args) != 1:
-                return "ERR usage SOURCE <host>"
-            home = self.view.home_shard(args[0])
-            if home is None:
-                return f"ERR unknown-source {args[0]}"
-            state["source"] = args[0]
-            return f"OK source {args[0]} {home.name}"
-        if command == "SHARDS":
-            return f"OK {self.shards_line()}"
-        if command == "ATTACH":
-            args = rest.split()
-            if len(args) != 2:
-                return "ERR usage ATTACH <name> <snapshot|host:port>"
-            try:
-                shard = await self.attach(args[0], args[1])
-            except (SnapshotError, FederationError) as exc:
-                return f"ERR attach {exc}"
-            return (f"OK attached {shard.name} {shard.source_count} "
-                    f"{shard.path}")
-        if command == "DETACH":
-            args = rest.split()
-            if len(args) != 1:
-                return "ERR usage DETACH <name>"
-            try:
-                await self.detach(args[0])
-            except UnknownShardError:
-                return f"ERR unknown-shard {args[0]}"
-            return f"OK detached {args[0]}"
-        if command == "RELOAD":
-            args = rest.split()
-            if len(args) != 2:
-                return "ERR usage RELOAD <shard> <snapshot>"
-            try:
-                shard = await self.reload_shard(args[0], args[1])
-            except UnknownShardError:
-                return f"ERR unknown-shard {args[0]}"
-            except (SnapshotError, FederationError) as exc:
-                # a refused local open, or a backend daemon refusing
-                # (or being unreachable for) the forwarded reload
-                return f"ERR reload {exc}"
-            return (f"OK reloaded {shard.name} {shard.source_count} "
-                    f"{shard.path}")
-        if command == "PIPELINE":
-            if rest.strip():
-                return "ERR usage PIPELINE"
-            return "OK pipeline 1"
-        if command == "STATS":
-            return f"OK {self.stats_line()}"
-        if command == "QUIT":
-            return None
-        return f"ERR unknown-command {command}"
+    async def do_DETACH(self, args: list[str], state: dict) -> str:
+        """Remove a shard."""
+        try:
+            await self.detach(args[0])
+        except UnknownShardError:
+            return f"ERR unknown-shard {args[0]}"
+        return f"OK detached {args[0]}"
 
-    def initial_state(self) -> dict:
-        """Each connection starts on the default source."""
-        return {"source": self.default_source}
+    async def do_RELOAD(self, args: list[str], state: dict) -> str:
+        """Hot-swap one shard's snapshot."""
+        try:
+            shard = await self.reload_shard(*args)
+        except UnknownShardError:
+            return f"ERR unknown-shard {args[0]}"
+        except (SnapshotError, FederationError) as exc:
+            # a refused local open, or a backend daemon refusing
+            # (or being unreachable for) the forwarded reload
+            return f"ERR reload {exc}"
+        return (f"OK reloaded {shard.name} {shard.source_count} "
+                f"{shard.path}")
+
+    async def do_STATS(self, args: list[str], state: dict) -> str:
+        """One ``key=value`` line of counters (:meth:`stats_line`)."""
+        return f"OK {self.stats_line()}"
 
 
 def run_federation_daemon(shards: dict, host: str = "127.0.0.1",

@@ -112,6 +112,18 @@ class SuffixResolver:
         return self.resolve(target, user)
 
 
+def resolve_with_cost_dict(surface, target: str, user: str = "%s"
+                           ) -> tuple[int, Resolution]:
+    """The differential oracle: the paper's suffix walk
+    (:meth:`SuffixResolver.resolve_with_cost`) over ``surface``'s
+    exact-name ``lookup``, whatever its own ``resolve_with_cost``
+    dispatches through.  A cached surface is walked underneath its
+    cache (its ``inner`` surface), so the oracle never reads a cached
+    answer.  This is what serves a ``dispatch="dict"`` service."""
+    surface = getattr(surface, "inner", surface)
+    return SuffixResolver.resolve_with_cost(surface, target, user)
+
+
 @runtime_checkable
 class Resolver(Protocol):
     """What every lookup surface answers, wherever the bytes live.

@@ -66,7 +66,8 @@ from repro.errors import (
     UnknownShardError,
 )
 from repro.service.fsm import SuffixAutomaton, compile_keys
-from repro.service.resolver import Resolution, domain_suffixes
+from repro.service.resolver import (Resolution, domain_suffixes,
+                                    resolve_with_cost_dict)
 from repro.service.store import SnapshotReader
 
 #: Dispatch modes a shard/view can resolve suffixes with: ``fsm`` (the
@@ -235,7 +236,7 @@ class Shard:
         table = self.table(entry)
         try:
             if self.dispatch == "dict":
-                cost, res = table.resolve_with_cost_dict(target, "%s")
+                cost, res = resolve_with_cost_dict(table, target, "%s")
             else:
                 cost, res = table.resolve_with_cost(target, "%s")
         except RouteError:

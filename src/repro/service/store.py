@@ -356,9 +356,9 @@ class SnapshotTable(SuffixResolver):
     ``resolve_bang``) dispatches through the section's compiled suffix
     automaton (the ``DFSM`` block, inflated lazily on first use), and
     is byte-identical to the dict walk in
-    :class:`~repro.service.resolver.SuffixResolver`, which stays
-    reachable as :meth:`resolve_with_cost_dict` for differential
-    oracles.
+    :class:`~repro.service.resolver.SuffixResolver`, which
+    :func:`~repro.service.resolver.resolve_with_cost_dict` runs over
+    the inherited :meth:`lookup` as the differential oracle.
 
     The mapper's per-state records are exposed through
     :meth:`state_records` / :meth:`state_cost_map` /
@@ -564,8 +564,9 @@ class SnapshotTable(SuffixResolver):
         One O(labels) match replaces the dict walk's per-suffix string
         building and probing; the matched record, the cost, the
         gateway-relative argument rule, and the miss error are all
-        byte-identical to :meth:`resolve_with_cost_dict` (continuously
-        asserted by the differential fuzz tests).
+        byte-identical to the dict walk
+        (:func:`~repro.service.resolver.resolve_with_cost_dict`,
+        continuously asserted by the differential fuzz tests).
         """
         auto = self._auto
         if auto is None:
@@ -580,14 +581,6 @@ class SnapshotTable(SuffixResolver):
         return cost, Resolution(
             target=target, matched=matched, route=route,
             address=route.replace("%s", argument, 1))
-
-    #: The original suffix-walk dispatch
-    #: (:meth:`~repro.service.resolver.SuffixResolver.resolve_with_cost`
-    #: over binary-searched probes) — the differential oracle the
-    #: automaton is measured and verified against, and what serves when
-    #: a daemon runs ``--dispatch dict``.  Aliased, not wrapped: the
-    #: method object *is* the shared implementation.
-    resolve_with_cost_dict = SuffixResolver.resolve_with_cost
 
     def unreachable(self) -> list[str]:
         """Host names this source could not reach."""
@@ -1129,11 +1122,6 @@ class SnapshotResolver(SuffixResolver):
         (:meth:`SnapshotTable.resolve_with_cost`)."""
         return self._table.resolve_with_cost(target, user)
 
-    def resolve_with_cost_dict(self, target: str, user: str = "%s"
-                               ) -> tuple[int, Resolution]:
-        """The dict-walk differential oracle over the same table."""
-        return self._table.resolve_with_cost_dict(target, user)
-
     def cached(self, size: int | None = None):
         """This resolver behind a generation-stamped result cache
         (:class:`~repro.service.cache.CachingResolver`): hot pairs
@@ -1190,6 +1178,8 @@ def write_snapshot(path: str | Path, graph_section: bytes,
     so a daemon never observes a half-written snapshot.  The temp file
     is uniquely named in ``path``'s directory, so concurrent writers
     of one path never share it, and is removed if the write fails.
+    The temp file is synced before the rename and the directory after
+    it, so a power loss cannot leave a renamed but empty snapshot.
     Returns the byte size.
     """
     pool = _StringPool()
@@ -1231,11 +1221,27 @@ def write_snapshot(path: str | Path, graph_section: bytes,
         with os.fdopen(fd, "wb") as handle:
             handle.write(header)
             handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    _fsync_directory(path.parent)
     return header_size + len(payload)
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Make a rename in ``directory`` durable; skipped where
+    directories cannot be opened (no ``os.O_DIRECTORY``)."""
+    flag = getattr(os, "O_DIRECTORY", None)
+    if flag is None:
+        return
+    fd = os.open(directory, os.O_RDONLY | flag)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def build_snapshot(graph: Graph | CompactGraph, path: str | Path,

@@ -949,3 +949,135 @@ class TestNotifyInvalidatesCache:
             await cluster.close()
 
         asyncio.run(scenario())
+
+
+class _GarblingService(RouteService):
+    """A backend daemon that breaks the protocol on purpose: for the
+    verbs in ``garble``, its ``ROUTE``/``EXACT`` replies and the data
+    lines of its ``OK table``/``OK costs`` replies carry a non-integer
+    cost."""
+
+    garble: frozenset = frozenset()
+
+    async def handle_line(self, line, state):
+        reply = await super().handle_line(line, state)
+        verb = line.split()[0].upper() if line.split() else ""
+        if verb not in self.garble:
+            return reply
+        head, *rows = reply.split("\n")
+        if verb in ("ROUTE", "EXACT") and head.startswith("OK "):
+            ok, cost, rest = head.split(" ", 2)
+            return f"{ok} {cost}x {rest}"
+        if head.startswith(("OK table", "OK costs")):
+            return "\n".join([head] + [f"x{row}" if row[0].isdigit()
+                                       else row for row in rows])
+        return reply
+
+
+class TestMalformedBackendReply:
+    """A backend reply whose cost field is not an integer fails that
+    one request with ``ERR federation``, tagged or not; the front
+    end's connection keeps serving and counts the error."""
+
+    @pytest.mark.parametrize("verb, request_line, frame", [
+        ("ROUTE", "ROUTE seismo", "OK 300x seismo seismo!%s seismo!%s"),
+        ("EXACT", "EXACT seismo", "OK 300x seismo seismo!%s"),
+        ("TABLE", "ROUTE topaz", "x300 allegra allegra!%s"),
+        ("COSTS", "ROUTE topaz", "x300 allegra"),
+    ])
+    def test_error_reply_and_connection_survives(self, shard_paths, verb,
+                                                 request_line, frame):
+        async def reply_frame(r, w, line):
+            w.write(line.encode() + b"\n")
+            await w.drain()
+            raw = await asyncio.wait_for(r.readline(), 10)
+            assert raw, f"connection closed instead of answering {line!r}"
+            return raw.decode().rstrip("\n")
+
+        async def scenario():
+            servers, backends = [], {}
+            for name, path in shard_paths.items():
+                service = _GarblingService(path)
+                service.garble = frozenset({verb})
+                server = await serve(service)
+                servers.append(server)
+                backends[name] = \
+                    f"127.0.0.1:{server.sockets[0].getsockname()[1]}"
+            front = await FederationService.create(
+                backends=backends, default_source="ihnp4", cache_size=0)
+            server = await serve(front)
+            port = server.sockets[0].getsockname()[1]
+            r, w = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                error = ("ERR federation backend backbone protocol "
+                         f"error: {frame!r}")
+                assert await reply_frame(r, w, request_line) == error
+                assert await reply_frame(
+                    r, w, f"@t1 {request_line}") == f"@t1 {error}"
+                stats = await reply_frame(r, w, "STATS")
+                assert stats.startswith("OK lookups=")
+                assert " n_errors=2 " in stats
+            finally:
+                w.close()
+                server.close()
+                await server.wait_closed()
+                for name, shard in front.view.shards.items():
+                    await shard.backend.aclose(grace=0.0)
+                for backend_server in servers:
+                    backend_server.close()
+                    await backend_server.wait_closed()
+
+        asyncio.run(scenario())
+
+
+class _StallingService(RouteService):
+    """A backend daemon whose ``ROUTE`` replies come too late."""
+
+    async def handle_line(self, line, state):
+        if line.split()[:1] == ["ROUTE"]:
+            await asyncio.sleep(1.0)
+        return await super().handle_line(line, state)
+
+
+class TestStalledBackend:
+    def test_timeout_twice_is_a_federation_error(self, shard_paths):
+        """A backend that misses the client timeout on the request and
+        on its one retry fails that request with ``ERR federation``;
+        the front end's connection keeps serving."""
+
+        async def reply_frame(r, w, line):
+            w.write(line.encode() + b"\n")
+            await w.drain()
+            raw = await asyncio.wait_for(r.readline(), 10)
+            assert raw, f"connection closed instead of answering {line!r}"
+            return raw.decode().rstrip("\n")
+
+        async def scenario():
+            backend_server = await serve(
+                _StallingService(shard_paths["backbone"]))
+            port = backend_server.sockets[0].getsockname()[1]
+            backend = ShardBackend("backbone", "127.0.0.1", port,
+                                   timeout=0.2)
+            shard = await BackendShard.connect("backbone", backend)
+            front = FederationService([shard], default_source="ihnp4",
+                                      cache_size=0)
+            server = await serve(front)
+            r, w = await asyncio.open_connection(
+                "127.0.0.1", server.sockets[0].getsockname()[1])
+            try:
+                error = (f"ERR federation backend backbone "
+                         f"(127.0.0.1:{port}) failed: TimeoutError")
+                assert await reply_frame(r, w, "ROUTE seismo") == error
+                assert await reply_frame(r, w, "@t1 ROUTE seismo") == \
+                    f"@t1 {error}"
+                stats = await reply_frame(r, w, "STATS")
+                assert " n_errors=2 " in stats
+            finally:
+                w.close()
+                server.close()
+                await server.wait_closed()
+                await backend.aclose(grace=0.0)
+                backend_server.close()
+                await backend_server.wait_closed()
+
+        asyncio.run(scenario())

@@ -10,9 +10,9 @@ The acceptance bars:
   entry, and a result computed against a pre-bump view is **never**
   inserted as current (the stamp discipline), even when the compute
   spans await points in a live federation;
-* the differential oracle (``resolve_with_cost_dict``) bypasses the
-  cache unconditionally — a deliberately poisoned entry is invisible
-  to it;
+* the differential oracle (``resolve_with_cost_dict``) walks a cached
+  surface's inner one, never its cache — a deliberately poisoned
+  entry is invisible to it;
 * negative entries are bounded separately, so a scan of garbage names
   cannot evict the hot positive set.
 """
@@ -36,6 +36,7 @@ from repro.service.cache import (
 )
 from repro.service.daemon import RouteService
 from repro.service.federation import FederationService
+from repro.service.resolver import resolve_with_cost_dict
 from repro.service.store import (
     SnapshotReader,
     SnapshotResolver,
@@ -250,12 +251,11 @@ class TestCachingResolver:
 
     def test_poisoned_cache_is_invisible_to_the_oracle(
             self, snapshot_resolver):
-        """Satellite regression: ``resolve_with_cost_dict`` bypasses
-        the cache *unconditionally*.  Poison the cached template for a
-        pair and prove the engine path serves the poison (the cache is
-        really consulted) while the oracle still answers from the
-        snapshot — so differential fuzzing compares engine to truth,
-        never cache to cache."""
+        """``resolve_with_cost_dict`` never reads the cache.  Poison
+        the cached template for a pair and prove the engine path
+        serves the poison (the cache is really consulted) while the
+        oracle still answers from the snapshot — so differential
+        fuzzing compares engine to truth, never cache to cache."""
         cached = snapshot_resolver.cached()
         truth = snapshot_resolver.resolve_with_cost("d", "u")
         assert cached.resolve_with_cost("d", "u") == truth
@@ -266,14 +266,8 @@ class TestCachingResolver:
         cached.cache.put(("R", "d"), (999, poisoned),
                          cached.cache.epoch)
         assert cached.resolve_with_cost("d", "u")[0] == 999
-        assert cached.resolve_with_cost_dict("d", "u") == \
-            snapshot_resolver.resolve_with_cost_dict("d", "u") == truth
-
-    def test_oracle_delegates_to_plain_resolve_when_absent(self):
-        db = RouteDatabase({"host": "host!%s"})
-        cached = CachingResolver(db, size=4)
-        assert cached.resolve_with_cost_dict("host", "u") == \
-            db.resolve_with_cost("host", "u")
+        assert resolve_with_cost_dict(cached, "d", "u") == \
+            resolve_with_cost_dict(snapshot_resolver, "d", "u") == truth
 
     def test_bump_invalidates_wrapper(self, tmp_path):
         """Swap the snapshot under the wrapper, bump, and the next

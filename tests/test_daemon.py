@@ -115,6 +115,24 @@ class TestProtocol:
         with pytest.raises(SnapshotError, match="no table"):
             RouteService(snap1, default_source="ghost")
 
+    def test_reload_takes_exactly_one_token(self, snapshots):
+        """A snapshot path is one wire token: ``RELOAD a b`` is a usage
+        error, never an attempt to open a file named ``'a b'``."""
+        snap1, snap2 = snapshots
+
+        async def scenario():
+            service = RouteService(snap1, default_source="a")
+            state = service.initial_state()
+            for verb in ("RELOAD", "WRELOAD"):
+                assert await service.handle_line(
+                    f"{verb} {snap2} extra", state) == \
+                    f"ERR usage {verb} <snapshot>"
+            assert service.reloads == 0
+            assert await service.handle_line(f"RELOAD {snap2}", state) \
+                == f"OK reloaded 4 {snap2}"
+
+        asyncio.run(scenario())
+
     def test_stats_format_and_verb_counters(self, snapshots):
         """STATS reports the served snapshot's format version and
         per-verb counters that a RELOAD must never reset."""

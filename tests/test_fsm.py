@@ -27,7 +27,7 @@ from repro.service.fsm import (
     compile_keys,
     load,
 )
-from repro.service.resolver import domain_suffixes
+from repro.service.resolver import domain_suffixes, resolve_with_cost_dict
 from repro.service.shard import FederationView, Shard
 from repro.service.store import SnapshotReader, build_snapshot
 
@@ -191,7 +191,7 @@ class TestSnapshotTableDifferential:
                 rng, [name.decode() for name in table.record_names()])
             for target in targets:
                 try:
-                    expect = table.resolve_with_cost_dict(target, "u")
+                    expect = resolve_with_cost_dict(table, target, "u")
                 except RouteError as exc:
                     with pytest.raises(RouteError) as err:
                         table.resolve_with_cost(target, "u")
@@ -251,7 +251,7 @@ class TestRouteDatabaseDifferential:
                            costs={k: i for i, k in enumerate(keys)})
         for target in probe_targets(rng, keys):
             try:
-                expect = db.resolve_with_cost_dict(target, "u")
+                expect = resolve_with_cost_dict(db, target, "u")
             except RouteError:
                 with pytest.raises(RouteError):
                     db.resolve_with_cost(target, "u")

@@ -25,6 +25,7 @@ from repro.service.resolver import (
     Resolver,
     SuffixResolver,
     domain_suffixes,
+    resolve_with_cost_dict,
 )
 from repro.service.shard import FederationResolver, FederationView, Shard
 from repro.service.store import (
@@ -88,16 +89,20 @@ class TestProtocolMembership:
 
     def test_suffix_search_is_shared(self, reader):
         """One implementation of the paper's lookup procedure: the
-        hot path is the compiled automaton, but both surfaces keep the
-        inherited walk reachable as the dict-dispatch oracle (the
-        differential tests hold them byte-identical)."""
-        assert isinstance(reader.table("a"), SuffixResolver)
-        assert isinstance(RouteDatabase({}), SuffixResolver)
+        hot path is the compiled automaton, and the dict-dispatch
+        oracle is the inherited walk over each surface's own lookup
+        (the differential tests hold the two byte-identical)."""
+        table = reader.table("a")
+        db = RouteDatabase({"b": "b!%s", ".edu": "seismo!%s"},
+                           costs={"b": 10, ".edu": 95})
+        assert isinstance(table, SuffixResolver)
+        assert isinstance(db, SuffixResolver)
         walk = SuffixResolver.resolve_with_cost
         assert SnapshotTable.resolve_with_cost is not walk
         assert RouteDatabase.resolve_with_cost is not walk
-        assert SnapshotTable.resolve_with_cost_dict is walk
-        assert RouteDatabase.resolve_with_cost_dict is walk
+        for surface, target in ((table, "d"), (db, "b"), (db, "x.edu")):
+            assert resolve_with_cost_dict(surface, target, "u") == \
+                walk(surface, target, "u")
         assert RouteDatabase.resolve is SuffixResolver.resolve
         assert SnapshotTable.resolve is SuffixResolver.resolve
 

@@ -317,3 +317,33 @@ class TestAtomicWrite:
             os.umask(old)
         assert (tmp_path / "x.snap").stat().st_mode == \
             (tmp_path / "plain").stat().st_mode
+
+    @pytest.mark.parametrize("o_directory", [True, False])
+    def test_file_synced_before_rename_and_directory_after(
+            self, tmp_path, monkeypatch, o_directory):
+        """A power loss must not leave a renamed but empty snapshot:
+        the temp file is synced before the rename, and the directory
+        after it wherever directories can be opened."""
+        import os
+        import stat
+
+        first, _ = self.graphs()
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            calls.append(f"fsync {kind}")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(store.os, "fsync", fsync)
+        monkeypatch.setattr(store.os, "replace", replace)
+        if not o_directory:
+            monkeypatch.delattr(store.os, "O_DIRECTORY", raising=False)
+        build_snapshot(first, tmp_path / "x.snap")
+        want = ["fsync file", "replace", "fsync dir"]
+        assert calls == (want if o_directory else want[:2])

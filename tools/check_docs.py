@@ -6,9 +6,11 @@ Four checks, each of which has actually drifted in this repo's past:
 1. **Protocol page vs. the daemons.**  ``docs/protocol.md`` carries
    machine-readable markers (``<!-- verbs:daemon ... -->`` and
    ``<!-- verbs:federation ... -->``).  Each marker must list exactly
-   the verbs the corresponding service class implements (its ``VERBS``
-   table), and every listed verb must also have a ``### VERB`` heading
-   in the page, so the marker cannot drift from the prose.
+   the verbs the corresponding service class implements (its ``VERBS``,
+   read off its verb table), and every listed verb must also have a
+   ``### VERB`` heading in the page, so the marker cannot drift from
+   the prose.  ``VERBS`` in turn must name exactly the verbs the class
+   declares a ``do_<VERB>`` handler for.
 
 2. **Links.**  Every relative markdown link in README.md and
    ``docs/*.md`` must point at a file that exists.
@@ -50,65 +52,39 @@ LINKED_PAGES = ("README.md", "docs/architecture.md",
                 "docs/protocol.md", "docs/snapshot-format.md")
 
 
-#: where each service's protocol dispatch lives, for the AST check.
-SERVICE_SOURCES = {
-    "daemon": ("src/repro/service/daemon.py", "RouteService"),
-    "federation": ("src/repro/service/federation.py",
-                   "FederationService"),
-}
-
-
-def _service_verbs() -> dict[str, tuple]:
-    """The live verb tables, imported from the daemons themselves."""
+def _service_classes() -> dict:
+    """The daemons' service classes, by protocol-page marker name."""
     sys.path.insert(0, str(REPO / "src"))
     from repro.service.daemon import RouteService
     from repro.service.federation import FederationService
 
-    return {"daemon": RouteService.VERBS,
-            "federation": FederationService.VERBS}
+    return {"daemon": RouteService, "federation": FederationService}
 
 
-def _dispatched_verbs(path: Path, class_name: str) -> set:
-    """The verbs ``class_name.handle_line`` actually compares
-    ``command`` against, read from the source AST — so the VERBS
-    tables cannot drift from the dispatch they describe."""
-    tree = ast.parse(path.read_text())
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.ClassDef)
-                and node.name == class_name):
-            continue
-        for fn in node.body:
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and fn.name == "handle_line":
-                verbs = set()
-                for sub in ast.walk(fn):
-                    if isinstance(sub, ast.Compare) \
-                            and isinstance(sub.left, ast.Name) \
-                            and sub.left.id == "command":
-                        for comp in sub.comparators:
-                            if isinstance(comp, ast.Constant) \
-                                    and isinstance(comp.value, str):
-                                verbs.add(comp.value)
-                return verbs
-    return set()
+def _service_verbs() -> dict[str, tuple]:
+    """The live verb lists, imported from the daemons themselves."""
+    return {service: cls.VERBS
+            for service, cls in _service_classes().items()}
 
 
 def check_dispatch(problems: list) -> None:
-    """Each VERBS table names exactly the verbs its handle_line
-    dispatches (the protocol page is checked against VERBS, so this
-    closes the loop: docs == VERBS == code)."""
-    verbs_tables = _service_verbs()
-    for service, (rel, class_name) in SERVICE_SOURCES.items():
-        dispatched = _dispatched_verbs(REPO / rel, class_name)
-        listed = set(verbs_tables[service])
-        for verb in sorted(dispatched - listed):
+    """Each VERBS list names exactly the verbs its service has a
+    ``do_<VERB>`` handler for — what ``LineService.handle_line``
+    dispatches to (the protocol page is checked against VERBS, so
+    this closes the loop: docs == VERBS == code)."""
+    for cls in _service_classes().values():
+        name = f"{cls.__module__}.{cls.__name__}"
+        handled = {attr[3:] for attr in dir(cls)
+                   if attr.startswith("do_")}
+        listed = set(cls.VERBS)
+        for verb in sorted(handled - listed):
             problems.append(
-                f"{rel}: {class_name}.handle_line dispatches {verb} "
-                f"but VERBS does not list it")
-        for verb in sorted(listed - dispatched):
+                f"{name}.handle_line dispatches {verb} but VERBS does "
+                f"not list it")
+        for verb in sorted(listed - handled):
             problems.append(
-                f"{rel}: VERBS lists {verb} but "
-                f"{class_name}.handle_line never dispatches it")
+                f"{name}: VERBS lists {verb} but there is no "
+                f"do_{verb} handler")
 
 
 def check_protocol(problems: list) -> None:
