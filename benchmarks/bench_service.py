@@ -16,9 +16,9 @@ Six numbers the ROADMAP cares about:
 * **fan-out throughput**: the same stitched-lookup workload answered
   by the in-process federation front end vs the remote-backend front
   end (one spawned shard-daemon *process* per region, whole lookups
-  pushed down over sockets on the pipelined wire — tagged frames +
-  speculative stitch), with its round trips per lookup.  On a
-  single-core runner the socket hop is pure
+  pushed down over sockets on the pipelined wire — tagged frames,
+  concurrent clients sharing each connection), with its round trips
+  per lookup.  On a single-core runner the socket hop is pure
   overhead; the ratio is the price paid for sharding the CPU, and on
   multicore hosts the per-shard daemons buy it back.
 * **multi-worker serving**: lookup throughput against the same
@@ -361,11 +361,11 @@ def bench_fanout(tmp: Path, regions: int, hosts: int,
     """Stitched-lookup throughput: in-process front end vs socket
     fan-out to per-shard daemon processes, same workload.
 
-    The fan-out pass runs on the pipelined wire (tagged frames,
-    speculative stitch) and records *round trips per lookup* (total
-    backend requests / lookups answered), so the mechanism of any
-    speedup — fewer awaited socket hops — is in the numbers, not just
-    the rate.
+    The fan-out pass runs on the pipelined wire (tagged frames, one
+    serial stitch per client request) and records *round trips per
+    lookup* (total backend requests / lookups answered), so the
+    mechanism of any speedup — fewer awaited socket hops — is in the
+    numbers, not just the rate.
     """
     import subprocess
 
@@ -577,8 +577,6 @@ class _IndexShard:
     the only surface :class:`FederationView`'s owner dispatch consumes.
     Lets the dispatch bench scale to 10^6 entries without building
     10^6-record snapshots."""
-
-    remote = False
 
     def __init__(self, name: str, index: list):
         self.name = name

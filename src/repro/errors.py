@@ -68,6 +68,17 @@ class FederationError(RouteError):
     """
 
 
+class BackendError(FederationError):
+    """A remote backend shard failed to answer a federated lookup.
+
+    The backend was unreachable or closed, failed its one retry,
+    refused a request, or broke the protocol.  This is a fault of the
+    transport or the backend daemon, not a fact of the map: it may
+    clear on the next request, so lookup caches never keep it, while
+    the wire reply stays ``ERR federation``.
+    """
+
+
 class UnknownShardError(FederationError):
     """A shard-administration verb named a shard that is not attached.
 

@@ -13,9 +13,9 @@ protocol.
 Two classes:
 
 * :class:`ShardBackend` — the asyncio client for one shard daemon: a
-  single multiplexed connection speaking the tagged wire protocol.  A
-  writer task serializes tagged request frames onto the wire and a
-  reply demultiplexer routes tagged reply frames — out of order, bulk
+  single multiplexed connection speaking the tagged wire protocol.
+  Each request writes its tagged frames straight onto the socket, and
+  a reader task routes tagged reply frames — out of order, bulk
   replies interleaved — back to their waiting futures, so many
   requests share one connection's round trip.  It keeps a
   transparent single retry on a stale socket, reconnect-with-backoff
@@ -48,7 +48,7 @@ import base64
 import binascii
 import re
 
-from repro.errors import FederationError
+from repro.errors import BackendError
 from repro.service.daemon import (
     RECONNECT_DELAY,
     RECONNECT_DELAY_MAX,
@@ -94,21 +94,23 @@ class _Pending:
 class _MuxConnection:
     """One pipelined daemon connection shared by many requests.
 
-    A writer task drains a frame queue onto the socket (one writer,
-    so concurrent requests never interleave partial writes or race
-    the stream's drain), and a reader task demultiplexes tagged reply
-    frames into per-request futures.  Bulk replies reassemble by tag:
-    the head frame (``@<tag> OK table <n>``) announces how many
-    continuation frames belong to that tag, so two bulk replies can
-    interleave arbitrarily on the wire and still come apart cleanly.
+    :meth:`submit` writes each request's frames to the socket itself:
+    the event loop is single-threaded and ``StreamWriter.write``
+    appends a whole buffer to the transport synchronously, so frames
+    never interleave and reach the wire in submit order.  One reader
+    task demultiplexes tagged reply frames into per-request futures.
+    Bulk replies reassemble by tag: the head frame (``@<tag> OK table
+    <n>``) announces how many continuation frames belong to that tag,
+    so two bulk replies can interleave arbitrarily on the wire and
+    still come apart cleanly.
 
     ``SOURCE`` ordering: the daemon applies a tagged ``SOURCE``
-    inline in read order, so enqueueing ``@a SOURCE x`` immediately
-    before ``@b ROUTE y`` (one queue item, atomic on the wire)
-    guarantees the ROUTE runs against source ``x``.  The connection
-    tracks the last *enqueued* source; dependent requests keep a
-    reference to their SOURCE's future and fail if it failed —
-    correctness never depends on the speculative send being right.
+    inline in read order, so writing ``@a SOURCE x`` immediately
+    before ``@b ROUTE y`` (one ``write``) guarantees the ROUTE runs
+    against source ``x``.  The connection tracks the last *written*
+    source; dependent requests keep a reference to their SOURCE's
+    future and fail if it failed — correctness never depends on the
+    register guess being right.
     """
 
     def __init__(self, owner: "ShardBackend",
@@ -119,13 +121,11 @@ class _MuxConnection:
         self.writer = writer
         self.broken: Exception | None = None
         self._pending: dict[str, _Pending] = {}
-        self._queue: asyncio.Queue = asyncio.Queue()
         self._next_tag = 0
         self._wire_source: str | None = None
         self._source_fut: asyncio.Future | None = None
-        loop = asyncio.get_running_loop()
-        self._writer_task = loop.create_task(self._write_loop())
-        self._reader_task = loop.create_task(self._read_loop())
+        self._reader_task = asyncio.get_running_loop().create_task(
+            self._read_loop())
 
     # -- submitting requests --------------------------------------------------
 
@@ -142,13 +142,13 @@ class _MuxConnection:
     def submit(self, line: str, *, bulk: bool = False,
                source: str | None = None
                ) -> tuple[asyncio.Future, asyncio.Future | None]:
-        """Enqueue one tagged request; returns ``(reply future,
-        source future or None)``.
+        """Write one tagged request; returns ``(reply future, source
+        future or None)``.
 
-        With ``source``, a tagged ``SOURCE`` ride-along is enqueued
-        first when the wire register differs — atomically, in the
-        same queue item — and the returned source future must be
-        checked ``OK`` by the caller before trusting the reply.
+        With ``source``, a tagged ``SOURCE`` ride-along goes first when
+        the wire register differs — in the same ``write`` — and the
+        returned source future must be checked ``OK`` by the caller
+        before trusting the reply.
         """
         if self.broken is not None:
             raise ConnectionError(str(self.broken))
@@ -164,39 +164,18 @@ class _MuxConnection:
         tag, fut = self._register(bulk)
         frames.append(f"@{tag} {line}")
         self.owner.pipelined += len(frames)
-        self._queue.put_nowait(
+        self.writer.write(
             "".join(f + "\n" for f in frames).encode("utf-8"))
         return fut, src_fut
 
     def reset_source(self, source: str) -> None:
-        """Forget a speculative source binding that the daemon
-        refused, so the next request for it re-sends ``SOURCE``."""
+        """Forget a source binding that the daemon refused, so the
+        next request for it re-sends ``SOURCE``."""
         if self._wire_source == source:
             self._wire_source = None
             self._source_fut = None
 
-    # -- the two connection tasks ---------------------------------------------
-
-    async def _write_loop(self) -> None:
-        """Serialize queued frames onto the socket, coalescing
-        whatever is queued into one write+drain."""
-        try:
-            while True:
-                data = await self._queue.get()
-                if data is None:
-                    return
-                while not self._queue.empty():
-                    more = self._queue.get_nowait()
-                    if more is None:
-                        self._queue.put_nowait(None)
-                        break
-                    data += more
-                self.writer.write(data)
-                await self.writer.drain()
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            self._fail(exc)
+    # -- the reader task ------------------------------------------------------
 
     async def _read_loop(self) -> None:
         """Demultiplex tagged reply frames into pending futures."""
@@ -271,7 +250,6 @@ class _MuxConnection:
                 # own future may never await this shared one
                 pend.fut.exception()
         self._pending.clear()
-        self._queue.put_nowait(None)
         try:
             self.writer.close()
         except Exception:  # pragma: no cover - teardown best effort
@@ -279,10 +257,9 @@ class _MuxConnection:
 
     def abort(self, exc: Exception | None = None) -> None:
         """Tear the connection down (idempotent): fail pending
-        requests and stop both connection tasks."""
+        requests and stop the reader task."""
         self._fail(exc or ConnectionError("connection closed"))
         self._reader_task.cancel()
-        self._writer_task.cancel()
 
 
 class ShardBackend:
@@ -377,7 +354,7 @@ class ShardBackend:
             except (OSError, asyncio.TimeoutError) as exc:
                 if loop.time() + delay > deadline:
                     self._last_failure = str(exc) or type(exc).__name__
-                    raise FederationError(
+                    raise BackendError(
                         f"backend {self.name} ({self.address}) "
                         f"unreachable: {self._last_failure}") from None
                 await asyncio.sleep(delay)
@@ -397,7 +374,7 @@ class ShardBackend:
             if conn is not None and conn.broken is None:
                 return conn
             if self._draining:
-                raise FederationError(
+                raise BackendError(
                     f"backend {self.name} ({self.address}) is closed")
             reader, writer = await self._open()
             self._mux = _MuxConnection(self, reader, writer)
@@ -419,13 +396,13 @@ class ShardBackend:
         first by a tagged ``SOURCE`` ride-along.  One transparent
         retry: a connection-class failure tears the connection down,
         re-dials (with restart patience) and resubmits exactly once; a
-        second one raises :class:`FederationError`, so it fails the
+        second one raises :class:`BackendError`, so it fails the
         one request and never the caller's connection.  Protocol
         errors (``ERR`` replies) are not retried — they reached the
         daemon and back.
         """
         if self._draining:
-            raise FederationError(
+            raise BackendError(
                 f"backend {self.name} ({self.address}) is closed")
         self._inflight += 1
         self.requests += 1
@@ -438,15 +415,15 @@ class ShardBackend:
                                                source=source)
                     result = await asyncio.wait_for(fut, self.timeout)
                     if src_fut is not None:
-                        # resolved before our own reply (the daemon
-                        # answers SOURCE inline, in read order), so
-                        # this never actually waits — shielded
-                        # because the future is shared
-                        src = await asyncio.wait_for(
-                            asyncio.shield(src_fut), self.timeout)
+                        # the daemon answers an inline SOURCE before it
+                        # reads the line behind it, and replies resolve
+                        # in wire order: the SOURCE reply is in hand
+                        if not src_fut.done():
+                            raise self._protocol_error(result)
+                        src = src_fut.result()
                         if not src.startswith("OK"):
                             conn.reset_source(source)
-                            raise FederationError(
+                            raise BackendError(
                                 f"backend {self.name}: {src}")
                     return result
                 except (ConnectionError, OSError, asyncio.TimeoutError,
@@ -455,7 +432,7 @@ class ShardBackend:
                         self._drop_mux(conn, exc)
                     if attempt:
                         self.errors += 1
-                        raise FederationError(
+                        raise BackendError(
                             f"backend {self.name} ({self.address}) "
                             f"failed: {str(exc) or type(exc).__name__}"
                         ) from exc
@@ -483,7 +460,7 @@ class ShardBackend:
         while self._inflight and loop.time() < deadline:
             await asyncio.sleep(0.01)
         # stragglers have drained (or forfeited their window): the
-        # mux connection and its two tasks can go away now
+        # mux connection and its reader task can go away now
         if self._mux is not None:
             self._mux.abort(ConnectionError(
                 f"backend {self.name} closed"))
@@ -501,10 +478,10 @@ class ShardBackend:
     #: :func:`repro.service.daemon.wire_token`)
     _token = staticmethod(wire_token)
 
-    def _protocol_error(self, frame: str) -> FederationError:
+    def _protocol_error(self, frame: str) -> BackendError:
         """The error for a reply frame that breaks the protocol: it
         fails the one request, never the caller's connection."""
-        return FederationError(
+        return BackendError(
             f"backend {self.name} protocol error: {frame!r}")
 
     def _cost(self, field: str, frame: str) -> int:
@@ -531,7 +508,7 @@ class ShardBackend:
         try:
             return base64.b64decode("".join(lines), validate=True)
         except binascii.Error as exc:
-            raise FederationError(
+            raise BackendError(
                 f"backend {self.name} sent a corrupt index "
                 f"automaton: {exc}") from None
 
@@ -548,7 +525,7 @@ class ShardBackend:
                                for d in dests)
         head, lines = await self._call(request, bulk=True)
         if not head.startswith("OK table"):
-            raise FederationError(
+            raise BackendError(
                 f"backend {self.name}: {head}")
         out = {}
         for line in lines:
@@ -571,7 +548,7 @@ class ShardBackend:
                                for n in names)
         head, lines = await self._call(request, bulk=True)
         if not head.startswith("OK costs"):
-            raise FederationError(
+            raise BackendError(
                 f"backend {self.name}: {head}")
         out = {}
         for line in lines:
@@ -599,7 +576,7 @@ class ShardBackend:
             return None
         parts = reply.split()
         if len(parts) != 5 or parts[0] != "OK":
-            raise FederationError(
+            raise BackendError(
                 f"backend {self.name}: {reply}")
         _, cost, matched, _route, address = parts
         # without a user the address IS the relative template
@@ -615,20 +592,20 @@ class ShardBackend:
             return None
         parts = reply.split()
         if len(parts) != 4 or parts[0] != "OK":
-            raise FederationError(
+            raise BackendError(
                 f"backend {self.name}: {reply}")
         return self._cost(parts[1], reply), parts[3]
 
     async def reload(self, snapshot_path: str) -> str:
         """Forward a snapshot reload to the backend daemon; returns
         the daemon's ``OK reloaded ...`` reply (raises
-        :class:`FederationError` on refusal).  A multi-worker backend
+        :class:`BackendError` on refusal).  A multi-worker backend
         (``serve --workers N``) acknowledges only after propagating
         the swap to its whole worker pool, so one forwarded RELOAD
         suffices no matter how many workers answer the address."""
         reply = await self._call(f"RELOAD {snapshot_path}")
         if not reply.startswith("OK reloaded"):
-            raise FederationError(
+            raise BackendError(
                 f"backend {self.name} refused reload: {reply}")
         return reply
 
@@ -660,7 +637,7 @@ class ShardBackend:
         listener task that calls ``callback(path)`` (a plain callable;
         exceptions are swallowed) for every ``NOTIFY reloaded
         <sources> <path>`` frame the daemon pushes.  Raises
-        :class:`FederationError` when the daemon is unreachable or
+        :class:`BackendError` when the daemon is unreachable or
         refuses.  The listener resubscribes with backoff if the daemon
         restarts; :meth:`aclose` tears it down.
         """
@@ -669,12 +646,12 @@ class ShardBackend:
         try:
             reader, writer, reply = await self._notify_dial()
         except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-            raise FederationError(
+            raise BackendError(
                 f"backend {self.name} ({self.address}) notify "
                 f"subscription failed: {exc}") from None
         if not reply.startswith("OK"):
             writer.close()
-            raise FederationError(
+            raise BackendError(
                 f"backend {self.name} refused notify: {reply}")
         self._notify_writer = writer
         self._notify_task = asyncio.get_running_loop().create_task(
@@ -707,7 +684,7 @@ class ShardBackend:
             while not self._draining:
                 try:
                     reader, writer, reply = await self._notify_dial()
-                except (FederationError, ConnectionError, OSError,
+                except (BackendError, ConnectionError, OSError,
                         asyncio.TimeoutError):
                     await asyncio.sleep(delay)
                     delay = min(delay * 2, RECONNECT_DELAY_MAX)
@@ -739,11 +716,6 @@ class BackendShard:
     index describes the backend's snapshot as of attach time, and the
     federation's per-shard RELOAD re-connects a fresh instance.
     """
-
-    #: Remote shards suspend on socket I/O: the stitched Dijkstra
-    #: prefetches their answers speculatively (local shards answer in
-    #: place and are never worth a task).
-    remote = True
 
     def __init__(self, name: str, backend: ShardBackend,
                  index: list[tuple[str, bool]], version: int,
@@ -785,14 +757,14 @@ class BackendShard:
         try:
             names = FlatSuffixAutomaton(blob).names()
         except AutomatonError as exc:
-            raise FederationError(
+            raise BackendError(
                 f"backend {name} ({backend.address}) sent a "
                 f"corrupt index automaton: {exc}") from None
         try:
             version = int(stats.get("format", ""))
             reloads = int(stats.get("reloads", ""))
         except ValueError:
-            raise FederationError(
+            raise BackendError(
                 f"backend {name} ({backend.address}) reported no "
                 f"snapshot format or reload count in STATS") from None
         return cls(name, backend,
@@ -836,7 +808,7 @@ class BackendShard:
         return self._version
 
     def routing_index(self) -> list[tuple[str, bool]]:
-        """The prefetched source/domain ownership index."""
+        """The source/domain ownership index fetched at attach time."""
         return list(self._index)
 
     def has_source(self, source: str) -> bool:
@@ -882,8 +854,8 @@ class BackendShard:
 
         **Single-flight:** concurrent lookups asking for overlapping
         ``(entry, gate)`` keys share one in-flight fetch instead of
-        multiplying identical backend round trips — the speculative
-        stitch and every concurrent request coalesce here.
+        multiplying identical backend round trips — every concurrent
+        client request coalesces here.
         """
         cache = self._legs
         pending = self._leg_pending
@@ -910,10 +882,10 @@ class BackendShard:
             elif waits:
                 # wait(), not gather(): gather propagates a waiter's
                 # cancellation into the shared in-flight future, so a
-                # cancelled speculative stitch would poison the fetch
-                # for every request coalesced on it (and the owner's
-                # set_result above would then blow up on the
-                # already-cancelled future)
+                # request cancelled because its client connection
+                # closed would poison the fetch for every request
+                # coalesced on it (and the owner's set_result above
+                # would then blow up on the already-cancelled future)
                 await asyncio.wait(waits)
         out = {}
         for gate in gates:

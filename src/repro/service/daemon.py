@@ -92,7 +92,7 @@ import sys
 import time
 from typing import NamedTuple
 
-from repro.errors import FederationError, RouteError
+from repro.errors import BackendError, FederationError, RouteError
 from repro.service.cache import (DEFAULT_CACHE_SIZE, ResultCache,
                                  cache_stats_tokens, instantiate)
 from repro.service.resolver import Resolution, resolve_with_cost_dict
@@ -441,8 +441,10 @@ class LineService:
             return cost, answer
         try:
             result = await self._counted(kind, pinned, source, target)
-        except SnapshotError:
-            raise  # never cached: the source may reappear on a swap
+        except (SnapshotError, BackendError):
+            # never cached: the source may reappear on a swap, and a
+            # backend fault may clear by the next request
+            raise
         except RouteError as exc:
             cache.put_negative(key, exc, stamp)
             raise

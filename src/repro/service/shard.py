@@ -55,7 +55,6 @@ answers, no asyncio required for in-process use.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
@@ -103,12 +102,6 @@ class Shard:
     means building a new ``Shard`` around a new reader and swapping it
     into a new :class:`FederationView` — never mutating this one.
     """
-
-    #: Local shards answer from in-memory bytes and never suspend, so
-    #: the stitched Dijkstra queries them in place; remote shards
-    #: (:class:`repro.service.backend.BackendShard`) override this and
-    #: get their answers prefetched speculatively.
-    remote = False
 
     def __init__(self, name: str, reader: SnapshotReader,
                  dispatch: str = "fsm"):
@@ -314,19 +307,6 @@ class FederationView:
                     & self.shards[b].source_set))
                 self._gateways[(a, b)] = shared
                 self._gateways[(b, a)] = shared
-        #: every gate out of each shard, to any other — the full leg
-        #: set a speculative prefetch over-asks (answers are cached
-        #: per (entry, gate), so over-asking never costs a repeat
-        #: round trip)
-        self._all_gates = {
-            name: sorted({g for other in names if other != name
-                          for g in self._gateways[(name, other)]})
-            for name in names}
-        #: whether any shard suspends on sockets — pure-local views
-        #: skip prefetch tasks entirely, which is what keeps the sync
-        #: drive_local() surface working without an event loop
-        self._has_remote = any(getattr(s, "remote", False)
-                               for s in self.shards.values())
 
     # -- structure ------------------------------------------------------------
 
@@ -426,9 +406,9 @@ class FederationView:
 
     def _with_replaced(self, shard: Shard) -> "FederationView":
         """Clone this view with one same-named shard swapped, patching
-        ``_owners``/``_gateways``/``_all_gates`` for just that shard's
-        entries — byte-equivalent to a full rebuild, O(one shard's
-        names) instead of O(every shard's).
+        ``_owners``/``_gateways`` for just that shard's entries —
+        byte-equivalent to a full rebuild, O(one shard's names)
+        instead of O(every shard's).
 
         When the replacement's routing index is unchanged (the
         cost-only churn hot path: revisions reprice links without
@@ -478,13 +458,6 @@ class FederationView:
             gateways[(shard.name, other)] = shared
             gateways[(other, shard.name)] = shared
         view._gateways = gateways
-        names = list(view.shards)
-        view._all_gates = {
-            name: sorted({g for other in names if other != name
-                          for g in gateways[(name, other)]})
-            for name in names}
-        view._has_remote = any(getattr(s, "remote", False)
-                               for s in view.shards.values())
         return view
 
     def without_shard(self, name: str) -> "FederationView":
@@ -522,19 +495,11 @@ class FederationView:
         candidates: the same cheapest route wins on every run, on
         every host.
 
-        **Speculation.**  When the view contains remote shards, every
-        state *pushed* onto the frontier starts a prefetch task for
-        the answers its eventual expansion will need — the full
-        gateway-leg set out of that entry, plus the owner-shard
-        lookup when the shard owns the target — so sibling frontier
-        states fetch concurrently instead of one awaited round trip
-        per expansion.  The pop order, candidate set, and tie-breaks
-        are untouched (prefetched answers are per-(entry, gate) facts,
-        independent of what subset is asked for), so answers stay
-        byte-identical to the serial walk; tasks for states never
-        expanded are cancelled on exit.  Pure-local views skip all
-        task machinery, which is what keeps :func:`drive_local`
-        working without an event loop.
+        The walk is serial, like the paper's mapper: each expansion
+        awaits its shard's answers before the next pop, whether the
+        shard is local (never suspends, so :func:`drive_local` runs it
+        without an event loop) or a remote backend (one round trip,
+        none once its legs are cached).
         """
         home = self.home_shard(source)
         if home is None:
@@ -546,107 +511,52 @@ class FederationView:
         # heap entries: (cost, crossings, shard, entry, template, via)
         heap = [(0, 0, home.name, source, "%s", ())]
         done = set()
-        spec: dict[tuple[str, str], asyncio.Task] = {}
-
-        def prefetch(sname: str, entry: str) -> None:
-            # one speculative task per pushed remote state: the full
-            # leg set (over-asked: cached per (entry, gate), so the
-            # superset costs nothing on repeats) gathered with the
-            # owner lookup when this shard will answer for the target
+        while heap:
+            cost, hops, sname, entry, template, via = heappop(heap)
+            if best_cost is not None and cost > best_cost:
+                # Costs are non-negative, so no state past this point
+                # can yield a candidate that beats — or ties — the
+                # best one found; equal-cost states (cost == best)
+                # still get explored, preserving the tie-breaks.
+                break
+            if (sname, entry) in done:
+                continue
+            done.add((sname, entry))
             shard = self.shards[sname]
-            if not getattr(shard, "remote", False):
-                return
-            key = (sname, entry)
-            if key in spec or key in done:
-                return
-            gates = self._all_gates[sname]
-            is_owner = sname in owner_set
-
-            async def fetch():
-                if is_owner and gates:
-                    return await asyncio.gather(
-                        shard.route_legs(entry, gates),
-                        resolver(shard, entry))
-                if is_owner:
-                    return {}, await resolver(shard, entry)
-                if gates:
-                    return await shard.route_legs(entry, gates), None
-                return {}, None
-
-            spec[key] = asyncio.get_running_loop().create_task(
-                fetch())
-
-        if self._has_remote:
-            prefetch(home.name, source)
-        try:
-            while heap:
-                cost, hops, sname, entry, template, via = heappop(heap)
-                if best_cost is not None and cost > best_cost:
-                    # Costs are non-negative, so no state past this
-                    # point can yield a candidate that beats — or
-                    # ties — the best one found; equal-cost states
-                    # (cost == best) still get explored, preserving
-                    # the tie-breaks.
-                    break
-                if (sname, entry) in done:
+            if sname in owner_set:
+                reached_owner = True
+                hit = await resolver(shard, entry)
+                if hit is not None:
+                    in_cost, in_template, matched = hit
+                    candidates.append((
+                        cost + in_cost, hops, sname, via,
+                        template.replace("%s", in_template, 1),
+                        matched))
+                    if best_cost is None or cost + in_cost < best_cost:
+                        best_cost = cost + in_cost
+            # One batched gateway question per expansion: every gate
+            # this entry could cross, asked of the shard in a single
+            # round trip (for a remote shard, one socket exchange
+            # instead of one per gate).
+            wanted: dict[str, list[str]] = {}
+            for other in self.shards:
+                if other == sname:
                     continue
-                done.add((sname, entry))
-                shard = self.shards[sname]
-                task = spec.pop((sname, entry), None)
-                pre_legs = pre_hit = None
-                if task is not None:
-                    pre_legs, pre_hit = await task
-                if sname in owner_set:
-                    reached_owner = True
-                    hit = pre_hit if task is not None \
-                        else await resolver(shard, entry)
-                    if hit is not None:
-                        in_cost, in_template, matched = hit
-                        candidates.append((
-                            cost + in_cost, hops, sname, via,
-                            template.replace("%s", in_template, 1),
-                            matched))
-                        if best_cost is None \
-                                or cost + in_cost < best_cost:
-                            best_cost = cost + in_cost
-                # One batched gateway question per expansion: every
-                # gate this entry could cross, asked of the shard in
-                # a single round trip (for a remote shard, one socket
-                # exchange instead of one per gate) — already in hand
-                # when the prefetch ran.
-                wanted: dict[str, list[str]] = {}
-                for other in self.shards:
-                    if other == sname:
-                        continue
-                    for gate in self._gateways[(sname, other)]:
-                        if (other, gate) not in done:
-                            wanted.setdefault(gate, []).append(other)
-                if task is not None:
-                    legs = pre_legs
-                else:
-                    legs = await shard.route_legs(
-                        entry, sorted(wanted)) if wanted else {}
-                for gate, others in wanted.items():
-                    leg = legs.get(gate)
-                    if leg is None:
-                        continue  # gateway unreachable in this shard
-                    gate_cost, gate_route = leg
-                    for other in others:
-                        heappush(heap, (
-                            cost + gate_cost, hops + 1, other, gate,
-                            template.replace("%s", gate_route, 1),
-                            via + ((gate, other),)))
-                        if self._has_remote:
-                            prefetch(other, gate)
-        finally:
-            # states never expanded: cancel their speculative tasks
-            # and reap them so nothing leaks a pending task or an
-            # unretrieved exception past this lookup
-            for task in spec.values():
-                task.cancel()
-            if spec:
-                await asyncio.gather(*spec.values(),
-                                     return_exceptions=True)
+                for gate in self._gateways[(sname, other)]:
+                    if (other, gate) not in done:
+                        wanted.setdefault(gate, []).append(other)
+            legs = await shard.route_legs(
+                entry, sorted(wanted)) if wanted else {}
+            for gate, others in wanted.items():
+                leg = legs.get(gate)
+                if leg is None:
+                    continue  # gateway unreachable in this shard
+                gate_cost, gate_route = leg
+                for other in others:
+                    heappush(heap, (
+                        cost + gate_cost, hops + 1, other, gate,
+                        template.replace("%s", gate_route, 1),
+                        via + ((gate, other),)))
         if candidates:
             return min(candidates)
         if not reached_owner:

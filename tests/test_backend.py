@@ -60,6 +60,27 @@ def repriced_universities() -> str:
         "winnie(HOURLY)")
 
 
+class _CountingShard(Shard):
+    """A local shard that counts the owner lookups a walk asks it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.resolves = 0
+
+    async def entry_resolve(self, entry, target):
+        self.resolves += 1
+        return await super().entry_resolve(entry, target)
+
+
+async def _reply_frame(r, w, line):
+    """One request line to a front end, its one reply frame."""
+    w.write(line.encode() + b"\n")
+    await w.drain()
+    raw = await asyncio.wait_for(r.readline(), 10)
+    assert raw, f"connection closed instead of answering {line!r}"
+    return raw.decode().rstrip("\n")
+
+
 class _Cluster:
     """Per-shard RouteService daemons on one event loop, plus their
     ``host:port`` backend specs — the in-loop stand-in for separate
@@ -276,13 +297,13 @@ class TestBackendShard:
 
 
 class TestLegSingleFlight:
-    """Coalesced leg fetches survive speculative-stitch reaping.
+    """Coalesced leg fetches survive a cancelled request.
 
-    The stitched Dijkstra cancels speculative prefetch tasks it never
-    expanded; a cancelled task parked on another fetch's in-flight
-    future must neither poison that future for the owner (whose
-    completion-signal ``set_result`` would hit an already-cancelled
-    future) nor spuriously cancel unrelated coalesced lookups.
+    A request is cancelled when its client connection closes; one
+    parked on another request's in-flight leg fetch must neither
+    poison that fetch for the owner (whose completion-signal
+    ``set_result`` would hit an already-cancelled future) nor
+    spuriously cancel unrelated coalesced lookups.
     """
 
     def test_cancelled_waiter_does_not_poison_the_fetch(self):
@@ -310,7 +331,7 @@ class TestLegSingleFlight:
             victim = asyncio.ensure_future(shard.route_legs("a", ["g"]))
             await asyncio.sleep(0)  # both coalesce on the owner
             await asyncio.sleep(0)
-            victim.cancel()  # the stitch reaps a speculative task
+            victim.cancel()  # its client went away
             with pytest.raises(asyncio.CancelledError):
                 await victim
             backend.release.set()
@@ -401,6 +422,54 @@ class TestFanOutFederation:
                              want.via), (source, dest)
                     checked += 1
             assert checked > 1000  # the suite really swept the matrix
+            await cluster.close()
+
+        asyncio.run(scenario())
+
+    def test_warm_stitch_asks_only_the_owner_entries_it_expands(
+            self, shard_paths):
+        """With every gateway leg cached, a stitch sends a backend
+        exactly one request per owner entry the walk expands — the
+        same owner lookups the in-process walk makes, shard by shard,
+        and nothing for states it never pops."""
+        local_view = FederationView(
+            [_CountingShard.open(name, path)
+             for name, path in shard_paths.items()])
+        sources = local_view.sources()
+        pairs = [(source, dest)
+                 for source in sources
+                 for dest in sources + ["caip.rutgers.edu",
+                                        "ernie.berkeley.edu", "x.edu"]
+                 if dest != source]
+
+        async def sweep(view):
+            for source, dest in pairs:
+                try:
+                    await view.aresolve_with_cost(source, dest, "user")
+                except RouteError:
+                    pass
+
+        async def scenario():
+            cluster = _Cluster()
+            backends = {}
+            for name, path in shard_paths.items():
+                backends[name] = await cluster.start(name, path)
+            service = await FederationService.create(
+                backends=backends, default_source="ihnp4", cache_size=0)
+            remote = service.view
+            await sweep(remote)  # warms every leg the matrix needs
+            before = {name: shard.backend.requests
+                      for name, shard in remote.shards.items()}
+            await sweep(remote)
+            asked = {name: shard.backend.requests - before[name]
+                     for name, shard in remote.shards.items()}
+            await sweep(local_view)
+            expanded = {name: shard.resolves
+                        for name, shard in local_view.shards.items()}
+            assert sum(expanded.values()) > len(pairs)
+            assert asked == expanded
+            for shard in remote.shards.values():
+                await shard.backend.aclose(grace=0.0)
             await cluster.close()
 
         asyncio.run(scenario())
@@ -1022,6 +1091,52 @@ class TestMalformedBackendReply:
                 server.close()
                 await server.wait_closed()
                 for name, shard in front.view.shards.items():
+                    await shard.backend.aclose(grace=0.0)
+                for backend_server in servers:
+                    backend_server.close()
+                    await backend_server.wait_closed()
+
+        asyncio.run(scenario())
+
+
+class TestBackendFaultNotCached:
+    """A backend fault answers ``ERR federation`` but is not a fact of
+    the map: with the result cache on, the pair's next request asks
+    the backend again and gets the real answer once it recovers."""
+
+    def test_recovered_backend_answers_through_the_cache(
+            self, shard_paths):
+        async def scenario():
+            servers, services, backends = [], {}, {}
+            for name, path in shard_paths.items():
+                services[name] = service = _GarblingService(path)
+                server = await serve(service)
+                servers.append(server)
+                backends[name] = \
+                    f"127.0.0.1:{server.sockets[0].getsockname()[1]}"
+            front = await FederationService.create(
+                backends=backends, default_source="ihnp4")
+            assert front.cache is not None
+            server = await serve(front)
+            port = server.sockets[0].getsockname()[1]
+            r, w = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                services["backbone"].garble = frozenset({"ROUTE"})
+                assert await _reply_frame(r, w, "ROUTE seismo") == (
+                    "ERR federation backend backbone protocol error: "
+                    "'OK 300x seismo seismo!%s seismo!%s'")
+                services["backbone"].garble = frozenset()
+                answer = "OK 300 seismo seismo!%s seismo!%s"
+                assert await _reply_frame(r, w, "ROUTE seismo") == answer
+                # the recovered answer is cached like any other
+                assert await _reply_frame(r, w, "ROUTE seismo") == answer
+                stats = await _reply_frame(r, w, "STATS")
+                assert " n_cache_hits=1 " in stats
+            finally:
+                w.close()
+                server.close()
+                await server.wait_closed()
+                for shard in front.view.shards.values():
                     await shard.backend.aclose(grace=0.0)
                 for backend_server in servers:
                     backend_server.close()

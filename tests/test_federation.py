@@ -325,8 +325,6 @@ class TestEdgeCases:
         assert list(patched.shards) == list(rebuilt.shards)
         assert patched._owners == rebuilt._owners
         assert patched._gateways == rebuilt._gateways
-        assert patched._all_gates == rebuilt._all_gates
-        assert patched._has_remote == rebuilt._has_remote
 
 
 async def request(reader, writer, line: str) -> str:

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.pathalias import Pathalias
-from repro.errors import RouteError
+from repro.errors import BackendError, RouteError
 from repro.service.backend import BackendShard, ShardBackend
 from repro.service.daemon import RouteService, serve
 from repro.service.federation import FederationService
@@ -270,6 +270,86 @@ class TestMuxDemux:
             # no capability probe: the first frame is already tagged
             assert [line.split()[1] for line in received] == \
                 ["TABLE", "COSTS"]
+            await backend.aclose(grace=0.0)
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(scenario())
+
+
+class TestSourceOrder:
+    """The daemon answers an inline ``SOURCE`` before it reads the
+    request behind it, so a request's reply can never overtake its
+    ``SOURCE`` reply; a scripted server that breaks that order fails
+    the one request as a protocol error instead of trusting it."""
+
+    def test_reply_before_its_source_is_a_protocol_error(self):
+        async def scenario():
+            served = asyncio.Event()
+
+            async def scripted(reader, writer):
+                tags = []
+                while len(tags) < 2:
+                    line = (await reader.readline()).decode().strip()
+                    tags.append(line.partition(" ")[0])
+                src, req = tags
+                writer.write(f"{req} OK 7 y y!%s y!%s\n".encode())
+                await writer.drain()
+                await asyncio.sleep(0.2)  # the client acts on the reply
+                writer.write(f"{src} OK source x backbone\n".encode())
+                await writer.drain()
+                await reader.read()
+                writer.close()
+                served.set()
+
+            server = await asyncio.start_server(scripted, "127.0.0.1",
+                                                0)
+            port = server.sockets[0].getsockname()[1]
+            backend = ShardBackend("scripted", "127.0.0.1", port)
+            with pytest.raises(BackendError, match="protocol error: "
+                               "'OK 7 y y!%s y!%s'"):
+                await backend.route("x", "y")
+            await backend.aclose(grace=0.0)
+            await asyncio.wait_for(served.wait(), 5)
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(scenario())
+
+
+class TestConcurrentSources:
+    """Many requests, many sources, one connection: ``submit`` writes
+    each ``SOURCE`` ride-along and its request in one ``write``, so a
+    request can never run under another request's source."""
+
+    def test_gathered_lookups_keep_their_own_source(self, shard_paths):
+        async def scenario():
+            local = Shard.open("backbone", shard_paths["backbone"])
+            names = local.sources()
+            entries = names[:5]
+            want = {(e, t): await local.entry_resolve(e, t)
+                    for e in entries for t in names}
+            # targets whose answer differs under every entry, so a
+            # request served under the wrong source cannot pass
+            targets = [t for t in names
+                       if len({want[(e, t)] for e in entries})
+                       == len(entries)]
+            assert len(targets) >= 3
+            pairs = [(entries[i % len(entries)],
+                      targets[i % len(targets)]) for i in range(200)]
+
+            server, port = await _start(
+                RouteService(shard_paths["backbone"]))
+            backend = ShardBackend("backbone", "127.0.0.1", port)
+            shard = await BackendShard.connect("backbone", backend)
+            frames = backend.pipelined
+            got = await asyncio.gather(
+                *(shard.entry_resolve(e, t) for e, t in pairs))
+            assert got == [want[pair] for pair in pairs]
+            # every request switched source: one SOURCE frame each,
+            # all on the one connection
+            assert backend.pipelined - frames == 2 * len(pairs)
+            assert backend.connects == 1
             await backend.aclose(grace=0.0)
             server.close()
             await server.wait_closed()
