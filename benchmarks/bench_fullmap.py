@@ -33,8 +33,10 @@ def test_full_scale_pipeline(benchmark, usenet_generated):
         ("e/v", f"{stats.sparsity:.2f}"),
         ("routes printed", len(result.table)),
         ("unreachable", len(result.table.unreachable)),
-        ("scan (s)", f"{times.scan:.3f}"),
-        ("parse (s)", f"{times.parse:.3f}"),
+        # the hand scanner runs inside the parser's fast path, so the
+        # whole front end reads as parse (PhaseTimes)
+        ("scan (s; 0 with the hand scanner)", f"{times.scan:.3f}"),
+        ("parse (s; scan + parse)", f"{times.parse:.3f}"),
         ("build (s)", f"{times.build:.3f}"),
         ("map (s)", f"{times.map:.3f}"),
         ("print (s)", f"{times.print:.3f}"),

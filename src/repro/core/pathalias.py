@@ -29,7 +29,14 @@ from repro.parser.scanner import Scanner
 
 @dataclass
 class PhaseTimes:
-    """Wall-clock seconds per phase."""
+    """Wall-clock seconds per phase.
+
+    ``scan`` is the whole-text tokenizing a non-hand scanner does before
+    parsing (``--lex``, experiment E3's baseline).  With the hand
+    :class:`Scanner`, the parser recognises common host statements
+    whole and scans only the rest itself, so the whole front end counts
+    as ``parse`` and ``scan`` reads 0.0.
+    """
 
     scan: float = 0.0
     parse: float = 0.0
@@ -104,9 +111,10 @@ class Pathalias:
         builder = GraphBuilder()
         for filename, text in named_texts:
             t0 = time.perf_counter()
-            tokens = self.scanner_class(text, filename).tokens()
+            parser = Parser.from_text(text, filename, self.case_fold,
+                                      self.scanner_class)
             t1 = time.perf_counter()
-            decls = Parser(tokens, filename, self.case_fold).parse()
+            decls = parser.parse()
             t2 = time.perf_counter()
             builder.new_file(filename)
             for decl in decls:

@@ -40,6 +40,12 @@ class LinkKind(enum.Enum):
     NET_MEMBER = "net-member"
     INFERRED = "inferred"
 
+    # Members are singletons compared by identity, so the C-level
+    # identity hash will do.  Enum's own ``__hash__`` is a Python call
+    # (``hash(self._name_)``), paid twice per link by the builder's
+    # dedup key and again by ``CompactGraph.compile``.
+    __hash__ = object.__hash__
+
 
 #: Kinds that represent a real transmission hop (penalizable); the rest
 #: are structural artifacts of the representation.

@@ -20,12 +20,23 @@ A link may carry its routing operator before the name (host appears on
 the RIGHT of the operator in addresses: ``@b`` means ``%s@b``) or after
 it (host on the LEFT: ``b!`` means ``b!%s``); bare names default to
 ``!`` LEFT.
+
+Nearly every statement of a real map has one shape, a host and its
+operator-free link list on one line (``host<TAB>name(COST), ...``).  A
+parser built by :meth:`Parser.from_text` with the hand scanner
+recognises such a line whole with one regular expression and builds its
+:class:`HostDecl` directly; every other statement is scanned and parsed
+token by token, and the two lists are merged by line.  The declarations,
+and any error, are those of the token path.
 """
 
 from __future__ import annotations
 
+import re
+from operator import attrgetter
+
 from repro.config import COST_SYMBOLS
-from repro.errors import CostExpressionError, ParseError
+from repro.errors import CostExpressionError, InputError, ParseError
 from repro.parser.ast import (
     AdjustDecl,
     AliasDecl,
@@ -40,7 +51,7 @@ from repro.parser.ast import (
     NetDecl,
     PrivateDecl,
 )
-from repro.parser.costexpr import CostExpression
+from repro.parser.costexpr import CostExpression, evaluate_cost
 from repro.parser.scanner import Scanner
 from repro.parser.tokens import Token, TokenKind
 
@@ -49,9 +60,27 @@ from repro.parser.tokens import Token, TokenKind
 KEYWORDS = frozenset({"private", "dead", "adjust", "delete", "file",
                       "gatewayed"})
 
+#: A name the scanner reads as one NAME token: name characters, at
+#: least one of them not a digit (an all-digit run is a NUMBER).
+_NAME = r"[0-9]*[A-Za-z._+-][A-Za-z0-9._+-]*"
+#: An operator-free cost: cost-context names, numbers, ``*`` and ``/``.
+_COST = r"[A-Za-z0-9._*/]+"
+_LINK = rf"{_NAME}(?:[ \t]*\({_COST}\))?"
+#: The common host statement, matched against one whole physical line.
+_HOST_LINE = re.compile(
+    rf"({_NAME})[ \t]+{_LINK}(?:[ \t]*,[ \t]*{_LINK})*[ \t]*")
+#: One link of a matched line: its name and its cost text ('' if none).
+_LINKS = re.compile(rf"({_NAME})(?:[ \t]*\(({_COST})\))?")
+#: Memo entry of a cost text whose statement must take the token path.
+_DECLINE = object()
+
 
 class Parser:
-    """Parse a token stream into a list of declarations."""
+    """Parse a token stream into a list of declarations.
+
+    ``Parser(tokens)`` parses tokens a scanner already made;
+    :meth:`from_text` builds a parser over a file's text.
+    """
 
     def __init__(self, tokens: list[Token], filename: str = "<stdin>",
                  case_fold: bool = False,
@@ -64,6 +93,29 @@ class Parser:
         #: table)
         self.symbols = COST_SYMBOLS if symbols is None else symbols
         self.pos = 0
+        #: the file text, when :meth:`parse` is to recognise common host
+        #: statements whole and scan only the rest
+        self.text: str | None = None
+
+    @classmethod
+    def from_text(cls, text: str, filename: str = "<stdin>",
+                  case_fold: bool = False,
+                  scanner_class: type[Scanner] = Scanner,
+                  symbols: dict[str, int] | None = None) -> Parser:
+        """A parser over ``text`` as ``scanner_class`` tokenizes it.
+
+        With the hand :class:`Scanner`, the text is kept and
+        :meth:`parse` takes the statement-level fast path.  Any other
+        scanner (the lex-style baseline) tokenizes the whole text here,
+        so its scan stays a phase of its own and every statement takes
+        the token path.
+        """
+        if scanner_class is not Scanner:
+            return cls(scanner_class(text, filename).tokens(), filename,
+                       case_fold, symbols)
+        parser = cls([], filename, case_fold, symbols)
+        parser.text = text
+        return parser
 
     # -- token plumbing -----------------------------------------------------
 
@@ -99,7 +151,17 @@ class Parser:
     # -- statements ---------------------------------------------------------
 
     def parse(self) -> list[Declaration]:
-        """Parse every statement; raises ParseError on the first bad one."""
+        """Parse every statement; raises the first bad one's InputError."""
+        if self.text is None:
+            return self._statements()
+        decls, rest = self._host_lines(self.text)
+        if rest is None:
+            return decls
+        self.tokens = Scanner(rest, self.filename).tokens()
+        self.pos = 0
+        return sorted(decls + self._statements(), key=attrgetter("line"))
+
+    def _statements(self) -> list[Declaration]:
         decls: list[Declaration] = []
         while self._peek().kind is not TokenKind.EOF:
             if self._peek().kind is TokenKind.NEWLINE:
@@ -107,6 +169,90 @@ class Parser:
                 continue
             decls.append(self._statement())
         return decls
+
+    # -- the statement-level fast path ----------------------------------------
+
+    def _host_lines(self, text: str) -> tuple[list[HostDecl], str | None]:
+        """Build a :class:`HostDecl` for each line that is one whole
+        common-shape host statement; return them with the text the
+        token path must still parse (``None`` if there is none).
+
+        A line is taken only where the token path would read it as
+        exactly that statement: it starts at column 0, its host is no
+        keyword, no name is all digits, every cost evaluates, and the
+        next line does not start with a blank (a continuation).  No
+        line is taken from a text with a backslash, a quote, or a line
+        whose parentheses, comment aside, do not pair up by count: in
+        any other text every line starts outside a cost and no line
+        continues the one before it.  Taken lines are blanked in the
+        returned text, so each remaining token keeps its line, and so
+        does the NEWLINE that closes each remaining statement (a blank
+        line closes a statement where the taken line did).
+        """
+        if "\\" in text or '"' in text:
+            return [], text
+        lines = text.split("\n")
+        decls: list[HostDecl] = []
+        costs: dict[str, object] = {}
+        filename = self.filename
+        fold = self.case_fold
+        match = _HOST_LINE.fullmatch
+        last = len(lines) - 1
+        taken = declined = False
+        for index, line in enumerate(lines):
+            found = match(line)
+            if found is not None and found.group(1) not in KEYWORDS \
+                    and not (index < last and
+                             lines[index + 1].startswith((" ", "\t"))):
+                links = self._fast_links(line, found.end(1), costs)
+                if links is not None:
+                    host = found.group(1)
+                    decls.append(HostDecl(host.lower() if fold else host,
+                                          links, filename, index + 1))
+                    lines[index] = ""
+                    taken = True
+                    continue
+            # A taken line pairs its parentheses, so checking the lines
+            # left is checking them all.
+            code = line.partition("#")[0]
+            if code.count("(") != code.count(")"):
+                return [], text
+            # a blank or comment-only line leaves the token path nothing
+            declined = declined or bool(code.strip())
+        if not declined:
+            return decls, None
+        return decls, "\n".join(lines) if taken else text
+
+    def _fast_links(self, line: str, start: int,
+                    costs: dict[str, object]) -> tuple[LinkSpec, ...] | None:
+        """The links of a matched host line, or ``None`` if a cost would
+        fail on the token path.  ``costs`` memoises each cost text."""
+        fold = self.case_fold
+        left = Direction.LEFT
+        links = []
+        for name, text in _LINKS.findall(line, start):
+            cost = None
+            if text:
+                cost = costs.get(text)
+                if cost is None:
+                    cost = costs[text] = self._fast_cost(text)
+                if cost is _DECLINE:
+                    return None
+            links.append(LinkSpec(name.lower() if fold else name, "!",
+                                  left, cost))
+        return tuple(links)
+
+    def _fast_cost(self, text: str) -> object:
+        """The value the token path gives an operator-free cost text, or
+        ``_DECLINE`` where it would fail."""
+        try:
+            if text.isdigit():
+                return int(text)
+            if text[0].isdigit() or "*" in text or "/" in text:
+                return evaluate_cost(text, self.symbols)
+            return self.symbols[text]  # one NAME token: a symbol
+        except (InputError, KeyError, ValueError):
+            return _DECLINE
 
     def _statement(self) -> Declaration:
         tok = self._peek()
@@ -284,6 +430,6 @@ class Parser:
 def parse_text(text: str, filename: str = "<stdin>",
                case_fold: bool = False,
                scanner_class: type[Scanner] = Scanner) -> list[Declaration]:
-    """Scan and parse ``text`` into declarations."""
-    tokens = scanner_class(text, filename).tokens()
-    return Parser(tokens, filename, case_fold).parse()
+    """Scan and parse ``text`` into declarations (see
+    :meth:`Parser.from_text`)."""
+    return Parser.from_text(text, filename, case_fold, scanner_class).parse()

@@ -90,6 +90,8 @@ class _Cluster:
         self.servers = {}
         self.services = {}
         self.specs = {}
+        self.fronts = []
+        self.backends = []
 
     async def start(self, name: str, snapshot_path: str) -> str:
         """Serve ``snapshot_path`` as shard ``name``; returns the
@@ -119,10 +121,47 @@ class _Cluster:
         self.servers[name] = server
         self.services[name] = service
 
+    def dial(self, name: str) -> ShardBackend:
+        """A client of shard ``name``'s daemon; :meth:`close` closes
+        it."""
+        host, port = parse_backend_spec(self.specs[name])
+        backend = ShardBackend(name, host, port)
+        self.backends.append(backend)
+        return backend
+
+    async def front(self, **kwargs) -> FederationService:
+        """A fan-out front end (``FederationService.create(**kwargs)``)
+        whose backend connections :meth:`close` closes."""
+        service = await FederationService.create(**kwargs)
+        self.fronts.append(service)
+        return service
+
     async def close(self) -> None:
-        """Stop every daemon."""
+        """Close every client this cluster handed out and every front
+        end's backend connections, then stop every daemon."""
+        for service in self.fronts:
+            self.backends.extend(
+                shard.backend for shard in service.view.shards.values()
+                if getattr(shard, "backend", None) is not None)
+        self.fronts.clear()
+        while self.backends:
+            await self.backends.pop().aclose(grace=0.0)
         for name in list(self.servers):
             await self.stop(name)
+
+
+def _run(scenario) -> None:
+    """Run ``scenario(cluster)`` on a fresh event loop and a fresh
+    :class:`_Cluster`, which is closed whether the scenario passes or
+    fails."""
+    async def main():
+        cluster = _Cluster()
+        try:
+            await scenario(cluster)
+        finally:
+            await cluster.close()
+
+    asyncio.run(main())
 
 
 class TestBackendSpec:
@@ -210,12 +249,9 @@ class TestBulkVerbs:
 
 class TestBackendShard:
     def test_connect_assembles_the_shard_surface(self, shard_paths):
-        async def scenario():
-            cluster = _Cluster()
+        async def scenario(cluster):
             spec = await cluster.start("arpa", shard_paths["arpa"])
-            host, port = parse_backend_spec(spec)
-            shard = await BackendShard.connect(
-                "arpa", ShardBackend("arpa", host, port))
+            shard = await BackendShard.connect("arpa", cluster.dial("arpa"))
             local = Shard.open("arpa", shard_paths["arpa"])
             assert shard.sources() == local.sources()
             assert shard.source_set == local.source_set
@@ -233,19 +269,16 @@ class TestBackendShard:
             gates = ["seismo", "ucbvax", "nowhere"]
             assert await shard.route_legs("mit-ai", gates) == \
                 await local.route_legs("mit-ai", gates)
-            await cluster.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
     def test_connect_ships_the_compiled_index(self, shard_paths):
         # the front end reads its ownership index out of the compiled
         # block (bulk TABLE --fsm), never the text TABLE index, and
         # sends no PIPELINE probe
-        async def scenario():
-            cluster = _Cluster()
-            spec = await cluster.start("arpa", shard_paths["arpa"])
-            host, port = parse_backend_spec(spec)
-            backend = ShardBackend("arpa", host, port)
+        async def scenario(cluster):
+            await cluster.start("arpa", shard_paths["arpa"])
+            backend = cluster.dial("arpa")
             sent = []
             real_call = backend._call
 
@@ -259,17 +292,14 @@ class TestBackendShard:
             assert cluster.services["arpa"].verb_counts["PIPELINE"] == 0
             local = Shard.open("arpa", shard_paths["arpa"])
             assert shard.routing_index() == local.routing_index()
-            await cluster.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
     def test_corrupt_shipped_index_is_federation_error(self,
                                                        shard_paths):
-        async def scenario():
-            cluster = _Cluster()
-            spec = await cluster.start("arpa", shard_paths["arpa"])
-            host, port = parse_backend_spec(spec)
-            backend = ShardBackend("arpa", host, port)
+        async def scenario(cluster):
+            await cluster.start("arpa", shard_paths["arpa"])
+            backend = cluster.dial("arpa")
             real_call = backend._call
 
             async def corrupting(line, **kwargs):
@@ -281,9 +311,8 @@ class TestBackendShard:
             with pytest.raises(FederationError,
                                match="corrupt index automaton"):
                 await BackendShard.connect("arpa", backend)
-            await cluster.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
     def test_unreachable_backend_is_federation_error(self):
         async def scenario():
@@ -385,12 +414,11 @@ class TestFanOutFederation:
             [Shard.open(name, path)
              for name, path in shard_paths.items()])
 
-        async def scenario():
-            cluster = _Cluster()
+        async def scenario(cluster):
             backends = {}
             for name, path in shard_paths.items():
                 backends[name] = await cluster.start(name, path)
-            service = await FederationService.create(
+            service = await cluster.front(
                 backends=backends, default_source="ihnp4")
             remote_view = service.view
 
@@ -422,9 +450,8 @@ class TestFanOutFederation:
                              want.via), (source, dest)
                     checked += 1
             assert checked > 1000  # the suite really swept the matrix
-            await cluster.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
     def test_warm_stitch_asks_only_the_owner_entries_it_expands(
             self, shard_paths):
@@ -449,12 +476,11 @@ class TestFanOutFederation:
                 except RouteError:
                     pass
 
-        async def scenario():
-            cluster = _Cluster()
+        async def scenario(cluster):
             backends = {}
             for name, path in shard_paths.items():
                 backends[name] = await cluster.start(name, path)
-            service = await FederationService.create(
+            service = await cluster.front(
                 backends=backends, default_source="ihnp4", cache_size=0)
             remote = service.view
             await sweep(remote)  # warms every leg the matrix needs
@@ -468,11 +494,8 @@ class TestFanOutFederation:
                         for name, shard in local_view.shards.items()}
             assert sum(expanded.values()) > len(pairs)
             assert asked == expanded
-            for shard in remote.shards.values():
-                await shard.backend.aclose(grace=0.0)
-            await cluster.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
     def test_mixed_local_and_backend_shards(self, shard_paths):
         """--shard and --backend mix in one view; answers match the
@@ -481,11 +504,10 @@ class TestFanOutFederation:
             [Shard.open(name, path)
              for name, path in shard_paths.items()])
 
-        async def scenario():
-            cluster = _Cluster()
+        async def scenario(cluster):
             spec = await cluster.start("universities",
                                        shard_paths["universities"])
-            service = await FederationService.create(
+            service = await cluster.front(
                 shards={"backbone": shard_paths["backbone"],
                         "arpa": shard_paths["arpa"]},
                 backends={"universities": spec},
@@ -500,9 +522,8 @@ class TestFanOutFederation:
             stats = service.stats_line()
             assert "backends=1" in stats
             assert "backend_universities=connected:" in stats
-            await cluster.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
     def test_protocol_replies_byte_compatible(self, shard_paths):
         """The fan-out front end's wire replies are indistinguishable
@@ -513,12 +534,11 @@ class TestFanOutFederation:
             await w.drain()
             return (await r.readline()).decode().rstrip("\n")
 
-        async def scenario():
-            cluster = _Cluster()
+        async def scenario(cluster):
             backends = {}
             for name, path in shard_paths.items():
                 backends[name] = await cluster.start(name, path)
-            service = await FederationService.create(
+            service = await cluster.front(
                 backends=backends, default_source="ihnp4")
             server = await serve(service)
             port = server.sockets[0].getsockname()[1]
@@ -540,9 +560,8 @@ class TestFanOutFederation:
             w.close()
             server.close()
             await server.wait_closed()
-            await cluster.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
     def test_federated_client_unchanged(self, shard_paths):
         """FederatedRouteDatabase drives a fan-out front end without a
@@ -553,12 +572,11 @@ class TestFanOutFederation:
         box = {}
 
         def run_front_end():
-            async def amain():
-                cluster = _Cluster()
+            async def amain(cluster):
                 backends = {}
                 for name, path in shard_paths.items():
                     backends[name] = await cluster.start(name, path)
-                service = await FederationService.create(
+                service = await cluster.front(
                     backends=backends, default_source="ihnp4")
                 server = await serve(service)
                 box["port"] = server.sockets[0].getsockname()[1]
@@ -568,9 +586,8 @@ class TestFanOutFederation:
                 await box["stop"].wait()
                 server.close()
                 await server.wait_closed()
-                await cluster.close()
 
-            asyncio.run(amain())
+            _run(amain)
 
         thread = threading.Thread(target=run_front_end, daemon=True)
         thread.start()
@@ -596,12 +613,11 @@ class TestBackendRestart:
     zero failed lookups."""
 
     def test_restart_between_lookups(self, shard_paths):
-        async def scenario():
-            cluster = _Cluster()
+        async def scenario(cluster):
             backends = {}
             for name, path in shard_paths.items():
                 backends[name] = await cluster.start(name, path)
-            service = await FederationService.create(
+            service = await cluster.front(
                 backends=backends, default_source="ihnp4")
             fed = await service.view.aresolve_with_cost(
                 "ihnp4", "topaz", "user")
@@ -617,9 +633,8 @@ class TestBackendRestart:
             assert fed.cost == 650
             assert fed.resolution.address == \
                 "allegra!princeton!rutgers-ru!topaz!user"
-            await cluster.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
     def test_restart_mid_traffic_no_failed_lookup(self, shard_paths):
         """Clients hammer stitched lookups while one backend daemon
@@ -627,12 +642,11 @@ class TestBackendRestart:
         requests_per_client = 30
         clients = 4
 
-        async def scenario():
-            cluster = _Cluster()
+        async def scenario(cluster):
             backends = {}
             for name, path in shard_paths.items():
                 backends[name] = await cluster.start(name, path)
-            service = await FederationService.create(
+            service = await cluster.front(
                 backends=backends, default_source="ihnp4")
             server = await serve(service)
             port = server.sockets[0].getsockname()[1]
@@ -677,9 +691,8 @@ class TestBackendRestart:
             assert "backend_universities=connected:" in health
             server.close()
             await server.wait_closed()
-            await cluster.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
 
 class TestBackendAdministration:
@@ -691,13 +704,12 @@ class TestBackendAdministration:
     def test_attach_detach_backend_spec(self, shard_paths):
         """ATTACH accepts host:port specs; DETACH closes the pool
         after the swap."""
-        async def scenario():
-            cluster = _Cluster()
+        async def scenario(cluster):
             spec_b = await cluster.start("backbone",
                                          shard_paths["backbone"])
             spec_u = await cluster.start("universities",
                                          shard_paths["universities"])
-            service = await FederationService.create(
+            service = await cluster.front(
                 backends={"backbone": spec_b},
                 default_source="ihnp4")
             service.retire_grace = 0.05  # fast pool retirement
@@ -733,9 +745,8 @@ class TestBackendAdministration:
             w.close()
             server.close()
             await server.wait_closed()
-            await cluster.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
     def test_reload_forwards_to_backend_and_resyncs(self, shard_paths,
                                                     tmp_path):
@@ -747,12 +758,11 @@ class TestBackendAdministration:
             Pathalias().build([("d.universities", revised)]),
             revised_snap)
 
-        async def scenario():
-            cluster = _Cluster()
+        async def scenario(cluster):
             backends = {}
             for name, path in shard_paths.items():
                 backends[name] = await cluster.start(name, path)
-            service = await FederationService.create(
+            service = await cluster.front(
                 backends=backends, default_source="ihnp4")
             server = await serve(service)
             port = server.sockets[0].getsockname()[1]
@@ -780,9 +790,8 @@ class TestBackendAdministration:
             w.close()
             server.close()
             await server.wait_closed()
-            await cluster.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
     def test_failed_resync_rolls_the_backend_back(
             self, shard_paths, tmp_path, monkeypatch):
@@ -796,12 +805,11 @@ class TestBackendAdministration:
             Pathalias().build([("d.universities", revised)]),
             revised_snap)
 
-        async def scenario():
-            cluster = _Cluster()
+        async def scenario(cluster):
             backends = {}
             for name, path in shard_paths.items():
                 backends[name] = await cluster.start(name, path)
-            service = await FederationService.create(
+            service = await cluster.front(
                 backends=backends, default_source="ihnp4")
             server = await serve(service)
             port = server.sockets[0].getsockname()[1]
@@ -829,9 +837,8 @@ class TestBackendAdministration:
             w.close()
             server.close()
             await server.wait_closed()
-            await cluster.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
 
 class TestNotifyInvalidatesCache:
@@ -854,12 +861,11 @@ class TestNotifyInvalidatesCache:
             Pathalias().build([("d.universities", revised)]),
             revised_snap)
 
-        async def scenario():
-            cluster = _Cluster()
+        async def scenario(cluster):
             backends = {}
             for name, path in shard_paths.items():
                 backends[name] = await cluster.start(name, path)
-            service = await FederationService.create(
+            service = await cluster.front(
                 backends=backends, default_source="ihnp4")
             server = await serve(service)
             port = server.sockets[0].getsockname()[1]
@@ -894,9 +900,8 @@ class TestNotifyInvalidatesCache:
             w.close()
             server.close()
             await server.wait_closed()
-            await cluster.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
     def test_push_during_resync_is_not_lost(self, shard_paths, tmp_path,
                                             monkeypatch):
@@ -914,12 +919,11 @@ class TestNotifyInvalidatesCache:
             gen2)
         real_connect = BackendShard.connect.__func__
 
-        async def scenario():
-            cluster = _Cluster()
+        async def scenario(cluster):
             backends = {}
             for name, path in shard_paths.items():
                 backends[name] = await cluster.start(name, path)
-            service = await FederationService.create(
+            service = await cluster.front(
                 backends=backends, default_source="ihnp4")
             fetched = asyncio.Event()
             release = asyncio.Event()
@@ -965,11 +969,8 @@ class TestNotifyInvalidatesCache:
             assert got == want
             assert daemon.notify_pushes == 2
             assert service.resyncs == 2
-            for shard in service.view.shards.values():
-                await shard.backend.aclose(grace=0.0)
-            await cluster.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
     def test_same_path_backend_reload_resyncs(self, shard_paths,
                                               tmp_path):
@@ -984,12 +985,11 @@ class TestNotifyInvalidatesCache:
         shutil.copyfile(shard_paths["universities"], universities)
         paths = dict(shard_paths, universities=str(universities))
 
-        async def scenario():
-            cluster = _Cluster()
+        async def scenario(cluster):
             backends = {}
             for name, path in paths.items():
                 backends[name] = await cluster.start(name, path)
-            service = await FederationService.create(
+            service = await cluster.front(
                 backends=backends, default_source="ihnp4")
             server = await serve(service)
             port = server.sockets[0].getsockname()[1]
@@ -1015,9 +1015,8 @@ class TestNotifyInvalidatesCache:
             w.close()
             server.close()
             await server.wait_closed()
-            await cluster.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
 
 class _GarblingService(RouteService):
