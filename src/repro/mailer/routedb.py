@@ -116,18 +116,6 @@ class RouteDatabase(SuffixResolver):
         """The source host these routes were mapped from (if known)."""
         return self._source
 
-    def cached(self, size: int | None = None):
-        """This database behind a generation-stamped result cache
-        (:class:`~repro.service.cache.CachingResolver`): repeat
-        lookups of a hot pair skip the suffix machinery.  The route
-        map is immutable after construction, so the wrapper never
-        needs a generation bump."""
-        from repro.service.cache import DEFAULT_CACHE_SIZE, \
-            CachingResolver
-
-        return CachingResolver(
-            self, size=DEFAULT_CACHE_SIZE if size is None else size)
-
     def stats(self) -> dict:
         """Backend counters: entry and recorded-cost counts."""
         return {"entries": str(len(self._routes)),

@@ -15,7 +15,7 @@ Both scanners are verified token-for-token identical by property tests.
 from __future__ import annotations
 
 from repro.errors import ScanError
-from repro.parser.scanner import Scanner
+from repro.parser.scanner import Scanner, number
 from repro.parser.tokens import (
     COST_NAME_CHARS,
     DIGITS,
@@ -143,7 +143,8 @@ class LexScanner(Scanner):
                 else:
                     append(Token(TokenKind.OP, lexeme, lineno))
             elif kind is TokenKind.NUMBER:
-                append(Token(kind, lexeme, lineno, value=int(lexeme)))
+                append(Token(kind, lexeme, lineno,
+                             value=number(lexeme, self.filename, lineno)))
             elif kind is TokenKind.STRING:
                 if len(lexeme) < 2 or not lexeme.endswith('"'):
                     raise ScanError("unterminated string",

@@ -110,7 +110,8 @@ class Scanner:
                 else:
                     text = line[i:j]
                     append(Token(TokenKind.NUMBER, text, lineno,
-                                 value=int(text)))
+                                 value=number(text, self.filename,
+                                              lineno)))
                 i = j
                 continue
             if c in name_chars:
@@ -159,6 +160,17 @@ class Scanner:
             raise ScanError(f"unexpected character {c!r}",
                             self.filename, lineno)
         return paren_depth
+
+
+def number(text: str, filename: str, lineno: int) -> int:
+    """The value of a digit run; past ``int()``'s digit limit (Python
+    3.11+ refuses to convert over 4,300 digits) a :class:`ScanError`,
+    not a bare ``ValueError``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ScanError(f"number of {len(text)} digits is too long",
+                        filename, lineno) from None
 
 
 def scan_text(text: str, filename: str = "<stdin>") -> list[Token]:

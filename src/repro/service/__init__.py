@@ -6,13 +6,12 @@ format appropriate for rapid database retrieval."  This package is that
 separate program, grown into a serving tier:
 
 * :mod:`repro.service.resolver` — the one :class:`Resolver` contract
-  every lookup surface satisfies (in-process snapshot, daemon client,
-  federation, in-memory mailer table) and the shared implementation
-  of the paper's domain-suffix search;
-* :mod:`repro.service.cache` — caching as a composable *layer*: any
-  resolver wrapped in a bounded, generation-stamped result cache,
-  invalidated O(1) by bumping a generation token on every snapshot
-  swap (RELOAD, ATTACH/DETACH, NOTIFY-driven re-syncs);
+  every lookup surface satisfies (in-process snapshot table, daemon
+  and federation clients, in-memory mailer table) and the shared
+  implementation of the paper's domain-suffix search;
+* :mod:`repro.service.cache` — the daemons' bounded result cache,
+  stamped with one epoch and invalidated O(1) by bumping it on every
+  snapshot swap (RELOAD, ATTACH/DETACH, NOTIFY-driven re-syncs);
 * :mod:`repro.service.store` — a binary on-disk *route snapshot*: a
   compiled graph plus every source's route table in flat,
   offset-indexed sections, opened and searched by bisection without
@@ -45,15 +44,12 @@ from repro.service.resolver import (
 )
 from repro.service.cache import (
     DEFAULT_CACHE_SIZE,
-    CachingResolver,
-    Generations,
     ResultCache,
 )
 from repro.service.store import (
     SnapshotError,
     SnapshotInfo,
     SnapshotReader,
-    SnapshotResolver,
     SnapshotTable,
     build_snapshot,
 )
@@ -66,7 +62,6 @@ from repro.service.daemon import (
 )
 from repro.service.shard import (
     FederatedResolution,
-    FederationResolver,
     FederationView,
     Shard,
 )
@@ -86,13 +81,10 @@ __all__ = [
     "SuffixResolver",
     "domain_suffixes",
     "DEFAULT_CACHE_SIZE",
-    "CachingResolver",
-    "Generations",
     "ResultCache",
     "SnapshotError",
     "SnapshotInfo",
     "SnapshotReader",
-    "SnapshotResolver",
     "SnapshotTable",
     "build_snapshot",
     "UpdateReport",
@@ -102,7 +94,6 @@ __all__ = [
     "RouteService",
     "serve",
     "Shard",
-    "FederationResolver",
     "FederationView",
     "FederatedResolution",
     "FederatedRouteDatabase",

@@ -1263,7 +1263,7 @@ class DaemonRouteDatabase:
     daemon restarted between requests.  Host and user tokens travel on
     a whitespace-delimited wire, so addresses containing spaces are
     rejected rather than silently corrupted.  The query surface is the
-    same contract the in-process snapshot and the federation view
+    same contract a snapshot's table and the federation client
     satisfy, so a :class:`~repro.mailer.router.MailRouter` plugs in a
     daemon exactly where it would plug in an in-memory
     :class:`~repro.mailer.routedb.RouteDatabase`.
@@ -1412,17 +1412,6 @@ class DaemonRouteDatabase:
                 f"target!user)")
         target, user = bang_address.split("!", 1)
         return self.resolve(target, user)
-
-    def cached(self, size: int = DEFAULT_CACHE_SIZE):
-        """This client behind a *client-side* generation-stamped
-        result cache: hot pairs skip the network round trip entirely.
-        The daemon's own cache invalidates itself on RELOAD; a
-        client-side layer must be bumped by whoever learns of the
-        swap (e.g. a NOTIFY subscription) — or sized small enough
-        that staleness is bounded by LRU turnover."""
-        from repro.service.cache import CachingResolver
-
-        return CachingResolver(self, size=size)
 
     def stats(self) -> dict[str, str]:
         """The daemon's STATS counters as a string-valued dict."""

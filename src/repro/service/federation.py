@@ -237,13 +237,6 @@ class FederationService(LineService):
         fed = await view.aexact(source, target)
         return fed.cost, fed.resolution.route, fed.federated
 
-    def resolver(self, source: str):
-        """The bound :class:`~repro.service.resolver.Resolver` surface
-        over the *current* view (see
-        :class:`~repro.service.shard.FederationResolver`); pins one
-        federation picture, like every request handler does."""
-        return self.view.resolver(source)
-
     def _retire(self, old) -> None:
         """Schedule a replaced/removed backend shard's connection for
         closing on a background task: the view has already swapped,
@@ -302,15 +295,14 @@ class FederationService(LineService):
 
         The result cache is bumped *immediately* (before the re-sync
         lands): the backend daemon has already swapped its snapshot,
-        so cached answers touching this shard may already be stale —
-        exactly the shard's generation token moves.  The bump is
-        unconditional: a pushed path equal to the one the view names
-        may still hold new bytes (the file was rewritten in place),
-        and only the re-sync can tell that case from the echo of a
-        forwarded RELOAD.
+        so cached answers touching this shard may already be stale.
+        The bump is unconditional: a pushed path equal to the one the
+        view names may still hold new bytes (the file was rewritten in
+        place), and only the re-sync can tell that case from the echo
+        of a forwarded RELOAD.
         """
         if self.cache is not None:
-            self.cache.bump(name)
+            self.cache.bump()
         if name in self._resync_pending:
             # that re-sync may already have read the older STATS: mark
             # the shard so it runs once more when it finishes
@@ -372,7 +364,7 @@ class FederationService(LineService):
             # a second bump, after the swap: lookups cached during the
             # push-to-re-sync window were computed against the
             # outgoing view and must not outlive it
-            self.cache.bump(name)
+            self.cache.bump()
 
     async def attach(self, name: str, spec: str):
         """Attach (or replace, by name) a shard: a snapshot path or a
@@ -383,7 +375,7 @@ class FederationService(LineService):
             self.view = self.view.with_shard(shard)
             self.attaches += 1
             if self.cache is not None:
-                self.cache.bump(name)
+                self.cache.bump()
         if old is not None:
             self._retire(old)
         return shard
@@ -401,7 +393,7 @@ class FederationService(LineService):
             self.view = self.view.without_shard(name)
             self.detaches += 1
             if self.cache is not None:
-                self.cache.bump(name)
+                self.cache.bump()
         self._retire(old)
 
     async def reload_shard(self, name: str, snapshot_path: str):
@@ -452,7 +444,7 @@ class FederationService(LineService):
                         # ... and result-cache entries stitched from
                         # those legs; no swap happened, so only an
                         # explicit bump strands them
-                        self.cache.bump(name)
+                        self.cache.bump()
                     raise
                 # same window, success path: the outgoing shard stays
                 # pinned by in-flight lookups; stale-vs-new mixtures
@@ -467,7 +459,7 @@ class FederationService(LineService):
             if self.cache is not None:
                 # after the swap, before the ack: no post-ack request
                 # can be answered from a pre-swap cache entry
-                self.cache.bump(name)
+                self.cache.bump()
             return shard
 
     def stats_line(self) -> str:

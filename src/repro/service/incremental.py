@@ -35,6 +35,7 @@ wrongly skipped would corrupt the store.
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,6 +50,7 @@ from repro.service.store import (
     FLAG_SECOND_BEST,
     SnapshotReader,
     build_snapshot,
+    check_cost_range,
     eligible_sources,
     encode_graph_section,
     encode_meta_section,
@@ -295,18 +297,23 @@ def update_snapshot(old: str | Path | SnapshotReader,
                                    cfg, jobs)
     # A cost-only revision keeps every record name set (reachability
     # is cost-independent), so the encoder splices each old DFSM block.
-    fresh = {
-        source: encode_table_section(records, unreachable, pairs,
-                                     states,
-                                     previous=reader.table(source))
-        for source, (records, unreachable, pairs, states)
-        in zip(affected, payloads)}
+    try:
+        fresh = {
+            source: encode_table_section(records, unreachable, pairs,
+                                         states,
+                                         previous=reader.table(source))
+            for source, (records, unreachable, pairs, states)
+            in zip(affected, payloads)}
+        graph_section = encode_graph_section(new_cg)
+    except struct.error:
+        check_cost_range(new_cg, zip(affected, payloads))
+        raise
     table_sections = [
         (source, fresh[source] if source in fresh
          else reader.table_bytes(source))
         for source in sources]
     write_snapshot(
-        out_path, encode_graph_section(new_cg),
+        out_path, graph_section,
         encode_meta_section(cfg), table_sections,
         flags=out_flags)
     reason = ("no route-relevant changes" if not changed

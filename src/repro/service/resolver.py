@@ -1,25 +1,26 @@
 """One resolver contract for every lookup surface.
 
-The serving tier grew four ways to ask "how does mail for *target*
-leave *source*?": the in-process snapshot reader
+The serving tier has four ways to ask "how does mail for *target*
+leave *source*?": the in-process snapshot table
 (:class:`repro.service.store.SnapshotTable`), the daemon client
 (:class:`repro.service.daemon.DaemonRouteDatabase`), the federation
-view (:class:`repro.service.shard.FederationView`), and the mailer's
-in-memory table (:class:`repro.mailer.routedb.RouteDatabase`).  Each
-re-implemented the paper's domain-suffix search and the ``%s``
-instantiation independently; this module collapses them onto one
-contract:
+client (:class:`repro.service.federation.FederatedRouteDatabase`), and
+the mailer's in-memory table
+(:class:`repro.mailer.routedb.RouteDatabase`).  This module holds
+what they share:
 
 * :class:`Resolver` is the *protocol* every lookup surface satisfies —
-  ``resolve`` / ``resolve_with_cost`` / ``source_table`` / ``stats`` —
-  so a :class:`~repro.mailer.router.MailRouter` (or any caller) can
-  swap an in-memory table for a snapshot, a daemon, or a federation
+  ``resolve`` / ``resolve_with_cost``, the two questions a
+  :class:`~repro.mailer.router.MailRouter` asks — so a caller can swap
+  an in-memory table for a snapshot, a daemon, or a federation
   without changing a line.
 * :class:`SuffixResolver` is the *shared implementation* of the
   paper's domain lookup procedure — "search ``caip.rutgers.edu``, then
   ``.rutgers.edu``, then ``.edu``" — over one abstract
   ``lookup(name) -> (cost, route)`` primitive, so the search sequence
   and the relative-address instantiation live in exactly one place.
+* :func:`resolve_with_cost_dict` is that walk run as the differential
+  oracle over any surface's exact-name ``lookup``.
 
 The :class:`Resolution` record and :func:`domain_suffixes` moved here
 from :mod:`repro.mailer.routedb` (which re-exports them unchanged):
@@ -117,10 +118,8 @@ def resolve_with_cost_dict(surface, target: str, user: str = "%s"
     """The differential oracle: the paper's suffix walk
     (:meth:`SuffixResolver.resolve_with_cost`) over ``surface``'s
     exact-name ``lookup``, whatever its own ``resolve_with_cost``
-    dispatches through.  A cached surface is walked underneath its
-    cache (its ``inner`` surface), so the oracle never reads a cached
-    answer.  This is what serves a ``dispatch="dict"`` service."""
-    surface = getattr(surface, "inner", surface)
+    dispatches through.  This is what serves a ``dispatch="dict"``
+    service, whose result cache is off."""
     return SuffixResolver.resolve_with_cost(surface, target, user)
 
 
@@ -129,14 +128,11 @@ class Resolver(Protocol):
     """What every lookup surface answers, wherever the bytes live.
 
     Satisfied (structurally — no inheritance required) by the
-    in-process snapshot surface
-    (:class:`~repro.service.store.SnapshotResolver`), the daemon
+    in-process :class:`~repro.service.store.SnapshotTable`, the daemon
     client (:class:`~repro.service.daemon.DaemonRouteDatabase`), the
-    federation surface
-    (:class:`~repro.service.shard.FederationResolver` and the
-    :class:`~repro.service.federation.FederatedRouteDatabase` client),
-    and the mailer's in-memory
-    :class:`~repro.mailer.routedb.RouteDatabase`.
+    federation client
+    (:class:`~repro.service.federation.FederatedRouteDatabase`), and
+    the mailer's in-memory :class:`~repro.mailer.routedb.RouteDatabase`.
     """
 
     def resolve(self, target: str, user: str = "%s") -> Resolution:
@@ -146,12 +142,4 @@ class Resolver(Protocol):
     def resolve_with_cost(self, target: str, user: str = "%s"
                           ) -> tuple[int, Resolution]:
         """Like :meth:`resolve`, with the mapped cost alongside."""
-        ...  # pragma: no cover - protocol signature
-
-    def source_table(self) -> str | None:
-        """The source host whose table is searched (None if unbound)."""
-        ...  # pragma: no cover - protocol signature
-
-    def stats(self) -> dict:
-        """Backend counters as a string-keyed dict."""
         ...  # pragma: no cover - protocol signature

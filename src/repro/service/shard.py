@@ -159,12 +159,6 @@ class Shard:
         """The decoded route table for ``source`` (see the reader)."""
         return self.reader.table(source)
 
-    def cid_of(self, name: str) -> int | None:
-        """Compact id of ``name`` in this shard's stored graph.  The
-        graph section decodes once (cached on the reader) and its
-        name index is a plain dict, so this is O(1) after first use."""
-        return self.reader.decode_graph().find(name)
-
     def state_cost(self, source: str, target: str) -> int | None:
         """The mapper's exact final cost ``source -> target`` from the
         stored per-state records, or None when the target is
@@ -610,11 +604,6 @@ class FederationView:
         """Federated lookup returning just the :class:`Resolution`."""
         return self.resolve_with_cost(source, target, user).resolution
 
-    def resolver(self, source: str) -> "FederationResolver":
-        """The :class:`~repro.service.resolver.Resolver` surface bound
-        to ``source`` over this (immutable) view."""
-        return FederationResolver(self, source)
-
     async def aexact(self, source: str,
                      target: str) -> FederatedResolution:
         """Exact-name federated lookup (no domain-suffix walk).
@@ -649,55 +638,3 @@ class FederationView:
             f"{name}:{shard.source_count}"
             for name, shard in self.shards.items())
         return f"FederationView({parts})"
-
-
-class FederationResolver:
-    """A federated lookup surface bound to one source.
-
-    The federation counterpart of
-    :class:`~repro.service.store.SnapshotResolver`: the same
-    :class:`~repro.service.resolver.Resolver` protocol, answered by
-    stitching across the view's shards.  Because the view is
-    immutable, a bound resolver pins one consistent federation picture
-    for its whole lifetime — exactly what a request handler wants.
-    """
-
-    def __init__(self, view: FederationView, source: str):
-        self.view = view
-        self.source = source
-
-    def resolve_with_cost(self, target: str, user: str = "%s"
-                          ) -> tuple[int, Resolution]:
-        """Stitched domain-suffix lookup: ``(cost, resolution)``."""
-        fed = self.view.resolve_with_cost(self.source, target, user)
-        return fed.cost, fed.resolution
-
-    def resolve(self, target: str, user: str = "%s") -> Resolution:
-        """Stitched domain-suffix lookup, resolution only."""
-        return self.resolve_with_cost(target, user)[1]
-
-    def source_table(self) -> str:
-        """The bound source host."""
-        return self.source
-
-    def cached(self, size: int | None = None):
-        """This resolver behind a generation-stamped result cache
-        (:class:`~repro.service.cache.CachingResolver`): hot pairs
-        skip the stitch.  A bound resolver pins one *immutable* view,
-        so the wrapper never needs a bump — rebind (and re-wrap)
-        when the federation swaps; the live-service equivalent is
-        :class:`~repro.service.federation.FederationService`'s own
-        bump-on-swap cache."""
-        from repro.service.cache import DEFAULT_CACHE_SIZE, \
-            CachingResolver
-
-        return CachingResolver(
-            self, size=DEFAULT_CACHE_SIZE if size is None else size)
-
-    def stats(self) -> dict:
-        """View-level facts: shard count, tables, per-shard formats."""
-        shards = self.view.shards
-        return {"shards": str(len(shards)),
-                "tables": str(sum(s.source_count
-                                  for s in shards.values())),
-                "formats": self.view.shard_formats()}

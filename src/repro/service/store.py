@@ -123,6 +123,10 @@ _GRAPH_HEADER = struct.Struct("<III")
 #: meta section: the HeuristicConfig fields the mapping ran with.
 _META = struct.Struct("<qqqqqBB")
 
+#: The costs a route record, a state record or a graph link can store:
+#: their cost fields are signed 64-bit.
+_COST_RANGE = range(-(1 << 63), 1 << 63)
+
 
 class SnapshotError(PathaliasError):
     """A snapshot file is missing, malformed, corrupt, or truncated."""
@@ -755,7 +759,6 @@ class SnapshotReader:
         self._tables: dict[str, SnapshotTable] = {}
         self._graph: CompactGraph | None = None
         self._domains: list[str] | None = None
-        self._index_auto: SuffixAutomaton | None = None
         self._index_fsm: bytes | None = None
 
     def _validate(self, data) -> None:
@@ -989,11 +992,6 @@ class SnapshotReader:
             self._tables[source] = cached
         return cached
 
-    def resolver(self, source: str) -> "SnapshotResolver":
-        """The in-process :class:`~repro.service.resolver.Resolver`
-        surface bound to ``source``'s table."""
-        return SnapshotResolver(self, source)
-
     def resolve(self, source: str, target: str,
                 user: str = "%s") -> Resolution:
         """Domain-suffix lookup from ``source``'s table."""
@@ -1067,27 +1065,19 @@ class SnapshotReader:
         merged.sort()
         return merged
 
-    def index_automaton(self) -> SuffixAutomaton:
-        """The compiled ownership matcher over :meth:`routing_index`
-        (cached) — payloads are rows in that index.  What a local
-        :class:`~repro.service.shard.Shard` answers ``owns``-style
-        dispatch with, and the matcher serialized for the wire by
-        :meth:`index_fsm_bytes`."""
-        if self._index_auto is None:
-            self._index_auto = compile_keys(
-                [name for name, _ in self.routing_index()])
-        return self._index_auto
-
     def index_fsm_bytes(self) -> bytes:
         """The ownership index as a self-contained serialized ``DFSM``
-        block (cached): the routing-index names are embedded as the
-        payload table, domains flagged ``NAME_F_DOMAIN``.  This is
-        what ``TABLE --fsm`` ships, letting a federation front end
-        inflate a remote shard's index in one linear pass instead of
-        re-deriving dicts from text lines."""
+        block (cached): the routing-index names compiled into a suffix
+        automaton whose payloads are rows in that index, with the
+        names embedded as the payload table, domains flagged
+        ``NAME_F_DOMAIN``.  This is what ``TABLE --fsm`` ships,
+        letting a federation front end inflate a remote shard's index
+        in one linear pass instead of re-deriving dicts from text
+        lines.  Only the bytes are kept, not the compiled matcher."""
         if self._index_fsm is None:
             index = self.routing_index()
-            self._index_fsm = self.index_automaton().to_bytes(
+            self._index_fsm = compile_keys(
+                [name for name, _ in index]).to_bytes(
                 names=[(name, NAME_F_DOMAIN if is_domain else 0)
                        for name, is_domain in index])
         return self._index_fsm
@@ -1095,56 +1085,6 @@ class SnapshotReader:
     def __repr__(self) -> str:
         return (f"SnapshotReader({str(self.path)!r}, v{self.version}, "
                 f"{self.source_count} sources, {self.size} bytes)")
-
-
-class SnapshotResolver(SuffixResolver):
-    """The in-process lookup surface: one source's snapshot table
-    behind the :class:`~repro.service.resolver.Resolver` protocol.
-
-    What the daemon binds per request, and what in-process callers
-    (benchmarks, tests, embedding applications) use directly — the
-    same contract the daemon client and the federation surface honour,
-    so callers can swap transports without code changes.
-    """
-
-    def __init__(self, reader: SnapshotReader, source: str):
-        self.reader = reader
-        self.source = source
-        self._table = reader.table(source)
-
-    def lookup(self, name: str) -> tuple[int, str] | None:
-        """Exact-name binary search in the bound table."""
-        return self._table.lookup(name)
-
-    def resolve_with_cost(self, target: str, user: str = "%s"
-                          ) -> tuple[int, Resolution]:
-        """Suffix search through the table's compiled automaton
-        (:meth:`SnapshotTable.resolve_with_cost`)."""
-        return self._table.resolve_with_cost(target, user)
-
-    def cached(self, size: int | None = None):
-        """This resolver behind a generation-stamped result cache
-        (:class:`~repro.service.cache.CachingResolver`): hot pairs
-        skip the suffix walk.  A snapshot table is immutable, so the
-        wrapper never needs a bump — swap the wrapper with the
-        snapshot."""
-        from repro.service.cache import DEFAULT_CACHE_SIZE, \
-            CachingResolver
-
-        return CachingResolver(
-            self, size=DEFAULT_CACHE_SIZE if size is None else size)
-
-    def source_table(self) -> str:
-        """The bound source host."""
-        return self.source
-
-    def stats(self) -> dict:
-        """Snapshot-level facts: format, sources, size, path."""
-        reader = self.reader
-        return {"format": str(reader.version),
-                "sources": str(reader.source_count),
-                "snapshot_bytes": str(reader.size),
-                "snapshot": str(reader.path)}
 
 
 # -- building -----------------------------------------------------------------
@@ -1165,6 +1105,34 @@ def snapshot_payload(mapper, source: str):
     _, records, unreachable, _ = build_portable_table(result)
     return ([(cost, name, route) for cost, name, route, _ in records],
             unreachable, tree_link_pairs(result), state_costs(result))
+
+
+def check_cost_range(cg: CompactGraph, payloads) -> None:
+    """Raise :class:`SnapshotError` naming the first cost a snapshot
+    cannot store: a route's or a state's in ``payloads`` (``(source,
+    payload)`` pairs of :func:`snapshot_payload` results), then a
+    link's in ``cg``.  A route cost can outgrow the signed 64-bit cost
+    fields as a sum of links that each fit.  The builders call this
+    only once packing has failed, so a build that fits pays nothing
+    for it."""
+    too_wide = "which does not fit a snapshot's signed 64-bit cost field"
+    for source, (records, _, _, states) in payloads:
+        for cost, name, _ in records:
+            if cost not in _COST_RANGE:
+                raise SnapshotError(f"source {source!r}: route to "
+                                    f"{name!r} costs {cost}, {too_wide}")
+        for cid, _, _, cost, _ in states:
+            if cost not in _COST_RANGE:
+                raise SnapshotError(f"source {source!r}: "
+                                    f"{cg.names[cid]!r} costs {cost}, "
+                                    f"{too_wide}")
+    for u in range(cg.n):
+        for j in range(cg.off[u], cg.off[u + 1]):
+            if cg.cost[j] not in _COST_RANGE:
+                raise SnapshotError(
+                    f"source {cg.names[u]!r}: link to "
+                    f"{cg.names[cg.to[j]]!r} costs {cg.cost[j]}, "
+                    f"{too_wide}")
 
 
 def write_snapshot(path: str | Path, graph_section: bytes,
@@ -1279,15 +1247,20 @@ def build_snapshot(graph: Graph | CompactGraph, path: str | Path,
     sources = eligible_sources(cg)
     payloads, engine = map_sources(cg, sources, snapshot_payload,
                                    heuristics, jobs)
-    table_sections = [
-        (source,
-         encode_table_section(records, unreachable, pairs, states))
-        for source, (records, unreachable, pairs, states)
-        in zip(sources, payloads)]
+    try:
+        table_sections = [
+            (source,
+             encode_table_section(records, unreachable, pairs, states))
+            for source, (records, unreachable, pairs, states)
+            in zip(sources, payloads)]
+        graph_section = encode_graph_section(cg)
+    except struct.error:
+        check_cost_range(cg, zip(sources, payloads))
+        raise
     flags = (FLAG_SECOND_BEST if cfg.second_best else 0) \
         | (FLAG_CASE_FOLD if case_fold else 0)
     size = write_snapshot(
-        path, encode_graph_section(cg), encode_meta_section(cfg),
+        path, graph_section, encode_meta_section(cfg),
         table_sections, flags=flags)
     return SnapshotInfo(path=Path(path), sources=sources, size=size,
                         engine=engine)

@@ -886,12 +886,8 @@ class TestNotifyInvalidatesCache:
                 await asyncio.sleep(0.01)
             assert service.resyncs == 1
             assert service.reloads == 0
-            # bumped on the push AND after the re-sync swap, for
-            # exactly the reloaded shard
+            # bumped on the push AND after the re-sync swap
             assert service.cache.invalidations >= 2
-            assert service.cache.generations.token(
-                "universities") >= 2
-            assert service.cache.generations.token("backbone") == 0
             # the next answer is the new generation's, not the cache's
             assert (await self.request(r, w, "ROUTE topaz u")
                     ).startswith("OK 925 ")

@@ -1,5 +1,7 @@
 """CLI tests (the pathalias command)."""
 
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -463,3 +465,32 @@ class TestClusterCommands:
                      str(tmp_path / "v2.snap"), str(new_map)]) == 0
         err = capsys.readouterr().err
         assert "full update (topology changed)" in err
+
+
+class TestOversizedNumbers:
+    """A number no snapshot or ``int()`` can hold ends the command
+    with one ``pathalias:`` line, not a traceback."""
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int() digit limit on this Python")
+    @pytest.mark.parametrize("scanner", [[], ["--lex"]])
+    def test_digit_run_past_int_limit(self, tmp_path, capsys, scanner):
+        path = tmp_path / "d.map"
+        path.write_text("a\tb(" + "9" * 5000 + ")\n")
+        assert main([*scanner, "-l", "a", str(path)]) != 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("pathalias:")
+        assert "line 1: number of 5000 digits is too long" in err[0]
+
+    def test_snapshot_cost_past_64_bits(self, tmp_path, capsys):
+        path = tmp_path / "d.map"
+        path.write_text("a\tb(99999999999999999999999)\nb\ta(1)\n")
+        out = tmp_path / "x.snap"
+        assert main(["snapshot", "-o", str(out), str(path)]) != 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("pathalias: snapshot: source 'a': "
+                                 "route to 'b' costs "
+                                 "99999999999999999999999,")
+        assert not out.exists()

@@ -1,21 +1,18 @@
 """The unified Resolver stack: one protocol, four lookup surfaces.
 
 The acceptance bar for the resolver refactor: the in-process snapshot
-surface, the daemon client, the federation surface, and the mailer's
-in-memory table all satisfy the same
-:class:`repro.service.resolver.Resolver` protocol, and the paper's
-domain-suffix search exists in exactly one implementation
-(:class:`SuffixResolver`) that all in-process surfaces share.
+table, the daemon and federation clients, and the mailer's in-memory
+table all satisfy the same :class:`repro.service.resolver.Resolver`
+protocol, and the paper's domain-suffix search exists in exactly one
+implementation (:class:`SuffixResolver`) that all in-process surfaces
+share.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro.core.pathalias import Pathalias
-from repro.errors import RouteError
 from repro.mailer.router import MailRouter
 from repro.mailer.routedb import RouteDatabase
 from repro.service.daemon import DaemonRouteDatabase
@@ -27,17 +24,13 @@ from repro.service.resolver import (
     domain_suffixes,
     resolve_with_cost_dict,
 )
-from repro.service.shard import FederationResolver, FederationView, Shard
 from repro.service.store import (
     SnapshotReader,
-    SnapshotResolver,
     SnapshotTable,
     build_snapshot,
 )
 
 from tests.conftest import DOMAIN_TREE_MAP
-
-DATA = Path(__file__).parent / "data"
 
 MAP = """\
 a\tb(10), c(100)
@@ -54,33 +47,18 @@ def reader(tmp_path_factory):
     return SnapshotReader.open(out)
 
 
-@pytest.fixture(scope="module")
-def view(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("resolver-fed")
-    shards = []
-    for name in ("backbone", "universities"):
-        out = tmp / f"{name}.snap"
-        text = (DATA / f"d.{name}").read_text()
-        build_snapshot(Pathalias().build([(f"d.{name}", text)]), out)
-        shards.append(Shard.open(name, out))
-    return FederationView(shards)
-
-
 class TestProtocolMembership:
     """All four lookup surfaces satisfy the Resolver protocol."""
 
     def test_in_process_snapshot_surface(self, reader):
-        assert isinstance(reader.resolver("a"), Resolver)
-        assert isinstance(reader.resolver("a"), SnapshotResolver)
+        assert isinstance(reader.table("a"), Resolver)
 
     def test_daemon_client(self):
         # construction opens no socket, so the shape check is free
         assert isinstance(
             DaemonRouteDatabase(("127.0.0.1", 1)), Resolver)
 
-    def test_federation_surfaces(self, view):
-        assert isinstance(view.resolver("ihnp4"), Resolver)
-        assert isinstance(view.resolver("ihnp4"), FederationResolver)
+    def test_federation_surfaces(self):
         assert isinstance(
             FederatedRouteDatabase(("127.0.0.1", 1)), Resolver)
 
@@ -105,46 +83,6 @@ class TestProtocolMembership:
                 walk(surface, target, "u")
         assert RouteDatabase.resolve is SuffixResolver.resolve
         assert SnapshotTable.resolve is SuffixResolver.resolve
-
-
-class TestSnapshotResolver:
-    def test_resolves_like_the_table(self, reader):
-        resolver = reader.resolver("a")
-        cost, res = resolver.resolve_with_cost("d", "user")
-        assert (cost, res) == \
-            reader.table("a").resolve_with_cost("d", "user")
-        assert cost == 30
-        assert res.address == "b!c!d!user"
-        assert resolver.resolve("d").address == "b!c!d!%s"
-        assert resolver.resolve_bang("d!user").address == "b!c!d!user"
-
-    def test_source_table_and_stats(self, reader):
-        resolver = reader.resolver("a")
-        assert resolver.source_table() == "a"
-        stats = resolver.stats()
-        assert stats["format"] == "2"
-        assert stats["sources"] == "4"
-        assert int(stats["snapshot_bytes"]) == reader.size
-
-    def test_miss_raises_route_error(self, reader):
-        with pytest.raises(RouteError):
-            reader.resolver("a").resolve("nowhere", "u")
-
-
-class TestFederationResolver:
-    def test_resolves_like_the_view(self, view):
-        resolver = view.resolver("ihnp4")
-        cost, res = resolver.resolve_with_cost("topaz", "user")
-        fed = view.resolve_with_cost("ihnp4", "topaz", "user")
-        assert (cost, res) == (fed.cost, fed.resolution)
-        assert cost == 650
-        assert resolver.source_table() == "ihnp4"
-
-    def test_stats_report_shard_formats(self, view):
-        stats = view.resolver("ihnp4").stats()
-        assert stats["shards"] == "2"
-        assert stats["formats"] == "2,2"
-        assert int(stats["tables"]) == 21
 
 
 class TestRouteDatabaseCosts:

@@ -42,14 +42,11 @@ FIXTURES = sorted(DATA.glob("d.*"))
 
 def outcome(parse):
     """The declarations ``parse()`` returns, or its error's type and
-    text (``ValueError`` is ``int()``'s digit limit, which both paths
-    hit in the same place)."""
+    text."""
     try:
         return parse()
     except InputError as exc:
         return type(exc), exc.pretty()
-    except ValueError as exc:
-        return type(exc), str(exc)
 
 
 def assert_same(text: str, filename: str = "m", case_fold: bool = False,

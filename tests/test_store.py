@@ -347,3 +347,68 @@ class TestAtomicWrite:
         build_snapshot(first, tmp_path / "x.snap")
         want = ["fsync file", "replace", "fsync dir"]
         assert calls == (want if o_directory else want[:2])
+
+
+class TestCostRange:
+    """A cost the signed 64-bit cost fields cannot hold is a
+    :class:`SnapshotError` naming the source, the name and the cost,
+    from both builders, and nothing is written."""
+
+    TOO_WIDE = 1 << 63
+
+    def build(self, text):
+        return Pathalias().build([("d.map", text)])
+
+    def test_route_cost(self, tmp_path):
+        graph = self.build("a\tb(99999999999999999999999)\nb\ta(1)\n")
+        out = tmp_path / "x.snap"
+        with pytest.raises(SnapshotError) as err:
+            build_snapshot(graph, out)
+        assert str(err.value).startswith(
+            "source 'a': route to 'b' costs 99999999999999999999999,")
+        assert not out.exists()
+
+    def test_route_cost_as_a_sum_of_links_that_fit(self, tmp_path):
+        half = self.TOO_WIDE // 2
+        graph = self.build(f"a\tb({half})\nb\tc({half})\nc\tb(1)\n"
+                           f"b\ta(1)\n")
+        with pytest.raises(SnapshotError,
+                           match=f"'a': route to 'c' costs "
+                                 f"{self.TOO_WIDE},"):
+            build_snapshot(graph, tmp_path / "x.snap")
+
+    def test_link_cost_off_every_route(self, tmp_path):
+        graph = self.build(f"a\tb({self.TOO_WIDE}), c(1)\nb\ta(1)\n"
+                           f"c\tb(1)\n")
+        with pytest.raises(SnapshotError,
+                           match=f"source 'a': link to 'b' costs "
+                                 f"{self.TOO_WIDE},"):
+            build_snapshot(graph, tmp_path / "x.snap")
+
+    def test_largest_cost_still_fits(self, tmp_path):
+        graph = self.build(f"a\tb({self.TOO_WIDE - 1}), c(1)\nb\ta(1)\n"
+                           f"c\tb(1)\n")
+        build_snapshot(graph, tmp_path / "x.snap")
+        assert SnapshotReader.open(tmp_path / "x.snap").sources() == \
+            ["a", "b", "c"]
+
+    def test_update_snapshot(self, tmp_path):
+        from repro.service.incremental import update_snapshot
+
+        old = tmp_path / "old.snap"
+        build_snapshot(self.build("a\tb(1), c(1)\nb\ta(1)\nc\tb(1)\n"),
+                       old)
+        # a link no route takes any more: the incremental path remaps
+        # a, whose routes all fit, and fails on the graph section
+        revised = self.build(f"a\tb({self.TOO_WIDE}), c(1)\nb\ta(1)\n"
+                             f"c\tb(1)\n")
+        out = tmp_path / "new.snap"
+        with pytest.raises(SnapshotError, match="link to 'b' costs"):
+            update_snapshot(old, revised, out)
+        assert not out.exists()
+        # every route to b overflows: the full rebuild fails on a table
+        revised = self.build(f"a\tb({self.TOO_WIDE})\nb\ta(1)\n"
+                             f"c\tb(1)\n")
+        with pytest.raises(SnapshotError, match="route to 'b' costs"):
+            update_snapshot(old, revised, out)
+        assert not out.exists()
