@@ -347,7 +347,7 @@ def _spawn_shard_daemon(snapshot_path: str,
     while True:
         line = proc.stderr.readline()
         if not line:
-            proc.terminate()
+            _stop_daemons([proc])
             raise RuntimeError(
                 "shard daemon failed to start: "
                 + (" / ".join(c.strip() for c in chatter)
@@ -355,6 +355,22 @@ def _spawn_shard_daemon(snapshot_path: str,
         if "listening on" in line:
             return proc, line.rsplit("listening on", 1)[1].strip()
         chatter.append(line)
+
+
+def _stop_daemons(procs) -> None:
+    """Stop daemons started by :func:`_spawn_shard_daemon` and close
+    their stderr pipes."""
+    import subprocess
+
+    for proc in procs:
+        proc.terminate()
+    for proc in procs:
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
 
 
 #: Timed passes per side of the fan-out comparison; each side runs
@@ -386,8 +402,6 @@ def bench_fanout(tmp: Path, regions: int, hosts: int,
     medians of the timed passes, with their interquartile ranges
     beside them: one pass of about 0.2 s is too short to gate on.
     """
-    import subprocess
-
     from repro.service.federation import FederationService
 
     paths = {}
@@ -467,13 +481,7 @@ def bench_fanout(tmp: Path, regions: int, hosts: int,
         fan_passes = [asyncio.run(run_fanout())
                       for _ in range(FANOUT_PASSES)]
     finally:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
+        _stop_daemons(procs)
 
     fan_rate, fan_iqr = median_iqr([rate(*p[:2]) for p in fan_passes])
     fan_total = sum(p[0] for p in fan_passes)
@@ -584,8 +592,7 @@ def bench_workers(tmp: Path, hosts: int, clients: int,
                 if elapsed > 0 else None,
             }
         finally:
-            proc.terminate()
-            proc.wait(timeout=10)
+            _stop_daemons([proc])
 
     base = throughput["1"]["lookups_per_sec"] or 0.0
     for tier in throughput.values():

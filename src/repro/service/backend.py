@@ -14,13 +14,16 @@ Two classes:
 
 * :class:`ShardBackend` — the asyncio client for one shard daemon: a
   single multiplexed connection speaking the tagged wire protocol.
-  Each request writes its tagged frames straight onto the socket, and
-  a reader task routes tagged reply frames — out of order, bulk
-  replies interleaved — back to their waiting futures, so many
-  requests share one connection's round trip.  It keeps a
-  transparent single retry on a stale socket, reconnect-with-backoff
-  while the daemon restarts, and health state (``connected`` /
-  ``down`` / counters, including tagged-request and
+  The connection is an :class:`asyncio.Protocol`: each request writes
+  its tagged frames straight onto the transport, and the protocol's
+  ``data_received`` routes tagged reply frames — out of order, bulk
+  replies interleaved — back to their waiting futures as the bytes
+  arrive, so many requests share one connection's round trip and a
+  reply reaches its caller in one event-loop step.  One
+  ``loop.call_at`` handle per connection enforces the request
+  timeout.  It keeps a transparent single retry on a stale socket,
+  reconnect-with-backoff while the daemon restarts, and health state
+  (``connected`` / ``down`` / counters, including tagged-request and
   out-of-order-reply counts) surfaced through the federation's
   ``STATS`` line.
 
@@ -78,31 +81,50 @@ def parse_backend_spec(spec: str) -> tuple[str, int] | None:
     return match.group("host"), port
 
 
+#: The longest reply frame the mux accepts, whole or still arriving
+#: (64 KiB, the default ``limit`` of an asyncio stream); a longer one
+#: fails the connection.
+_FRAME_LIMIT = 2 ** 16
+
+
 class _Pending:
-    """One in-flight tagged request's reassembly state."""
+    """One in-flight tagged request's reassembly state and deadline."""
 
-    __slots__ = ("fut", "bulk", "head", "lines", "want")
+    __slots__ = ("fut", "bulk", "deadline", "head", "lines", "want")
 
-    def __init__(self, fut: asyncio.Future, bulk: bool):
+    def __init__(self, fut: asyncio.Future, bulk: bool, deadline: float):
         self.fut = fut
         self.bulk = bulk
+        self.deadline = deadline
         self.head: str | None = None
         self.lines: list[str] = []
         self.want = 0
 
 
-class _MuxConnection:
+class _MuxConnection(asyncio.Protocol):
     """One pipelined daemon connection shared by many requests.
 
-    :meth:`submit` writes each request's frames to the socket itself:
-    the event loop is single-threaded and ``StreamWriter.write``
-    appends a whole buffer to the transport synchronously, so frames
-    never interleave and reach the wire in submit order.  One reader
-    task demultiplexes tagged reply frames into per-request futures.
-    Bulk replies reassemble by tag: the head frame (``@<tag> OK table
-    <n>``) announces how many continuation frames belong to that tag,
-    so two bulk replies can interleave arbitrarily on the wire and
-    still come apart cleanly.
+    An :class:`asyncio.Protocol`: :meth:`data_received` cuts the bytes
+    into ``\\n``-terminated frames and resolves the waiting futures
+    itself, so a reply costs the client one event-loop step and no
+    task.  A frame counts only once its ``\\n`` has arrived: at EOF a
+    partial frame is dropped, never delivered.  :meth:`submit` writes
+    each request's frames to the transport itself: the event loop is
+    single-threaded and ``transport.write`` takes a whole buffer
+    synchronously, so frames never interleave and reach the wire in
+    submit order.  Bulk replies reassemble by tag: the head frame
+    (``@<tag> OK table <n>``) announces how many continuation frames
+    belong to that tag, so two bulk replies can interleave arbitrarily
+    on the wire and still come apart cleanly.
+
+    **Deadlines.**  Every request waits the owner's one ``timeout``,
+    so the oldest pending request always has the earliest deadline.
+    One ``loop.call_at`` handle, armed for that deadline, polices them
+    all: when it fires, an overdue oldest request fails the whole
+    connection with ``TimeoutError`` (each pending request then takes
+    its one retry), and otherwise the handle re-arms for the oldest
+    request's deadline.  A request that completes leaves the handle
+    alone.
 
     ``SOURCE`` ordering: the daemon applies a tagged ``SOURCE``
     inline in read order, so writing ``@a SOURCE x`` immediately
@@ -113,30 +135,26 @@ class _MuxConnection:
     register guess being right.
     """
 
-    def __init__(self, owner: "ShardBackend",
-                 reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter):
+    def __init__(self, owner: "ShardBackend"):
         self.owner = owner
-        self.reader = reader
-        self.writer = writer
+        self.transport: asyncio.Transport | None = None
         self.broken: Exception | None = None
+        self._loop = asyncio.get_running_loop()
         self._pending: dict[str, _Pending] = {}
         self._next_tag = 0
         self._wire_source: str | None = None
         self._source_fut: asyncio.Future | None = None
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop())
+        self._partial = b""
+        self._timer: asyncio.TimerHandle | None = None
 
     # -- submitting requests --------------------------------------------------
 
-    def _tag(self) -> str:
+    def _register(self, bulk: bool,
+                  deadline: float) -> tuple[str, asyncio.Future]:
         self._next_tag += 1
-        return str(self._next_tag)
-
-    def _register(self, bulk: bool) -> tuple[str, asyncio.Future]:
-        tag = self._tag()
-        fut = asyncio.get_running_loop().create_future()
-        self._pending[tag] = _Pending(fut, bulk)
+        tag = str(self._next_tag)
+        fut = self._loop.create_future()
+        self._pending[tag] = _Pending(fut, bulk, deadline)
         return tag, fut
 
     def submit(self, line: str, *, bulk: bool = False,
@@ -152,20 +170,23 @@ class _MuxConnection:
         """
         if self.broken is not None:
             raise ConnectionError(str(self.broken))
+        deadline = self._loop.time() + self.owner.timeout
         frames = []
         src_fut = None
         if source is not None:
             if self._wire_source != source:
-                stag, sfut = self._register(False)
+                stag, sfut = self._register(False, deadline)
                 frames.append(f"@{stag} SOURCE {source}")
                 self._wire_source = source
                 self._source_fut = sfut
             src_fut = self._source_fut
-        tag, fut = self._register(bulk)
+        tag, fut = self._register(bulk, deadline)
         frames.append(f"@{tag} {line}")
         self.owner.pipelined += len(frames)
-        self.writer.write(
+        self.transport.write(
             "".join(f + "\n" for f in frames).encode("utf-8"))
+        if self._timer is None:
+            self._timer = self._loop.call_at(deadline, self._expire)
         return fut, src_fut
 
     def reset_source(self, source: str) -> None:
@@ -175,17 +196,37 @@ class _MuxConnection:
             self._wire_source = None
             self._source_fut = None
 
-    # -- the reader task ------------------------------------------------------
+    def _expire(self) -> None:
+        """The deadline handle fired: fail the connection if its oldest
+        pending request is overdue, else re-arm for that request."""
+        self._timer = None
+        if not self._pending:
+            return
+        oldest = next(iter(self._pending.values()))
+        if oldest.deadline > self._loop.time():
+            self._timer = self._loop.call_at(oldest.deadline,
+                                             self._expire)
+        else:
+            self._fail(TimeoutError())
 
-    async def _read_loop(self) -> None:
-        """Demultiplex tagged reply frames into pending futures."""
+    # -- the protocol callbacks -----------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        """Keep the transport :meth:`submit` writes to."""
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        """Demultiplex each complete tagged reply frame into its
+        pending future; keep a trailing partial frame for later."""
+        if self._partial:
+            data = self._partial + data
+        *frames, self._partial = data.split(b"\n")
         try:
-            while True:
-                raw = await self.reader.readline()
-                if not raw:
+            for raw in frames:
+                if len(raw) > _FRAME_LIMIT:
                     raise ConnectionError(
-                        "backend closed the connection")
-                line = raw.decode("utf-8").rstrip("\r\n")
+                        "reply frame exceeds the frame limit")
+                line = raw.decode("utf-8").rstrip("\r")
                 if not line.startswith("@"):
                     # Untagged junk mid-pipeline (an ERR overflow /
                     # encoding diagnostic we cannot correlate): the
@@ -200,10 +241,20 @@ class _MuxConnection:
                     raise ConnectionError(
                         f"reply for unknown tag: {line!r}")
                 self._deliver(tag, pend, frame)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
+            if len(self._partial) > _FRAME_LIMIT:
+                raise ConnectionError(
+                    "reply frame exceeds the frame limit")
+        except (ConnectionError, UnicodeDecodeError) as exc:
             self._fail(exc)
+
+    def eof_received(self) -> None:
+        """The daemon hung up: fail every pending request (retryable);
+        a partial frame is dropped with the connection."""
+        self._fail(ConnectionError("backend closed the connection"))
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        """The transport is gone: fail every pending request."""
+        self._fail(exc or ConnectionError("backend closed the connection"))
 
     def _deliver(self, tag: str, pend: _Pending, frame: str) -> None:
         """Feed one reply frame into its request's reassembly; resolve
@@ -237,11 +288,14 @@ class _MuxConnection:
     # -- teardown -------------------------------------------------------------
 
     def _fail(self, exc: Exception) -> None:
-        """Mark the connection dead and fail every pending request
-        with a retryable :class:`ConnectionError`."""
+        """Mark the connection dead, fail every pending request with a
+        retryable :class:`ConnectionError`, and close the transport."""
         if self.broken is not None:
             return
         self.broken = exc
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
         detail = str(exc) or type(exc).__name__
         for pend in self._pending.values():
             if not pend.fut.done():
@@ -250,29 +304,29 @@ class _MuxConnection:
                 # own future may never await this shared one
                 pend.fut.exception()
         self._pending.clear()
-        try:
-            self.writer.close()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
+        self._partial = b""
+        self.transport.close()
 
     def abort(self, exc: Exception | None = None) -> None:
         """Tear the connection down (idempotent): fail pending
-        requests and stop the reader task."""
+        requests, cancel the deadline handle, close the transport."""
         self._fail(exc or ConnectionError("connection closed"))
-        self._reader_task.cancel()
 
 
 class ShardBackend:
     """An asyncio client for one per-shard route daemon.
 
     One persistent pipelined connection (:class:`_MuxConnection`)
-    carries every request, many of them in flight at once.  A request
-    that finds the connection stale (the daemon restarted since the
-    last call) transparently re-dials — waiting out a restart window
-    up to ``reconnect_patience`` seconds with exponential backoff —
-    and retries exactly once.  Health is observable: :attr:`state`
-    plus the request/error/connect counters, which the federation
-    daemon reports per backend in its ``STATS`` line.
+    carries every request, many of them in flight at once; its replies
+    resolve straight from the protocol's ``data_received``, and one
+    deadline handle fails the connection when its oldest request
+    outlives ``timeout``.  A request that finds the connection stale
+    (the daemon restarted since the last call), or that a missed
+    deadline failed, transparently re-dials — waiting out a restart
+    window up to ``reconnect_patience`` seconds with exponential
+    backoff — and retries exactly once.  Health is observable:
+    :attr:`state` plus the request/error/connect counters, which the
+    federation daemon reports per backend in its ``STATS`` line.
 
     A backend address served by ``serve --workers N`` needs no special
     handling: the kernel lands the connection on some worker, and
@@ -338,18 +392,22 @@ class ShardBackend:
 
     # -- the connection -------------------------------------------------------
 
-    async def _open(self) -> tuple[asyncio.StreamReader,
-                                   asyncio.StreamWriter]:
-        """Dial the daemon, waiting out a restart with backoff."""
+    async def _open(self, mux: bool = False):
+        """Dial the daemon, waiting out a restart with backoff: a fresh
+        :class:`_MuxConnection` with ``mux``, else the ``(reader,
+        writer)`` streams the NOTIFY channel reads."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + (self.reconnect_patience
                                   if self._ever_connected else 0.0)
         delay = RECONNECT_DELAY
         while True:
+            if mux:
+                dial = loop.create_connection(
+                    lambda: _MuxConnection(self), self.host, self.port)
+            else:
+                dial = asyncio.open_connection(self.host, self.port)
             try:
-                streams = await asyncio.wait_for(
-                    asyncio.open_connection(self.host, self.port),
-                    self.timeout)
+                opened = await asyncio.wait_for(dial, self.timeout)
                 break
             except (OSError, asyncio.TimeoutError) as exc:
                 if loop.time() + delay > deadline:
@@ -362,7 +420,7 @@ class ShardBackend:
         self._ever_connected = True
         self._last_failure = None
         self.connects += 1
-        return streams
+        return opened[1] if mux else opened
 
     async def _mux_get(self) -> _MuxConnection:
         """The shared pipelined connection, dialing it if needed."""
@@ -376,8 +434,7 @@ class ShardBackend:
             if self._draining:
                 raise BackendError(
                     f"backend {self.name} ({self.address}) is closed")
-            reader, writer = await self._open()
-            self._mux = _MuxConnection(self, reader, writer)
+            self._mux = await self._open(mux=True)
             return self._mux
 
     def _drop_mux(self, conn: _MuxConnection, exc: Exception) -> None:
@@ -393,9 +450,12 @@ class ShardBackend:
         reply line, or ``(head, continuation lines)`` with ``bulk``.
 
         With ``source``, the connection's source register is bound
-        first by a tagged ``SOURCE`` ride-along.  One transparent
-        retry: a connection-class failure tears the connection down,
-        re-dials (with restart patience) and resubmits exactly once; a
+        first by a tagged ``SOURCE`` ride-along.  The reply future is
+        awaited directly: the connection's deadline handle fails it
+        when the request outlives ``timeout``.  One transparent retry:
+        a connection-class failure (a dropped connection, a garbled
+        frame, a missed deadline) tears the connection down, re-dials
+        (with restart patience) and resubmits exactly once; a
         second one raises :class:`BackendError`, so it fails the
         one request and never the caller's connection.  Protocol
         errors (``ERR`` replies) are not retried — they reached the
@@ -413,7 +473,7 @@ class ShardBackend:
                     conn = await self._mux_get()
                     fut, src_fut = conn.submit(line, bulk=bulk,
                                                source=source)
-                    result = await asyncio.wait_for(fut, self.timeout)
+                    result = await fut
                     if src_fut is not None:
                         # the daemon answers an inline SOURCE before it
                         # reads the line behind it, and replies resolve
@@ -426,8 +486,7 @@ class ShardBackend:
                             raise BackendError(
                                 f"backend {self.name}: {src}")
                     return result
-                except (ConnectionError, OSError, asyncio.TimeoutError,
-                        asyncio.IncompleteReadError) as exc:
+                except (ConnectionError, OSError) as exc:
                     if conn is not None:
                         self._drop_mux(conn, exc)
                     if attempt:
@@ -460,7 +519,7 @@ class ShardBackend:
         while self._inflight and loop.time() < deadline:
             await asyncio.sleep(0.01)
         # stragglers have drained (or forfeited their window): the
-        # mux connection and its reader task can go away now
+        # mux connection and its deadline handle can go away now
         if self._mux is not None:
             self._mux.abort(ConnectionError(
                 f"backend {self.name} closed"))

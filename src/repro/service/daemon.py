@@ -141,13 +141,17 @@ class Verb(NamedTuple):
     A request with fewer than ``least`` or more than ``most`` argument
     tokens (``most`` None: no limit) is answered with
     :attr:`usage_reply`, which quotes ``usage``, and never reaches the
-    handler — the service's ``do_<name>(args, state)`` method.  An
-    ``inline`` verb changes connection or service state (or closes the
-    connection), so a tagged one is applied in read order: a pipelined
-    ``SOURCE`` governs exactly the tagged requests read after it, and
-    a tagged swap is never reordered against the requests around it
-    on its connection.  Every other tagged request runs on its own
-    task.
+    handler — the service's ``do_<name>(args, state)`` method.  A
+    tagged request for an ``inline`` verb is answered in read order,
+    on the connection's own coroutine; every other tagged request runs
+    on a task of its own.  A verb is inline for one of two reasons.
+    It changes connection or service state (or closes the
+    connection), so it must not be reordered: a pipelined ``SOURCE``
+    governs exactly the tagged requests read after it, and a tagged
+    swap stays between the requests around it on its connection.  Or
+    its handler never waits, so a task would only add an event-loop
+    hop: the single-snapshot daemon's ``ROUTE``, ``EXACT``, ``TABLE``
+    and ``COSTS`` are answered from memory.
     """
 
     name: str
@@ -535,10 +539,11 @@ class LineService:
         connection state, its reply frames written atomically under a
         per-connection lock, so replies may interleave and return out
         of order — the tag is the correlation.  Verbs whose table row
-        is ``inline`` (see :class:`Verb`) are applied inline in read
-        order even when tagged, which is what makes ``@1 SOURCE a`` /
-        ``@2 ROUTE x`` deterministic: the SOURCE is in effect — and
-        its reply on the wire — before the ROUTE is even read.
+        is ``inline`` (see :class:`Verb`) are answered on this
+        coroutine in read order even when tagged, counted in
+        ``inflight`` while they run; that is what makes ``@1 SOURCE
+        a`` / ``@2 ROUTE x`` deterministic: the SOURCE is in effect —
+        and its reply on the wire — before the ROUTE is even read.
         Untagged requests keep the strict lockstep behavior, including
         draining all in-flight tagged work first, so the two styles
         serialize cleanly if a client mixes them.
@@ -559,14 +564,20 @@ class LineService:
         # reply frames but never tear one mid-line.
         state["#push"] = write_frames
 
-        async def answer_tagged(tag: str, line: str,
-                                snapshot: dict) -> None:
+        async def counted(line: str, state: dict) -> str | None:
+            # one tagged request executing, inline or on its own task
             self.inflight += 1
             self.inflight_hwm = max(self.inflight_hwm, self.inflight)
             try:
-                reply = await self.handle_line(line, snapshot)
+                return await self.handle_line(line, state)
             finally:
                 self.inflight -= 1
+
+        async def answer_tagged(tag: str, line: str,
+                                snapshot: dict) -> None:
+            try:
+                reply = await counted(line, snapshot)
+            finally:
                 gate.release()
             if reply is None:  # unreachable: QUIT is inline
                 reply = "OK bye"
@@ -624,7 +635,9 @@ class LineService:
                     # a client that mixes styles still sees strictly
                     # ordered lockstep replies.
                     await drain_tagged()
-                reply = await self.handle_line(line, state)
+                    reply = await self.handle_line(line, state)
+                else:
+                    reply = await counted(line, state)
                 if reply is None:
                     await drain_tagged()
                     data = b"OK bye\n" if tag is None else \
@@ -670,11 +683,17 @@ class RouteService(LineService):
     #: verbs a federation front end assembles its remote view from;
     #: WRELOAD and WSTATS are the worker-coordination halves of RELOAD
     #: and STATS (present — and harmless — in single-worker mode too).
+    #: The lookup and bulk verbs read one pinned snapshot and never
+    #: wait, so they are inline: a tagged one is answered on the
+    #: connection's coroutine, with no task.  STATS stays a task, as
+    #: it may ask the sibling workers.
     VERB_TABLE = verb_table(
-        "ROUTE", "EXACT",
+        SHARED_VERBS["ROUTE"]._replace(inline=True),
+        SHARED_VERBS["EXACT"]._replace(inline=True),
         Verb("SOURCE", "<host>", 1, 1, inline=True),
-        Verb("TABLE", "[--fsm | <source> [dest ...]]", 0, None),
-        Verb("COSTS", "<source> [name ...]", 1, None),
+        Verb("TABLE", "[--fsm | <source> [dest ...]]", 0, None,
+             inline=True),
+        Verb("COSTS", "<source> [name ...]", 1, None, inline=True),
         Verb("RELOAD", "<snapshot>", 1, 1, inline=True),
         Verb("WRELOAD", "<snapshot>", 1, 1, inline=True),
         Verb("NOTIFY", inline=True),
@@ -1320,7 +1339,8 @@ class DaemonRouteDatabase:
         self._file.write(line.encode("utf-8") + b"\n")
         self._file.flush()
         raw = self._file.readline()
-        if not raw:
+        if not raw.endswith(b"\n"):
+            # EOF, maybe mid-line: a reply cut short is no answer
             raise ConnectionError("daemon closed the connection")
         return raw.decode("utf-8").rstrip("\r\n")
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.pathalias import Pathalias
-from repro.errors import FederationError, RouteError
+from repro.errors import BackendError, FederationError, RouteError
 from repro.service.backend import (
     BackendShard,
     ShardBackend,
@@ -1191,3 +1191,247 @@ class TestStalledBackend:
                 await backend_server.wait_closed()
 
         asyncio.run(scenario())
+
+
+class TestStalledBackendDeadline:
+    def test_gathered_calls_share_one_deadline_handle(self, shard_paths):
+        """Three calls in flight on one connection to a stalled daemon
+        all fail with the one-retry ``TimeoutError`` well inside the
+        window of two timeouts each; ``aclose`` then cancels the
+        connection's armed deadline handle and closes its transport."""
+
+        async def scenario():
+            backend_server = await serve(
+                _StallingService(shard_paths["backbone"]))
+            port = backend_server.sockets[0].getsockname()[1]
+            backend = ShardBackend("backbone", "127.0.0.1", port,
+                                   timeout=0.2)
+            loop = asyncio.get_running_loop()
+            try:
+                start = loop.time()
+                results = await asyncio.gather(
+                    *(backend.route("seismo", target)
+                      for target in ("mcvax", "ucbvax", "allegra")),
+                    return_exceptions=True)
+                assert loop.time() - start < 2.0
+                for result in results:
+                    assert isinstance(result, BackendError), result
+                    assert str(result) == (
+                        f"backend backbone (127.0.0.1:{port}) "
+                        f"failed: TimeoutError")
+                # a call that completes leaves the handle armed ...
+                backend.timeout = 30.0
+                assert (await backend.stats())["format"] == "2"
+                mux = backend._mux
+                assert mux._timer is not None
+            finally:
+                await backend.aclose(grace=0.0)
+                backend_server.close()
+                await backend_server.wait_closed()
+            # ... and closing the backend disarms it
+            assert mux._timer is None
+            assert mux.transport.is_closing()
+
+        asyncio.run(scenario())
+
+
+async def _scripted_backend(replies):
+    """A scripted daemon.  ``replies[i]`` is ``(data, close)``:
+    connection ``i`` reads one tagged request, writes ``data`` with
+    ``{tag}`` replaced by the request's tag, then hangs up if
+    ``close``, else waits for the client to.  Returns the server."""
+    served = iter(replies)
+
+    async def handler(reader, writer):
+        try:
+            data, close = next(served)
+            line = (await reader.readline()).decode()
+            tag = line.partition(" ")[0][1:]
+            writer.write(data.replace(b"{tag}", tag.encode()))
+            await writer.drain()
+            if not close:
+                await reader.read()
+        finally:
+            writer.close()
+
+    return await asyncio.start_server(handler, "127.0.0.1", 0)
+
+
+class TestReplyFraming:
+    """A reply frame is whole only once its newline has arrived: the
+    mux never delivers a frame that EOF cut short as an answer, and a
+    frame it cannot trust fails the connection."""
+
+    CUT = b"@{tag} OK table 1\n@{tag} 12 gate a!b!ga"
+    WHOLE = b"@{tag} OK table 1\n@{tag} 12 gate a!b!gate!%s\n"
+
+    def _table_rows(self, replies):
+        async def scenario():
+            server = await _scripted_backend(replies)
+            backend = ShardBackend(
+                "scripted", "127.0.0.1",
+                server.sockets[0].getsockname()[1])
+            try:
+                return await backend.table_rows("src", ["gate"])
+            finally:
+                await backend.aclose(grace=0.0)
+                server.close()
+                await server.wait_closed()
+
+        return asyncio.run(scenario())
+
+    def test_cut_reply_is_an_error(self):
+        with pytest.raises(BackendError,
+                           match="failed: backend closed the connection"):
+            self._table_rows([(self.CUT, True), (self.CUT, True)])
+
+    def test_cut_reply_takes_the_one_retry(self):
+        assert self._table_rows([(self.CUT, True), (self.WHOLE, False)]) \
+            == {"gate": (12, "a!b!gate!%s")}
+
+    @pytest.mark.parametrize("junk", [
+        b"OK table 0\n",                            # untagged
+        b"@zz OK table 0\n",                        # unknown tag
+        b"@{tag} OK table 1\n@{tag} \xff\xfe\n",     # not UTF-8
+        b"@{tag} OK table x\n",                     # bulk count
+        b"@{tag} OK table 1\n@{tag} 1 a " + b"x" * 70000,  # > 64 KiB
+    ], ids=["untagged", "unknown-tag", "not-utf8", "bulk-count",
+            "overlong-partial"])
+    def test_broken_framing_fails_the_connection(self, junk):
+        """A frame the mux cannot trust fails the connection at once —
+        the overlong one without waiting for its newline — so the
+        request takes its one retry and then fails, long before its
+        deadline."""
+        async def scenario():
+            server = await _scripted_backend([(junk, False)] * 2)
+            backend = ShardBackend(
+                "scripted", "127.0.0.1",
+                server.sockets[0].getsockname()[1], timeout=5.0)
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            try:
+                with pytest.raises(BackendError, match="failed: ") as err:
+                    await backend.table_rows("src", ["gate"])
+                assert "TimeoutError" not in str(err.value)
+                assert loop.time() - start < 2.0
+                assert backend.connects == 2
+            finally:
+                await backend.aclose(grace=0.0)
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
+
+
+def _task_name(task) -> str:
+    """The qualified name of the coroutine ``task`` runs."""
+    return task.get_coro().__qualname__
+
+
+class _TaskRecordingService(RouteService):
+    """Records the task each ``ROUTE`` and ``TABLE`` handler ran on."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tasks = []
+
+    async def do_ROUTE(self, args, state):
+        self.tasks.append(asyncio.current_task())
+        return await super().do_ROUTE(args, state)
+
+    async def do_TABLE(self, args, state):
+        self.tasks.append(asyncio.current_task())
+        return await super().do_TABLE(args, state)
+
+
+class _TaskRecordingFederation(FederationService):
+    """Records the task each ``ROUTE`` handler ran on."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tasks = []
+
+    async def do_ROUTE(self, args, state):
+        self.tasks.append(asyncio.current_task())
+        return await super().do_ROUTE(args, state)
+
+
+class TestNoHops:
+    """The lookup round trip starts no task on either side: the
+    single-snapshot daemon answers tagged lookups inline, and the mux
+    resolves replies from its protocol callback."""
+
+    BURST = ("ROUTE mcvax", "TABLE seismo ucbvax nowhere", "ROUTE allegra",
+             "TABLE seismo", "ROUTE nowhere", "ROUTE ucbvax u")
+
+    def test_daemon_answers_tagged_lookups_on_the_connection(
+            self, shard_paths):
+        async def scenario():
+            service = _TaskRecordingService(shard_paths["backbone"])
+            server = await serve(service)
+            r, w = await asyncio.open_connection(
+                "127.0.0.1", server.sockets[0].getsockname()[1])
+            try:
+                w.write("".join(f"@{i} {line}\n" for i, line
+                                in enumerate(self.BURST)).encode())
+                w.write(b"QUIT\n")
+                await w.drain()
+                frames = (await asyncio.wait_for(r.read(), 10)).decode()
+                assert frames.endswith("OK bye\n")
+                assert {f.split()[0] for f in frames.splitlines()[:-1]} \
+                    == {f"@{i}" for i in range(len(self.BURST))}
+            finally:
+                w.close()
+                server.close()
+                await server.wait_closed()
+            assert len(service.tasks) == len(self.BURST)
+            assert len(set(service.tasks)) == 1
+            assert _task_name(service.tasks[0]) == \
+                "LineService.handle_connection"
+
+        asyncio.run(scenario())
+
+    def test_federation_answers_tagged_lookups_on_tasks(self, shard_paths):
+        async def scenario(cluster):
+            backends = {name: await cluster.start(name, path)
+                        for name, path in shard_paths.items()}
+            front = await _TaskRecordingFederation.create(
+                backends=backends, default_source="ihnp4", cache_size=0)
+            cluster.fronts.append(front)
+            server = await serve(front)
+            r, w = await asyncio.open_connection(
+                "127.0.0.1", server.sockets[0].getsockname()[1])
+            targets = ("topaz", "mit-ai", "mcvax", "caip.rutgers.edu")
+            try:
+                w.write("".join(f"@{i} ROUTE {t}\n" for i, t
+                                in enumerate(targets)).encode())
+                await w.drain()
+                for _ in targets:
+                    frame = await asyncio.wait_for(r.readline(), 10)
+                    assert frame.startswith(b"@")
+            finally:
+                w.close()
+                server.close()
+                await server.wait_closed()
+            assert len(front.tasks) == len(targets)
+            assert len(set(front.tasks)) == len(targets)
+            assert all(_task_name(t) != "LineService.handle_connection"
+                       for t in front.tasks)
+
+        _run(scenario)
+
+    def test_connect_leaves_no_task_running(self, shard_paths):
+        async def scenario(cluster):
+            await cluster.start("arpa", shard_paths["arpa"])
+
+            def client_tasks():
+                return {t for t in asyncio.all_tasks()
+                        if _task_name(t) != "LineService.handle_connection"}
+
+            before = client_tasks()
+            shard = await BackendShard.connect("arpa", cluster.dial("arpa"))
+            assert client_tasks() == before
+            await shard.entry_resolve("seismo", "mcvax")  # nor a lookup
+            assert client_tasks() == before
+
+        _run(scenario)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
 
 import pytest
@@ -816,3 +817,55 @@ class TestSyncClient:
             envelope = router.route("c!d!user")
             assert envelope.transport_address == "b!c!d!user"
             router.db.close()
+
+
+def _scripted_sync_daemon(script):
+    """A plain-socket daemon: connection ``i`` reads one request line
+    per reply in ``script[i]`` and writes that reply's raw bytes, then
+    closes.  Returns ``(port, thread)``."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        with listener:
+            for replies in script:
+                conn, _ = listener.accept()
+                with conn, conn.makefile("rb") as lines:
+                    for reply in replies:
+                        lines.readline()
+                        conn.sendall(reply)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return listener.getsockname()[1], thread
+
+
+class TestTruncatedSyncReply:
+    """A reply line that EOF cut short is no answer: the sync clients
+    treat it as a dropped connection, and their one reconnect applies."""
+
+    CUT = b"OK 300 seismo seismo!%s seismo!pi"
+    WHOLE = b"OK 300 seismo seismo!%s seismo!piet\n"
+
+    @pytest.fixture(params=["daemon", "federated"])
+    def client_class(self, request):
+        if request.param == "daemon":
+            return DaemonRouteDatabase
+        from repro.service.federation import FederatedRouteDatabase
+
+        return FederatedRouteDatabase
+
+    def test_cut_reply_is_an_error(self, client_class):
+        port, thread = _scripted_sync_daemon([[self.CUT]])
+        with client_class(("127.0.0.1", port)) as db:
+            with pytest.raises(ConnectionError):
+                db.resolve_with_cost("seismo", "piet")
+        thread.join(10)
+
+    def test_cut_reply_takes_the_one_reconnect(self, client_class):
+        port, thread = _scripted_sync_daemon(
+            [[self.WHOLE, self.CUT], [self.WHOLE]])
+        with client_class(("127.0.0.1", port)) as db:
+            assert db.resolve("seismo", "piet").address == "seismo!piet"
+            cost, res = db.resolve_with_cost("seismo", "piet")
+            assert (cost, res.address) == (300, "seismo!piet")
+        thread.join(10)

@@ -198,6 +198,7 @@ class TestTaggedWire:
             assert frames[0].startswith("@1 OK ")
             assert frames[1] == "@2 OK bye"
             assert (await r.readline()) == b""  # server hung up
+            w.close()
             server.close()
             await server.wait_closed()
 
@@ -232,23 +233,27 @@ class TestMuxDemux:
         received = []
 
         async def scripted(reader, writer):
-            tags = {}
-            while len(tags) < 2:
-                line = (await reader.readline()).decode().strip()
-                received.append(line)
-                tagtok, _, body = line.partition(" ")
-                tags[body.split()[0]] = tagtok[1:]
-            t, c = tags["TABLE"], tags["COSTS"]
-            # COSTS head first, then strict alternation: two bulk
-            # replies sharing the wire frame by frame
-            writer.write(
-                f"@{c} OK costs 2\n"
-                f"@{t} OK table 2\n"
-                f"@{c} 250 ARPA\n"
-                f"@{t} 100 foo seismo!foo!%s\n"
-                f"@{c} 2100 mcvax\n"
-                f"@{t} 200 bar seismo!bar!%s\n".encode())
-            await writer.drain()
+            try:
+                tags = {}
+                while len(tags) < 2:
+                    line = (await reader.readline()).decode().strip()
+                    received.append(line)
+                    tagtok, _, body = line.partition(" ")
+                    tags[body.split()[0]] = tagtok[1:]
+                t, c = tags["TABLE"], tags["COSTS"]
+                # COSTS head first, then strict alternation: two bulk
+                # replies sharing the wire frame by frame
+                writer.write(
+                    f"@{c} OK costs 2\n"
+                    f"@{t} OK table 2\n"
+                    f"@{c} 250 ARPA\n"
+                    f"@{t} 100 foo seismo!foo!%s\n"
+                    f"@{c} 2100 mcvax\n"
+                    f"@{t} 200 bar seismo!bar!%s\n".encode())
+                await writer.drain()
+                await reader.read()  # until the client hangs up
+            finally:
+                writer.close()
 
         async def scenario():
             server = await asyncio.start_server(scripted, "127.0.0.1",
@@ -461,6 +466,7 @@ class TestPipelinedCluster:
             assert checked > 100
             for shard in service.view.shards.values():
                 assert shard.backend.pipelined > 0
+                await shard.backend.aclose(grace=0.0)
             for server in servers.values():
                 server.close()
                 await server.wait_closed()
@@ -497,6 +503,9 @@ class TestFederationObservability:
             w.close()
             front.close()
             await front.wait_closed()
+            for shard in service.view.shards.values():
+                if getattr(shard, "backend", None) is not None:
+                    await shard.backend.aclose(grace=0.0)
             server.close()
             await server.wait_closed()
 

@@ -174,7 +174,7 @@ def _spawn_shard_daemon(snapshot_path: str, dispatch: str = "fsm",
     while True:
         line = proc.stderr.readline()
         if not line:
-            proc.terminate()
+            _stop_daemons([proc])
             raise RuntimeError(
                 "shard daemon failed to start: "
                 + (" / ".join(c.strip() for c in chatter)
@@ -184,6 +184,16 @@ def _spawn_shard_daemon(snapshot_path: str, dispatch: str = "fsm",
                 .strip().rpartition(":")
             return proc, (host, int(port))
         chatter.append(line)
+
+
+def _stop_daemons(procs) -> None:
+    """Stop daemons started by :func:`_spawn_shard_daemon` and close
+    their stderr pipes."""
+    for proc in procs:
+        proc.terminate()
+    for proc in procs:
+        proc.wait(timeout=10)
+        proc.stderr.close()
 
 
 async def _client(idx: int, addr: tuple, scenario: ChurnScenario,
@@ -509,10 +519,7 @@ async def _soak(args: argparse.Namespace, workdir: Path) -> dict:
         server.close()
         await server.wait_closed()
     finally:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.wait(timeout=10)
+        _stop_daemons(procs)
 
     latencies.sort()
     p99 = latencies[int(len(latencies) * 0.99)] if latencies else 0.0
