@@ -473,8 +473,7 @@ def bench_fanout(tmp: Path, regions: int, hosts: int,
             result = (total, elapsed,
                       sum(s.backend.requests for s in shards),
                       [s.backend.health() for s in shards])
-            for shard in shards:
-                await shard.backend.aclose(grace=0.0)
+            await service.aclose()
             return result
 
         fan_warm = asyncio.run(run_fanout())[0]
@@ -688,10 +687,16 @@ def bench_dispatch(sizes: list, probes: int) -> dict:
     (``FederationView.owners_of`` in fsm vs dict mode, over synthetic
     shards).  Also records what the automaton costs to build,
     serialize, load, and inflate — the price paid once per
-    snapshot/update — and the per-lookup scaling across sizes (the
-    O(labels) claim: cost must not grow with the entry count).
+    snapshot/update or table open — and the per-lookup scaling across
+    sizes (the O(labels) claim: cost must not grow with the entry
+    count).  ``build_sec`` times ``compile_keys`` (trie plus linking
+    into the in-memory matcher), ``serialize_sec`` ``encode_keys``
+    (trie plus the stored block, no linking), and ``inflate_sec``
+    decoding the stored block plus linking it, which the first match
+    no longer pays.
     """
-    from repro.service.fsm import compile_keys, load
+    from repro.service.fsm import (FlatSuffixAutomaton, compile_keys,
+                                   encode_keys)
     from repro.service.resolver import domain_suffixes
     from repro.service.shard import FederationView
 
@@ -710,16 +715,16 @@ def bench_dispatch(sizes: list, probes: int) -> dict:
         targets = _dispatch_probes(keys, probes)
 
         t0 = time.perf_counter()
-        auto = compile_keys(keys)
+        compile_keys(keys)
         build_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        blob = auto.to_bytes()
+        blob = encode_keys(keys)
         serialize_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        flat = load(blob)
+        flat = FlatSuffixAutomaton(blob)
         load_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        flat.inflate()
+        auto = flat.inflate()
         inflate_s = time.perf_counter() - t0
 
         table = {k: i for i, k in enumerate(keys)}
@@ -732,7 +737,7 @@ def bench_dispatch(sizes: list, probes: int) -> dict:
                     return hit
             return -1
 
-        match = auto.matcher()
+        match = auto.match
         fsm_s = best_of(lambda: [match(t) for t in targets])
         dict_s = best_of(lambda: [walk_lookup(t) for t in targets])
 
@@ -764,8 +769,8 @@ def bench_dispatch(sizes: list, probes: int) -> dict:
         out["sizes"][str(entries)] = {
             "entries": entries,
             "automaton": {
-                "states": auto.state_count,
-                "edges": auto.edge_count,
+                "states": flat.state_count,
+                "edges": flat.edge_count,
                 "blob_bytes": len(blob),
                 "build_sec": round(build_s, 3),
                 "serialize_sec": round(serialize_s, 3),

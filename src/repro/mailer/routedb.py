@@ -35,6 +35,7 @@ from repro.service.resolver import (  # noqa: F401  (re-exports)
     Resolution,
     SuffixResolver,
     domain_suffixes,
+    relative_resolution,
 )
 
 
@@ -57,7 +58,6 @@ class RouteDatabase(SuffixResolver):
         # compiled dispatch, built lazily on the first suffix resolve
         # (the route map is immutable after construction)
         self._auto: SuffixAutomaton | None = None
-        self._auto_keys: list[str] | None = None
 
     @classmethod
     def from_table(cls, table: RouteTable) -> "RouteDatabase":
@@ -89,28 +89,19 @@ class RouteDatabase(SuffixResolver):
     # instead of a dict probe per suffix), byte-identical to the walk
     # that resolver.resolve_with_cost_dict runs over lookup.
 
-    def _automaton(self) -> SuffixAutomaton:
-        if self._auto is None:
-            self._auto_keys = sorted(self._routes,
-                                     key=lambda n: n.encode("utf-8"))
-            self._auto = compile_keys(self._auto_keys)
-        return self._auto
-
     def resolve_with_cost(self, target: str, user: str = "%s"
                           ) -> tuple[int, Resolution]:
         """Compiled domain-suffix lookup (see
         :meth:`~repro.service.resolver.SuffixResolver.resolve_with_cost`
         for the contract this matches exactly)."""
-        idx = self._automaton().match(target)
-        if idx < 0:
+        if self._auto is None:
+            keys = list(self._routes)
+            self._auto = compile_keys(keys, payloads=keys)
+        key = self._auto.match(target)
+        if key is None:
             raise RouteError(f"no route to {target!r}")
-        key = self._auto_keys[idx]
-        route = self._routes[key]
-        cost = self._costs.get(key, 0)
-        argument = user if key == target else f"{target}!{user}"
-        return cost, Resolution(
-            target=target, matched=key, route=route,
-            address=route.replace("%s", argument, 1))
+        return self._costs.get(key, 0), relative_resolution(
+            target, key, self._routes[key], user)
 
     def source_table(self) -> str | None:
         """The source host these routes were mapped from (if known)."""

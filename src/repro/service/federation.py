@@ -170,7 +170,8 @@ class FederationService(LineService):
         #: lookups still pinned to the outgoing view before closing.
         self.retire_grace = 2.0
         self._swap_lock = asyncio.Lock()
-        self._retiring: set = set()
+        #: retire tasks still running, each mapped to its backend
+        self._retiring: dict = {}
 
     @classmethod
     async def create(cls, shards=None, backends=None,
@@ -248,8 +249,29 @@ class FederationService(LineService):
             return
         task = asyncio.get_running_loop().create_task(
             backend.aclose(self.retire_grace))
-        self._retiring.add(task)
-        task.add_done_callback(self._retiring.discard)
+        self._retiring[task] = backend
+        task.add_done_callback(self._retiring.pop)
+
+    async def aclose(self) -> None:
+        """Close every backend shard's connection with no grace
+        period, for a front end that has stopped serving.
+
+        The attached backends close first, which ends their ``NOTIFY``
+        listeners and fails any round trip a re-sync still waits on;
+        then the re-sync and retire tasks are cancelled and awaited,
+        and the backends still retiring are closed too.
+        """
+        for shard in self.view.shards.values():
+            backend = getattr(shard, "backend", None)
+            if backend is not None:
+                await backend.aclose(grace=0.0)
+        retiring = dict(self._retiring)
+        tasks = [*self._resync_tasks, *retiring]
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        for backend in retiring.values():
+            await backend.aclose(grace=0.0)
 
     async def _open_shard(self, name: str, spec: str):
         """Open an attachable shard from its spec: a ``host:port``
@@ -581,17 +603,21 @@ def run_federation_daemon(shards: dict, host: str = "127.0.0.1",
         service = await FederationService.create(
             shards=shards, backends=backends, default_source=source,
             dispatch=dispatch, cache_size=cache_size)
-        server = await serve(service, host, port)
-        bound = server.sockets[0].getsockname()
-        names = ",".join(service.view.shard_names())
-        remote = len(backends or {})
-        local = len(service.view.shards) - remote
-        print(f"pathalias: serve: federating {len(service.view.shards)}"
-              f" shard(s) [{names}] ({local} local, {remote} remote "
-              f"backend(s)); listening on "
-              f"{bound[0]}:{bound[1]}", file=sys.stderr, flush=True)
-        async with server:
-            await server.serve_forever()
+        try:
+            server = await serve(service, host, port)
+            bound = server.sockets[0].getsockname()
+            names = ",".join(service.view.shard_names())
+            remote = len(backends or {})
+            local = len(service.view.shards) - remote
+            print(f"pathalias: serve: federating "
+                  f"{len(service.view.shards)} shard(s) [{names}] "
+                  f"({local} local, {remote} remote backend(s)); "
+                  f"listening on {bound[0]}:{bound[1]}",
+                  file=sys.stderr, flush=True)
+            async with server:
+                await server.serve_forever()
+        finally:
+            await service.aclose()
 
     try:
         asyncio.run(main())

@@ -28,20 +28,26 @@ the dict walk: the same key wins, including every degenerate form the
 walk accepts (single-label hosts, leading/trailing dots, consecutive
 dots — empty labels are real labels here).
 
-Two matcher tiers share one serialized format (the snapshot ``DFSM``
-block, see ``docs/snapshot-format.md``):
+The automaton has one writer, one in-memory form and one stored form
+(the snapshot ``DFSM`` block, see ``docs/snapshot-format.md``):
 
-* :class:`SuffixAutomaton` — the inflated, dict-transition form; the
-  serving hot path.
-* :class:`FlatSuffixAutomaton` — a zero-copy view over the serialized
-  bytes (binary-searched labels and edges); what a mapped snapshot
-  hands out without decoding anything, and what :meth:`inflate`
-  expands in one linear pass (no trie rebuild, no re-sort).
+* :func:`encode_keys` is the only writer of the stored form.  It
+  writes the trie builder's per-state arrays straight into the block
+  and never builds nodes.
+* :class:`SuffixAutomaton` is the only in-memory form: a linked node
+  trie, each node one ``(children, exact, domain)`` tuple whose
+  children map a label straight to the child node.  One linker builds
+  it, from keys (:func:`compile_keys`) or from a stored block
+  (:meth:`FlatSuffixAutomaton.inflate`).
+* :class:`FlatSuffixAutomaton` is a zero-copy view over a stored
+  block: it matches in place (binary-searched labels and edges) and
+  reads the block's embedded name table, decoding nothing up front.
 
-Serialization is a pure function of the key sequence: the same sorted
-keys always produce the same bytes, at any worker count — which is
-what lets the incremental updater splice a stored block verbatim
-whenever a section's name set is unchanged.
+Encoding is a pure function of the key sequence: the same sorted keys
+always produce the same bytes, at any worker count — which is what
+lets the incremental updater splice a stored block verbatim whenever
+a section's name set is unchanged.  In memory an empty slot and a
+miss are ``None``; the stored form writes ``-1``.
 """
 
 from __future__ import annotations
@@ -86,177 +92,33 @@ def _utf8(text: str) -> bytes:
     return text.encode("utf-8")
 
 
-class SuffixAutomaton:
-    """The inflated (dict-transition) matcher — the serving hot path.
-
-    Build one with :func:`compile_keys` (from a key list) or
-    :meth:`FlatSuffixAutomaton.inflate` (from stored bytes).  State 0
-    is the root; transitions consume the target's labels right to
-    left; each state carries an *exact* payload (set when a key's full
-    label path ends here) and a *domain* payload (set when a
-    leading-dot key's suffix path ends here).
-    """
-
-    __slots__ = ("_trans", "_exact", "_domain", "_match_fn")
-
-    def __init__(self, trans, exact, domain):
-        self._trans = trans
-        self._exact = exact
-        self._domain = domain
-        # the default compiled matcher closure, built lazily on the
-        # first match (see :meth:`matcher`)
-        self._match_fn = None
-
-    @property
-    def state_count(self) -> int:
-        """Number of trie states (root included)."""
-        return len(self._trans)
-
-    @property
-    def edge_count(self) -> int:
-        """Number of label transitions."""
-        return sum(len(t) for t in self._trans)
-
-    def match(self, target: str) -> int:
-        """The payload of the key the dict walk would match, or -1.
-
-        Replicates :func:`~repro.service.resolver.domain_suffixes`
-        semantics exactly: the literal target wins first (the walk's
-        first probe hits *any* key equal to the target, leading-dot
-        keys included), then the longest proper domain suffix.  A
-        leading-dot target never matches itself as its own suffix, and
-        empty labels (``a..b``, ``a.``) traverse like any other label.
-        """
-        fn = self._match_fn
-        if fn is None:
-            fn = self.matcher()
-        return fn(target)
-
-    def matcher(self, payloads=None, default=-1):
-        """A compiled matcher closure — what per-call hot paths (the
-        federation's owner dispatch, the snapshot resolver) cache and
-        call.
-
-        The trie is rebuilt as a linked node graph — each state one
-        ``(children, exact, domain)`` tuple, children mapping a label
-        straight to the child tuple — so a lookup touches only the
-        nodes on its own path: no per-step state-array indexing, and
-        deep targets still die at the first label the key set lacks
-        (cost O(labels the key set knows), not O(labels given)).
-
-        ``payloads`` optionally maps payload indices to caller
-        objects: the closure then answers ``payloads[i]`` instead of
-        ``i``, and ``default`` instead of -1 on a miss — the owner
-        dispatch stores its ``(key, shard names)`` pairs directly in
-        the nodes, so a hit returns the answer with zero post-lookup
-        indexing.  The default int form is cached; mapped forms are
-        the caller's to cache.
-        """
-        if payloads is None and default == -1 and \
-                self._match_fn is not None:
-            return self._match_fn
-        trans = self._trans
-        exact = self._exact
-        domain = self._domain
-        n = len(trans)
-
-        def payload(i):
-            if i < 0:
-                return None
-            return i if payloads is None else payloads[i]
-
-        dicts: list = [{} for _ in range(n)]
-        nodes = [(dicts[i], payload(exact[i]), payload(domain[i]))
-                 for i in range(n)]
-        for i, t in enumerate(trans):
-            d = dicts[i]
-            for label, j in t.items():
-                d[label] = nodes[j]
-        root = nodes[0]
-
-        def match(target: str):
-            node = root
-            best = default
-            rest = target
-            while True:
-                head, sep, label = rest.rpartition(".")
-                nxt = node[0].get(label)
-                if nxt is None:
-                    return best
-                node = nxt
-                if not sep:
-                    # consumed the leading label: the exact slot is
-                    # the walk's literal first probe
-                    p = node[1]
-                    return best if p is None else p
-                if head:
-                    # a proper suffix remains to the left, so this
-                    # state's domain key (if any) is probed; when head
-                    # is empty the rest is the leading-dot target's
-                    # own tail, which the walk never probes as a
-                    # domain
-                    p = node[2]
-                    if p is not None:
-                        best = p
-                rest = head
-
-        if payloads is None and default == -1:
-            self._match_fn = match
-        return match
-
-    def to_bytes(self, names=None) -> bytes:
-        """Serialize into the flat ``DFSM`` block layout.
-
-        ``names`` optionally embeds a payload table — ``(name, flags)``
-        pairs in payload order — making the block self-contained (the
-        wire-shipped ownership form); omitted for snapshot table
-        blocks, whose payloads index the section's own ``RECS``
-        records.  Output is a pure function of the compiled key
-        sequence: deterministic, byte-for-byte.
-        """
-        label_set = set()
-        for t in self._trans:
-            label_set.update(t)
-        labels = sorted(label_set, key=_utf8)
-        label_id = {lab: i for i, lab in enumerate(labels)}
-        blob = bytearray()
-        label_refs = []
-        for lab in labels:
-            raw = _utf8(lab)
-            label_refs.append((len(blob), len(raw)))
-            blob += raw
-        states = []
-        edges = []
-        for s, t in enumerate(self._trans):
-            items = sorted((label_id[lab], tgt) for lab, tgt in t.items())
-            states.append((len(edges), len(items),
-                           self._exact[s], self._domain[s]))
-            edges.extend(items)
-        name_refs = []
-        for name, flags in (names or ()):
-            raw = _utf8(name)
-            name_refs.append((len(blob), len(raw), flags))
-            blob += raw
-        parts = [_FSM_HEADER.pack(FSM_MAGIC, FSM_FORMAT, 0,
-                                  len(states), len(edges), len(labels),
-                                  len(name_refs))]
-        parts += [_FSM_STATE.pack(*st) for st in states]
-        parts += [_FSM_EDGE.pack(*e) for e in edges]
-        parts += [_FSM_LABEL.pack(*ref) for ref in label_refs]
-        parts += [_FSM_NAME.pack(*ref) for ref in name_refs]
-        parts.append(bytes(blob))
-        return b"".join(parts)
+def _decode(blob: bytes, refs, count: int, what: str) -> list:
+    """The ``count`` UTF-8 strings that ``(offset, length)`` refs name
+    in ``blob``.  A ref past the blob, or bytes that are not UTF-8,
+    raise :class:`AutomatonError` naming ``what`` the refs are."""
+    size = len(blob)
+    try:
+        texts = [blob[off:off + length].decode("utf-8")
+                 for off, length in refs if off + length <= size]
+    except UnicodeDecodeError as exc:
+        raise AutomatonError(
+            f"automaton block malformed: {what} {exc}") from None
+    if len(texts) != count:
+        raise AutomatonError(
+            f"automaton block malformed: a {what} runs past the blob")
+    return texts
 
 
-def compile_keys(keys) -> SuffixAutomaton:
-    """Compile unique keys (payload = position) into a matcher.
+def _trie(keys) -> tuple[list, list, list]:
+    """The trie over unique ``keys`` (payload = position) as per-state
+    arrays ``(trans, exact, domain)``: ``trans[s]`` maps a label to a
+    state number, and an empty payload slot holds -1.
 
     Each key contributes its full label path as an *exact* entry; a
     leading-dot key additionally contributes its dotless suffix path
     as a *domain* entry — which is exactly the two ways the dict walk
-    can hit it.  Pass keys sorted by UTF-8 bytes when the serialized
-    form must be deterministic (state numbering follows insertion
-    order).
+    can hit it.  State 0 is the root and numbering follows insertion
+    order.
     """
     trans: list = [{}]
     exact = [-1]
@@ -279,7 +141,137 @@ def compile_keys(keys) -> SuffixAutomaton:
         exact[walk(key.split("."))] = idx
         if key.startswith("."):
             domain[walk(key[1:].split("."))] = idx
-    return SuffixAutomaton(trans, exact, domain)
+    return trans, exact, domain
+
+
+def _link(nodes: list) -> tuple:
+    """Link the node trie in place and return its root (state 0).
+
+    ``nodes[s]`` is state s's ``(children, exact, domain)`` node,
+    whose children still map labels to target state numbers: each
+    number is swapped for the target node.  A target past the state
+    count raises ``IndexError``.
+    """
+    for children, _, _ in nodes:
+        if children:
+            for label, target in children.items():
+                children[label] = nodes[target]
+    return nodes[0]
+
+
+class SuffixAutomaton:
+    """The in-memory matcher: a linked node trie.
+
+    Build one with :func:`compile_keys` (from keys) or
+    :meth:`FlatSuffixAutomaton.inflate` (from a stored block).  Each
+    node is one ``(children, exact, domain)`` tuple: ``children`` maps
+    a label straight to the child node, ``exact`` is the payload of
+    the key whose full label path ends here and ``domain`` that of the
+    leading-dot key whose dotless suffix path ends here (``None`` when
+    empty).  Transitions consume the target's labels right to left, so
+    a lookup touches only the nodes on its own path and a deep target
+    dies at the first label the key set lacks: cost O(labels the key
+    set knows), not O(labels given).
+    """
+
+    __slots__ = ("_root",)
+
+    def __init__(self, root):
+        self._root = root
+
+    def match(self, target: str):
+        """The payload of the key the dict walk would match, or None.
+
+        Replicates :func:`~repro.service.resolver.domain_suffixes`
+        semantics exactly: the literal target wins first (the walk's
+        first probe hits *any* key equal to the target, leading-dot
+        keys included), then the longest proper domain suffix.  A
+        leading-dot target never matches itself as its own suffix, and
+        empty labels (``a..b``, ``a.``) traverse like any other label.
+        """
+        node = self._root
+        best = None
+        rest = target
+        while True:
+            head, sep, label = rest.rpartition(".")
+            node = node[0].get(label)
+            if node is None:
+                return best
+            if not sep:
+                # consumed the leading label: the exact slot is the
+                # walk's literal first probe
+                p = node[1]
+                return best if p is None else p
+            if head:
+                # a proper suffix remains to the left, so this state's
+                # domain key (if any) is probed; when head is empty the
+                # rest is the leading-dot target's own tail, which the
+                # walk never probes as a domain
+                p = node[2]
+                if p is not None:
+                    best = p
+            rest = head
+
+
+def encode_keys(keys, names=None) -> bytes:
+    """Compile unique keys (payload = position) into the serialized
+    ``DFSM`` block — the only writer of the stored form.
+
+    ``names`` optionally embeds a payload table — ``(name, flags)``
+    pairs in payload order — making the block self-contained (the
+    wire-shipped ownership form); omitted for snapshot table blocks,
+    whose payloads index the section's own ``RECS`` records.  The
+    bytes are a pure function of the key sequence (state numbering
+    follows it), so pass keys sorted by UTF-8 bytes.
+    """
+    trans, exact, domain = _trie(keys)
+    label_set = set()
+    for t in trans:
+        label_set.update(t)
+    labels = sorted(label_set, key=_utf8)
+    label_id = {lab: i for i, lab in enumerate(labels)}
+    blob = bytearray()
+    label_refs = []
+    for lab in labels:
+        raw = _utf8(lab)
+        label_refs.append((len(blob), len(raw)))
+        blob += raw
+    states = []
+    edges = []
+    for s, t in enumerate(trans):
+        items = sorted((label_id[lab], tgt) for lab, tgt in t.items())
+        states.append((len(edges), len(items), exact[s], domain[s]))
+        edges.extend(items)
+    name_refs = []
+    for name, flags in (names or ()):
+        raw = _utf8(name)
+        name_refs.append((len(blob), len(raw), flags))
+        blob += raw
+    parts = [_FSM_HEADER.pack(FSM_MAGIC, FSM_FORMAT, 0,
+                              len(states), len(edges), len(labels),
+                              len(name_refs))]
+    parts += [_FSM_STATE.pack(*st) for st in states]
+    parts += [_FSM_EDGE.pack(*e) for e in edges]
+    parts += [_FSM_LABEL.pack(*ref) for ref in label_refs]
+    parts += [_FSM_NAME.pack(*ref) for ref in name_refs]
+    parts.append(bytes(blob))
+    return b"".join(parts)
+
+
+def compile_keys(keys, payloads=None) -> SuffixAutomaton:
+    """Compile unique keys into the in-memory matcher.
+
+    A hit answers the matched key's position in ``keys`` — or, when
+    ``payloads`` is given, ``payloads[position]``: the owner dispatch
+    stores its ``(key, shard names)`` pairs straight in the nodes, so
+    a hit is the answer with no post-lookup indexing.
+    """
+    if payloads is None:
+        payloads = range(len(keys))
+    trans, exact, domain = _trie(keys)
+    return SuffixAutomaton(_link([
+        (t, None if e < 0 else payloads[e], None if d < 0 else payloads[d])
+        for t, e, d in zip(trans, exact, domain)]))
 
 
 class FlatSuffixAutomaton:
@@ -289,8 +281,8 @@ class FlatSuffixAutomaton:
     snapshot) plus the section offsets from the header — nothing is
     decoded up front.  :meth:`match` binary-searches the interned
     label table and each state's edge range in place; :meth:`inflate`
-    expands the block into the dict-transition hot-path form with one
-    linear pass.
+    decodes the block and links it into the in-memory
+    :class:`SuffixAutomaton` in one pass.
     """
 
     __slots__ = ("_data", "state_count", "edge_count", "label_count",
@@ -370,15 +362,15 @@ class FlatSuffixAutomaton:
                 return target
         return -1
 
-    def match(self, target: str) -> int:
-        """The matched key's payload, or -1 — same contract (and same
+    def match(self, target: str):
+        """The matched key's payload, or None — same contract (and same
         answers, differentially tested) as
         :meth:`SuffixAutomaton.match`, straight off the stored bytes."""
         labels = target.split(".")
         n = len(labels)
         dmax = n - 2 if labels[0] == "" else n - 1
         state = 0
-        best = -1
+        best = None
         d = 0
         for i in range(n - 1, -1, -1):
             lid = self._label_id(labels[i])
@@ -402,45 +394,46 @@ class FlatSuffixAutomaton:
     def names(self) -> list:
         """The embedded payload table as ``(name, flags)`` pairs in
         payload order (empty for table blocks, which index their
-        section's own records instead)."""
+        section's own records instead).  A name ref past the blob or
+        a name that is not UTF-8 raises :class:`AutomatonError`."""
         data = self._data
-        out = []
-        for i in range(self.name_count):
-            off, length, flags = _FSM_NAME.unpack_from(
-                data, self._names_off + i * _FSM_NAME.size)
-            base = self._blob_off + off
-            out.append((str(data[base:base + length], "utf-8"), flags))
-        return out
+        refs = list(_FSM_NAME.iter_unpack(
+            data[self._names_off:self._blob_off]))
+        names = _decode(bytes(data[self._blob_off:]),
+                        (ref[:2] for ref in refs), len(refs), "name")
+        return [(name, ref[2]) for name, ref in zip(names, refs)]
 
     def inflate(self) -> SuffixAutomaton:
-        """Expand into the dict-transition hot-path matcher.
+        """Decode the stored arrays and link them into the in-memory
+        matcher, in one pass.
 
-        One linear pass over the stored arrays — decode the interned
-        labels once, then wire each state's edges into a dict — with
-        no trie construction and no sorting, which is what makes
-        opening a precompiled snapshot much cheaper than recompiling
-        its key set.  Each table is unpacked by one
-        ``Struct.iter_unpack`` over its slice of the block.
+        The interned labels are decoded once; each state's edge slice
+        becomes its node's children dict, whose target numbers the
+        linker swaps for nodes.  No trie construction and no sorting,
+        which is what makes opening a precompiled snapshot much cheaper
+        than recompiling its key set.  Every edge range, label id,
+        target state and blob ref is checked: a bad one, or a label
+        that is not UTF-8, raises :class:`AutomatonError`.
         """
         data = self._data
-        blob = bytes(data[self._blob_off:])
-        labels = [blob[off:off + length].decode("utf-8")
-                  for off, length in _FSM_LABEL.iter_unpack(
-                      data[self._labels_off:self._names_off])]
-        edges = [(labels[lid], target)
-                 for lid, target in _FSM_EDGE.iter_unpack(
-                     data[self._edges_off:self._labels_off])]
-        trans = []
-        exact = []
-        domain = []
-        for start, count, ex, dom in _FSM_STATE.iter_unpack(
-                data[self._states_off:self._edges_off]):
-            trans.append(dict(edges[start:start + count]))
-            exact.append(ex)
-            domain.append(dom)
-        return SuffixAutomaton(trans, exact, domain)
-
-
-def load(data) -> FlatSuffixAutomaton:
-    """Open serialized block bytes as a zero-copy flat matcher."""
-    return FlatSuffixAutomaton(data)
+        labels = _decode(bytes(data[self._blob_off:]),
+                         _FSM_LABEL.iter_unpack(
+                             data[self._labels_off:self._names_off]),
+                         self.label_count, "label")
+        n = self.edge_count
+        try:
+            edges = [(labels[lid], target)
+                     for lid, target in _FSM_EDGE.iter_unpack(
+                         data[self._edges_off:self._labels_off])]
+            nodes = [(dict(edges[start:start + count]) if count else {},
+                      None if ex < 0 else ex, None if dom < 0 else dom)
+                     for start, count, ex, dom in _FSM_STATE.iter_unpack(
+                         data[self._states_off:self._edges_off])
+                     if start + count <= n]
+            if len(nodes) == self.state_count:
+                return SuffixAutomaton(_link(nodes))
+        except IndexError:
+            pass
+        raise AutomatonError(
+            "automaton block malformed: an edge range, label id or "
+            "target state is out of range")

@@ -18,9 +18,11 @@ what they share:
   paper's domain lookup procedure — "search ``caip.rutgers.edu``, then
   ``.rutgers.edu``, then ``.edu``" — over one abstract
   ``lookup(name) -> (cost, route)`` primitive, so the search sequence
-  and the relative-address instantiation live in exactly one place.
+  lives in exactly one place.
 * :func:`resolve_with_cost_dict` is that walk run as the differential
   oracle over any surface's exact-name ``lookup``.
+* :func:`relative_resolution` is the paper's relative-address rule,
+  which every surface's suffix search answers through.
 
 The :class:`Resolution` record and :func:`domain_suffixes` moved here
 from :mod:`repro.mailer.routedb` (which re-exports them unchanged):
@@ -61,15 +63,28 @@ def domain_suffixes(name: str) -> list[str]:
     return out
 
 
+def relative_resolution(target: str, matched: str, route: str,
+                        user: str) -> Resolution:
+    """The :class:`Resolution` of ``target`` through the key it
+    ``matched``, whose route template is ``route``.
+
+    The paper's relative-address rule: on an exact host match the
+    format argument is the user; on a domain match it is
+    ``target!user`` — "a route relative to its gateway".
+    """
+    argument = user if matched == target else f"{target}!{user}"
+    return Resolution(target=target, matched=matched, route=route,
+                      address=route.replace("%s", argument, 1))
+
+
 class SuffixResolver:
     """The paper's domain lookup procedure over an abstract ``lookup``.
 
     Subclasses provide ``lookup(name) -> (cost, route) | None`` — a
     dict probe, a binary search over snapshot bytes, whatever — and
     inherit the whole resolve surface: the suffix walk, the
-    gateway-relative instantiation ("on a domain match the format
-    argument is ``target!user`` — a route relative to its gateway"),
-    and the bang-address form.
+    gateway-relative instantiation (:func:`relative_resolution`), and
+    the bang-address form.
     """
 
     __slots__ = ()
@@ -81,21 +96,14 @@ class SuffixResolver:
     def resolve_with_cost(self, target: str, user: str = "%s"
                           ) -> tuple[int, Resolution]:
         """Suffix-search ``target``; return the matched record's cost
-        alongside the resolution so hot paths need no second search.
-
-        Exact host match: the format argument is the user.  Domain
-        match: the argument is ``target!user`` — "a route relative to
-        its gateway".
-        """
+        alongside the resolution (:func:`relative_resolution`) so hot
+        paths need no second search."""
         for key in domain_suffixes(target):
             hit = self.lookup(key)
             if hit is None:
                 continue
             cost, route = hit
-            argument = user if key == target else f"{target}!{user}"
-            return cost, Resolution(
-                target=target, matched=key, route=route,
-                address=route.replace("%s", argument, 1))
+            return cost, relative_resolution(target, key, route, user)
         raise RouteError(f"no route to {target!r}")
 
     def resolve(self, target: str, user: str = "%s") -> Resolution:

@@ -64,7 +64,7 @@ from repro.errors import (
     RouteError,
     UnknownShardError,
 )
-from repro.service.fsm import SuffixAutomaton, compile_keys
+from repro.service.fsm import compile_keys
 from repro.service.resolver import (Resolution, domain_suffixes,
                                     resolve_with_cost_dict)
 from repro.service.store import SnapshotReader
@@ -286,12 +286,10 @@ class FederationView:
         self._owners = {name: tuple(sorted(names))
                         for name, names in owners.items()}
         self._dispatch = dispatch
-        # the compiled ownership matcher, built lazily on the first
-        # suffix dispatch (exact-name surfaces never need it, and a
-        # dict-mode view never pays for it)
-        self._owner_auto: SuffixAutomaton | None = None
+        # the compiled ownership matcher's bound match, built lazily on
+        # the first suffix dispatch (exact-name surfaces never need it,
+        # and a dict-mode view never pays for it)
         self._owner_match = None
-        self._owner_pairs: list[tuple] | None = None
         self._gateways: dict[tuple[str, str], tuple] = {}
         names = list(self.shards)
         for i, a in enumerate(names):
@@ -317,21 +315,6 @@ class FederationView:
         """This view's suffix-dispatch mode (``fsm`` or ``dict``)."""
         return self._dispatch
 
-    def _owner_automaton(self) -> SuffixAutomaton:
-        """The compiled matcher over the merged ownership index
-        (cached): the ``(key, owning shard names)`` answer pairs are
-        mapped straight into the matcher's nodes, so a hit *is* the
-        answer — no post-lookup indexing."""
-        auto = self._owner_auto
-        if auto is None:
-            keys = sorted(self._owners, key=lambda n: n.encode("utf-8"))
-            self._owner_pairs = [(k, self._owners[k]) for k in keys]
-            auto = compile_keys(keys)
-            self._owner_auto = auto
-            self._owner_match = auto.matcher(
-                payloads=self._owner_pairs, default=("", ()))
-        return auto
-
     def owners_of(self, target: str) -> tuple[str, tuple]:
         """``(matched key, owning shard names)`` for a destination.
 
@@ -347,9 +330,10 @@ class FederationView:
         if self._dispatch != "dict":
             match = self._owner_match
             if match is None:
-                self._owner_automaton()
-                match = self._owner_match
-            return match(target)
+                pairs = list(self._owners.items())
+                match = self._owner_match = compile_keys(
+                    [key for key, _ in pairs], payloads=pairs).match
+            return match(target) or ("", ())
         for key in domain_suffixes(target):
             names = self._owners.get(key)
             if names:
@@ -421,9 +405,7 @@ class FederationView:
         new_index = shard.routing_index()
         if old_index == new_index:
             view._owners = self._owners
-            view._owner_auto = self._owner_auto
             view._owner_match = self._owner_match
-            view._owner_pairs = self._owner_pairs
         else:
             owners = dict(self._owners)
             for name, _is_domain in old_index:
@@ -440,9 +422,7 @@ class FederationView:
                 if shard.name not in names:
                     owners[name] = tuple(sorted(names + (shard.name,)))
             view._owners = owners
-            view._owner_auto = None
             view._owner_match = None
-            view._owner_pairs = None
         gateways = dict(self._gateways)
         for other, other_shard in view.shards.items():
             if other == shard.name:

@@ -75,9 +75,10 @@ from repro.service.fsm import (
     AutomatonError,
     FlatSuffixAutomaton,
     SuffixAutomaton,
-    compile_keys,
+    encode_keys,
 )
-from repro.service.resolver import Resolution, SuffixResolver
+from repro.service.resolver import (Resolution, SuffixResolver,
+                                    relative_resolution)
 
 MAGIC = b"PATHSNP1"
 
@@ -325,8 +326,7 @@ def encode_table_section(records, unreachable, tree_links,
             == [key for key, _, _, _ in by_name]:
         dfsm = previous.dfsm_bytes()
     else:
-        dfsm = compile_keys(
-            [name for _, _, name, _ in by_name]).to_bytes()
+        dfsm = encode_keys([name for _, _, name, _ in by_name])
     blocks = dict(RECS=_pack_all(_RECORD, recs, len(by_name)),
                   UNRC=_pack_all(_REF, unrc, len(unreachable)),
                   TREE=_pack_all(_PAIR, tree, len(pairs)),
@@ -547,18 +547,26 @@ class SnapshotTable(SuffixResolver):
                 self._data[self._dfsm_off:
                            self._dfsm_off + self._dfsm_len])
         except AutomatonError as exc:
-            raise SnapshotError(
-                f"table section for {self.source!r}{self._where()}: "
-                f"{exc}") from None
+            raise self._dfsm_error(exc) from None
+
+    def _dfsm_error(self, detail) -> SnapshotError:
+        """The section's error for a malformed ``DFSM`` block."""
+        return SnapshotError(
+            f"table section for {self.source!r}{self._where()}: "
+            f"{detail}")
 
     def automaton(self) -> SuffixAutomaton:
-        """The section's suffix-dispatch matcher (cached), inflated
-        from the mapped ``DFSM`` block in a single linear pass — no
-        trie rebuild.  Payloads are record indexes into this
-        section's sorted ``RECS`` array.
+        """The section's suffix-dispatch matcher (cached), decoded and
+        linked from the mapped ``DFSM`` block in one pass — no trie
+        rebuild.  Payloads are record indexes into this section's
+        sorted ``RECS`` array.
         """
         if self._auto is None:
-            self._auto = self.flat_automaton().inflate()
+            flat = self.flat_automaton()
+            try:
+                self._auto = flat.inflate()
+            except AutomatonError as exc:
+                raise self._dfsm_error(exc) from None
         return self._auto
 
     def resolve_with_cost(self, target: str, user: str = "%s"
@@ -576,15 +584,15 @@ class SnapshotTable(SuffixResolver):
         if auto is None:
             auto = self.automaton()
         idx = auto.match(target)
-        if idx < 0:
+        if idx is None:
             raise RouteError(f"no route to {target!r}")
+        if idx >= self._rc:
+            raise self._dfsm_error(
+                f"automaton payload {idx} is past the section's "
+                f"{self._rc} records")
         cost, noff, nlen, roff, rlen = self._record(idx)
-        matched = self._text(noff, nlen)
-        route = self._text(roff, rlen)
-        argument = user if matched == target else f"{target}!{user}"
-        return cost, Resolution(
-            target=target, matched=matched, route=route,
-            address=route.replace("%s", argument, 1))
+        return cost, relative_resolution(
+            target, self._text(noff, nlen), self._text(roff, rlen), user)
 
     def unreachable(self) -> list[str]:
         """Host names this source could not reach."""
@@ -1076,8 +1084,8 @@ class SnapshotReader:
         lines.  Only the bytes are kept, not the compiled matcher."""
         if self._index_fsm is None:
             index = self.routing_index()
-            self._index_fsm = compile_keys(
-                [name for name, _ in index]).to_bytes(
+            self._index_fsm = encode_keys(
+                [name for name, _ in index],
                 names=[(name, NAME_F_DOMAIN if is_domain else 0)
                        for name, is_domain in index])
         return self._index_fsm

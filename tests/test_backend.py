@@ -14,6 +14,8 @@ The acceptance bars:
 from __future__ import annotations
 
 import asyncio
+import base64
+import struct
 from pathlib import Path
 
 import pytest
@@ -139,11 +141,8 @@ class _Cluster:
     async def close(self) -> None:
         """Close every client this cluster handed out and every front
         end's backend connections, then stop every daemon."""
-        for service in self.fronts:
-            self.backends.extend(
-                shard.backend for shard in service.view.shards.values()
-                if getattr(shard, "backend", None) is not None)
-        self.fronts.clear()
+        while self.fronts:
+            await self.fronts.pop().aclose()
         while self.backends:
             await self.backends.pop().aclose(grace=0.0)
         for name in list(self.servers):
@@ -695,6 +694,27 @@ class TestBackendRestart:
         _run(scenario)
 
 
+class _BadIndexService(RouteService):
+    """A backend daemon whose ``TABLE --fsm`` block names its first
+    index entry badly: with a byte that is not UTF-8 (``utf8``) or
+    with a ref that runs past the block's blob (``past-blob``)."""
+
+    fault = "utf8"
+
+    async def do_TABLE(self, args, state):
+        if args != ["--fsm"]:
+            return await super().do_TABLE(args, state)
+        block = bytearray(self.reader.index_fsm_bytes())
+        _, _, _, sc, ec, lc, nc = struct.unpack_from("<4sHHIIII", block)
+        names = 24 + 16 * sc + 8 * ec + 8 * lc
+        off, _, _ = struct.unpack_from("<III", block, names)
+        if self.fault == "utf8":
+            block[names + 12 * nc + off] = 0xFF
+        else:
+            struct.pack_into("<I", block, names + 4, len(block))
+        return f"OK fsm 1\n{base64.b64encode(bytes(block)).decode()}"
+
+
 class TestBackendAdministration:
     async def request(self, r, w, line):
         w.write(line.encode() + b"\n")
@@ -747,6 +767,39 @@ class TestBackendAdministration:
             await server.wait_closed()
 
         _run(scenario)
+
+    @pytest.mark.parametrize("fault", ["utf8", "past-blob"])
+    def test_attach_refuses_a_bad_index_name(self, shard_paths, fault):
+        """A backend whose shipped index block holds a bad name fails
+        ATTACH with ``ERR attach``; the connection keeps serving and
+        the shard stays out of the picture."""
+        async def scenario():
+            bad = _BadIndexService(shard_paths["arpa"])
+            bad.fault = fault
+            backend_server = await serve(bad)
+            port = backend_server.sockets[0].getsockname()[1]
+            service = FederationService(
+                {"backbone": shard_paths["backbone"]},
+                default_source="ihnp4")
+            server = await serve(service)
+            r, w = await asyncio.open_connection(
+                "127.0.0.1", server.sockets[0].getsockname()[1])
+            try:
+                reply = await self.request(
+                    r, w, f"ATTACH arpa 127.0.0.1:{port}")
+                assert reply.startswith("ERR attach backend arpa "), reply
+                assert "corrupt index automaton" in reply
+                assert (await self.request(r, w, "SHARDS")).startswith(
+                    "OK 1 backbone=")
+            finally:
+                w.close()
+                server.close()
+                await server.wait_closed()
+                await service.aclose()
+                backend_server.close()
+                await backend_server.wait_closed()
+
+        asyncio.run(scenario())
 
     def test_reload_forwards_to_backend_and_resyncs(self, shard_paths,
                                                     tmp_path):
@@ -1085,8 +1138,7 @@ class TestMalformedBackendReply:
                 w.close()
                 server.close()
                 await server.wait_closed()
-                for name, shard in front.view.shards.items():
-                    await shard.backend.aclose(grace=0.0)
+                await front.aclose()
                 for backend_server in servers:
                     backend_server.close()
                     await backend_server.wait_closed()
@@ -1131,8 +1183,7 @@ class TestBackendFaultNotCached:
                 w.close()
                 server.close()
                 await server.wait_closed()
-                for shard in front.view.shards.values():
-                    await shard.backend.aclose(grace=0.0)
+                await front.aclose()
                 for backend_server in servers:
                     backend_server.close()
                     await backend_server.wait_closed()

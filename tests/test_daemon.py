@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import struct
 import threading
+import zlib
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +19,8 @@ from repro.service.daemon import (
     RouteService,
     serve,
 )
-from repro.service.store import SnapshotError, build_snapshot
+from repro.service import store
+from repro.service.store import SnapshotError, SnapshotReader, build_snapshot
 
 MAP_V1 = """\
 a\tb(10), c(100)
@@ -305,6 +309,86 @@ class TestMalformedLines:
                                   f"RELOAD {snap2}")).startswith("OK")
             stats = await request(r, w, "STATS")
             assert "n_errors=2" in stats
+            w.close()
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(scenario())
+
+
+def corrupt_dfsm(snapshot: str, source: str, fault: str, out) -> int:
+    """Write ``snapshot`` to ``out`` with one field of ``source``'s
+    ``DFSM`` block changed on the root's edge to the host ``d`` (the
+    payload CRC re-stamped, so only the block's own checks can catch
+    it); returns the section's file offset.
+
+    ``fault`` is ``target`` (the edge's target state past the state
+    count), ``label`` (the edge label's byte not UTF-8), ``payload``
+    (``d``'s exact payload past the record count) or ``range`` (the
+    root's edge count past the edge table)."""
+    reader = SnapshotReader.open(snapshot)
+    section = reader._entries[reader._find(source)][0]
+    table = reader.table(source)
+    dfsm = section + next(off for tag, off, _ in table.block_map()
+                          if tag == "DFSM")
+    records = len(table)
+    reader.close()
+    raw = bytearray(Path(snapshot).read_bytes())
+    _, _, _, sc, ec, lc, nc = struct.unpack_from("<4sHHIIII", raw, dfsm)
+    states = dfsm + 24
+    edges = states + 16 * sc
+    labels = edges + 8 * ec
+    blob = labels + 8 * lc + 12 * nc
+    first, count, _, _ = struct.unpack_from("<IIii", raw, states)
+    for edge in range(first, first + count):
+        lid, target = struct.unpack_from("<II", raw, edges + 8 * edge)
+        off, length = struct.unpack_from("<II", raw, labels + 8 * lid)
+        if raw[blob + off:blob + off + length] == b"d":
+            break
+    else:
+        raise AssertionError("the root has no edge to d")
+    if fault == "target":
+        struct.pack_into("<I", raw, edges + 8 * edge + 4, sc + 5)
+    elif fault == "label":
+        raw[blob + off] = 0xFF
+    elif fault == "range":
+        struct.pack_into("<I", raw, states + 4, ec + 10)
+    else:
+        struct.pack_into("<i", raw, states + 16 * target + 8,
+                         records + 1000)
+    crc = zlib.crc32(bytes(raw[store._HEADER.size:])) & 0xFFFFFFFF
+    struct.pack_into("<I", raw, 20, crc)
+    Path(out).write_bytes(bytes(raw))
+    return section
+
+
+class TestCorruptDfsmBlock:
+    """A ``DFSM`` block whose edge target, label bytes, payload or edge
+    range is out of range fails the lookup as a ``SnapshotError`` naming the
+    source and the section's file offset; over the wire the request
+    gets an ``ERR`` line and the connection keeps serving."""
+
+    @pytest.mark.parametrize("fault",
+                             ["target", "label", "payload", "range"])
+    def test_lookup_errs_and_connection_survives(self, snapshots,
+                                                 tmp_path, fault):
+        snap1, _ = snapshots
+        bad = tmp_path / f"{fault}.snap"
+        section = corrupt_dfsm(snap1, "a", fault, bad)
+        with SnapshotReader.open(bad) as reader:
+            with pytest.raises(SnapshotError) as err:
+                reader.table("a").resolve_with_cost("d")
+        assert "'a'" in str(err.value)
+        assert f"at file offset {section}" in str(err.value)
+
+        async def scenario():
+            service = RouteService(str(bad), default_source="a")
+            server = await serve(service)
+            port = server.sockets[0].getsockname()[1]
+            r, w = await asyncio.open_connection("127.0.0.1", port)
+            assert (await request(r, w, "ROUTE d u")).startswith("ERR ")
+            assert (await request(r, w, "STATS")).startswith(
+                "OK lookups=")
             w.close()
             server.close()
             await server.wait_closed()

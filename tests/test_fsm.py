@@ -12,9 +12,11 @@ hosts, deep subdomains, overlapping suffixes, and absent names.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
+from repro.config import HeuristicConfig
 from repro.core.pathalias import Pathalias
 from repro.errors import RouteError
 from repro.mailer.routedb import RouteDatabase
@@ -23,9 +25,8 @@ from repro.service.fsm import (
     NAME_F_DOMAIN,
     AutomatonError,
     FlatSuffixAutomaton,
-    SuffixAutomaton,
     compile_keys,
-    load,
+    encode_keys,
 )
 from repro.service.resolver import domain_suffixes, resolve_with_cost_dict
 from repro.service.shard import FederationView, Shard
@@ -96,13 +97,13 @@ class TestMatcherDifferential:
         rng = random.Random(seed)
         keys = random_key_set(rng, 40)
         auto = compile_keys(keys)
-        flat = load(auto.to_bytes())
+        flat = FlatSuffixAutomaton(encode_keys(keys))
         inflated = flat.inflate()
         for target in probe_targets(rng, keys):
             expect = walk_match(set(keys), target)
             for impl in (auto, flat, inflated):
                 idx = impl.match(target)
-                got = keys[idx] if idx >= 0 else None
+                got = keys[idx] if idx is not None else None
                 assert got == expect, (
                     f"seed={seed} target={target!r}: "
                     f"{type(impl).__name__} matched {got!r}, "
@@ -113,7 +114,7 @@ class TestMatcherDifferential:
         auto = compile_keys(keys)
         assert keys[auto.match("a.edu")] == "a.edu"
         assert keys[auto.match("b.edu")] == ".edu"
-        assert auto.match("edu") == -1       # ".edu" covers *.edu only
+        assert auto.match("edu") is None     # ".edu" covers *.edu only
 
     def test_leading_dot_target_hits_literal_key(self):
         # a leading-dot *target* can match a leading-dot key exactly
@@ -125,9 +126,9 @@ class TestMatcherDifferential:
 
     def test_empty_keyset(self):
         auto = compile_keys([])
-        assert auto.match("anything") == -1
-        flat = load(auto.to_bytes())
-        assert flat.match("anything") == -1
+        assert auto.match("anything") is None
+        flat = FlatSuffixAutomaton(encode_keys([]))
+        assert flat.match("anything") is None
 
 
 # -- serialization ------------------------------------------------------------
@@ -135,28 +136,26 @@ class TestMatcherDifferential:
 class TestSerialization:
     def test_round_trip_is_deterministic(self):
         # the block is a pure function of the (sorted) key sequence:
-        # recompile → same bytes; inflate → recompile → same bytes
+        # re-encode → same bytes
         rng = random.Random(99)
         keys = random_key_set(rng, 30)
-        blob = compile_keys(keys).to_bytes()
-        assert blob == compile_keys(list(keys)).to_bytes()
+        blob = encode_keys(keys)
+        assert blob == encode_keys(list(keys))
         assert blob.startswith(FSM_MAGIC)
-        assert load(blob).inflate().to_bytes() == blob
 
     def test_names_round_trip(self):
         names = [("a.edu", 0), (".edu", NAME_F_DOMAIN)]
-        auto = compile_keys([n for n, _ in names])
-        blob = auto.to_bytes(names=names)
-        assert load(blob).names() == names
+        blob = encode_keys([n for n, _ in names], names=names)
+        assert FlatSuffixAutomaton(blob).names() == names
 
     def test_corrupt_blobs_are_refused(self):
-        blob = compile_keys(["a.b"]).to_bytes()
+        blob = encode_keys(["a.b"])
         with pytest.raises(AutomatonError):
-            load(b"NOPE" + blob[4:])
+            FlatSuffixAutomaton(b"NOPE" + blob[4:])
         with pytest.raises(AutomatonError):
-            load(blob[:20])
+            FlatSuffixAutomaton(blob[:20])
         with pytest.raises(AutomatonError):
-            load(b"")
+            FlatSuffixAutomaton(b"")
 
 
 # -- the snapshot surface -----------------------------------------------------
@@ -168,19 +167,59 @@ caip.rutgers.edu .rutgers.edu(1), deep.sub.example.com(7)
 c a(1), single(2)
 """
 
+DATA = Path(__file__).parent / "data"
+
+#: ``(map name, map text, second-best)``: the four-line map above, then
+#: every ``d.*`` fixture map in tree and in second-best mode.
+SNAPSHOT_INPUTS = [("d.map", MAP, False)] + [
+    (p.name, p.read_text(), second)
+    for p in sorted(DATA.glob("d.*")) for second in (False, True)]
+
+
+def open_snapshot(tmp_path_factory, name, text, second=False):
+    cfg = HeuristicConfig(second_best=second)
+    graph = Pathalias(heuristics=cfg).build([(name, text)])
+    out = tmp_path_factory.mktemp("fsm") / f"{name}.snap"
+    build_snapshot(graph, out, heuristics=cfg)
+    return SnapshotReader.open(out)
+
 
 @pytest.fixture(scope="module")
 def reader(tmp_path_factory):
-    graph = Pathalias().build([("d.map", MAP)])
-    out = tmp_path_factory.mktemp("fsm") / "fsm.snap"
-    build_snapshot(graph, out)
-    return SnapshotReader.open(out)
+    return open_snapshot(tmp_path_factory, "d.map", MAP)
+
+
+@pytest.fixture(scope="module", params=SNAPSHOT_INPUTS,
+                ids=lambda p: f"{p[0]}-{'second-best' if p[2] else 'tree'}")
+def any_reader(request, tmp_path_factory):
+    return open_snapshot(tmp_path_factory, *request.param)
 
 
 class TestSnapshotTableDifferential:
     def test_stored_block_serves_lookups(self, reader):
         table = reader.table("a")
         assert table.flat_automaton().state_count > 0
+
+    def test_linker_agrees_on_every_table(self, any_reader):
+        # the stored block re-encodes from the table's own record
+        # names, and its inflated trie, the in-place flat walk and
+        # the dict walk match the same key for every probe
+        rng = random.Random(5)
+        for source in any_reader.sources():
+            table = any_reader.table(source)
+            names = [name.decode() for name in table.record_names()]
+            assert encode_keys(names) == table.dfsm_bytes(), source
+            keys = set(names)
+            impls = (table.automaton(), table.flat_automaton())
+            for target in probe_targets(rng, names):
+                expect = walk_match(keys, target)
+                for impl in impls:
+                    idx = impl.match(target)
+                    got = names[idx] if idx is not None else None
+                    assert got == expect, (
+                        f"{source} target={target!r}: "
+                        f"{type(impl).__name__} matched {got!r}, "
+                        f"walk matched {expect!r}")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_resolve_agrees_with_dict_walk(self, reader, seed):

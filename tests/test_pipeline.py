@@ -466,7 +466,7 @@ class TestPipelinedCluster:
             assert checked > 100
             for shard in service.view.shards.values():
                 assert shard.backend.pipelined > 0
-                await shard.backend.aclose(grace=0.0)
+            await service.aclose()
             for server in servers.values():
                 server.close()
                 await server.wait_closed()
@@ -503,9 +503,7 @@ class TestFederationObservability:
             w.close()
             front.close()
             await front.wait_closed()
-            for shard in service.view.shards.values():
-                if getattr(shard, "backend", None) is not None:
-                    await shard.backend.aclose(grace=0.0)
+            await service.aclose()
             server.close()
             await server.wait_closed()
 

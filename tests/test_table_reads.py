@@ -26,7 +26,7 @@ from repro.core.batch import map_sources
 from repro.core.pathalias import Pathalias
 from repro.graph.compact import CompactGraph
 from repro.service import store
-from repro.service.fsm import compile_keys
+from repro.service.fsm import encode_keys
 from repro.service.store import (
     SnapshotReader,
     SnapshotTable,
@@ -63,7 +63,7 @@ def reference_encode_table_section(records, unreachable, tree_links,
     stat = b"".join(
         store._STATE.pack(cid, cost, parent, flags, kind)
         for cid, flags, kind, cost, parent in states)
-    dfsm = compile_keys([name for _, name, _ in by_name]).to_bytes()
+    dfsm = encode_keys([name for _, name, _ in by_name])
     blocks = dict(RECS=recs, UNRC=unrc, TREE=tree, STAT=stat,
                   BLOB=blob, DFSM=dfsm)
     parts = [struct.pack("<I", len(store.TABLE_SECTION_TAGS))]

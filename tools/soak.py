@@ -361,6 +361,7 @@ async def _soak(args: argparse.Namespace, workdir: Path) -> dict:
 
     procs: list = []
     backend_admin: dict[str, Conn] = {}
+    front = None
     try:
         # -- the cluster under test -----------------------------------
         # --cache turns the generation-stamped result cache on for
@@ -519,6 +520,8 @@ async def _soak(args: argparse.Namespace, workdir: Path) -> dict:
         server.close()
         await server.wait_closed()
     finally:
+        if front is not None:
+            await front.aclose()
         _stop_daemons(procs)
 
     latencies.sort()
