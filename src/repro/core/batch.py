@@ -38,7 +38,6 @@ from repro.config import HeuristicConfig
 from repro.core.fastmap import (
     CompactMapper,
     build_portable_table,
-    compact_route_table,
     table_from_portable,
 )
 from repro.core.mapper import Mapper, MapResult
@@ -234,10 +233,7 @@ class BatchMapper:
         wanted = list(self.sources() if sources is None else sources)
         if self.engine == "reference":
             return self._run_reference(wanted)
-        jobs = self.jobs or 0
-        if jobs > 1 and len(wanted) > 1:
-            return self._run_parallel(wanted, jobs)
-        return self._run_serial(wanted)
+        return self._run_compact(wanted)
 
     # -- engines ------------------------------------------------------------
 
@@ -250,20 +246,12 @@ class BatchMapper:
             batch.total_relaxations += result.stats.relaxations
         return batch
 
-    def _run_serial(self, wanted: list[str]) -> BatchResult:
-        batch = BatchResult(engine="compact")
-        mapper = CompactMapper(self.compiled, self.heuristics)
-        for source in wanted:
-            result = mapper.run(source)
-            batch.tables[source] = compact_route_table(result)
-            batch.total_pops += result.stats.pops
-            batch.total_relaxations += result.stats.relaxations
-        return batch
-
-    def _run_parallel(self, wanted: list[str], jobs: int) -> BatchResult:
+    def _run_compact(self, wanted: list[str]) -> BatchResult:
+        """The compact engine through :func:`map_sources`: serial
+        in-process, or over a pool with ``jobs > 1``."""
         payloads, engine = map_sources(self.compiled, wanted,
                                        _portable_payload,
-                                       self.heuristics, jobs)
+                                       self.heuristics, self.jobs)
         batch = BatchResult(engine=engine)
         for source, (portable, pops, relax) in zip(wanted, payloads):
             batch.tables[source] = table_from_portable(self.compiled,

@@ -21,7 +21,8 @@ Two classes:
   arrive, so many requests share one connection's round trip and a
   reply reaches its caller in one event-loop step.  One
   ``loop.call_at`` handle per connection enforces the request
-  timeout.  It keeps a transparent single retry on a stale socket,
+  timeout, and the daemon's ``NOTIFY`` reload pushes ride the same
+  connection.  It keeps a transparent single retry on a stale socket,
   reconnect-with-backoff while the daemon restarts, and health state
   (``connected`` / ``down`` / counters, including tagged-request and
   out-of-order-reply counts) surfaced through the federation's
@@ -41,7 +42,8 @@ Two classes:
 Because the remote daemon owns its snapshot, a backend shard's cached
 view data describes the snapshot as of attach time; the federation's
 ``RELOAD <shard> <snapshot>`` verb forwards the reload to the backend
-daemon and re-synchronizes the cached index in one step.
+daemon and re-synchronizes the cached index in one step; a reload push
+or a reconnect re-syncs it too.
 """
 
 from __future__ import annotations
@@ -133,12 +135,17 @@ class _MuxConnection(asyncio.Protocol):
     source; dependent requests keep a reference to their SOURCE's
     future and fail if it failed — correctness never depends on the
     register guess being right.
+
+    Once :meth:`subscribe` has written ``NOTIFY``, each untagged
+    ``NOTIFY reloaded <n> <path>`` push runs the owner's reload
+    callback; any other untagged frame fails the connection.
     """
 
     def __init__(self, owner: "ShardBackend"):
         self.owner = owner
         self.transport: asyncio.Transport | None = None
         self.broken: Exception | None = None
+        self.subscribed = False
         self._loop = asyncio.get_running_loop()
         self._pending: dict[str, _Pending] = {}
         self._next_tag = 0
@@ -189,6 +196,12 @@ class _MuxConnection(asyncio.Protocol):
             self._timer = self._loop.call_at(deadline, self._expire)
         return fut, src_fut
 
+    def subscribe(self) -> asyncio.Future:
+        """Write a tagged ``NOTIFY``; returns its reply future."""
+        fut, _ = self.submit("NOTIFY")
+        self.subscribed = True
+        return fut
+
     def reset_source(self, source: str) -> None:
         """Forget a source binding that the daemon refused, so the
         next request for it re-sends ``SOURCE``."""
@@ -207,7 +220,7 @@ class _MuxConnection(asyncio.Protocol):
             self._timer = self._loop.call_at(oldest.deadline,
                                              self._expire)
         else:
-            self._fail(TimeoutError())
+            self.abort(TimeoutError())
 
     # -- the protocol callbacks -----------------------------------------------
 
@@ -217,7 +230,8 @@ class _MuxConnection(asyncio.Protocol):
 
     def data_received(self, data: bytes) -> None:
         """Demultiplex each complete tagged reply frame into its
-        pending future; keep a trailing partial frame for later."""
+        pending future, and hand each reload push to the owner; keep
+        a trailing partial frame for later."""
         if self._partial:
             data = self._partial + data
         *frames, self._partial = data.split(b"\n")
@@ -231,9 +245,14 @@ class _MuxConnection(asyncio.Protocol):
                     # Untagged junk mid-pipeline (an ERR overflow /
                     # encoding diagnostic we cannot correlate): the
                     # framing can no longer be trusted.
-                    raise ConnectionError(
-                        f"untagged frame on pipelined connection: "
-                        f"{line!r}")
+                    parts = line.split(None, 3)
+                    if not (self.subscribed and len(parts) == 4
+                            and parts[:2] == ["NOTIFY", "reloaded"]):
+                        raise ConnectionError(
+                            f"untagged frame on pipelined connection: "
+                            f"{line!r}")
+                    self.owner._reloaded()
+                    continue
                 tagtok, _, frame = line.partition(" ")
                 tag = tagtok[1:]
                 pend = self._pending.get(tag)
@@ -245,16 +264,16 @@ class _MuxConnection(asyncio.Protocol):
                 raise ConnectionError(
                     "reply frame exceeds the frame limit")
         except (ConnectionError, UnicodeDecodeError) as exc:
-            self._fail(exc)
+            self.abort(exc)
 
     def eof_received(self) -> None:
         """The daemon hung up: fail every pending request (retryable);
         a partial frame is dropped with the connection."""
-        self._fail(ConnectionError("backend closed the connection"))
+        self.abort(ConnectionError("backend closed the connection"))
 
     def connection_lost(self, exc: Exception | None) -> None:
         """The transport is gone: fail every pending request."""
-        self._fail(exc or ConnectionError("backend closed the connection"))
+        self.abort(exc or ConnectionError("backend closed the connection"))
 
     def _deliver(self, tag: str, pend: _Pending, frame: str) -> None:
         """Feed one reply frame into its request's reassembly; resolve
@@ -287,9 +306,10 @@ class _MuxConnection(asyncio.Protocol):
 
     # -- teardown -------------------------------------------------------------
 
-    def _fail(self, exc: Exception) -> None:
-        """Mark the connection dead, fail every pending request with a
-        retryable :class:`ConnectionError`, and close the transport."""
+    def abort(self, exc: Exception) -> None:
+        """Tear the connection down (idempotent): fail every pending
+        request with a retryable :class:`ConnectionError`, cancel the
+        deadline handle, close the transport, and tell the owner."""
         if self.broken is not None:
             return
         self.broken = exc
@@ -306,11 +326,7 @@ class _MuxConnection(asyncio.Protocol):
         self._pending.clear()
         self._partial = b""
         self.transport.close()
-
-    def abort(self, exc: Exception | None = None) -> None:
-        """Tear the connection down (idempotent): fail pending
-        requests, cancel the deadline handle, close the transport."""
-        self._fail(exc or ConnectionError("connection closed"))
+        self.owner._lost()
 
 
 class ShardBackend:
@@ -327,6 +343,10 @@ class ShardBackend:
     backoff — and retries exactly once.  Health is observable:
     :attr:`state` plus the request/error/connect counters, which the
     federation daemon reports per backend in its ``STATS`` line.
+
+    The same connection carries the daemon's reload pushes once
+    :meth:`subscribe_reloads` has run; while a subscribed connection
+    is down, one task re-dials it.
 
     A backend address served by ``serve --workers N`` needs no special
     handling: the kernel lands the connection on some worker, and
@@ -357,12 +377,10 @@ class ShardBackend:
         self._ever_connected = False
         self._last_failure: str | None = None
         self._draining = False
-        #: The NOTIFY push channel (see :meth:`subscribe_reloads`):
-        #: its dedicated connection's writer, the listener task, and
-        #: the count of reload pushes received on it.
-        self._notify_writer: asyncio.StreamWriter | None = None
-        self._notify_task: asyncio.Task | None = None
-        self.notifies = 0
+        #: The reload callback (see :meth:`subscribe_reloads`), and
+        #: the task re-dialing a lost subscribed connection.
+        self._on_reload = None
+        self._redial: asyncio.Task | None = None
 
     # -- health ---------------------------------------------------------------
 
@@ -392,57 +410,55 @@ class ShardBackend:
 
     # -- the connection -------------------------------------------------------
 
-    async def _open(self, mux: bool = False):
-        """Dial the daemon, waiting out a restart with backoff: a fresh
-        :class:`_MuxConnection` with ``mux``, else the ``(reader,
-        writer)`` streams the NOTIFY channel reads."""
+    async def _mux_get(self) -> _MuxConnection:
+        """The shared pipelined connection, dialing it if needed.
+
+        One dial at a time, waiting out a daemon restart with backoff
+        between attempts; the lock is not held while backing off, so
+        every caller keeps its own patience and takes a connection
+        another caller opened meanwhile.  Once subscribed, a fresh
+        connection's ``NOTIFY`` goes out before any request, and the
+        reload callback runs: the daemon may have restarted on another
+        snapshot.
+        """
+        conn = self._mux
+        if conn is not None and conn.broken is None:
+            return conn
         loop = asyncio.get_running_loop()
         deadline = loop.time() + (self.reconnect_patience
                                   if self._ever_connected else 0.0)
         delay = RECONNECT_DELAY
         while True:
-            if mux:
-                dial = loop.create_connection(
-                    lambda: _MuxConnection(self), self.host, self.port)
-            else:
-                dial = asyncio.open_connection(self.host, self.port)
-            try:
-                opened = await asyncio.wait_for(dial, self.timeout)
-                break
-            except (OSError, asyncio.TimeoutError) as exc:
-                if loop.time() + delay > deadline:
-                    self._last_failure = str(exc) or type(exc).__name__
+            async with self._mux_lock:
+                conn = self._mux
+                if conn is not None and conn.broken is None:
+                    return conn
+                if self._draining:
                     raise BackendError(
-                        f"backend {self.name} ({self.address}) "
-                        f"unreachable: {self._last_failure}") from None
-                await asyncio.sleep(delay)
-                delay = min(delay * 2, RECONNECT_DELAY_MAX)
-        self._ever_connected = True
-        self._last_failure = None
-        self.connects += 1
-        return opened[1] if mux else opened
-
-    async def _mux_get(self) -> _MuxConnection:
-        """The shared pipelined connection, dialing it if needed."""
-        conn = self._mux
-        if conn is not None and conn.broken is None:
-            return conn
-        async with self._mux_lock:
-            conn = self._mux
-            if conn is not None and conn.broken is None:
-                return conn
-            if self._draining:
-                raise BackendError(
-                    f"backend {self.name} ({self.address}) is closed")
-            self._mux = await self._open(mux=True)
-            return self._mux
-
-    def _drop_mux(self, conn: _MuxConnection, exc: Exception) -> None:
-        """Tear down a failed mux connection (the next request
-        re-dials, with the usual restart patience)."""
-        conn.abort(ConnectionError(str(exc) or type(exc).__name__))
-        if self._mux is conn:
-            self._mux = None
+                        f"backend {self.name} ({self.address}) is closed")
+                try:
+                    _, conn = await asyncio.wait_for(
+                        loop.create_connection(
+                            lambda: _MuxConnection(self),
+                            self.host, self.port),
+                        self.timeout)
+                except (OSError, asyncio.TimeoutError) as exc:
+                    if loop.time() + delay > deadline:
+                        self._last_failure = str(exc) or type(exc).__name__
+                        raise BackendError(
+                            f"backend {self.name} ({self.address}) "
+                            f"unreachable: {self._last_failure}") from None
+                else:
+                    self._ever_connected = True
+                    self._last_failure = None
+                    self.connects += 1
+                    self._mux = conn
+                    if self._on_reload is not None:
+                        conn.subscribe()
+                        self._reloaded()
+                    return conn
+            await asyncio.sleep(delay)
+            delay = min(delay * 2, RECONNECT_DELAY_MAX)
 
     async def _call(self, line: str, *, bulk: bool = False,
                     source: str | None = None):
@@ -487,8 +503,9 @@ class ShardBackend:
                                 f"backend {self.name}: {src}")
                     return result
                 except (ConnectionError, OSError) as exc:
-                    if conn is not None:
-                        self._drop_mux(conn, exc)
+                    if conn is not None:  # the next request re-dials
+                        conn.abort(ConnectionError(
+                            str(exc) or type(exc).__name__))
                     if attempt:
                         self.errors += 1
                         raise BackendError(
@@ -519,17 +536,15 @@ class ShardBackend:
         while self._inflight and loop.time() < deadline:
             await asyncio.sleep(0.01)
         # stragglers have drained (or forfeited their window): the
-        # mux connection and its deadline handle can go away now
+        # mux connection, its deadline handle and the re-dial task
+        # can go away now
         if self._mux is not None:
             self._mux.abort(ConnectionError(
                 f"backend {self.name} closed"))
             self._mux = None
-        if self._notify_task is not None:
-            self._notify_task.cancel()
-            self._notify_task = None
-        if self._notify_writer is not None:
-            self._notify_writer.close()
-            self._notify_writer = None
+        if self._redial is not None:
+            self._redial.cancel()
+            await asyncio.gather(self._redial, return_exceptions=True)
 
     # -- the daemon conversation ----------------------------------------------
 
@@ -670,89 +685,56 @@ class ShardBackend:
 
     # -- reload push (NOTIFY) -------------------------------------------------
 
-    async def _notify_dial(self) -> tuple[asyncio.StreamReader,
-                                          asyncio.StreamWriter, str]:
-        """Dial a dedicated connection and send ``NOTIFY``: the
-        streams plus the daemon's reply line (the caller closes the
-        writer unless the reply is ``OK``)."""
-        reader, writer = await self._open()
-        try:
-            writer.write(b"NOTIFY\n")
-            await writer.drain()
-            raw = await asyncio.wait_for(reader.readline(), self.timeout)
-            if not raw:
-                raise ConnectionError("backend closed the connection")
-        except BaseException:
-            writer.close()
-            raise
-        return reader, writer, raw.decode("utf-8").rstrip("\r\n")
-
     async def subscribe_reloads(self, callback) -> None:
-        """Subscribe to the daemon's reload push channel.
+        """Subscribe to the daemon's reload pushes on the mux.
 
-        Opens a **dedicated** connection — never the mux, since push
-        frames are untagged and the pipelined mux treats any untagged
-        frame as a framing violation — sends ``NOTIFY``, and spawns a
-        listener task that calls ``callback(path)`` (a plain callable;
-        exceptions are swallowed) for every ``NOTIFY reloaded
-        <sources> <path>`` frame the daemon pushes.  Raises
+        Sends ``NOTIFY`` on the shared connection and waits for the
+        daemon's ``OK``.  From then on ``callback()`` (a plain
+        callable, which must not raise) runs for every ``NOTIFY
+        reloaded <sources> <path>`` frame the daemon pushes, and once
+        each time a re-dialed connection is subscribed again.  Raises
         :class:`BackendError` when the daemon is unreachable or
-        refuses.  The listener resubscribes with backoff if the daemon
-        restarts; :meth:`aclose` tears it down.
+        refuses; :meth:`aclose` ends the subscription.
         """
-        if self._notify_task is not None:
+        if self._on_reload is not None:
             return
         try:
-            reader, writer, reply = await self._notify_dial()
-        except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
+            conn = await self._mux_get()
+            self._on_reload = callback
+            reply = await conn.subscribe()
+            if not reply.startswith("OK"):
+                raise BackendError(f"refused: {reply}")
+        except (BackendError, ConnectionError, OSError) as exc:
+            self._on_reload = None
             raise BackendError(
                 f"backend {self.name} ({self.address}) notify "
                 f"subscription failed: {exc}") from None
-        if not reply.startswith("OK"):
-            writer.close()
-            raise BackendError(
-                f"backend {self.name} refused notify: {reply}")
-        self._notify_writer = writer
-        self._notify_task = asyncio.get_running_loop().create_task(
-            self._notify_loop(reader, writer, callback))
 
-    async def _notify_loop(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter,
-                           callback) -> None:
-        """Listener body: deliver push frames, outlive restarts."""
-        while not self._draining:
-            try:
-                raw = await reader.readline()
-            except (ConnectionError, OSError):
-                raw = b""
-            if raw:
-                parts = str(raw, "utf-8", "replace").strip() \
-                    .split(None, 3)
-                if len(parts) == 4 and parts[0] == "NOTIFY" \
-                        and parts[1] == "reloaded":
-                    self.notifies += 1
-                    try:
-                        callback(parts[3])
-                    except Exception:
-                        pass  # a broken callback never kills the loop
-                continue
-            # EOF or error: the daemon went away — resubscribe.
-            writer.close()
-            self._notify_writer = None
-            delay = RECONNECT_DELAY
-            while not self._draining:
+    def _reloaded(self) -> None:
+        """Run the reload callback, if subscribed."""
+        if self._on_reload is not None:
+            self._on_reload()
+
+    def _lost(self) -> None:
+        """A connection failed: if the backend is subscribed and not
+        closing, start the one task that re-dials it."""
+        if self._on_reload is not None and not self._draining \
+                and self._redial is None:
+            self._redial = asyncio.get_running_loop().create_task(
+                self._redial_loop())
+
+    async def _redial_loop(self) -> None:
+        """Re-dial, and so re-subscribe, until a connection is back or
+        the subscription ends (each dial backs off on its own)."""
+        try:
+            while self._on_reload is not None and not self._draining:
                 try:
-                    reader, writer, reply = await self._notify_dial()
-                except (BackendError, ConnectionError, OSError,
-                        asyncio.TimeoutError):
-                    await asyncio.sleep(delay)
-                    delay = min(delay * 2, RECONNECT_DELAY_MAX)
-                    continue
-                if reply.startswith("OK"):
-                    self._notify_writer = writer
-                    break
-                writer.close()
-                return  # verb refused after a restart: stop pushing
+                    await self._mux_get()
+                    return
+                except (BackendError, ConnectionError, OSError):
+                    await asyncio.sleep(RECONNECT_DELAY_MAX)
+        finally:
+            self._redial = None
 
     def __repr__(self) -> str:
         return (f"ShardBackend({self.name!r}, {self.address!r}, "

@@ -33,9 +33,9 @@ per request:
 ``NOTIFY``                subscribe this connection to reload pushes:
                           after ``OK notify 1``, every later snapshot
                           swap writes an unsolicited ``NOTIFY reloaded
-                          <sources> <path>`` frame here.  Dedicate the
-                          connection — push frames are untagged and
-                          would poison pipelined framing.
+                          <sources> <path>`` frame here.  A pipelined
+                          connection may subscribe: the push is the
+                          one untagged frame it then receives.
 ``PIPELINE``              capability probe: ``OK pipeline 1`` means the
                           daemon accepts *tagged* requests (below) —
                           kept for third-party clients that probe
@@ -96,7 +96,8 @@ from repro.errors import BackendError, FederationError, RouteError
 from repro.service.cache import (DEFAULT_CACHE_SIZE, ResultCache,
                                  cache_stats_tokens, instantiate)
 from repro.service.resolver import Resolution, resolve_with_cost_dict
-from repro.service.store import SnapshotError, SnapshotReader
+from repro.service.store import (SnapshotError, SnapshotReader,
+                                 UnknownSourceError)
 
 #: Reconnect backoff shared by every client of the line protocol
 #: (the sync :class:`DaemonRouteDatabase` and the async
@@ -306,7 +307,8 @@ class LineService:
     async def handle_line(self, line: str, state: dict) -> str | None:
         """One request in, one reply line out (None closes): the verb's
         table row checks the argument count, then its ``do_<VERB>``
-        handler answers."""
+        handler answers; a corrupt snapshot section answers ``ERR
+        snapshot``."""
         words = line.split()
         if not words:
             return "ERR empty-request send " + "/".join(self.VERBS)
@@ -318,14 +320,17 @@ class LineService:
         if len(args) < row.least or \
                 (row.most is not None and len(args) > row.most):
             return row.usage_reply
-        return await getattr(self, "do_" + verb)(args, state)
+        try:
+            return await getattr(self, "do_" + verb)(args, state)
+        except SnapshotError as exc:
+            return f"ERR snapshot {exc}"
 
     async def do_ROUTE(self, args: list[str], state: dict) -> str:
         """Domain-suffix search from the connection's source: ``OK
         <cost> <matched> <route> <address>``."""
         try:
             cost, res = await self.lookup(state["source"], *args)
-        except (RouteError, SnapshotError) as exc:
+        except (RouteError, UnknownSourceError) as exc:
             return self._lookup_error(exc, args[0], state["source"])
         return f"OK {cost} {res.matched} {res.route} {res.address}"
 
@@ -333,7 +338,7 @@ class LineService:
         """Exact-name lookup: ``OK <cost> <dest> <route>``."""
         try:
             cost, route = await self.exact(state["source"], args[0])
-        except (RouteError, SnapshotError) as exc:
+        except (RouteError, UnknownSourceError) as exc:
             return self._lookup_error(exc, args[0], state["source"])
         return f"OK {cost} {args[0]} {route}"
 

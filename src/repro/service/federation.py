@@ -43,11 +43,11 @@ in process) or a **remote backend** (a per-shard
 out to through a :class:`~repro.service.backend.ShardBackend`
 connection — see :mod:`repro.service.backend`); the two mix
 freely in one view, and the reply bytes are identical either way.
-The front end also subscribes to each backend daemon's ``NOTIFY``
-reload push channel: when a backend reloads *itself* (an operator
-RELOADs the shard daemon directly), the push re-syncs this front
-end's cached ownership index and leg cache within one round trip —
-no front-end RELOAD required (the ``resyncs`` STATS counter).
+The front end also subscribes each backend connection to the
+daemon's ``NOTIFY`` reload pushes: when a backend reloads *itself* (an
+operator RELOADs the shard daemon directly) or reconnects, the front
+end re-syncs its cached ownership index and leg cache — no front-end
+RELOAD required (the ``resyncs`` STATS counter).
 
 Every mutation builds a *new* immutable view and swaps it in with one
 attribute assignment — the same no-dropped-requests discipline the
@@ -91,7 +91,8 @@ from repro.service.cache import instantiate  # noqa: F401
 from repro.service.daemon import (DaemonRouteDatabase, LineService, Verb,
                                   serve, verb_table)
 from repro.service.shard import FederationView, Shard
-from repro.service.store import SnapshotError, SnapshotReader
+from repro.service.store import (SnapshotError, SnapshotReader,
+                                 UnknownSourceError)
 
 
 class FederationService(LineService):
@@ -226,7 +227,7 @@ class FederationService(LineService):
         """The federated search against one pinned view (a test seam:
         the cache race tests stall it mid-compute)."""
         if view.home_shard(source) is None:
-            raise SnapshotError(f"no shard owns source {source!r}")
+            raise UnknownSourceError(f"no shard owns source {source!r}")
         fed = await view.aresolve_with_cost(source, target, user)
         return fed.cost, fed.resolution, fed.federated
 
@@ -234,7 +235,7 @@ class FederationService(LineService):
                             target: str) -> tuple:
         """The exact federated lookup against one pinned view."""
         if view.home_shard(source) is None:
-            raise SnapshotError(f"no shard owns source {source!r}")
+            raise UnknownSourceError(f"no shard owns source {source!r}")
         fed = await view.aexact(source, target)
         return fed.cost, fed.resolution.route, fed.federated
 
@@ -256,10 +257,10 @@ class FederationService(LineService):
         """Close every backend shard's connection with no grace
         period, for a front end that has stopped serving.
 
-        The attached backends close first, which ends their ``NOTIFY``
-        listeners and fails any round trip a re-sync still waits on;
-        then the re-sync and retire tasks are cancelled and awaited,
-        and the backends still retiring are closed too.
+        The attached backends close first, which ends their reload
+        subscriptions and fails any round trip a re-sync still waits
+        on; then the re-sync and retire tasks are cancelled and
+        awaited, and the backends still retiring are closed too.
         """
         for shard in self.view.shards.values():
             backend = getattr(shard, "backend", None)
@@ -295,25 +296,25 @@ class FederationService(LineService):
                                  backend: ShardBackend) -> None:
         """Best-effort NOTIFY subscription on a backend daemon.
 
-        Once up, the backend's own reloads push ``NOTIFY reloaded``
-        frames and :meth:`_on_backend_reload` re-syncs this front
-        end's cached ownership index and leg cache — no front-end
-        RELOAD needed.  Subscription failure (an unreachable daemon)
-        never fails the attach.
+        Once up, each push of the backend's own reloads, and each
+        reconnect, runs :meth:`_on_backend_reload`, which re-syncs
+        this front end's cached ownership index and leg cache — no
+        front-end RELOAD needed.  Subscription failure (an unreachable
+        daemon) never fails the attach.
         """
         try:
             await backend.subscribe_reloads(
-                lambda path, _n=name: self._on_backend_reload(_n, path))
+                lambda: self._on_backend_reload(name))
         except FederationError:
             pass
 
-    def _on_backend_reload(self, name: str, path: str) -> None:
+    def _on_backend_reload(self, name: str) -> None:
         """Push callback: schedule a re-sync of shard ``name``.
 
-        Runs on the backend's notify-listener task, so it only
-        *schedules* — the swap itself takes ``_swap_lock``.  Pushes
-        for a shard whose re-sync is already pending coalesce into one
-        more re-sync after it.
+        Runs on a push or a re-subscription, inside the backend's
+        connection code, so it only *schedules* — the swap itself
+        takes ``_swap_lock``.  Pushes for a shard whose re-sync is
+        already pending coalesce into one more re-sync after it.
 
         The result cache is bumped *immediately* (before the re-sync
         lands): the backend daemon has already swapped its snapshot,

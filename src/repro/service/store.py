@@ -133,6 +133,10 @@ class SnapshotError(PathaliasError):
     """A snapshot file is missing, malformed, corrupt, or truncated."""
 
 
+class UnknownSourceError(SnapshotError):
+    """The snapshot (or federation) holds no table for a source."""
+
+
 class _StringPool:
     """Deduplicating string blob; add() returns a stable (off, len)."""
 
@@ -469,7 +473,11 @@ class SnapshotTable(SuffixResolver):
     def _text(self, off: int, length: int) -> str:
         base = self._blob_off + off
         # str(buf, "utf-8") decodes bytes and memoryview alike
-        return str(self._data[base:base + length], "utf-8")
+        try:
+            return str(self._data[base:base + length], "utf-8")
+        except UnicodeDecodeError:
+            raise self._corrupt(
+                f"BLOB text at offset {off} is not UTF-8") from None
 
     def _record(self, i: int):
         return _RECORD.unpack_from(self._data,
@@ -547,10 +555,11 @@ class SnapshotTable(SuffixResolver):
                 self._data[self._dfsm_off:
                            self._dfsm_off + self._dfsm_len])
         except AutomatonError as exc:
-            raise self._dfsm_error(exc) from None
+            raise self._corrupt(exc) from None
 
-    def _dfsm_error(self, detail) -> SnapshotError:
-        """The section's error for a malformed ``DFSM`` block."""
+    def _corrupt(self, detail) -> SnapshotError:
+        """The section's error for a malformed block, naming the
+        source and where the section sits in the file."""
         return SnapshotError(
             f"table section for {self.source!r}{self._where()}: "
             f"{detail}")
@@ -566,7 +575,7 @@ class SnapshotTable(SuffixResolver):
             try:
                 self._auto = flat.inflate()
             except AutomatonError as exc:
-                raise self._dfsm_error(exc) from None
+                raise self._corrupt(exc) from None
         return self._auto
 
     def resolve_with_cost(self, target: str, user: str = "%s"
@@ -587,7 +596,7 @@ class SnapshotTable(SuffixResolver):
         if idx is None:
             raise RouteError(f"no route to {target!r}")
         if idx >= self._rc:
-            raise self._dfsm_error(
+            raise self._corrupt(
                 f"automaton payload {idx} is past the section's "
                 f"{self._rc} records")
         cost, noff, nlen, roff, rlen = self._record(idx)
@@ -975,7 +984,7 @@ class SnapshotReader:
         data = self._live()
         i = self._find(source)
         if i is None:
-            raise SnapshotError(
+            raise UnknownSourceError(
                 f"{self.path}: no table for source {source!r}")
         off, length = self._entries[i]
         return bytes(data[off:off + length])
@@ -992,7 +1001,7 @@ class SnapshotReader:
             data = self._live()
             i = self._find(source)
             if i is None:
-                raise SnapshotError(
+                raise UnknownSourceError(
                     f"{self.path}: no table for source {source!r}")
             off, length = self._entries[i]
             cached = SnapshotTable(source, data[off:off + length],

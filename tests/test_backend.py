@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import functools
 import struct
 from pathlib import Path
 
@@ -94,34 +95,49 @@ class _Cluster:
         self.specs = {}
         self.fronts = []
         self.backends = []
+        #: each daemon's open connections, which :meth:`stop` drops
+        self.writers = {}
 
-    async def start(self, name: str, snapshot_path: str) -> str:
-        """Serve ``snapshot_path`` as shard ``name``; returns the
-        backend spec."""
-        service = RouteService(snapshot_path)
-        server = await serve(service)
-        port = server.sockets[0].getsockname()[1]
+    async def _serve(self, name: str, service: RouteService,
+                     port: int = 0) -> int:
+        """Serve ``service`` as shard ``name``; returns the port."""
+        writers = self.writers[name] = set()
+
+        async def handle(reader, writer):
+            writers.add(writer)
+            try:
+                await service.handle_connection(reader, writer)
+            finally:
+                writers.discard(writer)
+
+        server = await asyncio.start_server(handle, "127.0.0.1", port)
         self.servers[name] = server
         self.services[name] = service
+        return server.sockets[0].getsockname()[1]
+
+    async def start(self, name: str, snapshot_path: str,
+                    service_class=RouteService) -> str:
+        """Serve ``snapshot_path`` as shard ``name``; returns the
+        backend spec."""
+        port = await self._serve(name, service_class(snapshot_path))
         self.specs[name] = f"127.0.0.1:{port}"
         return self.specs[name]
 
     async def stop(self, name: str) -> int:
-        """Stop shard ``name``'s daemon; returns the port it held."""
+        """Stop shard ``name``'s daemon as its process exit would,
+        dropping its open connections; returns the port it held."""
         server = self.servers.pop(name)
         port = server.sockets[0].getsockname()[1]
         server.close()
+        for writer in self.writers.pop(name):
+            writer.close()
         await server.wait_closed()
         return port
 
     async def restart(self, name: str, snapshot_path: str,
                       port: int) -> None:
         """Bind a fresh daemon for ``name`` on the same port."""
-        service = RouteService(snapshot_path)
-        server = await asyncio.start_server(
-            service.handle_connection, "127.0.0.1", port)
-        self.servers[name] = server
-        self.services[name] = service
+        await self._serve(name, RouteService(snapshot_path), port)
 
     def dial(self, name: str) -> ShardBackend:
         """A client of shard ``name``'s daemon; :meth:`close` closes
@@ -1068,6 +1084,119 @@ class TestNotifyInvalidatesCache:
         _run(scenario)
 
 
+async def _until(predicate) -> None:
+    """Wait up to 5 s for ``predicate()`` to hold."""
+    for _ in range(500):
+        if predicate():
+            return
+        await asyncio.sleep(0.01)
+
+
+def _repriced_snapshot(tmp_path) -> Path:
+    """The repriced universities map as a snapshot."""
+    path = tmp_path / "universities-repriced.snap"
+    build_snapshot(Pathalias().build(
+        [("d.universities", repriced_universities())]), path)
+    return path
+
+
+async def _oracle_reply(paths: dict, line: str) -> str:
+    """``line`` answered by an in-process dict-walk federation."""
+    oracle = FederationService(paths, default_source="ihnp4",
+                               dispatch="dict")
+    return await oracle.handle_line(line, oracle.initial_state())
+
+
+class TestOneConnectionPerBackend:
+    """Reload pushes ride the request connection: one socket per
+    backend, and a re-dialed connection is subscribed again, which
+    re-syncs the front end."""
+
+    def test_one_connection_per_backend(self, shard_paths):
+        async def scenario(cluster):
+            backends = {name: await cluster.start(name, path)
+                        for name, path in shard_paths.items()}
+            front = await cluster.front(backends=backends,
+                                        default_source="ihnp4")
+            stats = front.stats_line()
+            for name, daemon in cluster.services.items():
+                assert daemon.connections == 1
+                assert len(daemon.notify_subscribers) == 1
+                token = next(t for t in stats.split()
+                             if t.startswith(f"backend_{name}="))
+                assert token.split("=", 1)[1].split(":")[3] == "1"
+
+        _run(scenario)
+
+    def test_restart_on_another_snapshot_resyncs(self, shard_paths,
+                                                  tmp_path):
+        """A backend restarted at the same port on another snapshot
+        sends no push; the re-dialed, re-subscribed connection still
+        re-syncs the front end, which then answers like a fresh
+        oracle."""
+        revised = _repriced_snapshot(tmp_path)
+
+        async def scenario(cluster):
+            backends = {name: await cluster.start(name, path)
+                        for name, path in shard_paths.items()}
+            front = await cluster.front(backends=backends,
+                                        default_source="ihnp4")
+            state = front.initial_state()
+            assert (await front.handle_line("ROUTE topaz u", state)
+                    ).startswith("OK 650 ")
+            port = await cluster.stop("universities")
+            await cluster.restart("universities", str(revised), port)
+            await _until(lambda: front.resyncs >= 1)
+            assert front.resyncs == 1
+            assert cluster.services["universities"].notify_pushes == 0
+            want = await _oracle_reply(
+                dict(shard_paths, universities=str(revised)),
+                "ROUTE topaz u")
+            assert want.startswith("OK 925 ")
+            assert await front.handle_line("ROUTE topaz u", state) == want
+
+        _run(scenario)
+
+    def test_deadline_failure_keeps_the_subscription(
+            self, shard_paths, tmp_path, monkeypatch):
+        """A stalled backend's deadline fails its connection; the
+        connection that replaces it is subscribed, so a later direct
+        reload of that backend still re-syncs the front end."""
+        revised = _repriced_snapshot(tmp_path)
+        # every backend the front end dials waits 0.2 s per request
+        monkeypatch.setattr(ShardBackend, "__init__", functools.partialmethod(
+            ShardBackend.__init__, timeout=0.2))
+
+        async def scenario(cluster):
+            backends = {}
+            for name, path in shard_paths.items():
+                backends[name] = await cluster.start(
+                    name, path, _StallingService
+                    if name == "universities" else RouteService)
+            daemon = cluster.services["universities"]
+            daemon.stalling = False
+            front = await cluster.front(backends=backends,
+                                        default_source="ihnp4",
+                                        cache_size=0)
+            state = front.initial_state()
+            assert (await front.handle_line("ROUTE topaz u", state)
+                    ).startswith("OK 650 ")
+            daemon.stalling = True
+            reply = await front.handle_line("ROUTE topaz u", state)
+            assert reply.startswith("ERR federation backend universities")
+            assert reply.endswith("failed: TimeoutError")
+            daemon.stalling = False
+            await daemon.reload(str(revised))
+            await _until(lambda: front.resyncs >= 1)
+            assert front.resyncs == 1
+            want = await _oracle_reply(
+                dict(shard_paths, universities=str(revised)),
+                "ROUTE topaz u")
+            assert await front.handle_line("ROUTE topaz u", state) == want
+
+        _run(scenario)
+
+
 class _GarblingService(RouteService):
     """A backend daemon that breaks the protocol on purpose: for the
     verbs in ``garble``, its ``ROUTE``/``EXACT`` replies and the data
@@ -1192,10 +1321,13 @@ class TestBackendFaultNotCached:
 
 
 class _StallingService(RouteService):
-    """A backend daemon whose ``ROUTE`` replies come too late."""
+    """A backend daemon whose ``ROUTE`` replies come too late while
+    :attr:`stalling` is set."""
+
+    stalling = True
 
     async def handle_line(self, line, state):
-        if line.split()[:1] == ["ROUTE"]:
+        if self.stalling and line.split()[:1] == ["ROUTE"]:
             await asyncio.sleep(1.0)
         return await super().handle_line(line, state)
 
@@ -1346,8 +1478,9 @@ class TestReplyFraming:
         b"@{tag} OK table 1\n@{tag} \xff\xfe\n",     # not UTF-8
         b"@{tag} OK table x\n",                     # bulk count
         b"@{tag} OK table 1\n@{tag} 1 a " + b"x" * 70000,  # > 64 KiB
+        b"NOTIFY reloaded 1 /maps/x.snap\n",         # never subscribed
     ], ids=["untagged", "unknown-tag", "not-utf8", "bulk-count",
-            "overlong-partial"])
+            "overlong-partial", "unsubscribed-push"])
     def test_broken_framing_fails_the_connection(self, junk):
         """A frame the mux cannot trust fails the connection at once —
         the overlong one without waiting for its newline — so the
@@ -1377,6 +1510,13 @@ class TestReplyFraming:
 def _task_name(task) -> str:
     """The qualified name of the coroutine ``task`` runs."""
     return task.get_coro().__qualname__
+
+
+def _client_tasks() -> set:
+    """The running tasks that no daemon connection runs."""
+    return {t for t in asyncio.all_tasks()
+            if _task_name(t) not in ("LineService.handle_connection",
+                                     "_Cluster._serve.<locals>.handle")}
 
 
 class _TaskRecordingService(RouteService):
@@ -1474,15 +1614,31 @@ class TestNoHops:
     def test_connect_leaves_no_task_running(self, shard_paths):
         async def scenario(cluster):
             await cluster.start("arpa", shard_paths["arpa"])
-
-            def client_tasks():
-                return {t for t in asyncio.all_tasks()
-                        if _task_name(t) != "LineService.handle_connection"}
-
-            before = client_tasks()
+            before = _client_tasks()
             shard = await BackendShard.connect("arpa", cluster.dial("arpa"))
-            assert client_tasks() == before
+            assert _client_tasks() == before
             await shard.entry_resolve("seismo", "mcvax")  # nor a lookup
-            assert client_tasks() == before
+            assert _client_tasks() == before
+
+        _run(scenario)
+
+    def test_subscribed_front_end_leaves_no_task_running(self,
+                                                         shard_paths):
+        """A front end subscribed to every backend's reload pushes
+        runs no client task: the pushes ride the request connection,
+        which is read by its protocol callback."""
+        async def scenario(cluster):
+            backends = {name: await cluster.start(name, path)
+                        for name, path in shard_paths.items()}
+            before = _client_tasks()
+            front = await cluster.front(backends=backends,
+                                        default_source="ihnp4")
+            for daemon in cluster.services.values():
+                assert len(daemon.notify_subscribers) == 1
+            assert _client_tasks() == before
+            assert (await front.handle_line(
+                "ROUTE topaz u", front.initial_state())
+            ).startswith("OK 650 ")
+            assert _client_tasks() == before
 
         _run(scenario)

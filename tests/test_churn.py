@@ -451,6 +451,7 @@ class TestNotifyResync:
                 assert await front.handle_line(line, state) == \
                     await oracle.handle_line(line, ostate)
 
+            await front.aclose()
             await cluster.close()
 
         asyncio.run(scenario_run())
@@ -479,6 +480,7 @@ class TestNotifyResync:
             # give any (coalesced) push time to land
             await asyncio.sleep(0.2)
             assert front.resyncs == 0
+            await front.aclose()
             await cluster.close()
 
         asyncio.run(scenario_run())

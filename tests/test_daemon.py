@@ -19,6 +19,7 @@ from repro.service.daemon import (
     RouteService,
     serve,
 )
+from repro.service.federation import FederationService
 from repro.service import store
 from repro.service.store import SnapshotError, SnapshotReader, build_snapshot
 
@@ -386,12 +387,80 @@ class TestCorruptDfsmBlock:
             server = await serve(service)
             port = server.sockets[0].getsockname()[1]
             r, w = await asyncio.open_connection("127.0.0.1", port)
-            assert (await request(r, w, "ROUTE d u")).startswith("ERR ")
+            assert (await request(r, w, "ROUTE d u")).startswith(
+                f"ERR snapshot table section for 'a' at file offset "
+                f"{section}: ")
             assert (await request(r, w, "STATS")).startswith(
                 "OK lookups=")
             w.close()
             server.close()
             await server.wait_closed()
+
+        asyncio.run(scenario())
+
+
+def corrupt_route_text(snapshot: str, source: str, name: str, out) -> int:
+    """Write ``snapshot`` to ``out`` with the first byte of
+    ``source``'s route to ``name`` made a byte that is not UTF-8 (the
+    payload CRC re-stamped); returns the section's file offset."""
+    reader = SnapshotReader.open(snapshot)
+    section = reader._entries[reader._find(source)][0]
+    table = reader.table(source)
+    blob = section + next(off for tag, off, _ in table.block_map()
+                          if tag == "BLOB")
+    _, _, _, roff, _ = next(
+        rec for rec in map(table._record, range(len(table)))
+        if table._text(rec[1], rec[2]) == name)
+    reader.close()
+    raw = bytearray(Path(snapshot).read_bytes())
+    raw[blob + roff] = 0xFF
+    crc = zlib.crc32(bytes(raw[store._HEADER.size:])) & 0xFFFFFFFF
+    struct.pack_into("<I", raw, 20, crc)
+    Path(out).write_bytes(bytes(raw))
+    return section
+
+
+class TestCorruptTableText:
+    """A route whose ``BLOB`` bytes are not UTF-8 fails each request
+    that decodes it with one ``ERR snapshot`` line naming the source
+    and the section's file offset, on both daemons; the connection
+    keeps serving."""
+
+    READERS = ("ROUTE d u", "EXACT d", "TABLE a", "TABLE a d")
+
+    def test_each_reader_errs_and_connection_survives(self, snapshots,
+                                                      tmp_path):
+        snap1, _ = snapshots
+        bad = tmp_path / "text.snap"
+        section = corrupt_route_text(snap1, "a", "d", bad)
+        want = (f"ERR snapshot table section for 'a' at file offset "
+                f"{section}: BLOB text at offset ")
+        with SnapshotReader.open(bad) as reader:
+            with pytest.raises(SnapshotError) as err:
+                reader.table("a").lookup("d")
+        assert str(err.value).startswith(want[len("ERR snapshot "):])
+
+        async def scenario():
+            service = RouteService(str(bad), default_source="a")
+            server = await serve(service)
+            port = server.sockets[0].getsockname()[1]
+            r, w = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                for line in self.READERS:
+                    assert (await request(r, w, line)).startswith(want)
+                assert (await request(r, w, "EXACT b")) == "OK 10 b b!%s"
+                assert (await request(r, w, "STATS")).startswith(
+                    "OK lookups=")
+            finally:
+                w.close()
+                server.close()
+                await server.wait_closed()
+            front = FederationService({"only": str(bad)},
+                                      default_source="a")
+            state = front.initial_state()
+            for line in self.READERS[:2]:
+                assert (await front.handle_line(line, state)
+                        ).startswith(want)
 
         asyncio.run(scenario())
 

@@ -197,6 +197,7 @@ class TestWorkerPool:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stderr.close()
 
     def test_workers_rejected_with_federation_flags(self, snapshots):
         snap1, _ = snapshots
