@@ -128,6 +128,24 @@ def bench_store(tmp: Path, hosts: int) -> dict:
     }
 
 
+async def server_us(service, lines: list, rounds: int = 20) -> float:
+    """Server time per request without sockets: ``lines`` through
+    ``service.handle_line`` in process, best of ``rounds`` passes.
+    The best pass answers from tables the earlier ones left hot, so
+    this is the figure a table's promotion to the inflated trie and
+    its decoded cost map moves, where the socket round trip in
+    ``lookups_per_sec`` hides it."""
+    state = service.initial_state()
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for line in lines:
+            reply = await service.handle_line(line, state)
+            assert reply.startswith("OK "), reply
+        best = min(best, time.perf_counter() - t0)
+    return round(best / len(lines) * 1e6, 2)
+
+
 def bench_daemon(tmp: Path, clients: int, requests: int,
                  reloads: int) -> dict:
     base, alt = str(tmp / "base.snap"), str(tmp / "inc.snap")
@@ -170,6 +188,9 @@ def bench_daemon(tmp: Path, clients: int, requests: int,
         answered = await asyncio.gather(
             *(client(i) for i in range(clients)), reloader())
         elapsed = time.perf_counter() - t0
+        lines = [f"ROUTE {destinations[(k * 13) % len(destinations)]}"
+                 f" u{k}" for k in range(requests)]
+        per_request_us = await server_us(service, lines)
         server.close()
         await server.wait_closed()
         total = sum(a for a in answered if a is not None)
@@ -179,6 +200,7 @@ def bench_daemon(tmp: Path, clients: int, requests: int,
             "reloads_mid_traffic": reloads,
             "seconds": round(elapsed, 3),
             "lookups_per_sec": round(total / elapsed, 1),
+            "server_us": per_request_us,
             "dropped": 0,  # every request asserted OK above
         }
 
@@ -295,6 +317,9 @@ def bench_federation(tmp: Path, regions: int, hosts: int,
             *(client(i) for i in range(clients)), reloader())
         elapsed = time.perf_counter() - t0
         stats = service.stats_line()
+        per_request_us = await server_us(
+            service, [f"ROUTE {dest} u{k}"
+                      for k, dest in enumerate(far_dests)])
         server.close()
         await server.wait_closed()
         total = sum(a for a in answered if a is not None)
@@ -309,6 +334,7 @@ def bench_federation(tmp: Path, regions: int, hosts: int,
             "shard_reloads_mid_traffic": reloads,
             "seconds": round(elapsed, 3),
             "lookups_per_sec": round(total / elapsed, 1),
+            "server_us": per_request_us,
             "build_all_shards_sec": round(all_build_s, 3),
             "single_shard_refresh": {
                 "update_sec": round(single_shard_s, 3),
@@ -692,8 +718,16 @@ def bench_dispatch(sizes: list, probes: int) -> dict:
     count).  ``build_sec`` times ``compile_keys`` (trie plus linking
     into the in-memory matcher), ``serialize_sec`` ``encode_keys``
     (trie plus the stored block, no linking), and ``inflate_sec``
-    decoding the stored block plus linking it, which the first match
-    no longer pays.
+    (best of 3) decoding the stored block plus linking it.
+
+    ``inplace`` times what a freshly loaded snapshot table answers
+    with instead: the walk over the stored block (``ns_per_lookup``,
+    on the same warm probes as the trie's ``fsm_ns_per_lookup``) and
+    its first touch (``first_touch_us``: opening the block plus one
+    match).  ``break_even`` is the lookup count at which inflating
+    pays for itself, ``inflate_sec`` over the walk's extra cost per
+    lookup, and that count per automaton state: the figure
+    ``store.BREAK_EVEN_PER_STATE`` is set from.
     """
     from repro.service.fsm import (FlatSuffixAutomaton, compile_keys,
                                    encode_keys)
@@ -723,9 +757,8 @@ def bench_dispatch(sizes: list, probes: int) -> dict:
         t0 = time.perf_counter()
         flat = FlatSuffixAutomaton(blob)
         load_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
+        inflate_s = best_of(flat.inflate)
         auto = flat.inflate()
-        inflate_s = time.perf_counter() - t0
 
         table = {k: i for i, k in enumerate(keys)}
 
@@ -766,6 +799,17 @@ def bench_dispatch(sizes: list, probes: int) -> dict:
         warm = _dispatch_probes(keys, 512)
         warm_s = best_of(lambda: [match(t) for t in warm], rounds=15)
         fsm_ns[entries] = warm_s / len(warm) * 1e9
+
+        # the in-place walk a reloaded table answers with until its
+        # break-even lookup, on the same probes
+        walk = flat.match
+        walk_s = best_of(lambda: [walk(t) for t in warm], rounds=15)
+        walk_ns = walk_s / len(warm) * 1e9
+        first_s = best_of(
+            lambda: FlatSuffixAutomaton(blob).match(warm[0]), rounds=15)
+        extra_ns = walk_ns - fsm_ns[entries]
+        break_even = (round(inflate_s / extra_ns * 1e9)
+                      if extra_ns > 0 else None)
         out["sizes"][str(entries)] = {
             "entries": entries,
             "automaton": {
@@ -776,6 +820,15 @@ def bench_dispatch(sizes: list, probes: int) -> dict:
                 "serialize_sec": round(serialize_s, 3),
                 "load_sec": round(load_s, 6),
                 "inflate_sec": round(inflate_s, 3),
+            },
+            "inplace": {
+                "ns_per_lookup": round(walk_ns, 1),
+                "first_touch_us": round(first_s * 1e6, 1),
+            },
+            "break_even": {
+                "lookups": break_even,
+                "per_state": round(break_even / flat.state_count, 3)
+                if break_even is not None else None,
             },
             "suffix_lookup": {
                 "fsm_per_sec": round(probes / fsm_s, 1),

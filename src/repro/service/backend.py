@@ -119,14 +119,15 @@ class _MuxConnection(asyncio.Protocol):
     belong to that tag, so two bulk replies can interleave arbitrarily
     on the wire and still come apart cleanly.
 
-    **Deadlines.**  Every request waits the owner's one ``timeout``,
-    so the oldest pending request always has the earliest deadline.
-    One ``loop.call_at`` handle, armed for that deadline, polices them
-    all: when it fires, an overdue oldest request fails the whole
+    **Deadlines.**  Each request's deadline is the owner's
+    ``timeout`` as it read when the request was submitted, so a
+    lowered timeout takes effect with the next request.  One
+    ``loop.call_at`` handle polices them all: :meth:`submit` re-arms
+    it when a new deadline comes before the armed one, and when it
+    fires, an overdue earliest pending deadline fails the whole
     connection with ``TimeoutError`` (each pending request then takes
-    its one retry), and otherwise the handle re-arms for the oldest
-    request's deadline.  A request that completes leaves the handle
-    alone.
+    its one retry), and otherwise the handle re-arms for that
+    deadline.  A request that completes leaves the handle alone.
 
     ``SOURCE`` ordering: the daemon applies a tagged ``SOURCE``
     inline in read order, so writing ``@a SOURCE x`` immediately
@@ -192,7 +193,10 @@ class _MuxConnection(asyncio.Protocol):
         self.owner.pipelined += len(frames)
         self.transport.write(
             "".join(f + "\n" for f in frames).encode("utf-8"))
-        if self._timer is None:
+        timer = self._timer
+        if timer is None or deadline < timer.when():
+            if timer is not None:
+                timer.cancel()
             self._timer = self._loop.call_at(deadline, self._expire)
         return fut, src_fut
 
@@ -210,15 +214,14 @@ class _MuxConnection(asyncio.Protocol):
             self._source_fut = None
 
     def _expire(self) -> None:
-        """The deadline handle fired: fail the connection if its oldest
-        pending request is overdue, else re-arm for that request."""
+        """The deadline handle fired: fail the connection if its
+        earliest pending deadline has passed, else re-arm for it."""
         self._timer = None
         if not self._pending:
             return
-        oldest = next(iter(self._pending.values()))
-        if oldest.deadline > self._loop.time():
-            self._timer = self._loop.call_at(oldest.deadline,
-                                             self._expire)
+        deadline = min(pend.deadline for pend in self._pending.values())
+        if deadline > self._loop.time():
+            self._timer = self._loop.call_at(deadline, self._expire)
         else:
             self.abort(TimeoutError())
 

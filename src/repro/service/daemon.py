@@ -853,7 +853,9 @@ class RouteService(LineService):
         names, every reachable public node).  Costs come from the
         ``STAT`` records — exact mapper state costs, keyed by node,
         covering nets/domains and hosts the route records display
-        under domain-qualified names.
+        under domain-qualified names.  Each given name is one point
+        lookup in the block; without names, one pass over it answers
+        every node.
         """
         reader = self.reader
         source, names = args[0], args[1:]
@@ -866,11 +868,11 @@ class RouteService(LineService):
                 lines.append(f"- {name}" if cost is None
                              else f"{cost} {name}")
         else:
-            table = reader.table(source)
+            costs = reader.table(source).node_costs()
             by_name = reader.decode_graph().cid_by_name
             lines = []
             for name in sorted(by_name):
-                cost = table.state_cost_of(by_name[name])
+                cost = costs.get(by_name[name])
                 if cost is not None:
                     lines.append(f"{cost} {name}")
         return "\n".join([f"OK costs {len(lines)}"] + lines)

@@ -39,9 +39,14 @@ The automaton has one writer, one in-memory form and one stored form
   children map a label straight to the child node.  One linker builds
   it, from keys (:func:`compile_keys`) or from a stored block
   (:meth:`FlatSuffixAutomaton.inflate`).
-* :class:`FlatSuffixAutomaton` is a zero-copy view over a stored
-  block: it matches in place (binary-searched labels and edges) and
-  reads the block's embedded name table, decoding nothing up front.
+* :class:`FlatSuffixAutomaton` matches over a stored block in place,
+  decoding nothing up front: each label is one binary search over the
+  current state's edges by label bytes, and every state, edge range,
+  label id, label ref and target it touches is bounds-checked.  A
+  snapshot table answers its first lookups with it and inflates only
+  once the trie would pay for itself
+  (:data:`~repro.service.store.BREAK_EVEN_PER_STATE`); it also reads
+  a shipped block's embedded name table.
 
 Encoding is a pure function of the key sequence: the same sorted keys
 always produce the same bytes, at any worker count — which is what
@@ -53,6 +58,8 @@ miss are ``None``; the stored form writes ``-1``.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 
 from repro.errors import PathaliasError
 
@@ -107,6 +114,19 @@ def _decode(blob: bytes, refs, count: int, what: str) -> list:
         raise AutomatonError(
             f"automaton block malformed: a {what} runs past the blob")
     return texts
+
+
+def _words(data, start: int, stop: int, code: str):
+    """``data[start:stop]``, stored as little-endian 32-bit words, as a
+    sequence of ints (``code`` ``"i"`` signed or ``"I"`` unsigned): a
+    zero-copy cast on a little-endian host, a swapped copy elsewhere."""
+    chunk = memoryview(data)[start:stop]
+    if sys.byteorder == "little":
+        return chunk.cast(code)
+    words = array(code)
+    words.frombytes(chunk)
+    words.byteswap()
+    return words
 
 
 def _trie(keys) -> tuple[list, list, list]:
@@ -275,22 +295,25 @@ def compile_keys(keys, payloads=None) -> SuffixAutomaton:
 
 
 class FlatSuffixAutomaton:
-    """A zero-copy matcher over a serialized ``DFSM`` block.
+    """A matcher over a serialized ``DFSM`` block, straight off its
+    bytes.
 
-    Holds only a buffer (bytes or a :class:`memoryview` into a mapped
-    snapshot) plus the section offsets from the header — nothing is
-    decoded up front.  :meth:`match` binary-searches the interned
-    label table and each state's edge range in place; :meth:`inflate`
-    decodes the block and links it into the in-memory
+    Holds the buffer (bytes or a :class:`memoryview` into a mapped
+    snapshot), zero-copy 32-bit views of its state, edge and label
+    tables, and one ``bytes`` copy of its string blob, whose UTF-8 is
+    checked once here.  :meth:`match` walks the block in place;
+    :meth:`inflate` decodes it and links it into the in-memory
     :class:`SuffixAutomaton` in one pass.
     """
 
     __slots__ = ("_data", "state_count", "edge_count", "label_count",
                  "name_count", "_states_off", "_edges_off",
-                 "_labels_off", "_names_off", "_blob_off")
+                 "_labels_off", "_names_off", "_blob_off",
+                 "_states", "_edges", "_label_refs", "_blob")
 
     def __init__(self, data):
-        """Parse and bounds-check the block header over ``data``."""
+        """Parse and bounds-check the block header over ``data``, and
+        check that its blob is UTF-8."""
         try:
             (magic, fmt, _flags, self.state_count, self.edge_count,
              self.label_count,
@@ -319,88 +342,97 @@ class FlatSuffixAutomaton:
             raise AutomatonError(
                 f"automaton block truncated (tables end at "
                 f"{self._blob_off}, block is {len(data)} bytes)")
-
-    def _label_bytes(self, i: int):
-        """The i-th interned label's raw bytes (a buffer slice)."""
-        off, length = _FSM_LABEL.unpack_from(
-            self._data, self._labels_off + i * _FSM_LABEL.size)
-        base = self._blob_off + off
-        return self._data[base:base + length]
-
-    def _label_id(self, label: str) -> int:
-        """Binary-search the sorted label table; -1 when absent."""
-        key = _utf8(label)
-        lo, hi = 0, self.label_count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if bytes(self._label_bytes(mid)) < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < self.label_count and self._label_bytes(lo) == key:
-            return lo
-        return -1
-
-    def _state(self, s: int):
-        """The i-th state tuple (edge_start, edge_count, exact, domain)."""
-        return _FSM_STATE.unpack_from(
-            self._data, self._states_off + s * _FSM_STATE.size)
-
-    def _step(self, state: int, label_id: int) -> int:
-        """Follow ``state``'s transition on ``label_id``, or -1."""
-        start, count, _, _ = self._state(state)
-        lo, hi = start, start + count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lid, target = _FSM_EDGE.unpack_from(
-                self._data, self._edges_off + mid * _FSM_EDGE.size)
-            if lid < label_id:
-                lo = mid + 1
-            elif lid > label_id:
-                hi = mid
-            else:
-                return target
-        return -1
+        self._states = _words(data, self._states_off, self._edges_off,
+                              "i")
+        self._edges = _words(data, self._edges_off, self._labels_off,
+                             "I")
+        self._label_refs = _words(data, self._labels_off,
+                                  self._names_off, "I")
+        self._blob = bytes(data[self._blob_off:])
+        try:
+            self._blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise AutomatonError(
+                f"automaton block malformed: blob {exc}") from None
 
     def match(self, target: str):
         """The matched key's payload, or None — same contract (and same
         answers, differentially tested) as
-        :meth:`SuffixAutomaton.match`, straight off the stored bytes."""
-        labels = target.split(".")
-        n = len(labels)
-        dmax = n - 2 if labels[0] == "" else n - 1
+        :meth:`SuffixAutomaton.match`, walked in place.
+
+        Each step binary-searches the state's edge range by label
+        bytes (edges sort by label id, and label ids by UTF-8 bytes).
+        Every state, edge range, label id, label ref and target the
+        walk touches is bounds-checked: a bad one raises
+        :class:`AutomatonError`.
+        """
+        states = self._states
+        edges = self._edges
+        refs = self._label_refs
+        blob = self._blob
+        size = len(blob)
+        edge_count = self.edge_count
+        label_count = self.label_count
+        state_count = self.state_count
         state = 0
         best = None
-        d = 0
-        for i in range(n - 1, -1, -1):
-            lid = self._label_id(labels[i])
-            if lid < 0:
-                state = -1
-                break
-            state = self._step(state, lid)
-            if state < 0:
-                break
-            d += 1
-            if d <= dmax:
-                payload = self._state(state)[3]
+        rest = target
+        while True:
+            head, sep, label = rest.rpartition(".")
+            # a lone surrogate encodes to bytes no stored (UTF-8)
+            # label equals, so it misses as it does on the trie
+            key = label.encode("utf-8", "surrogatepass")
+            lo = states[state << 2]
+            hi = lo + states[(state << 2) | 1]
+            if lo < 0 or hi < lo or hi > edge_count:
+                raise AutomatonError(
+                    f"automaton block malformed: state {state}'s "
+                    f"edge range is out of range")
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                lid = edges[mid << 1]
+                if lid >= label_count:
+                    raise AutomatonError(
+                        f"automaton block malformed: edge {mid}'s "
+                        f"label id {lid} is out of range")
+                off = refs[lid << 1]
+                end = off + refs[(lid << 1) | 1]
+                if end > size:
+                    raise AutomatonError(
+                        f"automaton block malformed: label {lid} "
+                        f"runs past the blob")
+                found = blob[off:end]
+                if found < key:
+                    lo = mid + 1
+                elif found == key:
+                    break
+                else:
+                    hi = mid
+            else:
+                return best
+            state = edges[(mid << 1) | 1]
+            if state >= state_count:
+                raise AutomatonError(
+                    f"automaton block malformed: edge {mid}'s target "
+                    f"state {state} is out of range")
+            if not sep:
+                payload = states[(state << 2) | 2]
+                return best if payload < 0 else payload
+            if head:
+                payload = states[(state << 2) | 3]
                 if payload >= 0:
                     best = payload
-        if state >= 0 and d == n:
-            payload = self._state(state)[2]
-            if payload >= 0:
-                return payload
-        return best
+            rest = head
 
     def names(self) -> list:
         """The embedded payload table as ``(name, flags)`` pairs in
         payload order (empty for table blocks, which index their
         section's own records instead).  A name ref past the blob or
         a name that is not UTF-8 raises :class:`AutomatonError`."""
-        data = self._data
         refs = list(_FSM_NAME.iter_unpack(
-            data[self._names_off:self._blob_off]))
-        names = _decode(bytes(data[self._blob_off:]),
-                        (ref[:2] for ref in refs), len(refs), "name")
+            self._data[self._names_off:self._blob_off]))
+        names = _decode(self._blob, (ref[:2] for ref in refs),
+                        len(refs), "name")
         return [(name, ref[2]) for name, ref in zip(names, refs)]
 
     def inflate(self) -> SuffixAutomaton:
@@ -416,7 +448,7 @@ class FlatSuffixAutomaton:
         that is not UTF-8, raises :class:`AutomatonError`.
         """
         data = self._data
-        labels = _decode(bytes(data[self._blob_off:]),
+        labels = _decode(self._blob,
                          _FSM_LABEL.iter_unpack(
                              data[self._labels_off:self._names_off]),
                          self.label_count, "label")

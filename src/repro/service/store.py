@@ -111,6 +111,9 @@ _PAIR = struct.Struct("<IIII")
 #: (``STATE_F_*``), state kind (``SK_*``).
 _STATE = struct.Struct("<IqiBB")
 
+#: a per-state record's leading cid alone (the point queries' key).
+_STATE_CID = struct.Struct("<I")
+
 #: one tag-directory entry: 4-byte ASCII tag, block length.
 _TAG = struct.Struct("<4sI")
 
@@ -127,6 +130,19 @@ _META = struct.Struct("<qqqqqBB")
 #: The costs a route record, a state record or a graph link can store:
 #: their cost fields are signed 64-bit.
 _COST_RANGE = range(-(1 << 63), 1 << 63)
+
+#: Lookups per ``DFSM`` state at which inflating a table's block into
+#: the in-memory trie pays for itself.  A table answers lookups by
+#: walking the stored block in place, and promotes on lookup number
+#: ``ceil(state count x BREAK_EVEN_PER_STATE)``: it inflates the block,
+#: which costs time linear in the states and saves the few
+#: microseconds an in-place match costs over a trie match, and decodes
+#: its ``STAT`` block into a map, so a hot table prices a gateway with
+#: one dict get instead of a point lookup.  ``benchmarks/bench_service.py
+#: --only dispatch`` measures the break-even at each size
+#: (``break_even.per_state``: 0.15-0.27 from 1k to 100k keys on a
+#: 2-vCPU x86-64 host).
+BREAK_EVEN_PER_STATE = 0.2
 
 
 class SnapshotError(PathaliasError):
@@ -362,24 +378,30 @@ class SnapshotTable(SuffixResolver):
     leaves as an exercise.  The suffix-search surface
     (:meth:`resolve_with_cost` and the inherited ``resolve`` /
     ``resolve_bang``) dispatches through the section's compiled suffix
-    automaton (the ``DFSM`` block, inflated lazily on first use), and
-    is byte-identical to the dict walk in
+    automaton (the ``DFSM`` block): a table answers its first lookups
+    by walking the stored block in place, and *promotes* only on the
+    lookup that makes it pay (see :data:`BREAK_EVEN_PER_STATE`):
+    it inflates the block into the in-memory trie and decodes its
+    ``STAT`` block into one ``{cid: cost}`` map.  Both forms are
+    byte-identical to the dict walk in
     :class:`~repro.service.resolver.SuffixResolver`, which
     :func:`~repro.service.resolver.resolve_with_cost_dict` runs over
     the inherited :meth:`lookup` as the differential oracle.
 
     The mapper's per-state records are exposed through
-    :meth:`state_records` / :meth:`state_cost_map` /
-    :meth:`state_cost_of`, and by point lookup through
-    :meth:`state_cost_at`; the tree links through the point query
+    :meth:`state_records` and :meth:`node_costs`, and per node through
+    :meth:`state_cost_of` (a point lookup until the table promotes,
+    then a map get) and :meth:`state_cost_at` (:meth:`state_cost_map`
+    is the tests' reference); the tree links through the point query
     :meth:`has_tree_link`.
     """
 
-    __slots__ = ("source", "_data", "_state_map",
+    __slots__ = ("source", "_data",
                  "_rc", "_uc", "_tc", "_sc",
                  "_records_off", "_unreach_off", "_pairs_off",
                  "_states_off", "_blob_off", "_blob_len", "_file_off",
-                 "_dfsm_off", "_dfsm_len", "_auto")
+                 "_dfsm_off", "_dfsm_len", "_flat", "_auto", "_walks",
+                 "_costs")
 
     def __init__(self, source: str, data,
                  file_offset: int | None = None):
@@ -391,8 +413,10 @@ class SnapshotTable(SuffixResolver):
         self.source = source
         self._data = data
         self._file_off = file_offset
-        self._state_map: dict | None = None
+        self._flat: FlatSuffixAutomaton | None = None
         self._auto: SuffixAutomaton | None = None
+        self._walks = 0  # lookups answered in place
+        self._costs: dict[int, int] | None = None  # built on promotion
         try:
             (tag_count,) = struct.unpack_from("<I", data, 0)
             if tag_count > len(data):  # absurd count == corruption
@@ -547,15 +571,17 @@ class SnapshotTable(SuffixResolver):
                                 self._dfsm_off + self._dfsm_len])
 
     def flat_automaton(self) -> FlatSuffixAutomaton:
-        """A zero-copy flat matcher over the stored ``DFSM`` block.
-        Used by ``pathalias inspect`` and the differential tests; the
-        serving hot path inflates instead (:meth:`automaton`)."""
-        try:
-            return FlatSuffixAutomaton(
-                self._data[self._dfsm_off:
-                           self._dfsm_off + self._dfsm_len])
-        except AutomatonError as exc:
-            raise self._corrupt(exc) from None
+        """The in-place matcher over the stored ``DFSM`` block
+        (cached): what a table answers its first lookups with, and
+        what :meth:`automaton` inflates."""
+        if self._flat is None:
+            try:
+                self._flat = FlatSuffixAutomaton(
+                    self._data[self._dfsm_off:
+                               self._dfsm_off + self._dfsm_len])
+            except AutomatonError as exc:
+                raise self._corrupt(exc) from None
+        return self._flat
 
     def _corrupt(self, detail) -> SnapshotError:
         """The section's error for a malformed block, naming the
@@ -565,10 +591,10 @@ class SnapshotTable(SuffixResolver):
             f"{detail}")
 
     def automaton(self) -> SuffixAutomaton:
-        """The section's suffix-dispatch matcher (cached), decoded and
-        linked from the mapped ``DFSM`` block in one pass — no trie
-        rebuild.  Payloads are record indexes into this section's
-        sorted ``RECS`` array.
+        """The section's inflated suffix-dispatch matcher (cached),
+        decoded and linked from the mapped ``DFSM`` block in one pass
+        — no trie rebuild.  Payloads are record indexes into this
+        section's sorted ``RECS`` array.
         """
         if self._auto is None:
             flat = self.flat_automaton()
@@ -577,6 +603,23 @@ class SnapshotTable(SuffixResolver):
             except AutomatonError as exc:
                 raise self._corrupt(exc) from None
         return self._auto
+
+    def _cold_match(self, target: str):
+        """Match ``target`` on a table not yet promoted: in place off
+        the stored block, or, on the lookup that reaches the block's
+        break-even count, through the trie this inflates (and from then
+        on the table prices nodes from :meth:`node_costs`, decoded
+        once here)."""
+        flat = self.flat_automaton()
+        if self._walks + 1 >= flat.state_count * BREAK_EVEN_PER_STATE:
+            auto = self.automaton()
+            self._costs = self.node_costs()
+            return auto.match(target)
+        self._walks += 1
+        try:
+            return flat.match(target)
+        except AutomatonError as exc:
+            raise self._corrupt(exc) from None
 
     def resolve_with_cost(self, target: str, user: str = "%s"
                           ) -> tuple[int, Resolution]:
@@ -591,8 +634,9 @@ class SnapshotTable(SuffixResolver):
         """
         auto = self._auto
         if auto is None:
-            auto = self.automaton()
-        idx = auto.match(target)
+            idx = self._cold_match(target)
+        else:
+            idx = auto.match(target)
         if idx is None:
             raise RouteError(f"no route to {target!r}")
         if idx >= self._rc:
@@ -654,58 +698,83 @@ class SnapshotTable(SuffixResolver):
                 self._data, self._states_off + i * _STATE.size)
             yield cid, flags, kind, cost, parent
 
+    def _state_block(self):
+        """The ``STAT`` block as a buffer slice."""
+        start = self._states_off
+        return self._data[start:start + self._sc * _STATE.size]
+
     def state_cost_map(self) -> dict[tuple[int, int], int]:
         """``{(cid, domain class): final cost}`` for every stored
-        state (cached).  The domain class is the second-best state
+        state, decoded whole: the reference the point queries are
+        tested against.  The domain class is the second-best state
         identity bit — always 0 in tree-mode snapshots — so the
         incremental updater's triangle test can address states exactly
         as the mapper's relaxation does."""
-        if self._state_map is None:
-            start = self._states_off
-            block = self._data[start:start + self._sc * _STATE.size]
-            self._state_map = {
-                (cid, flags & STATE_F_DOMAIN_CLASS): cost
-                for cid, cost, _, flags, _ in _STATE.iter_unpack(block)}
-        return self._state_map
+        return {(cid, flags & STATE_F_DOMAIN_CLASS): cost
+                for cid, cost, _, flags, _
+                in _STATE.iter_unpack(self._state_block())}
 
-    def _state_entry(self, i: int) -> tuple[tuple[int, int], int]:
-        """The i-th ``STAT`` record as ``((cid, domain class), cost)``."""
-        cid, cost, _, flags, _ = _STATE.unpack_from(
-            self._data, self._states_off + i * _STATE.size)
-        return (cid, flags & STATE_F_DOMAIN_CLASS), cost
+    def node_costs(self) -> dict[int, int]:
+        """``{cid: cheapest stored state cost}`` for every reached
+        node, in one pass over the ``STAT`` block (what ``COSTS``
+        without names answers from)."""
+        costs: dict[int, int] = {}
+        for cid, cost, _, _, _ in _STATE.iter_unpack(self._state_block()):
+            if cid not in costs or cost < costs[cid]:
+                costs[cid] = cost
+        return costs
+
+    def _states_from(self, cid: int):
+        """Iterate ``(cid, domain class, cost)`` over the ``STAT``
+        records of ``cid`` and on, from the first one whose cid is not
+        below ``cid``: a binary search over the block (sorted by
+        ``(cid, domain class)``) that reads one field per probe and
+        decodes nothing else."""
+        data = self._data
+        base = self._states_off
+        size = _STATE.size
+        unpack = _STATE_CID.unpack_from
+        lo, hi = 0, self._sc
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if unpack(data, base + mid * size)[0] < cid:
+                lo = mid + 1
+            else:
+                hi = mid
+        for i in range(lo, self._sc):
+            found, cost, _, flags, _ = _STATE.unpack_from(
+                data, base + i * size)
+            yield found, flags & STATE_F_DOMAIN_CLASS, cost
 
     def state_cost_at(self, cid: int, dclass: int) -> int | None:
         """The stored final cost of state ``(cid, domain class)``, or
         None when the source never reached that state — the same
-        answer as ``state_cost_map().get((cid, dclass))``, found by a
-        binary search over the ``STAT`` block (sorted by ``(cid,
-        domain class)``) without decoding it."""
-        key = (cid, dclass)
-        lo, hi = 0, self._sc
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._state_entry(mid)[0] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < self._sc:
-            found, cost = self._state_entry(lo)
-            if found == key:
+        answer as ``state_cost_map().get((cid, dclass))``, found by
+        point lookup (:meth:`_states_from`)."""
+        for found, found_class, cost in self._states_from(cid):
+            if found != cid or found_class > dclass:
+                return None
+            if found_class == dclass:
                 return cost
         return None
 
     def state_cost_of(self, cid: int) -> int | None:
         """The cheapest stored state cost for a node (compact id), or
-        None when the node is unreached.  Keyed
-        by cid, not display name, so a gateway that the route records
-        display under a domain-qualified name still answers exactly."""
-        states = self.state_cost_map()
-        best = states.get((cid, 0))
-        other = states.get((cid, 1))
-        if best is None:
-            return other
-        if other is not None and other < best:
-            return other
+        None when the node is unreached: the least of its entries in
+        ``state_cost_map()``.  A promoted table answers from the map
+        it decoded on promotion; a cold one by point lookup
+        (:meth:`_states_from`), which reads that node's records and
+        stops.  Keyed by cid, not display name, so a gateway that the
+        route records display under a domain-qualified name still
+        answers exactly."""
+        if self._costs is not None:
+            return self._costs.get(cid)
+        best = None
+        for found, _, cost in self._states_from(cid):
+            if found != cid:
+                break
+            if best is None or cost < best:
+                best = cost
         return best
 
     def database(self):

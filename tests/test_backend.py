@@ -1417,6 +1417,40 @@ class TestStalledBackendDeadline:
 
         asyncio.run(scenario())
 
+    def test_lowered_timeout_takes_effect_at_once(self, shard_paths):
+        """A timeout lowered on a live connection bounds the very next
+        request: a ``ROUTE`` the backend stalls for 1 s fails with the
+        one-retry ``TimeoutError`` well before the stall ends, although
+        the connection's handle was armed for the old 5 s deadline."""
+
+        async def scenario(cluster):
+            backends = {}
+            for name, path in shard_paths.items():
+                backends[name] = await cluster.start(
+                    name, path, _StallingService
+                    if name == "universities" else RouteService)
+            daemon = cluster.services["universities"]
+            daemon.stalling = False
+            front = await cluster.front(backends=backends,
+                                        default_source="ihnp4",
+                                        cache_size=0)
+            state = front.initial_state()
+            assert (await front.handle_line("ROUTE topaz u", state)
+                    ).startswith("OK 650 ")
+            backend = front.view.shards["universities"].backend
+            assert backend.timeout == 5.0
+            assert backend._mux._timer is not None
+            backend.timeout = 0.2
+            daemon.stalling = True
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            reply = await front.handle_line("ROUTE topaz u", state)
+            assert loop.time() - start < 0.8
+            assert reply.startswith("ERR federation backend universities")
+            assert reply.endswith("failed: TimeoutError")
+
+        _run(scenario)
+
 
 async def _scripted_backend(replies):
     """A scripted daemon.  ``replies[i]`` is ``(data, close)``:

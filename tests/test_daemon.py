@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import math
 import socket
 import struct
 import threading
@@ -363,16 +364,33 @@ def corrupt_dfsm(snapshot: str, source: str, fault: str, out) -> int:
     return section
 
 
+#: The table forms a lookup can meet a ``DFSM`` block in, as the
+#: break-even ratio that forces each: inflating on the first lookup
+#: (promoted) or never (the walk in place).
+TABLE_FORMS = {"promoted": 0.0, "in-place": math.inf}
+
+#: Each corrupt-block fault in each table form; a promoted case is
+#: named by its fault alone.
+CORRUPT_DFSM_CASES = [
+    pytest.param(fault, form,
+                 id=fault if form == "promoted" else f"{fault}-{form}")
+    for fault in ("target", "label", "payload", "range")
+    for form in TABLE_FORMS]
+
+
 class TestCorruptDfsmBlock:
     """A ``DFSM`` block whose edge target, label bytes, payload or edge
     range is out of range fails the lookup as a ``SnapshotError`` naming the
-    source and the section's file offset; over the wire the request
-    gets an ``ERR`` line and the connection keeps serving."""
+    source and the section's file offset, whether the table walks it in
+    place or has promoted to the inflated trie; over the wire the
+    request gets an ``ERR`` line and the connection keeps serving."""
 
-    @pytest.mark.parametrize("fault",
-                             ["target", "label", "payload", "range"])
+    @pytest.mark.parametrize("fault, form", CORRUPT_DFSM_CASES)
     def test_lookup_errs_and_connection_survives(self, snapshots,
-                                                 tmp_path, fault):
+                                                 tmp_path, fault, form,
+                                                 monkeypatch):
+        monkeypatch.setattr(store, "BREAK_EVEN_PER_STATE",
+                            TABLE_FORMS[form])
         snap1, _ = snapshots
         bad = tmp_path / f"{fault}.snap"
         section = corrupt_dfsm(snap1, "a", fault, bad)

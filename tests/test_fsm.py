@@ -6,12 +6,17 @@ identity* with the per-suffix dict walk
 (:meth:`repro.service.resolver.SuffixResolver.resolve_with_cost`).
 These tests hold that contract over randomized label sets: degenerate
 labels (empty, dotted edges), unicode-adjacent bytes, single-label
-hosts, deep subdomains, overlapping suffixes, and absent names.
+hosts, deep subdomains, overlapping suffixes, and absent names — for
+both forms a snapshot table serves from: the walk in place over the
+stored block, and the trie it inflates into on its break-even lookup.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import struct
+from itertools import cycle, islice
 from pathlib import Path
 
 import pytest
@@ -28,9 +33,15 @@ from repro.service.fsm import (
     compile_keys,
     encode_keys,
 )
+from repro.service import store
 from repro.service.resolver import domain_suffixes, resolve_with_cost_dict
 from repro.service.shard import FederationView, Shard
-from repro.service.store import SnapshotReader, build_snapshot
+from repro.service.store import (
+    SnapshotError,
+    SnapshotReader,
+    SnapshotTable,
+    build_snapshot,
+)
 
 
 # -- the oracle ---------------------------------------------------------------
@@ -156,6 +167,17 @@ class TestSerialization:
             FlatSuffixAutomaton(blob[:20])
         with pytest.raises(AutomatonError):
             FlatSuffixAutomaton(b"")
+        # every label ref running past the blob: both forms refuse it
+        _, _, _, sc, ec, lc, _ = struct.unpack_from("<4sHHIIII", blob)
+        past = bytearray(blob)
+        for lid in range(lc):
+            struct.pack_into("<I", past, 24 + 16 * sc + 8 * ec + 8 * lid
+                             + 4, len(blob))
+        flat = FlatSuffixAutomaton(bytes(past))
+        with pytest.raises(AutomatonError, match="past the blob"):
+            flat.match("a.b")
+        with pytest.raises(AutomatonError, match="past the blob"):
+            flat.inflate()
 
 
 # -- the snapshot surface -----------------------------------------------------
@@ -189,6 +211,49 @@ def reader(tmp_path_factory):
     return open_snapshot(tmp_path_factory, "d.map", MAP)
 
 
+def promotion_lookup(table) -> int:
+    """K: the lookup on which ``table`` inflates its ``DFSM`` block,
+    the ones before it answered in place."""
+    return max(1, math.ceil(table.flat_automaton().state_count
+                            * store.BREAK_EVEN_PER_STATE))
+
+
+def assert_resolves_as_dict_walk(table, target: str) -> None:
+    """The serving path answers ``target`` as the dict walk over the
+    table's exact lookups does: the same resolution, or the same
+    miss."""
+    try:
+        expect = resolve_with_cost_dict(table, target, "u")
+    except RouteError as exc:
+        with pytest.raises(RouteError) as err:
+            table.resolve_with_cost(target, "u")
+        assert str(err.value) == str(exc)
+    else:
+        assert table.resolve_with_cost(target, "u") == expect
+
+
+def assert_serving_agrees(reader, source, targets, monkeypatch) -> None:
+    """``source``'s serving path answers every target as the dict
+    walk does in both forms: on a fresh table held in place, then on
+    a fresh table across its promotion — lookups K-1 (in place), K
+    (inflating) and K+1 (on the trie) — and every target once more on
+    the trie."""
+    data = reader.table_bytes(source)
+    with monkeypatch.context() as patch:
+        patch.setattr(store, "BREAK_EVEN_PER_STATE", math.inf)
+        cold = SnapshotTable(source, data)
+        for target in targets:
+            assert_resolves_as_dict_walk(cold, target)
+        assert cold._auto is None
+    table = SnapshotTable(source, data)
+    k = promotion_lookup(table)
+    for n, target in enumerate(islice(cycle(targets), k + len(targets)),
+                               start=1):
+        assert_resolves_as_dict_walk(table, target)
+        assert (table._auto is not None) == (n >= k), (source, n, k)
+        assert (table._costs is not None) == (n >= k), (source, n, k)
+
+
 @pytest.fixture(scope="module", params=SNAPSHOT_INPUTS,
                 ids=lambda p: f"{p[0]}-{'second-best' if p[2] else 'tree'}")
 def any_reader(request, tmp_path_factory):
@@ -200,10 +265,11 @@ class TestSnapshotTableDifferential:
         table = reader.table("a")
         assert table.flat_automaton().state_count > 0
 
-    def test_linker_agrees_on_every_table(self, any_reader):
+    def test_linker_agrees_on_every_table(self, any_reader, monkeypatch):
         # the stored block re-encodes from the table's own record
         # names, and its inflated trie, the in-place flat walk and
-        # the dict walk match the same key for every probe
+        # the dict walk match the same key for every probe; so does
+        # the serving path, in place and promoted
         rng = random.Random(5)
         for source in any_reader.sources():
             table = any_reader.table(source)
@@ -211,7 +277,8 @@ class TestSnapshotTableDifferential:
             assert encode_keys(names) == table.dfsm_bytes(), source
             keys = set(names)
             impls = (table.automaton(), table.flat_automaton())
-            for target in probe_targets(rng, names):
+            targets = probe_targets(rng, names)
+            for target in targets:
                 expect = walk_match(keys, target)
                 for impl in impls:
                     idx = impl.match(target)
@@ -220,24 +287,55 @@ class TestSnapshotTableDifferential:
                         f"{source} target={target!r}: "
                         f"{type(impl).__name__} matched {got!r}, "
                         f"walk matched {expect!r}")
+            assert_serving_agrees(any_reader, source, targets,
+                                  monkeypatch)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_resolve_agrees_with_dict_walk(self, reader, seed):
+    def test_resolve_agrees_with_dict_walk(self, reader, seed,
+                                           monkeypatch):
         rng = random.Random(seed)
         for source in reader.sources():
             table = reader.table(source)
             targets = probe_targets(
                 rng, [name.decode() for name in table.record_names()])
-            for target in targets:
-                try:
-                    expect = resolve_with_cost_dict(table, target, "u")
-                except RouteError as exc:
-                    with pytest.raises(RouteError) as err:
-                        table.resolve_with_cost(target, "u")
-                    assert str(err.value) == str(exc)
-                else:
-                    assert table.resolve_with_cost(target, "u") \
-                        == expect
+            assert_serving_agrees(reader, source, targets, monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_byte_flips_in_the_block_fail_as_snapshot_errors(
+            self, any_reader, seed, monkeypatch):
+        """A ``DFSM`` block with random bytes flipped, walked in place:
+        each lookup answers a record of the table, or raises
+        ``RouteError`` or ``SnapshotError`` — never a raw
+        ``struct.error`` or ``IndexError``, and never a payload at or
+        past the record count."""
+        monkeypatch.setattr(store, "BREAK_EVEN_PER_STATE", math.inf)
+        rng = random.Random(seed)
+        outcomes = set()
+        for source in any_reader.sources():
+            clean = any_reader.table(source)
+            names = [name.decode() for name in clean.record_names()]
+            targets = probe_targets(rng, names)
+            start, length = next((off, size) for tag, off, size
+                                 in clean.block_map() if tag == "DFSM")
+            data = any_reader.table_bytes(source)
+            for _ in range(6):
+                raw = bytearray(data)
+                for _ in range(rng.randint(1, 3)):
+                    raw[start + rng.randrange(length)] ^= \
+                        1 << rng.randrange(8)
+                table = SnapshotTable(source, bytes(raw))
+                for target in rng.sample(targets, min(12, len(targets))):
+                    try:
+                        _, res = table.resolve_with_cost(target, "u")
+                    except RouteError:
+                        outcomes.add("miss")
+                    except SnapshotError as exc:
+                        assert f"{source!r}" in str(exc)
+                        outcomes.add("corrupt")
+                    else:
+                        assert res.matched in names
+                        outcomes.add("answer")
+        assert outcomes == {"miss", "corrupt", "answer"}
 
 
 # -- the federation ownership surface -----------------------------------------

@@ -1,10 +1,11 @@
 """Table-section point queries and the one-pass section encoder,
 checked against whole-block references.
 
-* ``SnapshotTable.has_tree_link`` / ``state_cost_at`` answer exactly
-  what decoding the whole ``TREE`` / ``STAT`` block answers, on every
-  ``d.*`` fixture, in tree and second-best mode, on mapped and bytes
-  readers;
+* ``SnapshotTable.has_tree_link`` / ``state_cost_at`` /
+  ``state_cost_of`` answer exactly what decoding the whole ``TREE`` /
+  ``STAT`` block answers, on every ``d.*`` fixture, in tree and
+  second-best mode, on mapped and bytes readers, before and after
+  the table promotes, and so does ``node_costs``;
 * ``encode_table_section`` writes the same bytes as the per-record
   encoder it replaced (kept here as the reference), on fixture
   payloads and on generated payloads whose strings are shared
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,6 +26,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.config import HeuristicConfig
 from repro.core.batch import map_sources
 from repro.core.pathalias import Pathalias
+from repro.errors import RouteError
 from repro.graph.compact import CompactGraph
 from repro.service import store
 from repro.service.fsm import encode_keys
@@ -39,6 +42,35 @@ from tests.conftest import stored_tree_links
 
 DATA = Path(__file__).parent / "data"
 DATA_MAPS = sorted(DATA.glob("d.*"))
+
+
+def cheapest(states: dict, cid: int) -> int | None:
+    """The least of ``cid``'s entries in a ``state_cost_map()`` (either
+    domain class), or None when it has none."""
+    return min((states[cid, dclass] for dclass in (0, 1)
+                if (cid, dclass) in states), default=None)
+
+
+def assert_state_queries(table, states: dict, cids) -> None:
+    """Every point query over ``cids`` and the one-pass
+    ``node_costs`` agree with ``states``, the whole-block reference;
+    so does ``state_cost_of`` once the table has promoted and prices
+    from the map it decoded then."""
+    for cid in cids:
+        for dclass in (0, 1):
+            assert table.state_cost_at(cid, dclass) \
+                == states.get((cid, dclass))
+        assert table.state_cost_of(cid) == cheapest(states, cid)
+    assert table.node_costs() == {
+        cid: cheapest(states, cid) for cid, _ in states}
+    with mock.patch.object(store, "BREAK_EVEN_PER_STATE", 0.0):
+        try:
+            table.resolve_with_cost("promote.me")
+        except RouteError:
+            pass
+    assert table._costs is not None
+    for cid in cids:
+        assert table.state_cost_of(cid) == cheapest(states, cid)
 
 
 def reference_encode_table_section(records, unreachable, tree_links,
@@ -130,10 +162,9 @@ class TestPointQueries:
                 table = reader.table(source)
                 states = table.state_cost_map()
                 assert states
-                for cid in range(cg.n + 2):
-                    for dclass in (0, 1):
-                        assert table.state_cost_at(cid, dclass) \
-                            == states.get((cid, dclass))
+                # every cid, the unreached ones and the one past the
+                # last included
+                assert_state_queries(table, states, range(cg.n + 2))
 
 
 class TestEncoderMatchesReference:
@@ -233,7 +264,4 @@ class TestGeneratedSections:
         costs = {(cid, flags & 1): cost
                  for cid, flags, _, cost, _ in states}
         assert table.state_cost_map() == costs
-        for cid in range(52):
-            for dclass in (0, 1):
-                assert table.state_cost_at(cid, dclass) \
-                    == costs.get((cid, dclass))
+        assert_state_queries(table, costs, range(52))
