@@ -138,7 +138,9 @@ def map_sources(cgraph: CompactGraph, sources: Iterable[str],
     source name, returning a picklable payload.  With ``jobs > 1`` the
     sources spread over a process pool (the compiled graph ships to
     each worker once); any failure to stand the pool up degrades to the
-    always-available serial path.
+    always-available serial path.  A payload that raises fails the
+    call with the exception of the first failing source in ``sources``
+    order, at any worker count.
 
     Returns ``(payloads, engine_tag)`` with payloads in ``sources``
     order and the tag describing what actually ran (``"compact"``,
@@ -172,9 +174,11 @@ def _map_sources_pool(cgraph: CompactGraph, wanted: list[str],
                       jobs: int):
     jobs = min(jobs, len(wanted))
     # A few chunks per worker keeps the pool busy even when some
-    # sources (deep back-link rounds) run long.
-    chunk_count = min(len(wanted), jobs * 4)
-    chunks = [wanted[i::chunk_count] for i in range(chunk_count)]
+    # sources (deep back-link rounds) run long.  Each chunk is a run of
+    # consecutive sources: map() raises the first failing chunk's
+    # error, which is then the first failing source's, as serially.
+    size = -(-len(wanted) // (jobs * 4))
+    chunks = [wanted[i:i + size] for i in range(0, len(wanted), size)]
     by_source: dict[str, object] = {}
     with _pool_class()(
             max_workers=jobs, initializer=_worker_init,

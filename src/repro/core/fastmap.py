@@ -59,7 +59,6 @@ from repro.graph.compact import (
     K_ALIAS,
     K_INFERRED,
     K_NET_MEMBER,
-    K_NORMAL,
 )
 from repro.graph.node import Link, LinkKind
 from repro.parser.ast import Direction
@@ -589,152 +588,164 @@ class CompactMapper:
 # -- route construction ------------------------------------------------------
 
 
-def _route_records(result: CompactMapResult):
-    """Preorder route labeling on arrays; the compiled counterpart of
-    ``compute_routes`` + ``print_routes`` record selection.
+def route_labels(result: CompactMapResult, names, ops, overlay_ops,
+                 template) -> tuple[list, list]:
+    """Route labeling on arrays: the compiled counterpart of
+    ``compute_routes``.
 
-    Returns ``(records, unreachable)`` with records as
-    ``(cost, display, route, cid)`` sorted like the reference printer.
+    Returns ``(route, display)``, two lists indexed by state (None
+    where a state is unlabeled).  ``names`` and ``ops`` are the graph's
+    node names and link operators and ``overlay_ops`` the run's
+    invented links' operators, all ``str`` for the printer or all
+    UTF-8 ``bytes`` for the snapshot writer, with ``template`` the
+    root's route (``"%s"`` or ``b"%s"``).  Every text is built from
+    them by concatenation and first-``%s`` substitution, which commute
+    with UTF-8 encoding, so the bytes form is the str form encoded.  A
+    display that is a node's own name is that very ``names`` object.
     """
     cg = result.cgraph
     shift = result.shift
-    names = cg.names
     dom = cg.is_domain
     netlike = cg.netlike
     kind_a = cg.kind
-    op_a = cg.op
     flags_a = cg.flags
     csr = cg.link_count
-    mapper = result._mapper
-    ov_op, ov_flags = mapper._ov_op, mapper._ov_flags
+    ov_flags = result._mapper._ov_flags
+    parent = result.parent
+    link = result.link
 
+    size = cg.n << shift
+    route: list = [None] * size
+    display: list = [None] * size
+    entry: list = [None] * size
     root = result.root_state
     if root < 0 or result.cost[root] < 0:
-        return [], sorted(
-            names[cid] for cid in range(cg.n)
-            if not cg.is_net[cid] and not dom[cid])
+        return route, display
+    route[root] = template
+    display[root] = names[root >> shift]
 
-    children: dict[int, list[int]] = {}
+    # A state's label derives from its tree parent's, so label each
+    # one after its parent: climb to the nearest labeled ancestor,
+    # then label back down that chain.
     for state in result.touched:
-        p = result.parent[state]
-        if p >= 0:
-            children.setdefault(p, []).append(state)
-
-    route: dict[int, str] = {root: "%s"}
-    display: dict[int, str] = {root: names[root >> shift]}
-    entry: dict[int, tuple[str, bool] | None] = {root: None}
-
-    stack = [root]
-    while stack:
-        p = stack.pop()
-        kids = children.get(p)
-        if not kids:
+        if route[state] is not None:
             continue
-        p_route = route[p]
-        p_display = display[p]
-        p_entry = entry[p]
-        u = p >> shift
-        u_dom = dom[u]
-        u_netlike = netlike[u]
-        for child in kids:
-            j = result.link[child]
+        chain = [state]
+        p = parent[state]
+        while route[p] is None:
+            chain.append(p)
+            p = parent[p]
+        while chain:
+            child = chain.pop()
+            p = parent[child]
+            j = link[child]
             if j < csr:
                 k = kind_a[j]
-                op = op_a[j]
+                op = ops[j]
                 left = flags_a[j] & F_LEFT
             else:
                 k = K_INFERRED
-                op = ov_op[j - csr]
+                op = overlay_ops[j - csr]
                 left = ov_flags[j - csr] & F_LEFT
             v = child >> shift
             if k == K_ALIAS:
                 # Zero-cost synonym: same machine, same route.
                 display[child] = names[v]
-                route[child] = p_route
-                entry[child] = p_entry
-            elif netlike[v]:
-                display[child] = (names[v] + p_display
-                                  if dom[v] and u_dom else names[v])
-                route[child] = p_route
+                route[child] = route[p]
+                entry[child] = entry[p]
+                continue
+            u = p >> shift
+            if netlike[v]:
+                display[child] = (names[v] + display[p]
+                                  if dom[v] and dom[u] else names[v])
+                route[child] = route[p]
+                p_entry = entry[p]
                 entry[child] = (p_entry
                                 if k == K_NET_MEMBER and p_entry
-                                is not None else (op, bool(left)))
+                                is not None else (op, left))
+                continue
+            if netlike[u]:
+                eop, eleft = entry[p] or (op, left)
+                text = names[v] + display[p] if dom[u] else names[v]
             else:
-                if u_netlike:
-                    eop, eleft = p_entry or (op, bool(left))
-                    text = names[v] + (p_display if u_dom else "")
-                else:
-                    eop, eleft = op, bool(left)
-                    text = names[v]
-                display[child] = text
-                route[child] = (p_route.replace("%s",
-                                                f"{text}{eop}%s", 1)
-                                if eleft else
-                                p_route.replace("%s",
-                                                f"%s{eop}{text}", 1))
-                entry[child] = None
-            stack.append(child)
+                eop, eleft = op, left
+                text = names[v]
+            display[child] = text
+            route[child] = (route[p].replace(template, text + eop
+                                             + template, 1)
+                            if eleft else
+                            route[p].replace(template, template + eop
+                                             + text, 1))
+    return route, display
 
-    # Cheapest label per node, strict-< so creation order breaks ties
-    # exactly like the reference printer's dict scan.
-    best: dict[int, int] = {}
+
+def record_states(result: CompactMapResult
+                  ) -> tuple[list[int], list[int], list[int]]:
+    """What the route table prints, as ``(best, cids, unreached)``.
+
+    ``best[cid]`` is the node's cheapest labeled state, or -1: strict
+    ``<`` on ``(cost, domain_seen)``, so creation order breaks ties
+    exactly like the reference printer's dict scan.  ``cids`` are the
+    nodes that get a record, in the order their first label was made
+    (privates, nets and subdomains, whose route is their parent
+    domain's, get none).  ``unreached`` are the unlabeled nodes that
+    are neither nets nor domains, in cid order.
+    """
+    cg = result.cgraph
+    shift = result.shift
     cost = result.cost
     domseen = result.domain_seen
+    parent = result.parent
+    dom = cg.is_domain
+    is_net = cg.is_net
+    private = cg.private
+    best = [-1] * cg.n
+    firsts = []
     for state in result.touched:
         cid = state >> shift
-        current = best.get(cid)
-        if current is None or (cost[state], domseen[state]) < \
-                (cost[current], domseen[current]):
+        current = best[cid]
+        if current < 0:
             best[cid] = state
-
-    records = []
-    private = cg.private
-    is_net = cg.is_net
-    parent = result.parent
-    for cid, state in best.items():
+            firsts.append(cid)
+        elif cost[state] < cost[current] or (
+                cost[state] == cost[current]
+                and domseen[state] < domseen[current]):
+            best[cid] = state
+    cids = []
+    for cid in firsts:
         if private[cid]:
             continue
         if dom[cid]:
-            p = parent[state]
+            p = parent[best[cid]]
             if p >= 0 and dom[p >> shift]:
                 continue  # subdomain: same route as its parent domain
         elif is_net[cid]:
             continue
-        records.append((cost[state], display[state], route[state], cid))
-    records.sort(key=lambda r: (r[0], r[1]))
-
-    unreachable = sorted(
-        names[cid] for cid in range(cg.n)
-        if not is_net[cid] and not dom[cid] and cid not in best)
-    return records, unreachable
+        cids.append(cid)
+    unreached = [cid for cid in range(cg.n)
+                 if best[cid] < 0 and not is_net[cid] and not dom[cid]]
+    return best, cids, unreached
 
 
-def tree_link_pairs(result: CompactMapResult) -> list[tuple[str, str]]:
-    """``(from, to)`` host-name pairs of every NORMAL link this mapping
-    leaned on: the shortest-path-tree edges, plus the forward links that
-    seeded invented back links (their cost scales the invented link, so
-    a change to either can change this source's routes).
+def _route_records(result: CompactMapResult):
+    """The compiled counterpart of ``compute_routes`` +
+    ``print_routes`` record selection.
 
-    The snapshot store persists these per source so diff-driven
-    recompute (:mod:`repro.service.incremental`) can bound which sources
-    a link-cost change could possibly affect.
+    Returns ``(records, unreachable)`` with records as
+    ``(cost, display, route, cid)`` sorted like the reference printer.
     """
     cg = result.cgraph
+    route, display = route_labels(result, cg.names, cg.op,
+                                  result._mapper._ov_op, "%s")
+    best, cids, unreached = record_states(result)
+    cost = result.cost
+    records = []
+    for cid in cids:
+        state = best[cid]
+        records.append((cost[state], display[state], route[state], cid))
+    records.sort(key=lambda r: (r[0], r[1]))
     names = cg.names
-    shift = result.shift
-    csr = cg.link_count
-    mapper = result._mapper
-    pairs: set[tuple[str, str]] = set()
-    for state in result.touched:
-        j = result.link[state]
-        if 0 <= j < csr and cg.kind[j] == K_NORMAL:
-            owner = result.parent[state] >> shift
-            pairs.add((names[owner], names[state >> shift]))
-    for owner, link_id in result.inferred:
-        # The invented link owner->target was derived from the CSR link
-        # target->owner; record that *forward* pair.
-        pairs.add((names[mapper._ov_to[link_id - csr]], names[owner]))
-    return sorted(pairs)
+    return records, sorted(names[cid] for cid in unreached)
 
 
 #: Bit layout of the flags byte in a per-state record (and in the
@@ -743,51 +754,6 @@ STATE_F_DOMAIN_CLASS = 1   # second-best domain class (state & 1)
 STATE_F_DOMAIN_SEEN = 2    # the label's path traversed a domain
 STATE_F_HAS_AT = 4         # ... contains an @-style (RIGHT) real hop
 STATE_F_HAS_BANG = 8       # ... contains a !-style (LEFT) real hop
-
-
-def state_costs(result: CompactMapResult
-                ) -> list[tuple[int, int, int, int, int]]:
-    """The mapper's full per-state record, one tuple per labeled state.
-
-    ``(cid, flags, kind, cost, parent_link)`` sorted by
-    ``(cid, domain class)``:
-
-    * ``flags`` packs the ``STATE_F_*`` bits — the second-best domain
-      class that identifies the state (always 0 in tree mode) plus the
-      label's ``domain_seen`` / ``has_at`` / ``has_bang`` attributes;
-    * ``kind`` is the node's ``SK_*`` code from
-      :meth:`~repro.graph.compact.CompactGraph.state_kinds`;
-    * ``cost`` is the final mapped cost;
-    * ``parent_link`` is the tree-parent link id — the CSR link the
-      label arrived over, ``-1`` for the root, or a run-local overlay
-      id (``>= link_count``) for an invented back link.
-
-    This is what the route table always knew and format v1 threw away:
-    exact costs to *every* node — nets, domains, and private shadows
-    included — which is what lets the incremental updater's triangle
-    test run on exact numbers (:mod:`repro.service.incremental`) and
-    federation read exact gateway costs.  Persisted by the snapshot
-    store's v2 ``STAT`` records alongside :func:`tree_link_pairs`.
-    """
-    shift = result.shift
-    kinds = result.cgraph.state_kinds()
-    cost = result.cost
-    parent_link = result.link
-    domseen = result.domain_seen
-    has_at = result.has_at
-    has_bang = result.has_bang
-    dmask = (1 << shift) - 1
-    records = []
-    for state in result.touched:
-        flags = ((state & dmask)
-                 | (STATE_F_DOMAIN_SEEN if domseen[state] else 0)
-                 | (STATE_F_HAS_AT if has_at[state] else 0)
-                 | (STATE_F_HAS_BANG if has_bang[state] else 0))
-        cid = state >> shift
-        records.append((cid, flags, kinds[cid], cost[state],
-                        parent_link[state]))
-    records.sort(key=lambda r: (r[0], r[1] & STATE_F_DOMAIN_CLASS))
-    return records
 
 
 def build_portable_table(result: CompactMapResult):

@@ -69,6 +69,41 @@ STATE_KIND_NAMES = {SK_HOST: "host", SK_NET: "net",
                     SK_DOMAIN: "domain", SK_PRIVATE: "private-shadow"}
 
 
+class NameIndex:
+    """A compiled graph's names, operators and state kinds in the form
+    a snapshot table-section writer consumes, built once per graph by
+    :meth:`CompactGraph.name_index`:
+
+    * ``utf8[cid]`` — the node's name as UTF-8 bytes;
+    * ``rank[cid]`` — its position in UTF-8 byte order, equal names
+      sharing the rank of the first, so ranks compare exactly as the
+      names' bytes do (public names are unique, so theirs differ);
+    * ``by_rank`` — the names' bytes sorted, ``by_rank[rank[cid]] ==
+      utf8[cid]``;
+    * ``kinds[cid]`` — the ``SK_*`` code (:meth:`CompactGraph.state_kinds`);
+    * ``ops[j]`` — link ``j``'s operator as UTF-8 bytes.
+    """
+
+    __slots__ = ("names", "utf8", "rank", "by_rank", "kinds", "ops")
+
+    def __init__(self, cg: "CompactGraph"):
+        self.names = cg.names
+        self.utf8 = [name.encode("utf-8") for name in cg.names]
+        utf8 = self.utf8
+        order = sorted(range(cg.n), key=utf8.__getitem__)
+        self.by_rank = [utf8[cid] for cid in order]
+        self.rank = rank = [0] * cg.n
+        previous = None
+        first = 0
+        for position, cid in enumerate(order):
+            if utf8[cid] != previous:
+                previous = utf8[cid]
+                first = position
+            rank[cid] = first
+        self.kinds = cg.state_kinds()
+        self.ops = [op.encode("utf-8") for op in cg.op]
+
+
 class CompactGraph:
     """A finalized graph flattened into parallel integer arrays."""
 
@@ -83,6 +118,8 @@ class CompactGraph:
         # non-picklable backrefs to the source graph (compiling process)
         "graph", "_nodes", "_links",
         "warnings",
+        # derived once per process, never pickled (see name_index)
+        "_name_index",
     )
 
     def __init__(self) -> None:
@@ -103,6 +140,7 @@ class CompactGraph:
         self.graph: Graph | None = None
         self._nodes: list[Node] | None = None
         self._links: list[Link] | None = None
+        self._name_index: NameIndex | None = None
 
     # -- compilation --------------------------------------------------------
 
@@ -181,6 +219,20 @@ class CompactGraph:
         what the snapshot-v2 emitter stamps into ``STAT`` records."""
         return [self.state_kind(cid) for cid in range(self.n)]
 
+    def name_index(self) -> NameIndex:
+        """The graph's :class:`NameIndex`, built on first use and kept.
+
+        Names, operators and node shapes are fixed once a graph is
+        compiled — a revision that only reprices links (the churn
+        path, which rewrites ``cost`` in place) leaves them alone — so
+        every table section mapped from this graph reuses one index.
+        A graph whose ``names`` list is replaced gets a fresh one.
+        """
+        index = self._name_index
+        if index is None or index.names is not self.names:
+            index = self._name_index = NameIndex(self)
+        return index
+
     def node_of(self, cid: int) -> Node:
         """The source :class:`Node` (compiling process only)."""
         if self._nodes is None:
@@ -227,3 +279,4 @@ class CompactGraph:
         self.graph = None
         self._nodes = None
         self._links = None
+        self._name_index = None

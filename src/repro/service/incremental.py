@@ -4,9 +4,8 @@ Every monthly map posting forced sites to rerun pathalias from
 scratch, even though most revisions touch a handful of links.  Given
 the previous snapshot and the new map, this module
 
-1. diffs the stored compact graph against the freshly compiled one
-   (:func:`repro.netsim.mapdiff.diff_link_maps` over link-cost maps
-   reconstructed from both);
+1. compares the stored compact graph with the freshly compiled one
+   array by array;
 2. if the revision is *pure NORMAL-link cost changes* on an otherwise
    identical topology, computes the **affected-source set** — sources
    whose recorded shortest-path tree leaned on a changed link, plus
@@ -22,6 +21,10 @@ the previous snapshot and the new map, this module
 4. falls back to a full rebuild whenever the incremental path cannot
    be proven equivalent.
 
+The report's structural diff (:func:`repro.netsim.mapdiff.diff_link_maps`
+over link-cost maps reconstructed from both graphs) is computed only
+when something reads it.
+
 The triangle test runs on the stored per-state costs (the ``STAT``
 block): exact final costs for every state of every node — nets,
 domains, private shadows, and both second-best domain classes
@@ -35,6 +38,7 @@ wrongly skipped would corrupt the store.
 
 from __future__ import annotations
 
+import copy
 import struct
 import time
 from dataclasses import dataclass, field
@@ -50,7 +54,7 @@ from repro.service.store import (
     FLAG_SECOND_BEST,
     SnapshotReader,
     build_snapshot,
-    check_cost_range,
+    check_link_costs,
     eligible_sources,
     encode_graph_section,
     encode_meta_section,
@@ -66,7 +70,6 @@ class UpdateReport:
 
     mode: str                 # "incremental" | "full"
     reason: str               # why this mode was chosen
-    diff: MapDiff | None      # NORMAL-link view of the revision
     total_sources: int = 0
     remapped: list[str] = field(default_factory=list)
     reused: int = 0
@@ -74,6 +77,19 @@ class UpdateReport:
     seconds: float = 0.0
     out_path: Path | None = None
     heuristics: HeuristicConfig | None = None
+    #: the old graph and the revision as it stood at update time
+    graphs: tuple[CompactGraph, CompactGraph] | None = field(
+        default=None, repr=False)
+    _diff: MapDiff | None = field(default=None, init=False, repr=False)
+
+    @property
+    def diff(self) -> MapDiff | None:
+        """The NORMAL-link view of the revision (``mapdiff``) between
+        ``graphs``, computed on first read: the update itself never
+        needs it."""
+        if self._diff is None and self.graphs is not None:
+            self._diff = diff_compact_graphs(*self.graphs)
+        return self._diff
 
     def summary(self) -> str:
         """One human-readable line: mode, reason, remap/reuse counts."""
@@ -266,19 +282,25 @@ def update_snapshot(old: str | Path | SnapshotReader,
         | (FLAG_CASE_FOLD if fold else 0)
     new_cg = new_graph if isinstance(new_graph, CompactGraph) \
         else CompactGraph.compile(new_graph)
-    diff = diff_compact_graphs(reader.decode_graph(), new_cg)
+    old_cg = reader.decode_graph()
+    # The caller may reprice its graph in place once this returns (the
+    # churn replay does), so the report's diff reads a copy of today's
+    # costs; names and links never change in place.
+    revision = copy.copy(new_cg)
+    revision.cost = list(new_cg.cost)
+    graphs = (old_cg, revision)
 
     def full(reason: str) -> UpdateReport:
         info = build_snapshot(new_cg, out_path, heuristics=cfg,
                               jobs=jobs, case_fold=fold)
         return UpdateReport(
-            mode="full", reason=reason, diff=diff,
+            mode="full", reason=reason,
             total_sources=len(info.sources),
             remapped=list(info.sources), reused=0, engine=info.engine,
             seconds=time.perf_counter() - t0,
-            out_path=Path(out_path), heuristics=cfg)
+            out_path=Path(out_path), heuristics=cfg, graphs=graphs)
 
-    changed = _cost_only_changes(reader.decode_graph(), new_cg)
+    changed = _cost_only_changes(old_cg, new_cg)
     if changed is None:
         return full("topology changed")
     affected = affected_sources_exact(reader, new_cg, changed)
@@ -296,17 +318,14 @@ def update_snapshot(old: str | Path | SnapshotReader,
     payloads, engine = map_sources(new_cg, affected, snapshot_payload,
                                    cfg, jobs)
     # A cost-only revision keeps every record name set (reachability
-    # is cost-independent), so the encoder splices each old DFSM block.
+    # is cost-independent), so the encoder copies each old DFSM block.
+    fresh = {source: encode_table_section(blocks,
+                                          previous=reader.table(source))
+             for source, blocks in zip(affected, payloads)}
     try:
-        fresh = {
-            source: encode_table_section(records, unreachable, pairs,
-                                         states,
-                                         previous=reader.table(source))
-            for source, (records, unreachable, pairs, states)
-            in zip(affected, payloads)}
         graph_section = encode_graph_section(new_cg)
     except struct.error:
-        check_cost_range(new_cg, zip(affected, payloads))
+        check_link_costs(new_cg)
         raise
     table_sections = [
         (source, fresh[source] if source in fresh
@@ -319,8 +338,8 @@ def update_snapshot(old: str | Path | SnapshotReader,
     reason = ("no route-relevant changes" if not changed
               else f"{len(changed)} link cost change(s)")
     return UpdateReport(
-        mode="incremental", reason=reason, diff=diff,
+        mode="incremental", reason=reason,
         total_sources=len(sources), remapped=list(affected),
         reused=len(sources) - len(affected), engine=engine,
         seconds=time.perf_counter() - t0, out_path=Path(out_path),
-        heuristics=cfg)
+        heuristics=cfg, graphs=graphs)

@@ -51,7 +51,7 @@ import struct
 import sys
 import zlib
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
 
 try:  # pragma: no cover - exercised by the fallback-path tests
@@ -63,13 +63,16 @@ from repro.config import DEFAULT_HEURISTICS, HeuristicConfig
 from repro.core.batch import map_sources
 from repro.core.fastmap import (
     STATE_F_DOMAIN_CLASS,
-    build_portable_table,
-    state_costs,
-    tree_link_pairs,
+    STATE_F_DOMAIN_SEEN,
+    STATE_F_HAS_AT,
+    STATE_F_HAS_BANG,
+    CompactMapResult,
+    record_states,
+    route_labels,
 )
 from repro.errors import PathaliasError, RouteError
 from repro.graph.build import Graph
-from repro.graph.compact import CompactGraph
+from repro.graph.compact import K_NORMAL, CompactGraph
 from repro.service.fsm import (
     NAME_F_DOMAIN,
     AutomatonError,
@@ -103,6 +106,12 @@ _REF = struct.Struct("<II")
 
 #: one route record: cost, name ref, route ref.
 _RECORD = struct.Struct("<qIIII")
+
+#: a route record's leading cost alone.
+_COST = struct.Struct("<q")
+
+#: a route record's name ref alone (cost and route ref skipped).
+_RECORD_NAME = struct.Struct("<8xII8x")
 
 #: one tree-link pair: from ref, to ref.
 _PAIR = struct.Struct("<IIII")
@@ -151,6 +160,12 @@ class SnapshotError(PathaliasError):
 
 class UnknownSourceError(SnapshotError):
     """The snapshot (or federation) holds no table for a source."""
+
+
+def _too_wide(what: str, cost: int) -> SnapshotError:
+    """The error for a cost outside :data:`_COST_RANGE`."""
+    return SnapshotError(f"{what} costs {cost}, which does not fit a "
+                         f"snapshot's signed 64-bit cost field")
 
 
 class _StringPool:
@@ -272,90 +287,167 @@ def decode_meta_section(data: bytes) -> HeuristicConfig:
         second_best=bool(second))
 
 
-def _pack_all(record: struct.Struct, fields: list, count: int) -> bytes:
-    """``count`` records of one fixed-width layout packed in a single
-    ``struct`` call; ``fields`` holds their values flattened in
-    order.  The format is compiled into a throwaway :class:`Struct`,
-    not through ``struct.pack``, whose module cache would keep up to
-    a hundred of these one-off, thousands-of-fields formats alive."""
-    return struct.Struct("<" + record.format[1:] * count).pack(*fields)
+def _record_names(recs, blob: bytes) -> list[bytes]:
+    """The names of a ``RECS`` block's records as UTF-8 bytes, in
+    record order; ``blob`` is the section's ``BLOB`` block."""
+    return [blob[noff:noff + nlen]
+            for noff, nlen in _RECORD_NAME.iter_unpack(recs)]
 
 
-def encode_table_section(records, unreachable, tree_links,
-                         states=(),
-                         previous: SnapshotTable | None = None) -> bytes:
-    """Encode one source's table section.
+def table_blocks(result: CompactMapResult
+                 ) -> tuple[bytes, bytes, bytes, bytes, bytes]:
+    """One source's ``RECS``, ``UNRC``, ``TREE``, ``STAT`` and ``BLOB``
+    blocks, written straight from a finished mapping's arrays.
 
-    ``records`` is ``(cost, name, route)`` tuples (any order — they are
-    re-sorted by encoded name for binary search), ``unreachable`` a
-    name list, ``tree_links`` ``(from, to)`` pairs, and ``states`` the
-    per-state records from :func:`repro.core.fastmap.state_costs`, in
-    the ``(cid, domain class)`` order it returns them in.
+    * ``RECS``: one record per route the printer would print, in UTF-8
+      byte order of its name (equal names: the cheaper first, then the
+      one the mapping labeled first);
+    * ``UNRC``: the unreached hosts' names, in byte order;
+    * ``TREE``: the distinct ``(from, to)`` name pairs of every NORMAL
+      link this mapping leaned on — the shortest-path-tree edges, plus
+      the forward links that seeded invented back links (their cost
+      scales the invented link, so a change to either can change this
+      source's routes) — in byte order;
+    * ``STAT``: every labeled state's record, in ``(cid, domain
+      class)`` order (see :meth:`SnapshotTable.state_records`);
+    * ``BLOB``: every string above, interned in first-use order:
+      record name, record route, unreachable names, tree-pair names.
 
-    Strings are interned into the section blob in first-use order —
-    record name, record route, unreachable names, then tree-pair
-    names — exactly as :class:`_StringPool` would, and each fixed-width
-    block is packed in one pass.
-
-    The section also carries a ``DFSM`` block — the record
-    names compiled into a serialized suffix automaton
-    (:mod:`repro.service.fsm`), built here once so every later open
-    maps it zero-copy.  ``previous`` is the source's old table when
-    the incremental updater remaps it: when that table's record names
-    are byte-equal to this section's sorted names its ``DFSM`` block
-    is spliced verbatim — the encoding is a pure function of the
-    sorted name sequence, so a spliced block is byte-identical to a
-    recompiled one (and asserted so in the tests).
+    Names, ranks and state kinds come from the graph's
+    :meth:`~repro.graph.compact.CompactGraph.name_index`, built once
+    per graph, so the block orders are integer sorts; routes are built
+    as bytes.  A cost the signed 64-bit fields cannot hold raises
+    :class:`SnapshotError` naming the source, the name and the cost.
     """
-    by_name = sorted(((name.encode("utf-8"), cost, name, route)
-                      for cost, name, route in records),
-                     key=itemgetter(0))
-    unreachable = sorted(unreachable)
-    pairs = sorted(tree_links)
-    seen: dict[str, tuple[int, int]] = {}
-    blob = bytearray()
-    recs: list[int] = []
-    for key, cost, name, route in by_name:
-        recs.append(cost)
-        ref = seen.get(name)
+    cg = result.cgraph
+    index = cg.name_index()
+    utf8 = index.utf8
+    rank = index.rank
+    shift = result.shift
+    cost = result.cost
+    link = result.link
+    mapper = result._mapper
+    route, display = route_labels(
+        result, utf8, index.ops,
+        [op.encode("utf-8") for op in mapper._ov_op], b"%s")
+    best, cids, unreached = record_states(result)
+    for cid in cids:
+        if display[best[cid]] is not utf8[cid]:
+            # a domain-qualified display is no graph name, so no rank
+            cids.sort(key=lambda c: (display[best[c]], cost[best[c]]))
+            break
+    else:
+        # public names are unique, so their ranks are too
+        cids.sort(key=rank.__getitem__)
+    printed = [best[cid] for cid in cids]  # RECS order
+    unreached.sort(key=rank.__getitem__)
+
+    # a (from, to) pair as one integer, rank(from) * n + rank(to)
+    n = cg.n
+    csr = cg.link_count
+    kind = cg.kind
+    parent = result.parent
+    pairs = {rank[parent[state] >> shift] * n + rank[state >> shift]
+             for state in result.touched
+             if 0 <= link[state] < csr and kind[link[state]] == K_NORMAL}
+    for owner, link_id in result.inferred:
+        # The invented link owner->target was derived from the CSR
+        # link target->owner; record that *forward* pair.
+        pairs.add(rank[mapper._ov_to[link_id - csr]] * n + rank[owner])
+
+    # Every string the blocks refer to, in first-use order.
+    texts = []
+    for state in printed:
+        texts += (display[state], route[state])
+    texts += [utf8[cid] for cid in unreached]
+    by_rank = index.by_rank
+    for key in sorted(pairs):
+        a, b = divmod(key, n)
+        texts += (by_rank[a], by_rank[b])
+    seen: dict[bytes, bytes] = {}  # string -> its packed _REF
+    blob = []
+    size = 0
+    refs = []
+    pack_ref = _REF.pack
+    for text in texts:
+        ref = seen.get(text)
         if ref is None:
-            ref = seen[name] = (len(blob), len(key))
-            blob += key
-        recs += ref
-        ref = seen.get(route)
-        if ref is None:
-            raw = route.encode("utf-8")
-            ref = seen[route] = (len(blob), len(raw))
-            blob += raw
-        recs += ref
-    unrc: list[int] = []
-    tree: list[int] = []
-    for refs, names in ((unrc, unreachable),
-                        (tree, [name for pair in pairs for name in pair])):
-        for name in names:
-            ref = seen.get(name)
-            if ref is None:
-                raw = name.encode("utf-8")
-                ref = seen[name] = (len(blob), len(raw))
-                blob += raw
-            refs += ref
-    stat: list[int] = []
-    for cid, flags, kind, cost, parent in states:
-        stat += (cid, cost, parent, flags, kind)
-    if previous is not None and previous.record_names() \
-            == [key for key, _, _, _ in by_name]:
+            ref = seen[text] = pack_ref(size, len(text))
+            size += len(text)
+            blob.append(text)
+        refs.append(ref)
+    names_end = 2 * len(printed)
+    unreached_end = names_end + len(unreached)
+    # one iterator zipped twice: each record's name ref, then route ref
+    record_refs = iter(refs[:names_end])
+
+    states = sorted(result.touched)
+    cids_of = [state >> shift for state in states] if shift else states
+    domseen = result.domain_seen
+    has_at = result.has_at
+    has_bang = result.has_bang
+    dmask = (1 << shift) - 1
+    # the label flags are 0 or 1, so each multiplies in its bit
+    flags = [(state & dmask)
+             | domseen[state] * STATE_F_DOMAIN_SEEN
+             | has_at[state] * STATE_F_HAS_AT
+             | has_bang[state] * STATE_F_HAS_BANG for state in states]
+    try:
+        return (b"".join(chain.from_iterable(zip(
+                    map(_COST.pack, map(cost.__getitem__, printed)),
+                    record_refs, record_refs))),
+                b"".join(refs[names_end:unreached_end]),
+                b"".join(refs[unreached_end:]),
+                b"".join(map(_STATE.pack, cids_of,
+                             map(cost.__getitem__, states),
+                             map(link.__getitem__, states), flags,
+                             map(index.kinds.__getitem__, cids_of))),
+                b"".join(blob))
+    except struct.error:
+        # name the route the printer lists first: least (cost, name)
+        source = cg.names[result.source]
+        wide = min(((cost[state], display[state]) for state in printed
+                    if cost[state] not in _COST_RANGE), default=None)
+        if wide is not None:
+            raise _too_wide(f"source {source!r}: route to "
+                            f"{wide[1].decode('utf-8')!r}",
+                            wide[0]) from None
+        for state in states:
+            if cost[state] not in _COST_RANGE:
+                raise _too_wide(f"source {source!r}: "
+                                f"{cg.names[state >> shift]!r}",
+                                cost[state]) from None
+        raise
+
+
+def encode_table_section(blocks,
+                         previous: SnapshotTable | None = None) -> bytes:
+    """Complete one source's table section from its
+    :func:`table_blocks`: the tag directory, those five blocks, and
+    the ``DFSM`` block.
+
+    ``DFSM`` is the record names compiled into a serialized suffix
+    automaton (:mod:`repro.service.fsm`), built here once so every
+    later open maps it zero-copy.  This is where the choice to copy it
+    is made: ``previous`` is the source's old table when the
+    incremental updater remaps it, and when that table's record names
+    are byte-equal to this section's its ``DFSM`` block is copied
+    verbatim — the encoding is a pure function of the sorted name
+    sequence, so a copied block is byte-identical to a rebuilt one
+    (and asserted so in the tests).  Otherwise
+    :func:`~repro.service.fsm.encode_keys` builds it.
+    """
+    recs, _, _, _, blob = blocks
+    names = _record_names(recs, blob)
+    if previous is not None and previous.record_names() == names:
         dfsm = previous.dfsm_bytes()
     else:
-        dfsm = encode_keys([name for _, _, name, _ in by_name])
-    blocks = dict(RECS=_pack_all(_RECORD, recs, len(by_name)),
-                  UNRC=_pack_all(_REF, unrc, len(unreachable)),
-                  TREE=_pack_all(_PAIR, tree, len(pairs)),
-                  STAT=_pack_all(_STATE, stat, len(states)),
-                  BLOB=bytes(blob), DFSM=dfsm)
+        dfsm = encode_keys([name.decode("utf-8") for name in names])
+    blocks = (*blocks, dfsm)
     parts = [struct.pack("<I", len(TABLE_SECTION_TAGS))]
-    parts += [_TAG.pack(tag.encode("ascii"), len(blocks[tag]))
-              for tag in TABLE_SECTION_TAGS]
-    parts += [blocks[tag] for tag in TABLE_SECTION_TAGS]
+    parts += [_TAG.pack(tag.encode("ascii"), len(block))
+              for tag, block in zip(TABLE_SECTION_TAGS, blocks)]
+    parts += blocks
     return b"".join(parts)
 
 
@@ -508,14 +600,20 @@ class SnapshotTable(SuffixResolver):
                                    self._records_off + i * _RECORD.size)
 
     def lookup(self, name: str) -> tuple[int, str] | None:
-        """``(cost, route)`` for an exact destination name, or None."""
+        """``(cost, route)`` for an exact destination name, or None.
+
+        A binary search whose probes read each record's name ref alone;
+        the one matching record is unpacked whole at the end."""
         key = name.encode("utf-8")
         data = self._data
         blob_off = self._blob_off
+        recs = self._records_off
+        size = _RECORD.size
+        unpack = _RECORD_NAME.unpack_from
         lo, hi = 0, self._rc
         while lo < hi:
             mid = (lo + hi) // 2
-            _, noff, nlen, _, _ = self._record(mid)
+            noff, nlen = unpack(data, recs + mid * size)
             base = blob_off + noff
             # memoryview has no ordering compare; bytes() copies only
             # the one name being compared, not the section
@@ -524,9 +622,10 @@ class SnapshotTable(SuffixResolver):
             else:
                 hi = mid
         if lo < self._rc:
-            cost, noff, nlen, roff, rlen = self._record(lo)
+            noff, nlen = unpack(data, recs + lo * size)
             base = blob_off + noff
             if data[base:base + nlen] == key:
+                cost, _, _, roff, rlen = self._record(lo)
                 return cost, self._text(roff, rlen)
         return None
 
@@ -553,14 +652,13 @@ class SnapshotTable(SuffixResolver):
         """The record names alone, as UTF-8 bytes in (sorted) record
         order — the key sequence the section's ``DFSM`` block is
         compiled from, and what :func:`encode_table_section` compares
-        to decide whether a stored block can be spliced verbatim."""
+        to decide whether a stored block can be copied verbatim."""
         data = self._data
         start = self._records_off
-        recs = data[start:start + self._rc * _RECORD.size]
         blob_off = self._blob_off
-        blob = bytes(data[blob_off:blob_off + self._blob_len])
-        return [blob[noff:noff + nlen]
-                for _, noff, nlen, _, _ in _RECORD.iter_unpack(recs)]
+        return _record_names(
+            data[start:start + self._rc * _RECORD.size],
+            bytes(data[blob_off:blob_off + self._blob_len]))
 
     # -- compiled suffix dispatch ---------------------------------------------
 
@@ -691,8 +789,19 @@ class SnapshotTable(SuffixResolver):
 
     def state_records(self):
         """Iterate the stored per-state records in ``(cid, domain
-        class)`` order: ``(cid, flags, kind, cost, parent_link)`` —
-        see :func:`repro.core.fastmap.state_costs` for the fields."""
+        class)`` order: ``(cid, flags, kind, cost, parent_link)``.
+
+        * ``flags`` packs the ``STATE_F_*`` bits of
+          :mod:`repro.core.fastmap`: the second-best domain class that
+          identifies the state (always 0 in tree mode) plus the
+          label's ``domain_seen`` / ``has_at`` / ``has_bang``;
+        * ``kind`` is the node's ``SK_*`` code
+          (:meth:`~repro.graph.compact.CompactGraph.state_kinds`);
+        * ``cost`` is the final mapped cost;
+        * ``parent_link`` is the tree-parent link id: the CSR link the
+          label arrived over, ``-1`` for the root, or a run-local
+          overlay id (``>= link_count``) for an invented back link.
+        """
         for i in range(self._sc):
             cid, cost, parent, flags, kind = _STATE.unpack_from(
                 self._data, self._states_off + i * _STATE.size)
@@ -1184,41 +1293,24 @@ def eligible_sources(cg: CompactGraph) -> list[str]:
 
 
 def snapshot_payload(mapper, source: str):
-    """Per-source worker payload: plain-tuple records, unreachable
-    names, the tree-link pairs, and the per-state cost records (all
-    picklable)."""
-    result = mapper.run(source)
-    _, records, unreachable, _ = build_portable_table(result)
-    return ([(cost, name, route) for cost, name, route, _ in records],
-            unreachable, tree_link_pairs(result), state_costs(result))
+    """Per-source worker payload: the source's finished table blocks
+    (:func:`table_blocks`), five ``bytes`` objects that a ``--jobs``
+    worker ships back whole for :func:`encode_table_section`."""
+    return table_blocks(mapper.run(source))
 
 
-def check_cost_range(cg: CompactGraph, payloads) -> None:
-    """Raise :class:`SnapshotError` naming the first cost a snapshot
-    cannot store: a route's or a state's in ``payloads`` (``(source,
-    payload)`` pairs of :func:`snapshot_payload` results), then a
-    link's in ``cg``.  A route cost can outgrow the signed 64-bit cost
-    fields as a sum of links that each fit.  The builders call this
-    only once packing has failed, so a build that fits pays nothing
-    for it."""
-    too_wide = "which does not fit a snapshot's signed 64-bit cost field"
-    for source, (records, _, _, states) in payloads:
-        for cost, name, _ in records:
-            if cost not in _COST_RANGE:
-                raise SnapshotError(f"source {source!r}: route to "
-                                    f"{name!r} costs {cost}, {too_wide}")
-        for cid, _, _, cost, _ in states:
-            if cost not in _COST_RANGE:
-                raise SnapshotError(f"source {source!r}: "
-                                    f"{cg.names[cid]!r} costs {cost}, "
-                                    f"{too_wide}")
+def check_link_costs(cg: CompactGraph) -> None:
+    """Raise :class:`SnapshotError` naming the first link of ``cg``
+    whose cost the graph section cannot store (its cost fields are
+    signed 64-bit).  The builders call this only once packing the
+    graph section has failed, so a build that fits pays nothing for
+    it; a route's or a state's cost is checked by
+    :func:`table_blocks` the same way."""
     for u in range(cg.n):
         for j in range(cg.off[u], cg.off[u + 1]):
             if cg.cost[j] not in _COST_RANGE:
-                raise SnapshotError(
-                    f"source {cg.names[u]!r}: link to "
-                    f"{cg.names[cg.to[j]]!r} costs {cg.cost[j]}, "
-                    f"{too_wide}")
+                raise _too_wide(f"source {cg.names[u]!r}: link to "
+                                f"{cg.names[cg.to[j]]!r}", cg.cost[j])
 
 
 def write_snapshot(path: str | Path, graph_section: bytes,
@@ -1333,15 +1425,12 @@ def build_snapshot(graph: Graph | CompactGraph, path: str | Path,
     sources = eligible_sources(cg)
     payloads, engine = map_sources(cg, sources, snapshot_payload,
                                    heuristics, jobs)
+    table_sections = [(source, encode_table_section(blocks))
+                      for source, blocks in zip(sources, payloads)]
     try:
-        table_sections = [
-            (source,
-             encode_table_section(records, unreachable, pairs, states))
-            for source, (records, unreachable, pairs, states)
-            in zip(sources, payloads)]
         graph_section = encode_graph_section(cg)
     except struct.error:
-        check_cost_range(cg, zip(sources, payloads))
+        check_link_costs(cg)
         raise
     flags = (FLAG_SECOND_BEST if cfg.second_best else 0) \
         | (FLAG_CASE_FOLD if case_fold else 0)

@@ -480,6 +480,25 @@ class TestRealMaps:
         assert out.read_bytes() == old.read_bytes()
 
 
+class TestReportDiff:
+    def test_diff_describes_the_revision_as_updated(self, tmp_path):
+        """The diff is computed when read, and reads the revision's
+        costs as they were at update time: repricing the graph in
+        place afterwards (as the churn replay does) does not leak into
+        the report."""
+        old = tmp_path / "old.snap"
+        snap(build(DIAMOND), old)
+        revised = CompactGraph.compile(
+            build(DIAMOND.replace("b\ta(10), c(10)", "b\ta(10), c(500)")))
+        report = update_snapshot(old, revised, tmp_path / "new.snap")
+        for j in range(revised.link_count):
+            revised.cost[j] += 7
+        assert report._diff is None
+        assert report.diff.cost_changes == [("b", "c", 10, 500)]
+        assert report.summary().endswith(
+            f"; map diff: {report.diff.summary()}")
+
+
 class TestCompactDiffHelpers:
     def test_compact_link_costs_match_mapdiff(self):
         from repro.graph.compact import CompactGraph

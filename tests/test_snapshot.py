@@ -211,15 +211,17 @@ class TestFormatV2:
     def test_state_records_match_a_fresh_mapping(self, snapped):
         """The stored STAT block is exactly what the mapper computed:
         same states, same costs, same flags/kinds/parents."""
-        from repro.core.fastmap import CompactMapper, state_costs
+        from repro.core.fastmap import CompactMapper
         from repro.graph.compact import CompactGraph
+
+        from tests.test_table_reads import reference_state_costs
 
         graph, reader = snapped
         cg = CompactGraph.compile(graph)
         mapper = CompactMapper(cg)
         for source in reader.sources():
             stored = list(reader.table(source).state_records())
-            fresh = state_costs(mapper.run(source))
+            fresh = reference_state_costs(mapper.run(source))
             assert stored == fresh
 
     def test_state_costs_cover_every_node_kind(self, tmp_path):

@@ -1,21 +1,24 @@
-"""Table-section point queries and the one-pass section encoder,
-checked against whole-block references.
+"""Table-section point queries and the section writer, checked
+against whole-block references.
 
 * ``SnapshotTable.has_tree_link`` / ``state_cost_at`` /
   ``state_cost_of`` answer exactly what decoding the whole ``TREE`` /
   ``STAT`` block answers, on every ``d.*`` fixture, in tree and
   second-best mode, on mapped and bytes readers, before and after
-  the table promotes, and so does ``node_costs``;
-* ``encode_table_section`` writes the same bytes as the per-record
-  encoder it replaced (kept here as the reference), on fixture
-  payloads and on generated payloads whose strings are shared
-  between records, unreachable names and tree pairs;
-* the writer's code-point sort and the reader's UTF-8 byte
-  comparison agree on non-ASCII names.
+  the table promotes, and so does ``node_costs``; ``lookup`` answers
+  what a linear scan of ``records()`` answers;
+* the section writer (``snapshot_payload`` + ``encode_table_section``,
+  straight from the mapper's arrays) writes the bytes of the
+  per-record encoder over the printer's tuple payload (both kept here
+  as the reference), on fixture maps, churn revisions, multi-byte
+  UTF-8 names, generated maps and over-wide costs;
+* the writer's sort and the reader's UTF-8 byte comparison agree on
+  non-ASCII names.
 """
 
 from __future__ import annotations
 
+import pickle
 import struct
 from pathlib import Path
 from unittest import mock
@@ -24,13 +27,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import HeuristicConfig
-from repro.core.batch import map_sources
+from repro.core.fastmap import (
+    STATE_F_DOMAIN_CLASS,
+    STATE_F_DOMAIN_SEEN,
+    STATE_F_HAS_AT,
+    STATE_F_HAS_BANG,
+    CompactMapper,
+    build_portable_table,
+)
 from repro.core.pathalias import Pathalias
 from repro.errors import RouteError
-from repro.graph.compact import CompactGraph
+from repro.graph.compact import CompactGraph, K_NORMAL
 from repro.service import store
 from repro.service.fsm import encode_keys
 from repro.service.store import (
+    SnapshotError,
     SnapshotReader,
     SnapshotTable,
     build_snapshot,
@@ -38,7 +49,8 @@ from repro.service.store import (
     snapshot_payload,
 )
 
-from tests.conftest import stored_tree_links
+from tests.conftest import DOMAIN_TREE_MAP, MOTOWN_MAP, stored_tree_links
+from tests.test_properties_routes import featureful_maps
 
 DATA = Path(__file__).parent / "data"
 DATA_MAPS = sorted(DATA.glob("d.*"))
@@ -77,7 +89,7 @@ def reference_encode_table_section(records, unreachable, tree_links,
                                    states=()) -> bytes:
     """The per-record section encoder: one ``_StringPool.add`` per
     string and one ``pack`` per record, joined — the bytes the
-    one-pass encoder must reproduce."""
+    section writer must reproduce."""
     pool = store._StringPool()
     by_name = sorted(records, key=lambda r: r[1].encode("utf-8"))
     record_refs = [(cost, pool.add(name), pool.add(route))
@@ -103,6 +115,80 @@ def reference_encode_table_section(records, unreachable, tree_links,
               for tag in store.TABLE_SECTION_TAGS]
     parts += [blocks[tag] for tag in store.TABLE_SECTION_TAGS]
     return b"".join(parts)
+
+
+def reference_tree_link_pairs(result) -> list[tuple[str, str]]:
+    """``(from, to)`` name pairs of every NORMAL link a mapping leaned
+    on — the shortest-path-tree edges plus the forward links that
+    seeded invented back links — distinct and sorted: the ``TREE``
+    reference."""
+    cg = result.cgraph
+    names = cg.names
+    shift = result.shift
+    csr = cg.link_count
+    pairs: set[tuple[str, str]] = set()
+    for state in result.touched:
+        j = result.link[state]
+        if 0 <= j < csr and cg.kind[j] == K_NORMAL:
+            owner = result.parent[state] >> shift
+            pairs.add((names[owner], names[state >> shift]))
+    for owner, link_id in result.inferred:
+        pairs.add((names[result._mapper._ov_to[link_id - csr]],
+                   names[owner]))
+    return sorted(pairs)
+
+
+def reference_state_costs(result) -> list[tuple[int, int, int, int, int]]:
+    """The mapper's per-state records, ``(cid, flags, kind, cost,
+    parent_link)`` sorted by ``(cid, domain class)``: the ``STAT``
+    reference."""
+    shift = result.shift
+    kinds = result.cgraph.state_kinds()
+    dmask = (1 << shift) - 1
+    records = []
+    for state in result.touched:
+        flags = ((state & dmask)
+                 | (STATE_F_DOMAIN_SEEN if result.domain_seen[state] else 0)
+                 | (STATE_F_HAS_AT if result.has_at[state] else 0)
+                 | (STATE_F_HAS_BANG if result.has_bang[state] else 0))
+        cid = state >> shift
+        records.append((cid, flags, kinds[cid], result.cost[state],
+                        result.link[state]))
+    records.sort(key=lambda r: (r[0], r[1] & STATE_F_DOMAIN_CLASS))
+    return records
+
+
+def reference_payload(mapper, source: str):
+    """``(records, unreachable, tree_links, states)`` for one source:
+    the compact printer's ``(cost, name, route)`` records and
+    unreachable names (which ``tests/test_compact.py`` holds equal to
+    the reference engine's), and the two references above — the tuple
+    payload the section writer's bytes are checked against."""
+    result = mapper.run(source)
+    _, records, unreachable, _ = build_portable_table(result)
+    return ([(cost, name, route) for cost, name, route, _ in records],
+            unreachable, reference_tree_link_pairs(result),
+            reference_state_costs(result))
+
+
+def reference_section(mapper, source: str) -> bytes:
+    """One source's section through the reference payload and
+    encoder."""
+    return reference_encode_table_section(
+        *reference_payload(mapper, source))
+
+
+def assert_writer_matches_reference(cg: CompactGraph,
+                                    cfg: HeuristicConfig) -> int:
+    """Every eligible source's section, written from the mapper's
+    arrays, equals the reference; returns the sections checked."""
+    mapper = CompactMapper(cg, cfg)
+    sources = store.eligible_sources(cg)
+    for source in sources:
+        want = reference_section(mapper, source)
+        assert encode_table_section(snapshot_payload(mapper, source)) \
+            == want, source
+    return len(sources)
 
 
 @pytest.fixture(scope="module",
@@ -167,37 +253,207 @@ class TestPointQueries:
                 assert_state_queries(table, states, range(cg.n + 2))
 
 
-class TestEncoderMatchesReference:
-    def test_fixture_payloads(self, fixture_snapshot):
-        cg, cfg, _ = fixture_snapshot
-        sources = store.eligible_sources(cg)
-        payloads, _ = map_sources(cg, sources, snapshot_payload, cfg,
-                                  None)
-        for records, unreachable, pairs, states in payloads:
-            assert encode_table_section(
-                records, unreachable, pairs, states) \
-                == reference_encode_table_section(
-                    records, unreachable, pairs, states)
+class TestLookup:
+    @pytest.mark.parametrize("use_mmap", [True, False],
+                             ids=["mmap", "bytes"])
+    def test_lookup_matches_a_linear_scan(self, fixture_snapshot,
+                                          use_mmap):
+        """Every record name and its near misses — a proper prefix,
+        an extension, the empty name, names past the last and before
+        the first — answer what a scan of ``records()`` answers."""
+        _, _, path = fixture_snapshot
+        with SnapshotReader.open(path, use_mmap=use_mmap) as reader:
+            for source in reader.sources():
+                table = reader.table(source)
+                scan = {}
+                for cost, name, route in table.records():
+                    scan.setdefault(name, (cost, route))
+                probes = {"", "\U0010ffff", "\x00"}
+                for name in scan:
+                    probes.update((name, name[:-1], name + "a",
+                                   name + "\x00", name + "\U0010ffff"))
+                for probe in probes:
+                    assert table.lookup(probe) == scan.get(probe), probe
 
-    def test_previous_block_spliced_only_for_equal_names(
+
+class TestWriterMatchesReference:
+    def test_fixture_sections(self, fixture_snapshot):
+        cg, cfg, _ = fixture_snapshot
+        assert assert_writer_matches_reference(cg, cfg) > 0
+
+    def test_previous_block_copied_only_for_equal_names(
             self, fixture_snapshot):
-        """``previous`` splices the old ``DFSM`` block when the record
-        names are byte-equal, and recompiles otherwise — both give
-        the bytes of a from-scratch encode."""
+        """``previous`` copies the old ``DFSM`` block when the record
+        names are byte-equal (and then builds none), and rebuilds it
+        when the old table lacks one record — both give the reference
+        bytes."""
         cg, cfg, path = fixture_snapshot
-        sources = store.eligible_sources(cg)
-        payloads, _ = map_sources(cg, sources, snapshot_payload, cfg,
-                                  None)
+        mapper = CompactMapper(cg, cfg)
         with SnapshotReader.open(path) as reader:
-            for source, payload in zip(sources, payloads):
-                fresh = encode_table_section(*payload)
-                same = reader.table(source)
-                assert encode_table_section(*payload, previous=same) \
-                    == fresh
-                records = payload[0]
-                fewer = (records[1:],) + tuple(payload[1:])
-                assert encode_table_section(*fewer, previous=same) \
-                    == encode_table_section(*fewer)
+            for source in reader.sources():
+                payload = reference_payload(mapper, source)
+                want = reference_encode_table_section(*payload)
+                blocks = snapshot_payload(mapper, source)
+                with mock.patch.object(store, "encode_keys",
+                                       side_effect=AssertionError):
+                    assert encode_table_section(
+                        blocks, previous=reader.table(source)) == want
+                fewer = SnapshotTable(source, reference_encode_table_section(
+                    payload[0][1:], *payload[1:]))
+                assert encode_table_section(blocks, previous=fewer) \
+                    == want
+
+    @pytest.mark.parametrize("text", [DOMAIN_TREE_MAP, MOTOWN_MAP,
+                                      DOMAIN_TREE_MAP
+                                      + "seismo\tcaip.rutgers.edu(5000)\n"
+                                      + "caip.rutgers.edu\tseismo(95)\n"],
+                             ids=["domain-tree", "motown", "equal-displays"])
+    @pytest.mark.parametrize("second", [False, True],
+                             ids=["tree", "second-best"])
+    def test_domain_qualified_displays(self, text, second):
+        """Records displayed under a domain-qualified name, including
+        one equal to another host's own name, sort and intern as the
+        reference does."""
+        cfg = HeuristicConfig(second_best=second)
+        graph = Pathalias(heuristics=cfg).build([("d.map", text)])
+        assert assert_writer_matches_reference(
+            CompactGraph.compile(graph), cfg) > 0
+
+    @pytest.mark.parametrize("second", [False, True],
+                             ids=["tree", "second-best"])
+    def test_multibyte_utf8_names(self, second):
+        """The three fixture maps as one graph, every name rewritten to
+        two-, three- and four-byte UTF-8 (``é`` sorts after ``z``, so
+        byte order moves names around).  The parser refuses such names;
+        a compiled graph carries them."""
+        cfg = HeuristicConfig(second_best=second)
+        graph = Pathalias(heuristics=cfg).build(
+            [(p.name, p.read_text()) for p in DATA_MAPS])
+        cg = pickle.loads(pickle.dumps(CompactGraph.compile(graph)))
+        rewrite = str.maketrans({"a": "é", "e": "中", "o": "\U0001f600",
+                                 "s": "ß"})
+        cg.names = [name.translate(rewrite) for name in cg.names]
+        cg.cid_by_name = {cg.names[cid]: cid for cid in range(cg.n)
+                          if not cg.private[cid]}
+        assert any(not name.isascii() for name in cg.names)
+        assert assert_writer_matches_reference(cg, cfg) > 0
+
+    @pytest.mark.parametrize("seed", [42, 2024])
+    def test_churn_revision_sections(self, seed, tmp_path):
+        """Every table a churn revision remaps is the reference section
+        of the revised graph, written straight from the arrays, with
+        its ``DFSM`` block copied from the old table."""
+        from repro.netsim.churn import ChurnParams, ChurnScenario
+        from repro.service.incremental import update_snapshot
+
+        scenario = ChurnScenario(ChurnParams(nodes=3000, events=4,
+                                             seed=seed))
+        graphs = scenario.build_graphs()
+        paths = {}
+        for name, cg in graphs.items():
+            paths[name] = tmp_path / f"{name}.g0.snap"
+            build_snapshot(cg, paths[name])
+        checked = 0
+        for event in scenario.stream:
+            for name in scenario.apply(event):
+                cg = graphs[name]
+                out = tmp_path / f"{name}.g{event.gen + 1}.snap"
+                report = update_snapshot(paths[name], cg, out,
+                                         full_threshold=1.0)
+                assert report.mode == "incremental"
+                mapper = CompactMapper(cg)
+                with SnapshotReader.open(paths[name]) as old, \
+                        SnapshotReader.open(out) as new:
+                    for source in report.remapped:
+                        want = reference_section(mapper, source)
+                        assert new.table_bytes(source) == want
+                        with mock.patch.object(
+                                store, "encode_keys",
+                                side_effect=AssertionError):
+                            assert encode_table_section(
+                                snapshot_payload(mapper, source),
+                                previous=old.table(source)) == want
+                        checked += 1
+                paths[name] = out
+        assert checked > 0
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_generated_maps(self, data):
+        """``featureful_maps`` widened with a private host, a dead
+        link, one-way hosts nothing links to (so back-link inference
+        invents links) and an isolated pair no other host reaches (so
+        tables list unreachable hosts), in both mapping modes."""
+        text = data.draw(featureful_maps())
+        hosts = sorted({line.split()[0] for line in text.splitlines()
+                        if line.startswith("h")})
+        extra = []
+        if data.draw(st.booleans()):
+            owner = data.draw(st.sampled_from(hosts))
+            extra += ["private {p}", f"p\t{owner}(5)", f"{owner}\tp(5)"]
+        if data.draw(st.booleans()):
+            extra.append(f"dead {{{hosts[0]}!{hosts[1]}}}")
+        if data.draw(st.booleans()):
+            extra.append("iso0\tiso1(7)")
+        for i in range(data.draw(st.integers(0, 3))):
+            target = data.draw(st.sampled_from(hosts))
+            op = data.draw(st.sampled_from(["", "@"]))
+            extra.append(f"oneway{i}\t{op}{target}"
+                         f"({data.draw(st.integers(1, 500))})")
+        cfg = HeuristicConfig(second_best=data.draw(st.booleans()))
+        graph = Pathalias(heuristics=cfg).build(
+            [("prop", "\n".join([text] + extra) + "\n")])
+        cg = CompactGraph.compile(graph)
+        assert_writer_matches_reference(cg, cfg)
+
+
+class TestCostRangeWithWorkers:
+    """``TestCostRange``'s maps (``tests/test_store.py``) built over a
+    two-worker pool: the same error as in process, naming the source,
+    the name and the cost, and nothing written; a map that fits gives
+    the reference sections."""
+
+    TOO_WIDE = 1 << 63
+    HALF = TOO_WIDE // 2
+    MAPS = {
+        "route": "a\tb(99999999999999999999999)\nb\ta(1)\n",
+        "sum": f"a\tb({HALF})\nb\tc({HALF})\nc\tb(1)\nb\ta(1)\n",
+        "link": f"a\tb({TOO_WIDE}), c(1)\nb\ta(1)\nc\tb(1)\n",
+        "fits": f"a\tb({TOO_WIDE - 1}), c(1)\nb\ta(1)\nc\tb(1)\n",
+        # only a1 and a8 reach z, so both fail: the error is a1's, the
+        # first in source order, whichever pool chunk a8 lands in
+        "first-source": (f"a1\tz({TOO_WIDE})\na8\tz({TOO_WIDE})\n"
+                         "a0\ta2(1)\na2\ta3(1)\na3\ta4(1)\na4\ta5(1)\n"
+                         "a5\ta6(1)\na6\ta7(1)\na7\ta9(1)\na9\ta0(1)\n"),
+    }
+
+    @pytest.mark.parametrize("name", MAPS)
+    def test_two_workers_agree_with_one(self, name, tmp_path):
+        graph = Pathalias().build([("d.map", self.MAPS[name])])
+        outcomes = []
+        for jobs in (1, 2):
+            out = tmp_path / f"j{jobs}.snap"
+            try:
+                build_snapshot(graph, out, jobs=jobs)
+            except SnapshotError as exc:
+                assert not out.exists()
+                outcomes.append(str(exc))
+            else:
+                outcomes.append(out.read_bytes())
+        assert outcomes[0] == outcomes[1]
+        if name == "fits":
+            cg = CompactGraph.compile(graph)
+            mapper = CompactMapper(cg)
+            with SnapshotReader.open(tmp_path / "j2.snap") as reader:
+                for source in reader.sources():
+                    assert reader.table_bytes(source) \
+                        == reference_section(mapper, source)
+        else:
+            assert "which does not fit a snapshot's signed 64-bit" \
+                in outcomes[0]
+        if name == "first-source":
+            assert outcomes[0].startswith("source 'a1': route to 'z'")
 
 
 #: Names drawn from a small pool, so records, routes, unreachable
@@ -237,13 +493,6 @@ def section_payloads(draw):
 class TestGeneratedSections:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(section_payloads())
-    def test_encoder_matches_reference(self, payload):
-        assert encode_table_section(*payload) \
-            == reference_encode_table_section(*payload)
-
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
     @given(section_payloads(), st.lists(st.tuples(NAMES, NAMES),
                                         max_size=8))
     def test_writer_sort_and_reader_search_agree(self, payload, probes):
@@ -251,7 +500,8 @@ class TestGeneratedSections:
         reader's byte-comparing binary searches, and nothing else is,
         whatever the mix of one- to four-byte UTF-8 names."""
         records, unreachable, pairs, states = payload
-        table = SnapshotTable("src", encode_table_section(*payload))
+        table = SnapshotTable("src",
+                              reference_encode_table_section(*payload))
         stored = set(pairs)
         for a, b in pairs + probes:
             assert table.has_tree_link(a, b) == ((a, b) in stored)
