@@ -114,7 +114,7 @@ def _worker_init(cgraph: CompactGraph,
     _WORKER_PAYLOAD = payload_fn
 
 
-def _worker_apply(sources: list[str]):
+def _worker_apply(sources: list):
     """Apply the configured payload to a chunk of sources."""
     mapper = _WORKER_MAPPER
     return [_WORKER_PAYLOAD(mapper, source) for source in sources]
@@ -127,20 +127,21 @@ def _portable_payload(mapper: CompactMapper, source: str):
             mapper.stats.pops, mapper.stats.relaxations)
 
 
-def map_sources(cgraph: CompactGraph, sources: Iterable[str],
+def map_sources(cgraph: CompactGraph, sources: Iterable,
                 payload_fn, heuristics: HeuristicConfig | None = None,
                 jobs: int | None = None):
     """Run ``payload_fn(mapper, source)`` for every source.
 
     The generic fan-out primitive behind :class:`BatchMapper` and the
     snapshot store: ``payload_fn`` must be a picklable module-level
-    callable taking a scratch-reusing :class:`CompactMapper` and a
-    source name, returning a picklable payload.  With ``jobs > 1`` the
-    sources spread over a process pool (the compiled graph ships to
-    each worker once); any failure to stand the pool up degrades to the
-    always-available serial path.  A payload that raises fails the
-    call with the exception of the first failing source in ``sources``
-    order, at any worker count.
+    callable taking a scratch-reusing :class:`CompactMapper` and one
+    item of ``sources`` (a source name, or a picklable job the payload
+    reads its source from), returning a picklable payload.  With
+    ``jobs > 1`` the sources spread over a process pool (the compiled
+    graph ships to each worker once); any failure to stand the pool up
+    degrades to the always-available serial path.  A payload that
+    raises fails the call with the exception of the first failing
+    source in ``sources`` order, at any worker count.
 
     Returns ``(payloads, engine_tag)`` with payloads in ``sources``
     order and the tag describing what actually ran (``"compact"``,
@@ -162,14 +163,14 @@ def map_sources(cgraph: CompactGraph, sources: Iterable[str],
             "compact")
 
 
-def _map_sources_serial(cgraph: CompactGraph, wanted: list[str],
+def _map_sources_serial(cgraph: CompactGraph, wanted: list,
                         payload_fn,
                         heuristics: HeuristicConfig | None):
     mapper = CompactMapper(cgraph, heuristics)
     return [payload_fn(mapper, source) for source in wanted]
 
 
-def _map_sources_pool(cgraph: CompactGraph, wanted: list[str],
+def _map_sources_pool(cgraph: CompactGraph, wanted: list,
                       payload_fn, heuristics: HeuristicConfig | None,
                       jobs: int):
     jobs = min(jobs, len(wanted))
@@ -179,16 +180,15 @@ def _map_sources_pool(cgraph: CompactGraph, wanted: list[str],
     # error, which is then the first failing source's, as serially.
     size = -(-len(wanted) // (jobs * 4))
     chunks = [wanted[i:i + size] for i in range(0, len(wanted), size)]
-    by_source: dict[str, object] = {}
+    payloads = []
     with _pool_class()(
             max_workers=jobs, initializer=_worker_init,
             initargs=(cgraph, heuristics, payload_fn)) as pool:
-        for chunk, chunk_result in zip(chunks,
-                                       pool.map(_worker_apply, chunks)):
-            for source, payload in zip(chunk, chunk_result):
-                by_source[source] = payload
-    # Deterministic merge: requested order, not completion order.
-    return [by_source[source] for source in wanted], f"compact/{jobs}"
+        # map() yields in chunk order, not completion order: the merge
+        # is deterministic
+        for chunk_result in pool.map(_worker_apply, chunks):
+            payloads += chunk_result
+    return payloads, f"compact/{jobs}"
 
 
 class BatchMapper:

@@ -202,6 +202,20 @@ class CompactGraph:
         """Compact id of a globally visible node, or None."""
         return self.cid_by_name.get(name)
 
+    def same_shape(self, other: "CompactGraph") -> bool:
+        """Whether ``other`` has this graph's nodes and links: every
+        node and link array but ``cost`` equal (names, node shapes,
+        CSR offsets and targets, link flags, kinds and operators), so
+        link ids line up one to one.  Warnings are not compared."""
+        return (self.n == other.n and self.names == other.names
+                and self.is_domain == other.is_domain
+                and self.is_net == other.is_net
+                and self.netlike == other.netlike
+                and self.private == other.private
+                and self.off == other.off and self.to == other.to
+                and self.flags == other.flags and self.kind == other.kind
+                and self.op == other.op)
+
     def state_kind(self, cid: int) -> int:
         """The ``SK_*`` code for one node (private wins over shape:
         a private net is still name-shadowable, which is the fact a

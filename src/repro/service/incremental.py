@@ -59,7 +59,7 @@ from repro.service.store import (
     encode_graph_section,
     encode_meta_section,
     encode_table_section,
-    snapshot_payload,
+    revision_payload,
     write_snapshot,
 )
 
@@ -144,14 +144,7 @@ def _cost_only_changes(old: CompactGraph,
     two graphs, so per-link comparison is exact (parallel links
     included, which the name-keyed mapdiff view cannot distinguish).
     """
-    if (old.n != new.n or old.names != new.names
-            or old.is_domain != new.is_domain
-            or old.is_net != new.is_net
-            or old.netlike != new.netlike
-            or old.private != new.private
-            or old.off != new.off or old.to != new.to
-            or old.flags != new.flags or old.kind != new.kind
-            or old.op != new.op):
+    if not old.same_shape(new):
         return None
     changed = []
     for j, (c_old, c_new) in enumerate(zip(old.cost, new.cost)):
@@ -315,15 +308,22 @@ def update_snapshot(old: str | Path | SnapshotReader,
         return full(f"{len(affected)}/{len(sources)} sources affected "
                     f"(threshold {full_threshold:.0%})")
 
-    payloads, engine = map_sources(new_cg, affected, snapshot_payload,
-                                   cfg, jobs)
-    # A cost-only revision keeps every record name set (reachability
-    # is cost-independent), so the encoder copies each old DFSM block.
+    # Each affected source travels with its old section, so a worker
+    # re-prices the tables whose tree did not move (table_blocks).
+    payloads, engine = map_sources(
+        new_cg, [(source, reader.table_bytes(source))
+                 for source in affected],
+        revision_payload, cfg, jobs)
+    # Reachability is cost-independent, but a record's name is not: a
+    # host whose tree parent changes to or from a domain is printed
+    # under another name ("caip.rutgers" <-> "caip").  So the encoder
+    # decides per table whether the old DFSM block still fits.
     fresh = {source: encode_table_section(blocks,
                                           previous=reader.table(source))
              for source, blocks in zip(affected, payloads)}
     try:
-        graph_section = encode_graph_section(new_cg)
+        graph_section = encode_graph_section(
+            new_cg, previous=(reader.graph_section(), old_cg))
     except struct.error:
         check_link_costs(new_cg)
         raise

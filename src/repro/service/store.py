@@ -72,7 +72,7 @@ from repro.core.fastmap import (
 )
 from repro.errors import PathaliasError, RouteError
 from repro.graph.build import Graph
-from repro.graph.compact import K_NORMAL, CompactGraph
+from repro.graph.compact import K_ALIAS, K_NORMAL, CompactGraph
 from repro.service.fsm import (
     NAME_F_DOMAIN,
     AutomatonError,
@@ -113,6 +113,9 @@ _COST = struct.Struct("<q")
 #: a route record's name ref alone (cost and route ref skipped).
 _RECORD_NAME = struct.Struct("<8xII8x")
 
+#: the byte offsets of a route record's name ref.
+_RECORD_NAME_BYTES = range(8, 16)
+
 #: one tree-link pair: from ref, to ref.
 _PAIR = struct.Struct("<IIII")
 
@@ -122,6 +125,10 @@ _STATE = struct.Struct("<IqiBB")
 
 #: a per-state record's leading cid alone (the point queries' key).
 _STATE_CID = struct.Struct("<I")
+
+#: the byte offsets of a per-state record's fields but its cost: cid,
+#: tree-parent link id, flags and kind.
+_STATE_UNPRICED = (*range(0, 4), *range(12, 18))
 
 #: one tag-directory entry: 4-byte ASCII tag, block length.
 _TAG = struct.Struct("<4sI")
@@ -193,9 +200,27 @@ class _StringPool:
 # -- section encoders ---------------------------------------------------------
 
 
-def encode_graph_section(cg: CompactGraph) -> bytes:
-    """Flatten a compact graph's arrays into one deterministic blob."""
+def encode_graph_section(
+        cg: CompactGraph,
+        previous: tuple[bytes, CompactGraph] | None = None) -> bytes:
+    """Flatten a compact graph's arrays into one deterministic blob.
+
+    ``previous`` is an old graph section and the graph decoded from
+    it.  When ``cg`` differs from that graph in link costs alone
+    (:meth:`~repro.graph.compact.CompactGraph.same_shape`, and equal
+    warnings), the old bytes are kept and only the cost array is
+    packed into them, at its offset; otherwise the section is encoded
+    whole.  Both give the same bytes."""
     n, m = cg.n, cg.link_count
+    if previous is not None:
+        section, old = previous
+        if old.same_shape(cg) and old.warnings == cg.warnings:
+            # the cost array follows the header, the four node flag
+            # arrays, the CSR offsets and the link targets
+            start = _GRAPH_HEADER.size + 4 * n + 4 * (n + 1) + 4 * m
+            return b"".join((section[:start],
+                             struct.pack(f"<{m}q", *cg.cost),
+                             section[start + 8 * m:]))
     pool = _StringPool()
     name_refs = [pool.add(name) for name in cg.names]
     op_refs = [pool.add(op) for op in cg.op]
@@ -294,7 +319,8 @@ def _record_names(recs, blob: bytes) -> list[bytes]:
             for noff, nlen in _RECORD_NAME.iter_unpack(recs)]
 
 
-def table_blocks(result: CompactMapResult
+def table_blocks(result: CompactMapResult,
+                 previous: SnapshotTable | None = None
                  ) -> tuple[bytes, bytes, bytes, bytes, bytes]:
     """One source's ``RECS``, ``UNRC``, ``TREE``, ``STAT`` and ``BLOB``
     blocks, written straight from a finished mapping's arrays.
@@ -318,7 +344,22 @@ def table_blocks(result: CompactMapResult
     per graph, so the block orders are integer sorts; routes are built
     as bytes.  A cost the signed 64-bit fields cannot hold raises
     :class:`SnapshotError` naming the source, the name and the cost.
+
+    ``previous`` is this source's table in a snapshot of a graph that
+    differs from this one in link costs alone (what the incremental
+    updater remaps from).  When the mapping's tree did not move, its
+    blocks are that table's re-priced (:func:`_repriced_blocks`), and
+    byte for byte what the writer would write.
     """
+    states = sorted(result.touched)
+    try:
+        stat = _stat_block(result, states)
+    except struct.error:
+        stat = None  # a state costs too much: the writer names it
+    if previous is not None and stat is not None and not result.shift:
+        blocks = _repriced_blocks(result, previous, states, stat)
+        if blocks is not None:
+            return blocks
     cg = result.cgraph
     index = cg.name_index()
     utf8 = index.utf8
@@ -380,29 +421,12 @@ def table_blocks(result: CompactMapResult
     unreached_end = names_end + len(unreached)
     # one iterator zipped twice: each record's name ref, then route ref
     record_refs = iter(refs[:names_end])
-
-    states = sorted(result.touched)
-    cids_of = [state >> shift for state in states] if shift else states
-    domseen = result.domain_seen
-    has_at = result.has_at
-    has_bang = result.has_bang
-    dmask = (1 << shift) - 1
-    # the label flags are 0 or 1, so each multiplies in its bit
-    flags = [(state & dmask)
-             | domseen[state] * STATE_F_DOMAIN_SEEN
-             | has_at[state] * STATE_F_HAS_AT
-             | has_bang[state] * STATE_F_HAS_BANG for state in states]
     try:
-        return (b"".join(chain.from_iterable(zip(
-                    map(_COST.pack, map(cost.__getitem__, printed)),
-                    record_refs, record_refs))),
-                b"".join(refs[names_end:unreached_end]),
-                b"".join(refs[unreached_end:]),
-                b"".join(map(_STATE.pack, cids_of,
-                             map(cost.__getitem__, states),
-                             map(link.__getitem__, states), flags,
-                             map(index.kinds.__getitem__, cids_of))),
-                b"".join(blob))
+        recs = b"".join(chain.from_iterable(zip(
+            map(_COST.pack, map(cost.__getitem__, printed)),
+            record_refs, record_refs)))
+        if stat is None:
+            stat = _stat_block(result, states)
     except struct.error:
         # name the route the printer lists first: least (cost, name)
         source = cg.names[result.source]
@@ -418,6 +442,96 @@ def table_blocks(result: CompactMapResult
                                 f"{cg.names[state >> shift]!r}",
                                 cost[state]) from None
         raise
+    return (recs, b"".join(refs[names_end:unreached_end]),
+            b"".join(refs[unreached_end:]), stat, b"".join(blob))
+
+
+def _stat_block(result: CompactMapResult, states: list[int]) -> bytes:
+    """The ``STAT`` block of a mapping whose touched states, sorted,
+    are ``states``; :class:`struct.error` for a cost too wide."""
+    shift = result.shift
+    cids_of = [state >> shift for state in states] if shift else states
+    domseen = result.domain_seen
+    has_at = result.has_at
+    has_bang = result.has_bang
+    dmask = (1 << shift) - 1
+    # the label flags are 0 or 1, so each multiplies in its bit
+    flags = [(state & dmask)
+             | domseen[state] * STATE_F_DOMAIN_SEEN
+             | has_at[state] * STATE_F_HAS_AT
+             | has_bang[state] * STATE_F_HAS_BANG for state in states]
+    return b"".join(map(_STATE.pack, cids_of,
+                        map(result.cost.__getitem__, states),
+                        map(result.link.__getitem__, states), flags,
+                        map(result.cgraph.name_index().kinds.__getitem__,
+                            cids_of)))
+
+
+def _repriced_blocks(result: CompactMapResult, previous: SnapshotTable,
+                     states: list[int], stat: bytes):
+    """``previous``'s blocks with this tree-mode mapping's costs, or
+    None when they might not be what the writer would write.
+
+    They are when the new ``STAT`` records equal the old ones in every
+    field but cost (same states, tree-parent link ids, flags and
+    kinds) and no printed host is reached from a domain over a
+    non-alias link.  On a graph that differs from the old one in link
+    costs alone, reachability and the invented back links (owner,
+    target, operator and overlay id) do not depend on cost, so a link
+    id fixes a state's tree parent, and equal link ids mean equal
+    routes, displays, printed and unreached sets and tree pairs.  With
+    every printed display its node's own name, ``RECS`` is in rank
+    order, so the strings are interned in the same order: ``UNRC``,
+    ``TREE`` and ``BLOB`` are the old blocks, and ``RECS`` is the old
+    name and route refs with the new costs.
+    """
+    recs, unrc, tree, old_stat, blob = previous.blocks()
+    if len(old_stat) != len(stat) or any(
+            stat[byte::_STATE.size] != old_stat[byte::_STATE.size]
+            for byte in _STATE_UNPRICED):
+        return None
+    cg = result.cgraph
+    dom = cg.is_domain
+    is_net = cg.is_net
+    private = cg.private
+    kind = cg.kind
+    csr = cg.link_count
+    parent = result.parent
+    link = result.link
+    printed = []  # record_states' choice: in tree mode a state is a cid
+    for cid in states:
+        if private[cid]:
+            continue
+        p = parent[cid]
+        if dom[cid]:
+            if p >= 0 and dom[p]:
+                continue  # subdomain: same route as its parent domain
+        elif is_net[cid]:
+            continue
+        elif p >= 0 and dom[p] and not (link[cid] < csr
+                                        and kind[link[cid]] == K_ALIAS):
+            return None  # displayed under a domain-qualified name
+        printed.append(cid)
+    size = _RECORD.size
+    if len(recs) != len(printed) * size:
+        return None
+    printed.sort(key=cg.name_index().rank.__getitem__)
+    # the costs fit: STAT holds every one of them
+    costs = struct.pack(f"<{len(printed)}q",
+                        *map(result.cost.__getitem__, printed))
+    recs = bytearray(recs)
+    for byte in range(_COST.size):  # each record's leading cost field
+        recs[byte::size] = costs[byte::_COST.size]
+    return bytes(recs), unrc, tree, stat, blob
+
+
+def _same_name_refs(recs, old_recs) -> bool:
+    """Whether two ``RECS`` blocks hold the same name refs, record by
+    record (costs and route refs aside)."""
+    size = _RECORD.size
+    return len(recs) == len(old_recs) and all(
+        recs[byte::size] == old_recs[byte::size]
+        for byte in _RECORD_NAME_BYTES)
 
 
 def encode_table_section(blocks,
@@ -434,15 +548,24 @@ def encode_table_section(blocks,
     are byte-equal to this section's its ``DFSM`` block is copied
     verbatim — the encoding is a pure function of the sorted name
     sequence, so a copied block is byte-identical to a rebuilt one
-    (and asserted so in the tests).  Otherwise
-    :func:`~repro.service.fsm.encode_keys` builds it.
+    (and asserted so in the tests).  The names are compared as bytes
+    first: an equal ``BLOB`` and equal ``RECS`` name refs (every
+    re-priced section) mean equal names, and only otherwise are the
+    two name lists built and compared.  When they differ,
+    :func:`~repro.service.fsm.encode_keys` builds the block.
     """
     recs, _, _, _, blob = blocks
-    names = _record_names(recs, blob)
-    if previous is not None and previous.record_names() == names:
-        dfsm = previous.dfsm_bytes()
-    else:
-        dfsm = encode_keys([name.decode("utf-8") for name in names])
+    dfsm = None
+    if previous is not None:
+        old_recs, _, _, _, old_blob = previous.blocks()
+        if blob == old_blob and _same_name_refs(recs, old_recs):
+            dfsm = previous.dfsm_bytes()
+    if dfsm is None:
+        names = _record_names(recs, blob)
+        if previous is not None and previous.record_names() == names:
+            dfsm = previous.dfsm_bytes()
+        else:
+            dfsm = encode_keys([name.decode("utf-8") for name in names])
     blocks = (*blocks, dfsm)
     parts = [struct.pack("<I", len(TABLE_SECTION_TAGS))]
     parts += [_TAG.pack(tag.encode("ascii"), len(block))
@@ -652,13 +775,28 @@ class SnapshotTable(SuffixResolver):
         """The record names alone, as UTF-8 bytes in (sorted) record
         order — the key sequence the section's ``DFSM`` block is
         compiled from, and what :func:`encode_table_section` compares
-        to decide whether a stored block can be copied verbatim."""
+        to decide whether a stored block can be copied verbatim when
+        the new section's ``BLOB`` or name refs differ from this
+        one's."""
         data = self._data
         start = self._records_off
         blob_off = self._blob_off
         return _record_names(
             data[start:start + self._rc * _RECORD.size],
             bytes(data[blob_off:blob_off + self._blob_len]))
+
+    def blocks(self) -> tuple[bytes, bytes, bytes, bytes, bytes]:
+        """The ``RECS``, ``UNRC``, ``TREE``, ``STAT`` and ``BLOB``
+        blocks as ``bytes``, in :func:`table_blocks` order: what a
+        re-priced section keeps, and what :func:`encode_table_section`
+        compares names by."""
+        data = self._data
+        return tuple(bytes(data[off:off + length]) for off, length in (
+            (self._records_off, self._rc * _RECORD.size),
+            (self._unreach_off, self._uc * _REF.size),
+            (self._pairs_off, self._tc * _PAIR.size),
+            (self._states_off, self._sc * _STATE.size),
+            (self._blob_off, self._blob_len)))
 
     # -- compiled suffix dispatch ---------------------------------------------
 
@@ -1297,6 +1435,16 @@ def snapshot_payload(mapper, source: str):
     (:func:`table_blocks`), five ``bytes`` objects that a ``--jobs``
     worker ships back whole for :func:`encode_table_section`."""
     return table_blocks(mapper.run(source))
+
+
+def revision_payload(mapper, job: tuple[str, bytes]):
+    """The incremental updater's per-source worker payload: ``job`` is
+    a source and its old table section, and the blocks are
+    :func:`table_blocks` given that table, so a ``--jobs`` worker
+    re-prices an unmoved tree as an in-process update does."""
+    source, section = job
+    return table_blocks(mapper.run(source),
+                        previous=SnapshotTable(source, section))
 
 
 def check_link_costs(cg: CompactGraph) -> None:

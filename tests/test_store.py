@@ -3,13 +3,16 @@ fallback staying byte-identical."""
 
 from __future__ import annotations
 
+import copy
 import struct
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro.core.pathalias import Pathalias
+from repro.graph.compact import CompactGraph
 from repro.service import store
 from repro.service.store import (
     SnapshotError,
@@ -412,3 +415,78 @@ class TestCostRange:
         with pytest.raises(SnapshotError, match="route to 'b' costs"):
             update_snapshot(old, revised, out)
         assert not out.exists()
+
+
+class TestGraphSectionSplice:
+    """``encode_graph_section(cg, previous=(section, decoded))`` packs
+    a cost-only revision's costs into the old section's bytes, and
+    encodes every other revision whole; both equal a fresh encode."""
+
+    @staticmethod
+    def graph(name: str) -> CompactGraph:
+        path = DATA / name
+        return CompactGraph.compile(
+            Pathalias().build([(path.name, path.read_text())]))
+
+    @staticmethod
+    def revised(cg, **changes):
+        """A shallow copy of ``cg`` with some arrays replaced."""
+        out = copy.copy(cg)
+        for attr, value in changes.items():
+            setattr(out, attr, value)
+        return out
+
+    @pytest.mark.parametrize("name", ["d.arpa", "d.backbone",
+                                      "d.universities"])
+    def test_cost_only_revision_is_spliced(self, name):
+        cg = self.graph(name)
+        section = store.encode_graph_section(cg)
+        previous = (section, store.decode_graph_section(section))
+        costs = [cost * 3 + 1 for cost in cg.cost]
+        revision = self.revised(cg, cost=costs)
+        want = store.encode_graph_section(revision)
+        assert want != section
+        with mock.patch.object(store, "_StringPool",
+                               side_effect=AssertionError):
+            assert store.encode_graph_section(
+                revision, previous=previous) == want
+            assert store.encode_graph_section(
+                cg, previous=previous) == section
+
+    @pytest.mark.parametrize("change", ["warnings", "flags", "names"])
+    def test_other_revisions_are_encoded(self, change):
+        cg = self.graph("d.backbone")
+        section = store.encode_graph_section(cg)
+        previous = (section, store.decode_graph_section(section))
+        revision = self.revised(cg, **{
+            "warnings": {"warnings": cg.warnings + ["one more"]},
+            "flags": {"flags": [f ^ 2 for f in cg.flags]},
+            "names": {"names": [n + "x" for n in cg.names]},
+        }[change])
+        want = store.encode_graph_section(revision)
+        pools = []
+        real = store._StringPool
+
+        def counting_pool():
+            pools.append(1)
+            return real()
+
+        with mock.patch.object(store, "_StringPool", counting_pool):
+            assert store.encode_graph_section(
+                revision, previous=previous) == want
+        assert pools == [1]
+
+    def test_too_wide_link_cost_still_fails(self):
+        """The splice packs costs as the encoder does, so a link cost
+        past 64 bits fails it, and ``check_link_costs`` names it."""
+        cg = self.graph("d.backbone")
+        section = store.encode_graph_section(cg)
+        previous = (section, store.decode_graph_section(section))
+        costs = list(cg.cost)
+        costs[0] = 1 << 63
+        revision = self.revised(cg, cost=costs)
+        with pytest.raises(struct.error):
+            store.encode_graph_section(revision, previous=previous)
+        with pytest.raises(SnapshotError,
+                           match=f"link to .* costs {1 << 63},"):
+            store.check_link_costs(revision)

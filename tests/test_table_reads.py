@@ -12,14 +12,21 @@ against whole-block references.
   per-record encoder over the printer's tuple payload (both kept here
   as the reference), on fixture maps, churn revisions, multi-byte
   UTF-8 names, generated maps and over-wide costs;
+* a re-priced section (``table_blocks`` given the old table, when the
+  tree did not move) is the full writer's bytes on churn revisions,
+  in process and over workers, and copies its ``DFSM`` on a bytes
+  check; second-best tables, domain-qualified records, moved trees,
+  another source's table and over-wide costs take the full writer;
 * the writer's sort and the reader's UTF-8 byte comparison agree on
   non-ASCII names.
 """
 
 from __future__ import annotations
 
+import copy
 import pickle
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -47,7 +54,9 @@ from repro.service.store import (
     build_snapshot,
     encode_table_section,
     snapshot_payload,
+    table_blocks,
 )
+from repro.service.incremental import update_snapshot
 
 from tests.conftest import DOMAIN_TREE_MAP, MOTOWN_MAP, stored_tree_links
 from tests.test_properties_routes import featureful_maps
@@ -406,6 +415,261 @@ class TestWriterMatchesReference:
             [("prop", "\n".join([text] + extra) + "\n")])
         cg = CompactGraph.compile(graph)
         assert_writer_matches_reference(cg, cfg)
+
+
+@contextmanager
+def full_writes():
+    """The sources whose blocks the full writer writes while the block
+    is open: only it labels routes (``route_labels``), so a re-priced
+    table adds no name."""
+    written = []
+    real = store.route_labels
+
+    def spy(result, *args):
+        written.append(result.cgraph.names[result.source])
+        return real(result, *args)
+
+    with mock.patch.object(store, "route_labels", spy):
+        yield written
+
+
+def repriced(cg: CompactGraph, link: tuple[str, str],
+             cost: int) -> CompactGraph:
+    """A copy of ``cg`` with the ``link`` (from, to) repriced: the
+    revision a cost-only update maps."""
+    owner, target = (cg.find(name) for name in link)
+    revised = copy.copy(cg)
+    revised.cost = list(cg.cost)
+    for j in range(cg.off[owner], cg.off[owner + 1]):
+        if cg.to[j] == target:
+            revised.cost[j] = cost
+    assert revised.cost != cg.cost
+    return revised
+
+
+def compiled(text: str, cfg: HeuristicConfig | None = None
+             ) -> CompactGraph:
+    """One map text, compiled."""
+    return CompactGraph.compile(
+        Pathalias(heuristics=cfg).build([("d.map", text)]))
+
+
+#: A map whose source ``a`` keeps its tree under small reprices and
+#: moves it when ``a -> b`` costs more than the direct ``a -> c``.
+PLAIN_MAP = "a\tb(10), c(30)\nb\tc(10), a(10)\nc\ta(1)\n"
+
+#: Repricing ``rgw -> .rutgers`` to 100 moves ``caip``'s tree parent
+#: from the domain to ``x``, so source ``a``'s record ``caip.rutgers``
+#: becomes ``caip``: a cost-only revision that changes a record name.
+RUTGERS_MAP = ("a\tx(10), rgw(10)\nx\tcaip(10)\nrgw\t.rutgers(0)\n"
+               ".rutgers = {caip, aramis}\ncaip\tx(10)\n")
+
+
+class TestRepricedSections:
+    """``table_blocks(result, previous=old table)`` re-prices the old
+    blocks when the tree did not move, and the bytes are the full
+    writer's; every other case takes the full writer."""
+
+    @pytest.mark.parametrize("seed", [42, 2024])
+    def test_churn_tables_equal_the_writer(self, seed, tmp_path):
+        """Every table 40 churn revisions remap, given its old table,
+        is the full writer's blocks, and both outcomes occur."""
+        from repro.netsim.churn import ChurnParams, ChurnScenario
+
+        scenario = ChurnScenario(ChurnParams(nodes=3000, events=40,
+                                             seed=seed))
+        graphs = scenario.build_graphs()
+        paths = {}
+        for name, cg in graphs.items():
+            paths[name] = tmp_path / f"{name}.g0.snap"
+            build_snapshot(cg, paths[name])
+        outcomes = {"re-priced": 0, "rewritten": 0}
+        for event in scenario.stream:
+            for name in scenario.apply(event):
+                cg = graphs[name]
+                out = tmp_path / f"{name}.g{event.gen + 1}.snap"
+                report = update_snapshot(paths[name], cg, out,
+                                         full_threshold=1.0)
+                assert report.mode == "incremental"
+                mapper = CompactMapper(cg)
+                with SnapshotReader.open(paths[name]) as old:
+                    for source in report.remapped:
+                        result = mapper.run(source)
+                        want = table_blocks(result)
+                        with full_writes() as written:
+                            got = table_blocks(
+                                result, previous=old.table(source))
+                        assert got == want, (name, event.gen, source)
+                        outcomes["rewritten" if written
+                                 else "re-priced"] += 1
+                paths[name].unlink()
+                paths[name] = out
+        assert all(outcomes.values()), outcomes
+
+    @pytest.mark.parametrize("second", [False, True],
+                             ids=["tree", "second-best"])
+    def test_second_best_takes_the_writer(self, second, tmp_path):
+        """An unchanged graph's tables re-price in tree mode and are
+        rewritten in second-best mode, where a link id does not fix
+        the parent's domain class."""
+        cfg = HeuristicConfig(second_best=second)
+        cg = compiled(PLAIN_MAP, cfg)
+        build_snapshot(cg, tmp_path / "s.snap", heuristics=cfg)
+        mapper = CompactMapper(cg, cfg)
+        with SnapshotReader.open(tmp_path / "s.snap") as reader:
+            for source in reader.sources():
+                result = mapper.run(source)
+                want = table_blocks(result)
+                with full_writes() as written:
+                    got = table_blocks(result,
+                                       previous=reader.table(source))
+                assert got == want
+                assert written == ([source] if second else [])
+
+    def test_domain_qualified_records_take_the_writer(self, tmp_path):
+        """``d.arpa`` prints every source's domain members under
+        qualified names (``caip.rutgers.edu``), so ``RECS`` is not in
+        rank order and no table re-prices, even unchanged."""
+        cg = CompactGraph.compile(Pathalias().build(
+            [("d.arpa", (DATA / "d.arpa").read_text())]))
+        build_snapshot(cg, tmp_path / "s.snap")
+        mapper = CompactMapper(cg)
+        with SnapshotReader.open(tmp_path / "s.snap") as reader:
+            for source in reader.sources():
+                result = mapper.run(source)
+                want = table_blocks(result)
+                with full_writes() as written:
+                    got = table_blocks(result,
+                                       previous=reader.table(source))
+                assert got == want
+                assert written == [source]
+
+    @pytest.mark.parametrize("cost, moved", [(15, False), (50, True)],
+                             ids=["same-tree", "re-parented"])
+    def test_a_moved_tree_takes_the_writer(self, cost, moved, tmp_path):
+        """Repricing ``a -> b`` to 15 keeps ``a``'s tree and re-prices;
+        to 50 it re-parents ``c`` onto ``a -> c`` and rewrites."""
+        cg = compiled(PLAIN_MAP)
+        build_snapshot(cg, tmp_path / "s.snap")
+        revised = repriced(cg, ("a", "b"), cost)
+        result = CompactMapper(revised).run("a")
+        want = table_blocks(result)
+        with SnapshotReader.open(tmp_path / "s.snap") as reader, \
+                full_writes() as written:
+            assert table_blocks(result, previous=reader.table("a")) \
+                == want
+        assert written == (["a"] if moved else [])
+
+    def test_another_sources_table_takes_the_writer(self, tmp_path):
+        cg = compiled(PLAIN_MAP)
+        build_snapshot(cg, tmp_path / "s.snap")
+        result = CompactMapper(cg).run("a")
+        want = table_blocks(result)
+        with SnapshotReader.open(tmp_path / "s.snap") as reader:
+            for other in ("b", "c"):
+                with full_writes() as written:
+                    assert table_blocks(
+                        result, previous=reader.table(other)) == want
+                assert written == ["a"]
+
+    def test_too_wide_cost_raises_the_writers_error(self, tmp_path):
+        """A revision that keeps the tree but pushes a route past 64
+        bits raises the full writer's error, not a re-price."""
+        cg = compiled("a\tb(1)\nb\tc(1)\nc\ta(1)\n")
+        build_snapshot(cg, tmp_path / "s.snap")
+        result = CompactMapper(
+            repriced(cg, ("a", "b"), (1 << 63) - 1)).run("a")
+        with pytest.raises(SnapshotError) as plain:
+            table_blocks(result)
+        with SnapshotReader.open(tmp_path / "s.snap") as reader, \
+                pytest.raises(SnapshotError) as given:
+            table_blocks(result, previous=reader.table("a"))
+        assert str(given.value) == str(plain.value)
+        assert str(plain.value).startswith(
+            f"source 'a': route to 'c' costs {1 << 63},")
+
+    def test_dfsm_copied_without_name_lists(self, tmp_path):
+        """A re-priced section's ``DFSM`` is copied on the bytes check
+        alone: neither name list is built, and no automaton."""
+        cg = compiled(PLAIN_MAP)
+        build_snapshot(cg, tmp_path / "s.snap")
+        result = CompactMapper(repriced(cg, ("a", "b"), 15)).run("a")
+        want = encode_table_section(table_blocks(result))
+        with SnapshotReader.open(tmp_path / "s.snap") as reader:
+            old = reader.table("a")
+            with full_writes() as written, \
+                    mock.patch.object(SnapshotTable, "record_names",
+                                      side_effect=AssertionError), \
+                    mock.patch.object(store, "_record_names",
+                                      side_effect=AssertionError), \
+                    mock.patch.object(store, "encode_keys",
+                                      side_effect=AssertionError):
+                got = encode_table_section(
+                    table_blocks(result, previous=old), previous=old)
+        assert written == []
+        assert got == want
+
+    def test_workers_agree_with_one_process(self, tmp_path):
+        """``update_snapshot`` over two workers, which re-price from
+        the old sections they are sent, writes the bytes of an
+        in-process update, revision after revision."""
+        from repro.netsim.churn import ChurnParams, ChurnScenario
+
+        scenario = ChurnScenario(ChurnParams(nodes=1000, events=12,
+                                             seed=42))
+        graphs = scenario.build_graphs()
+        paths = {}
+        for name, cg in graphs.items():
+            paths[name] = tmp_path / f"{name}.g0.snap"
+            build_snapshot(cg, paths[name])
+        pooled = 0
+        for event in scenario.stream:
+            for name in scenario.apply(event):
+                outs = [tmp_path / f"{name}.g{event.gen + 1}.j{jobs}.snap"
+                        for jobs in (1, 2)]
+                with full_writes() as written:
+                    report = update_snapshot(paths[name], graphs[name],
+                                             outs[0], full_threshold=1.0)
+                update_snapshot(paths[name], graphs[name], outs[1],
+                                jobs=2, full_threshold=1.0)
+                assert outs[0].read_bytes() == outs[1].read_bytes()
+                if len(report.remapped) > 1 \
+                        and len(written) < len(report.remapped):
+                    pooled += 1  # the pool ran, and re-priced
+                paths[name] = outs[0]
+        assert pooled > 0
+
+    def test_reparented_record_name_rebuilds_dfsm(self, tmp_path):
+        """A cost-only revision can rename a record: ``a``'s
+        ``caip.rutgers`` becomes ``caip``.  Its table is rewritten, its
+        ``DFSM`` is built anew, and the update equals a fresh build."""
+        cg = compiled(RUTGERS_MAP)
+        old = tmp_path / "old.snap"
+        build_snapshot(cg, old)
+        revised = repriced(cg, ("rgw", ".rutgers"), 100)
+        keys = []
+        real_encode_keys = store.encode_keys
+
+        def encode_keys_spy(names, *args, **kwargs):
+            keys.append(names)
+            return real_encode_keys(names, *args, **kwargs)
+
+        with full_writes() as written, mock.patch.object(
+                store, "encode_keys", encode_keys_spy):
+            report = update_snapshot(old, revised, tmp_path / "new.snap",
+                                     full_threshold=1.0)
+        assert report.mode == "incremental" and "a" in report.remapped
+        assert "a" in written
+        names = [".rutgers", "a", "aramis.rutgers", "caip", "rgw", "x"]
+        assert names in keys
+        with SnapshotReader.open(old) as before, \
+                SnapshotReader.open(tmp_path / "new.snap") as after:
+            assert b"caip.rutgers" in before.table("a").record_names()
+            assert after.table("a").record_names() \
+                == [name.encode() for name in names]
+        build_snapshot(revised, tmp_path / "full.snap")
+        assert (tmp_path / "new.snap").read_bytes() \
+            == (tmp_path / "full.snap").read_bytes()
 
 
 class TestCostRangeWithWorkers:
