@@ -21,11 +21,6 @@ Six numbers the ROADMAP cares about:
   per lookup.  On a single-core runner the socket hop is pure
   overhead; the ratio is the price paid for sharding the CPU, and on
   multicore hosts the per-shard daemons buy it back.
-* **multi-worker serving**: lookup throughput against the same
-  snapshot at 1, 2, and 4 ``SO_REUSEPORT`` workers (one process per
-  worker, the kernel balancing connections), plus the cold-open cost
-  of the mmap reader vs the read-everything reader — together the
-  case for ``serve --workers N`` on a multicore host.
 * **compiled dispatch**: the suffix-automaton matcher vs the
   per-suffix dict walk, at 10k/100k/1M synthetic domain entries —
   raw suffix lookups and ``FederationView`` ownership dispatch,
@@ -45,8 +40,6 @@ Usage::
         --hosts 200 --clients 8 --requests 500 --regions 4
     PYTHONPATH=src python benchmarks/bench_service.py \
         --only fanout --out fanout.json --min-fanout-ratio 0.9
-    PYTHONPATH=src python benchmarks/bench_service.py \
-        --only workers --out workers.json
     PYTHONPATH=src python benchmarks/bench_service.py \
         --only dispatch --min-dispatch-speedup 3.0
 """
@@ -349,8 +342,7 @@ def bench_federation(tmp: Path, regions: int, hosts: int,
     return asyncio.run(scenario())
 
 
-def _spawn_shard_daemon(snapshot_path: str,
-                        extra_args: tuple = ()):
+def _spawn_shard_daemon(snapshot_path: str):
     """One `pathalias serve` subprocess on an ephemeral port; returns
     ``(proc, "host:port")`` parsed from its startup line.
 
@@ -365,7 +357,7 @@ def _spawn_shard_daemon(snapshot_path: str,
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", snapshot_path,
-         "--port", "0", "--no-cache", *extra_args],
+         "--port", "0", "--no-cache"],
         stderr=subprocess.PIPE, text=True, env=env)
     # scan for the listening line (warnings may precede it); EOF
     # means the child died and is the only startup failure
@@ -538,121 +530,6 @@ def bench_fanout(tmp: Path, regions: int, hosts: int,
         "fanout_vs_inprocess": pipelined["vs_inprocess"],
         "all_answered": len(totals) == 1,
     }
-
-
-def bench_workers(tmp: Path, hosts: int, clients: int,
-                  requests: int) -> dict:
-    """Multicore serving: the same snapshot behind 1, 2, and 4
-    ``SO_REUSEPORT`` worker processes, plus the cold-open cost of the
-    mmap reader vs the read-everything reader.
-
-    The client side is plain blocking sockets on threads — mostly
-    parked in recv, so the GIL does not serialize the *daemon* side,
-    which is where the worker processes earn their scaling.  On a
-    platform without ``SO_REUSEPORT`` only the single-worker tier
-    runs.
-    """
-    import socket as socketlib
-    import threading
-
-    snap = str(tmp / "workers.snap")
-    build_snapshot(build(ring_map(hosts)), snap)
-
-    def best_open_ms(use_mmap: bool, rounds: int = 30) -> float:
-        best = float("inf")
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            SnapshotReader.open(snap, use_mmap=use_mmap).close()
-            best = min(best, time.perf_counter() - t0)
-        return round(best * 1000, 3)
-
-    mmap_ms = best_open_ms(True)
-    read_ms = best_open_ms(False)
-
-    reader = SnapshotReader.open(snap)
-    destinations = [name for _, name, _ in
-                    reader.table(reader.sources()[0]).records()]
-    reader.close()
-
-    def hammer(addr, idx: int, counts: dict) -> None:
-        with socketlib.create_connection(addr) as conn:
-            stream = conn.makefile("rwb")
-            done = 0
-            for k in range(requests):
-                dest = destinations[(idx + k * 13) % len(destinations)]
-                stream.write(f"ROUTE {dest} u{k}\n".encode())
-                stream.flush()
-                reply = stream.readline()
-                assert reply.startswith(b"OK "), reply
-                done += 1
-            stream.write(b"QUIT\n")
-            stream.flush()
-        counts[idx] = done
-
-    tiers = [1]
-    if hasattr(socketlib, "SO_REUSEPORT"):
-        tiers += [2, 4]
-    throughput = {}
-    for workers in tiers:
-        extra = ("--workers", str(workers)) if workers > 1 else ()
-        proc, addr_str = _spawn_shard_daemon(snap, extra)
-        host, _, port = addr_str.rpartition(":")
-        addr = (host, int(port))
-        try:
-            counts: dict = {}
-            threads = [threading.Thread(target=hammer,
-                                        args=(addr, i, counts))
-                       for i in range(clients)]
-            t0 = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            elapsed = time.perf_counter() - t0
-            total = sum(counts.values())
-            throughput[str(workers)] = {
-                "requests": total,
-                "seconds": round(elapsed, 3),
-                "lookups_per_sec": round(total / elapsed, 1)
-                if elapsed > 0 else None,
-            }
-        finally:
-            _stop_daemons([proc])
-
-    base = throughput["1"]["lookups_per_sec"] or 0.0
-    for tier in throughput.values():
-        rate = tier["lookups_per_sec"] or 0.0
-        tier["vs_one_worker"] = round(rate / base, 2) if base else None
-    return {
-        "hosts": hosts,
-        "clients": clients,
-        "requests_per_client": requests,
-        "reuseport_available": hasattr(socketlib, "SO_REUSEPORT"),
-        "cold_open": {
-            "snapshot_bytes": Path(snap).stat().st_size,
-            "mmap_ms": mmap_ms,
-            "read_ms": read_ms,
-            "read_vs_mmap": round(read_ms / mmap_ms, 2)
-            if mmap_ms > 0 else None,
-        },
-        "throughput": throughput,
-    }
-
-
-class _IndexShard:
-    """A synthetic federation shard: a name and an ownership index —
-    the only surface :class:`FederationView`'s owner dispatch consumes.
-    Lets the dispatch bench scale to 10^6 entries without building
-    10^6-record snapshots."""
-
-    def __init__(self, name: str, index: list):
-        self.name = name
-        self._index = index
-        self.source_set = frozenset(
-            n for n, is_domain in index if not is_domain)
-
-    def routing_index(self) -> list:
-        return list(self._index)
 
 
 def _dispatch_keys(entries: int) -> list:
@@ -1065,13 +942,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="hosts per federated region")
     parser.add_argument("--out", default=str(
         Path(__file__).resolve().parent.parent / "BENCH_routing.json"))
-    parser.add_argument("--only", choices=("fanout", "workers",
-                                           "churn", "dispatch",
-                                           "cache"),
+    parser.add_argument("--only", choices=("fanout", "churn",
+                                           "dispatch", "cache"),
                         default=None,
                         help="run a single section (the CI cluster "
                              "job measures just the fan-out tier; "
-                             "the multicore leg just the workers; "
                              "the soak job just the churn replay; "
                              "the dispatch leg just the compiled "
                              "suffix automaton vs the dict walk; "
@@ -1135,11 +1010,6 @@ def main(argv: list[str] | None = None) -> int:
             section["fanout"] = bench_fanout(
                 tmp, args.regions, args.region_hosts, args.clients,
                 args.requests)
-        if args.only in (None, "workers"):
-            print("benchmarking multi-worker serving + cold-open "
-                  "mmap vs read...", file=sys.stderr)
-            section["workers"] = bench_workers(
-                tmp, args.hosts, args.clients, args.requests)
         if args.only in (None, "churn"):
             print("benchmarking churn replay (revision stream -> "
                   "incremental update -> RELOAD)...", file=sys.stderr)

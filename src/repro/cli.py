@@ -17,9 +17,6 @@ the default when the first argument is not one of them)::
     pathalias lookup routes.snap dest [user]        one-shot query
     pathalias lookup --connect HOST:PORT dest       ... against a daemon
     pathalias serve routes.snap [--port N]          the lookup daemon
-    pathalias serve routes.snap --workers N         ... as N SO_REUSEPORT
-                                                    workers sharing one
-                                                    mmapped snapshot
     pathalias federate NAME=MAP ... -o DIR          per-region snapshots
     pathalias federate ... --spawn                  one-command cluster
     pathalias serve --shard NAME=SNAP ...           the federation daemon
@@ -250,11 +247,6 @@ def build_service_parser(command: str) -> argparse.ArgumentParser:
                          help="front-end TCP port for --spawn "
                               "(default 4176; shard daemons always "
                               "take ephemeral ports)")
-        fed.add_argument("--workers", type=int, default=1,
-                         metavar="N",
-                         help="run each --spawn shard daemon as N "
-                              "SO_REUSEPORT workers sharing one "
-                              "mmapped snapshot (default 1)")
         return fed
 
     srv = argparse.ArgumentParser(
@@ -283,10 +275,6 @@ def build_service_parser(command: str) -> argparse.ArgumentParser:
     srv.add_argument("--source", metavar="HOST",
                      help="default source table (default: the "
                           "snapshot's first source)")
-    srv.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="serve from N SO_REUSEPORT worker processes "
-                          "sharing one mmapped snapshot copy (default "
-                          "1; single-snapshot mode only)")
     srv.add_argument("--dispatch", choices=("fsm", "dict"),
                      default="fsm",
                      help="suffix-lookup dispatch: the compiled "
@@ -369,17 +357,13 @@ def _daemon_lookup(args) -> int:
     return 0
 
 
-def _run_cluster(shard_snaps: dict, host: str, port: int,
-                 workers: int = 1) -> int:
+def _run_cluster(shard_snaps: dict, host: str, port: int) -> int:
     """``pathalias federate --spawn``: one daemon process per shard
     snapshot (ephemeral ports, parsed from their startup line), then
     the fan-out front end over them, in the foreground.  Children are
     terminated when the front end exits — SIGTERM is translated into
     the same clean shutdown SIGINT gets, so a supervisor's terminate
-    never orphans the shard daemons.  ``workers > 1`` spawns each
-    shard daemon as that many SO_REUSEPORT workers (they mmap one
-    shared snapshot copy), which the front end fans out to like any
-    other backend.
+    never orphans the shard daemons.
     """
     import signal
     import subprocess
@@ -405,12 +389,10 @@ def _run_cluster(shard_snaps: dict, host: str, port: int,
     backends = {}
     try:
         for name, snap in shard_snaps.items():
-            cmd = [sys.executable, "-m", "repro.cli", "serve", snap,
-                   "--host", host, "--port", "0"]
-            if workers > 1:
-                cmd += ["--workers", str(workers)]
             proc = subprocess.Popen(
-                cmd, stderr=subprocess.PIPE, text=True)
+                [sys.executable, "-m", "repro.cli", "serve", snap,
+                 "--host", host, "--port", "0"],
+                stderr=subprocess.PIPE, text=True)
             procs.append(proc)
             # scan stderr for the listening line — warnings or other
             # chatter may precede it, and EOF (child died) is the
@@ -603,11 +585,7 @@ def service_main(argv: list[str]) -> int:
             if args.spawn:
                 return _run_cluster(
                     {shard.name: str(shard.path) for shard in shards},
-                    host=args.host, port=args.port,
-                    workers=args.workers)
-            if args.workers != 1:
-                print("pathalias: federate: --workers only applies "
-                      "with --spawn; ignored", file=sys.stderr)
+                    host=args.host, port=args.port)
             return 0
 
         if args.command == "serve":
@@ -620,11 +598,6 @@ def service_main(argv: list[str]) -> int:
                     raise PathaliasError(
                         "give either a snapshot or --shard/--backend "
                         "pairs, not both")
-                if args.workers != 1:
-                    raise PathaliasError(
-                        "--workers applies to single-snapshot serving; "
-                        "scale a federation by giving each --backend "
-                        "daemon its own --workers instead")
                 shards = _parse_named_pairs(args.shard,
                                             "NAME=SNAPSHOT")
                 backends = _parse_named_pairs(args.backend,
@@ -647,7 +620,6 @@ def service_main(argv: list[str]) -> int:
 
             return run_daemon(args.snapshot, host=args.host,
                               port=args.port, source=args.source,
-                              workers=args.workers,
                               dispatch=args.dispatch,
                               cache_size=0 if args.no_cache else
                               args.cache)

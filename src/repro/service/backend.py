@@ -350,12 +350,6 @@ class ShardBackend:
     The same connection carries the daemon's reload pushes once
     :meth:`subscribe_reloads` has run; while a subscribed connection
     is down, one task re-dials it.
-
-    A backend address served by ``serve --workers N`` needs no special
-    handling: the kernel lands the connection on some worker, and
-    because every request states its ``SOURCE`` on the connection and
-    the workers serve one identical mmapped snapshot, any worker
-    answers identically.
     """
 
     def __init__(self, name: str, host: str, port: int,
@@ -676,10 +670,7 @@ class ShardBackend:
     async def reload(self, snapshot_path: str) -> str:
         """Forward a snapshot reload to the backend daemon; returns
         the daemon's ``OK reloaded ...`` reply (raises
-        :class:`BackendError` on refusal).  A multi-worker backend
-        (``serve --workers N``) acknowledges only after propagating
-        the swap to its whole worker pool, so one forwarded RELOAD
-        suffices no matter how many workers answer the address."""
+        :class:`BackendError` on refusal)."""
         reply = await self._call(f"RELOAD {snapshot_path}")
         if not reply.startswith("OK reloaded"):
             raise BackendError(

@@ -183,9 +183,7 @@ class ResultCache:
 def cache_stats_tokens(cache: ResultCache | None) -> str:
     """The ``cache=``/``n_cache_*`` STATS tokens — one formatter used
     by both daemons so the wire keys cannot drift; a disabled cache
-    reports ``cache=0`` with zeroed counters.  The ``n_`` prefix is
-    what makes the counters pool-aggregated: multi-worker STATS sums
-    every ``n_`` key across workers."""
+    reports ``cache=0`` with zeroed counters."""
     stats = cache.stats() if cache is not None else {
         "cache": "0", "n_cache_hits": "0", "n_cache_misses": "0",
         "n_cache_invalidations": "0"}

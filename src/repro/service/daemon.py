@@ -24,12 +24,7 @@ per request:
                           in-flight lookups keep the old reader (the
                           old mmap stays valid until its last view
                           drains) so no request is ever dropped or
-                          mixed mid-swap.  In multi-worker mode the
-                          swap is propagated to every sibling worker
-                          before the OK comes back.
-``WRELOAD <snapshot>``    worker-local reload: same swap, never
-                          re-broadcast — it *is* the broadcast RELOAD
-                          sends to sibling workers.
+                          mixed mid-swap.
 ``NOTIFY``                subscribe this connection to reload pushes:
                           after ``OK notify 1``, every later snapshot
                           swap writes an unsolicited ``NOTIFY reloaded
@@ -40,13 +35,7 @@ per request:
                           daemon accepts *tagged* requests (below) —
                           kept for third-party clients that probe
                           before pipelining.
-``STATS``                 one ``key=value`` line of counters; in
-                          multi-worker mode the *aggregate* across all
-                          workers, plus ``workers=`` and per-worker
-                          health tokens.
-``WSTATS``                this one worker's raw, unaggregated counters
-                          (what STATS aggregates over the control
-                          channel).
+``STATS``                 one ``key=value`` line of counters.
 ``QUIT``                  close the connection.
 ========================  ===================================================
 
@@ -63,17 +52,6 @@ so interleaved bulk replies reassemble by tag.  Untagged requests
 keep the exact lockstep one-in/one-out behavior for simple clients;
 see ``docs/protocol.md`` for the grammar.
 
-**Multi-worker serving.**  ``pathalias serve --workers N``
-(:func:`run_multi_daemon`) forks N worker processes that each
-``SO_REUSEPORT``-listen on the same address — the kernel load-balances
-connections across them — and each mmap the same snapshot file, so N
-workers share *one* page-cache copy instead of holding N parsed ones.
-Every worker also runs a loopback **control listener** speaking this
-same protocol; the workers know each other's control ports, which is
-how ``STATS`` aggregates every worker's counters (via ``WSTATS``) and
-how ``RELOAD`` swaps the snapshot on every worker (via ``WRELOAD``)
-before acknowledging.
-
 :class:`DaemonRouteDatabase` is the synchronous client side: it speaks
 the same protocol and quacks like
 :class:`~repro.mailer.routedb.RouteDatabase`, so a
@@ -85,8 +63,6 @@ from __future__ import annotations
 
 import asyncio
 import base64
-import multiprocessing
-import signal
 import socket
 import sys
 import time
@@ -126,9 +102,9 @@ def wire_token(value: str, what: str) -> str:
 
 
 def parse_stats(reply: str) -> dict[str, str]:
-    """A ``STATS`` or ``WSTATS`` reply's ``key=value`` tokens, in wire
-    order, after the leading ``OK`` — the one parser the clients and
-    the worker-pool roll-up share."""
+    """A ``STATS`` reply's ``key=value`` tokens, in wire order, after
+    the leading ``OK`` — the one parser the sync and async clients
+    share."""
     out: dict[str, str] = {}
     for token in reply.split()[1:]:
         key, _, value = token.partition("=")
@@ -151,8 +127,8 @@ class Verb(NamedTuple):
     governs exactly the tagged requests read after it, and a tagged
     swap stays between the requests around it on its connection.  Or
     its handler never waits, so a task would only add an event-loop
-    hop: the single-snapshot daemon's ``ROUTE``, ``EXACT``, ``TABLE``
-    and ``COSTS`` are answered from memory.
+    hop: the single-snapshot daemon's ``ROUTE``, ``EXACT``, ``TABLE``,
+    ``COSTS`` and ``STATS`` are answered from memory.
     """
 
     name: str
@@ -685,13 +661,10 @@ class RouteService(LineService):
     #: The verbs this daemon's line protocol implements, in the order
     #: ``docs/protocol.md`` documents them (the CI docs job checks the
     #: page against this table).  TABLE and COSTS are the *bulk*
-    #: verbs a federation front end assembles its remote view from;
-    #: WRELOAD and WSTATS are the worker-coordination halves of RELOAD
-    #: and STATS (present — and harmless — in single-worker mode too).
-    #: The lookup and bulk verbs read one pinned snapshot and never
-    #: wait, so they are inline: a tagged one is answered on the
-    #: connection's coroutine, with no task.  STATS stays a task, as
-    #: it may ask the sibling workers.
+    #: verbs a federation front end assembles its remote view from.
+    #: The lookup, bulk and STATS verbs read one pinned snapshot and
+    #: never wait, so they are inline: a tagged one is answered on the
+    #: connection's coroutine, with no task.
     VERB_TABLE = verb_table(
         SHARED_VERBS["ROUTE"]._replace(inline=True),
         SHARED_VERBS["EXACT"]._replace(inline=True),
@@ -700,20 +673,12 @@ class RouteService(LineService):
              inline=True),
         Verb("COSTS", "<source> [name ...]", 1, None, inline=True),
         Verb("RELOAD", "<snapshot>", 1, 1, inline=True),
-        Verb("WRELOAD", "<snapshot>", 1, 1, inline=True),
         Verb("NOTIFY", inline=True),
         "PIPELINE",
-        Verb("STATS", most=None),
-        Verb("WSTATS", most=None),
+        Verb("STATS", most=None, inline=True),
         "QUIT")
     VERBS = tuple(VERB_TABLE)
     handle_line = LineService.handle_line  # see LineService
-
-    #: STATS counters summed across workers in an aggregated reply
-    #: (the ``n_<verb>``/``n_errors``/``n_pipelined`` keys are summed
-    #: too, matched by their ``n_`` prefix).
-    STATS_SUM_KEYS = frozenset({"lookups", "hits", "misses", "reloads",
-                                "notify_pushes", "connections"})
 
     def __init__(self, snapshot_path: str | None = None,
                  reader: SnapshotReader | None = None,
@@ -752,13 +717,6 @@ class RouteService(LineService):
         #: the ``notify_pushes`` STATS key.
         self.notify_pushes = 0
         self._notify_tasks: set = set()
-        #: This process's worker id (0 outside multi-worker mode) and
-        #: the control-channel map ``{worker_id: loopback port}`` over
-        #: *all* workers, itself included.  An empty map means
-        #: single-worker mode: STATS answers locally and RELOAD
-        #: broadcasts to nobody.
-        self.worker_id = 0
-        self.worker_peers: dict[int, int] = {}
 
     # -- the lookup hooks -----------------------------------------------------
 
@@ -908,10 +866,7 @@ class RouteService(LineService):
         Fire-and-forget per subscriber: pushes ride each target
         connection's own locked writer as background tasks, so a slow
         or dead subscriber never stalls the reload (or the other
-        subscribers).  Runs for WRELOAD too — in multi-worker mode
-        every worker notifies its own connections after its local
-        swap, which is exactly the pool-wide fan-out an operator
-        expects from one RELOAD.
+        subscribers).
         """
         if not self.notify_subscribers:
             return
@@ -936,112 +891,9 @@ class RouteService(LineService):
         """Drop this connection's reload-push subscription, if any."""
         self.notify_subscribers.discard(state.get("#push"))
 
-    # -- worker coordination --------------------------------------------------
-
-    async def peer_request(self, port: int, line: str,
-                           timeout: float = 5.0) -> str:
-        """One request/reply round trip to a sibling worker's
-        loopback control listener; returns the reply line."""
-        conn = asyncio.open_connection("127.0.0.1", port)
-        reader, writer = await asyncio.wait_for(conn, timeout)
-        try:
-            writer.write(line.encode("utf-8") + b"\n")
-            await writer.drain()
-            raw = await asyncio.wait_for(reader.readline(), timeout)
-        finally:
-            writer.close()
-        if not raw:
-            raise ConnectionError(
-                "worker closed the control connection")
-        return str(raw, "utf-8").rstrip("\r\n")
-
-    def _peer_ports(self) -> list[tuple[int, int]]:
-        """``(worker_id, control port)`` for every *other* worker."""
-        return [(wid, port)
-                for wid, port in sorted(self.worker_peers.items())
-                if wid != self.worker_id]
-
-    async def broadcast_reload(self, path: str) -> list[str]:
-        """Push a snapshot swap to every sibling worker.
-
-        Sends ``WRELOAD`` (which swaps locally and never re-broadcasts,
-        so the fan-out cannot loop) to each peer concurrently; returns
-        a ``worker <id>: <why>`` note per worker that failed to swap —
-        empty means the whole pool now serves the new snapshot.
-        """
-        async def push(wid: int, port: int) -> str | None:
-            try:
-                reply = await self.peer_request(port, f"WRELOAD {path}")
-            except (OSError, asyncio.TimeoutError,
-                    ConnectionError) as exc:
-                return f"worker {wid}: {exc}"
-            if not reply.startswith("OK"):
-                return f"worker {wid}: {reply}"
-            return None
-
-        notes = await asyncio.gather(
-            *(push(wid, port) for wid, port in self._peer_ports()))
-        return [note for note in notes if note]
-
     async def do_STATS(self, args: list[str], state: dict) -> str:
-        """The STATS reply: local counters, or — in multi-worker mode
-        — the aggregate across the whole worker pool.
-
-        Each sibling is asked for its raw ``WSTATS``; count keys
-        (:attr:`STATS_SUM_KEYS` and the ``n_`` prefix) are summed,
-        ``inflight_hwm``/``uptime_sec`` take the pool max, and
-        snapshot-identity keys stay the answering worker's (every
-        worker maps the same file).  ``workers=<n>`` plus one
-        ``worker_<id>=ok:<lookups>`` / ``worker_<id>=down`` token per
-        worker report pool size and health; an unreachable worker
-        degrades its token, never the reply.
-        """
-        local = f"OK {self.stats_line()}"
-        if not self.worker_peers:
-            return local
-
-        async def fetch(wid: int, port: int):
-            try:
-                reply = await self.peer_request(port, "WSTATS")
-            except (OSError, asyncio.TimeoutError, ConnectionError):
-                return wid, None
-            if not reply.startswith("OK"):
-                return wid, None
-            return wid, parse_stats(reply)
-
-        per_worker: dict[int, dict[str, str] | None] = {
-            self.worker_id: parse_stats(local)}
-        for wid, stats in await asyncio.gather(
-                *(fetch(wid, port) for wid, port in self._peer_ports())):
-            per_worker[wid] = stats
-        merged = dict(per_worker[self.worker_id] or {})
-        merged.pop("worker", None)
-        for wid, stats in per_worker.items():
-            if wid == self.worker_id or stats is None:
-                continue
-            for key, value in stats.items():
-                if key not in merged:
-                    continue
-                try:
-                    if key in self.STATS_SUM_KEYS \
-                            or key.startswith("n_"):
-                        merged[key] = str(int(merged[key]) + int(value))
-                    elif key == "inflight_hwm":
-                        merged[key] = str(max(int(merged[key]),
-                                              int(value)))
-                    elif key == "uptime_sec":
-                        merged[key] = \
-                            f"{max(float(merged[key]), float(value)):.1f}"
-                except ValueError:
-                    pass  # a non-numeric stray never breaks STATS
-        tokens = [f"{key}={value}" for key, value in merged.items()]
-        tokens.append(f"workers={len(self.worker_peers)}")
-        for wid in sorted(self.worker_peers):
-            stats = per_worker.get(wid)
-            tokens.append(
-                f"worker_{wid}=down" if stats is None
-                else f"worker_{wid}=ok:{stats.get('lookups', '0')}")
-        return "OK " + " ".join(tokens)
+        """The STATS reply: one line of this daemon's counters."""
+        return f"OK {self.stats_line()}"
 
     def stats_line(self) -> str:
         """The one-line ``key=value`` counters the STATS verb returns.
@@ -1073,17 +925,7 @@ class RouteService(LineService):
     # -- the swap and notify verbs -------------------------------------------
 
     async def do_RELOAD(self, args: list[str], state: dict) -> str:
-        """Swap in a new snapshot; in multi-worker mode, on every
-        sibling worker too before the OK comes back."""
-        reply = await self.do_WRELOAD(args, state)
-        if reply.startswith("OK") and self.worker_peers:
-            failures = await self.broadcast_reload(args[0])
-            if failures:
-                return "ERR reload " + "; ".join(failures)
-        return reply
-
-    async def do_WRELOAD(self, args: list[str], state: dict) -> str:
-        """Swap in a new snapshot on this worker only."""
+        """Swap in a new snapshot."""
         try:
             reader = await self.reload(args[0])
         except SnapshotError as exc:
@@ -1099,10 +941,6 @@ class RouteService(LineService):
         self.notify_subscribers.add(push)
         return "OK notify 1"
 
-    async def do_WSTATS(self, args: list[str], state: dict) -> str:
-        """This worker's own counters, unaggregated."""
-        return f"OK worker={self.worker_id} {self.stats_line()}"
-
 
 async def serve(service: LineService, host: str = "127.0.0.1",
                 port: int = 0) -> asyncio.AbstractServer:
@@ -1114,18 +952,9 @@ async def serve(service: LineService, host: str = "127.0.0.1",
 
 def run_daemon(snapshot_path: str, host: str = "127.0.0.1",
                port: int = 4176, source: str | None = None,
-               workers: int = 1, dispatch: str = "fsm",
+               dispatch: str = "fsm",
                cache_size: int | None = None) -> int:
-    """Blocking daemon entry point for ``pathalias serve``.
-
-    ``workers > 1`` hands off to :func:`run_multi_daemon`: N
-    ``SO_REUSEPORT`` worker processes sharing one mapped snapshot.
-    """
-    if workers > 1:
-        return run_multi_daemon(snapshot_path, host=host, port=port,
-                                source=source, workers=workers,
-                                dispatch=dispatch,
-                                cache_size=cache_size)
+    """Blocking daemon entry point for ``pathalias serve``."""
 
     async def main() -> None:
         service = RouteService(snapshot_path, default_source=source,
@@ -1142,141 +971,6 @@ def run_daemon(snapshot_path: str, host: str = "127.0.0.1",
     try:
         asyncio.run(main())
     except KeyboardInterrupt:
-        print("pathalias: serve: interrupted", file=sys.stderr)
-    return 0
-
-
-async def _worker_serve(worker_id: int, snapshot_path: str, host: str,
-                        port: int, source: str | None, conn,
-                        dispatch: str = "fsm",
-                        cache_size: int | None = None) -> None:
-    """One worker's async body: the shared-port listener, the loopback
-    control listener, and the control-port exchange with the parent."""
-    service = RouteService(snapshot_path, default_source=source,
-                           dispatch=dispatch, cache_size=cache_size)
-    service.worker_id = worker_id
-    server = await asyncio.start_server(
-        service.handle_connection, host, port, reuse_port=True)
-    control = await asyncio.start_server(
-        service.handle_connection, "127.0.0.1", 0)
-    conn.send(control.sockets[0].getsockname()[1])
-    # the parent answers with every worker's control port
-    service.worker_peers = conn.recv()
-    conn.close()
-    async with server, control:
-        await asyncio.gather(server.serve_forever(),
-                             control.serve_forever())
-
-
-def _worker_main(worker_id: int, snapshot_path: str, host: str,
-                 port: int, source: str | None, conn,
-                 dispatch: str = "fsm",
-                 cache_size: int | None = None) -> None:
-    """Process entry point of one SO_REUSEPORT worker."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent coordinates
-    try:
-        asyncio.run(_worker_serve(worker_id, snapshot_path, host, port,
-                                  source, conn, dispatch=dispatch,
-                                  cache_size=cache_size))
-    except SnapshotError as exc:
-        print(f"pathalias: serve: worker {worker_id}: {exc}",
-              file=sys.stderr, flush=True)
-        raise SystemExit(1) from None
-
-
-def run_multi_daemon(snapshot_path: str, host: str = "127.0.0.1",
-                     port: int = 4176, source: str | None = None,
-                     workers: int = 2, dispatch: str = "fsm",
-                     cache_size: int | None = None) -> int:
-    """Serve one snapshot from N ``SO_REUSEPORT`` worker processes.
-
-    Every worker listens on the *same* ``host:port`` — the kernel
-    load-balances accepted connections across them — and mmaps the
-    same snapshot file, so the pool shares a single page-cache copy
-    of the data no matter how many workers run.  ``port=0`` has the
-    parent reserve a free port (with a bound, never-listening
-    ``SO_REUSEPORT`` socket, so no connection ever lands on it) and
-    every worker binds that.  The parent prints the usual single
-    ``listening on host:port`` line once the whole pool is up, then
-    supervises: SIGTERM/SIGINT tears the pool down.
-
-    Workers exchange loopback control ports through the parent at
-    startup; that control mesh is what makes ``STATS`` aggregate and
-    ``RELOAD`` swap the snapshot pool-wide (see the module docstring).
-    Requires ``SO_REUSEPORT`` (Linux, the BSDs, macOS).
-    """
-    if workers < 1:
-        raise SnapshotError(f"--workers {workers}: need at least 1")
-    if not hasattr(socket, "SO_REUSEPORT"):
-        raise SnapshotError(
-            "--workers needs SO_REUSEPORT, which this platform "
-            "lacks; run single-worker daemons on separate ports "
-            "behind --backend fan-out instead")
-    # Validate snapshot and source once, up front — one clear error
-    # beats N concurrent worker tracebacks.
-    probe = RouteService(snapshot_path, default_source=source,
-                         dispatch=dispatch)
-    source_count = probe.reader.source_count
-    probe.reader.close()
-    # Reserve the port (resolving port=0) without ever accepting:
-    # a bound but not listening SO_REUSEPORT socket holds the number,
-    # and the kernel only balances across *listening* sockets.
-    guard = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    guard.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-    guard.bind((host, port))
-    port = guard.getsockname()[1]
-
-    ctx = multiprocessing.get_context("spawn")
-    procs: list = []
-    pipes: list = []
-    interrupted = False
-    try:
-        for wid in range(workers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(wid, snapshot_path, host, port, source,
-                      child_conn, dispatch, cache_size))
-            proc.start()
-            child_conn.close()
-            procs.append(proc)
-            pipes.append(parent_conn)
-        control_ports: dict[int, int] = {}
-        for wid, parent_conn in enumerate(pipes):
-            if not parent_conn.poll(30):
-                raise SnapshotError(
-                    f"worker {wid} did not report its control port")
-            try:
-                control_ports[wid] = parent_conn.recv()
-            except EOFError:
-                raise SnapshotError(
-                    f"worker {wid} died during startup (see its "
-                    f"error above)") from None
-        for parent_conn in pipes:
-            parent_conn.send(control_ports)
-        print(f"pathalias: serve: {source_count} sources from "
-              f"{snapshot_path}; workers={workers}; listening on "
-              f"{host}:{port}", file=sys.stderr, flush=True)
-
-        def _terminate(signum, frame):  # SIGTERM == operator stop
-            raise KeyboardInterrupt
-
-        previous = signal.signal(signal.SIGTERM, _terminate)
-        try:
-            for proc in procs:
-                proc.join()
-        finally:
-            signal.signal(signal.SIGTERM, previous)
-    except KeyboardInterrupt:
-        interrupted = True
-    finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs:
-            proc.join(timeout=5)
-        guard.close()
-    if interrupted:
         print("pathalias: serve: interrupted", file=sys.stderr)
     return 0
 
@@ -1337,6 +1031,9 @@ class DaemonRouteDatabase:
         if self.source is not None:
             reply = self._send(f"SOURCE {self.source}")
             if not reply.startswith("OK"):
+                # a connection left open would answer the next request
+                # from the daemon's default source: a wrong route
+                self.close()
                 raise RouteError(f"daemon rejected source "
                                  f"{self.source!r}: {reply}")
 
@@ -1411,8 +1108,6 @@ class DaemonRouteDatabase:
         if reply.startswith("ERR noroute"):
             raise RouteError(f"no route to {target!r}")
         if reply.startswith("ERR federation"):
-            from repro.errors import FederationError
-
             raise FederationError(reply[len("ERR federation "):])
         parts = reply.split()
         if len(parts) != 5 or parts[0] != "OK":

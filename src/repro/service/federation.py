@@ -593,11 +593,9 @@ def run_federation_daemon(shards: dict, host: str = "127.0.0.1",
     names to ``host:port`` daemon addresses; the two mix freely.
 
     The front end itself is one process (its work is stitching, not
-    route computation); the CPU-heavy half scales by pointing each
-    ``--backend`` at a ``serve --workers N`` pool — the fan-out treats
-    a worker pool exactly like a single daemon, including forwarded
-    per-shard RELOADs, which the pool applies to every worker before
-    acknowledging.
+    route computation); the CPU-heavy half scales by serving each
+    shard from its own ``pathalias serve`` daemon and pointing a
+    ``--backend`` at it.
     """
 
     async def main() -> None:

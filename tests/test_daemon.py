@@ -6,6 +6,8 @@ import asyncio
 import math
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import zlib
 from pathlib import Path
@@ -20,7 +22,10 @@ from repro.service.daemon import (
     RouteService,
     serve,
 )
-from repro.service.federation import FederationService
+from repro.service.federation import (
+    FederatedRouteDatabase,
+    FederationService,
+)
 from repro.service import store
 from repro.service.store import SnapshotError, SnapshotReader, build_snapshot
 
@@ -130,10 +135,9 @@ class TestProtocol:
         async def scenario():
             service = RouteService(snap1, default_source="a")
             state = service.initial_state()
-            for verb in ("RELOAD", "WRELOAD"):
-                assert await service.handle_line(
-                    f"{verb} {snap2} extra", state) == \
-                    f"ERR usage {verb} <snapshot>"
+            assert await service.handle_line(
+                f"RELOAD {snap2} extra", state) == \
+                "ERR usage RELOAD <snapshot>"
             assert service.reloads == 0
             assert await service.handle_line(f"RELOAD {snap2}", state) \
                 == f"OK reloaded 4 {snap2}"
@@ -858,6 +862,14 @@ class _ThreadedDaemon:
         self._thread.join(10)
 
 
+class _FederatedDaemon(_ThreadedDaemon):
+    """The same harness serving a one-shard federation front end."""
+
+    def _make_service(self):
+        return FederationService({"one": self.snapshot_path},
+                                 default_source=self.source)
+
+
 class TestClientSurvivesDaemonBounce:
     """The stale-pooled-socket bar: a daemon restart between two
     calls must be invisible to the synchronous clients."""
@@ -917,18 +929,7 @@ class TestClientSurvivesDaemonBounce:
 
     def test_federated_client_retries_stale_socket(self, tmp_path):
         """The federated client inherits the same transparent retry."""
-        from repro.service.federation import (
-            FederatedRouteDatabase,
-            FederationService,
-        )
-
         snap = make_snapshot(MAP_V1, tmp_path / "one.snap")
-
-        class _FederatedDaemon(_ThreadedDaemon):
-            def _make_service(self):
-                return FederationService({"one": self.snapshot_path},
-                                         default_source=self.source)
-
         with _FederatedDaemon(snap, source="a") as first:
             port = first.port
             db = FederatedRouteDatabase(("127.0.0.1", port))
@@ -966,6 +967,24 @@ class TestSyncClient:
                                      source="d") as db:
                 assert db.route("a") == "c!b!a!%s"
 
+    @pytest.mark.parametrize("harness,client", [
+        (_ThreadedDaemon, DaemonRouteDatabase),
+        (_FederatedDaemon, FederatedRouteDatabase),
+    ], ids=["daemon", "federated"])
+    def test_rejected_source_fails_every_request(self, snapshots,
+                                                 harness, client):
+        """A route is relative to its source host, so a client whose
+        source the daemon rejects must keep failing: answering from
+        the daemon's default source would be a wrong route."""
+        snap1, _ = snapshots
+        with harness(snap1, source="a") as daemon:
+            with client(("127.0.0.1", daemon.port),
+                        source="ghost") as db:
+                for _ in range(2):
+                    with pytest.raises(RouteError,
+                                       match="rejected source 'ghost'"):
+                        db.resolve("d")
+
     def test_rejects_spaces_in_tokens(self, snapshots):
         snap1, _ = snapshots
         with _ThreadedDaemon(snap1) as daemon:
@@ -988,6 +1007,63 @@ class TestSyncClient:
             envelope = router.route("c!d!user")
             assert envelope.transport_address == "b!c!d!user"
             router.db.close()
+
+
+class TestServeProcess:
+    """The ``pathalias serve`` entry point as a real process."""
+
+    def test_serves_counts_and_reloads_under_load(self, snapshots):
+        snap1, snap2 = snapshots
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", snap1,
+             "--port", "0"],
+            stderr=subprocess.PIPE, text=True)
+        try:
+            for line in proc.stderr:
+                if "listening on" in line:
+                    host, _, port = line.rsplit(
+                        "listening on", 1)[1].strip().rpartition(":")
+                    addr = (host, int(port))
+                    break
+            else:
+                raise AssertionError("serve never reported listening")
+            for _ in range(12):
+                with DaemonRouteDatabase(addr, source="a") as db:
+                    assert db.resolve("d").address == "b!c!d!%s"
+            with DaemonRouteDatabase(addr, source="a") as db:
+                assert db.stats()["lookups"] == "12"
+
+                # reload under load: lookups keep answering across
+                # the swap, each with the old or the new route
+                stop = threading.Event()
+                failures: list = []
+
+                def hammer():
+                    with DaemonRouteDatabase(addr, source="a") as h:
+                        while not stop.is_set():
+                            try:
+                                if h.resolve("d").address not in (
+                                        "b!c!d!%s", "c!d!%s"):
+                                    failures.append("bad answer")
+                            except Exception as exc:  # noqa: BLE001
+                                failures.append(repr(exc))
+
+                thread = threading.Thread(target=hammer)
+                thread.start()
+                try:
+                    assert db.reload(snap2) == 4
+                finally:
+                    stop.set()
+                    thread.join(timeout=10)
+                assert failures == []
+                assert db.stats()["reloads"] == "1"
+            for _ in range(8):
+                with DaemonRouteDatabase(addr, source="a") as db:
+                    assert db.resolve("d").address == "c!d!%s"
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+            proc.stderr.close()
 
 
 def _scripted_sync_daemon(script):
@@ -1021,8 +1097,6 @@ class TestTruncatedSyncReply:
     def client_class(self, request):
         if request.param == "daemon":
             return DaemonRouteDatabase
-        from repro.service.federation import FederatedRouteDatabase
-
         return FederatedRouteDatabase
 
     def test_cut_reply_is_an_error(self, client_class):

@@ -4,7 +4,13 @@ fallback staying byte-identical."""
 from __future__ import annotations
 
 import copy
+import random
+import re
+import signal
 import struct
+import subprocess
+import sys
+import time
 import zlib
 from pathlib import Path
 from unittest import mock
@@ -350,6 +356,62 @@ class TestAtomicWrite:
         build_snapshot(first, tmp_path / "x.snap")
         want = ["fsync file", "replace", "fsync dir"]
         assert calls == (want if o_directory else want[:2])
+
+    #: A writer process: builds snapshot A at the path, says ``ready``,
+    #: then rewrites the path with B, A, B, ... until it is killed.
+    WRITER = """
+import sys
+from pathlib import Path
+from repro.core.pathalias import Pathalias
+from repro.service.store import build_snapshot
+
+out, *maps = sys.argv[1:]
+graphs = [Pathalias().build([(Path(m).name, Path(m).read_text())])
+          for m in maps]
+build_snapshot(graphs[0], out)
+print("ready", flush=True)
+while True:
+    build_snapshot(graphs[1], out)
+    build_snapshot(graphs[0], out)
+"""
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"),
+                        reason="needs SIGKILL")
+    def test_writer_killed_mid_write_leaves_a_whole_file(self,
+                                                        tmp_path):
+        """A writer killed outright at a seeded moment leaves one of
+        its two whole snapshots at the path, never part of one; all
+        it may leave besides are its ``<name>.<8 hex>.tmp`` files.
+        This checks a process crash only: a power loss, which the
+        ``fsync`` calls guard against, is not simulated."""
+        maps = [DATA / "d.backbone", tmp_path / "d.map"]
+        maps[1].write_text(PAPER_1981_MAP)
+        want = []
+        for i, graph in enumerate(self.graphs()):
+            build_snapshot(graph, tmp_path / f"ref{i}.snap")
+            want.append((tmp_path / f"ref{i}.snap").read_bytes())
+        work = tmp_path / "work"
+        work.mkdir()
+        out = work / "x.snap"
+        temp_name = re.compile(r"x\.snap\.[0-9a-f]{8}\.tmp")
+        rng = random.Random(1986)
+        for _ in range(10):
+            proc = subprocess.Popen(
+                [sys.executable, "-c", self.WRITER, str(out),
+                 *map(str, maps)],
+                stdout=subprocess.PIPE, text=True)
+            try:
+                assert proc.stdout.readline() == "ready\n"
+                time.sleep(rng.uniform(0.001, 0.050))
+            finally:
+                proc.send_signal(signal.SIGKILL)
+                proc.wait(timeout=10)
+                proc.stdout.close()
+            assert out.read_bytes() in want
+            SnapshotReader.open(out).close()
+            others = [p.name for p in work.iterdir() if p != out]
+            assert all(temp_name.fullmatch(name) for name in others), \
+                others
 
 
 class TestCostRange:
