@@ -532,22 +532,6 @@ def bench_fanout(tmp: Path, regions: int, hosts: int,
     }
 
 
-class _IndexShard:
-    """A synthetic federation shard: a name and an ownership index —
-    the only surface :class:`FederationView`'s owner dispatch consumes.
-    Lets the dispatch bench scale to 10^6 entries without building
-    10^6-record snapshots."""
-
-    def __init__(self, name: str, index: list):
-        self.name = name
-        self._index = index
-        self.source_set = frozenset(
-            n for n, is_domain in index if not is_domain)
-
-    def routing_index(self) -> list:
-        return list(self._index)
-
-
 def _dispatch_keys(entries: int) -> list:
     """A synthetic internet-scale name inventory: one leading-dot
     domain key per ~50 hosts, hosts spread under them — sorted the way
@@ -625,7 +609,7 @@ def bench_dispatch(sizes: list, probes: int) -> dict:
     from repro.service.fsm import (FlatSuffixAutomaton, compile_keys,
                                    encode_keys)
     from repro.service.resolver import domain_suffixes
-    from repro.service.shard import FederationView
+    from repro.service.shard import FederationView, ShardIndex
 
     def best_of(fn, rounds: int = 3) -> float:
         best = float("inf")
@@ -668,11 +652,12 @@ def bench_dispatch(sizes: list, probes: int) -> dict:
         dict_s = best_of(lambda: [walk_lookup(t) for t in targets])
 
         # the ownership surface: one view per mode over 3 synthetic
-        # shards splitting the same index
+        # shards splitting the same index (bare ShardIndex objects,
+        # so 10^6 entries need no 10^6-record snapshots)
         index = [(k, k.startswith(".")) for k in keys]
 
         def shards_of() -> list:
-            return [_IndexShard(f"s{i}", index[i::3])
+            return [ShardIndex(f"s{i}", index[i::3])
                     for i in range(3)]
 
         fsm_view = FederationView(shards_of())

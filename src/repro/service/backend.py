@@ -65,6 +65,7 @@ from repro.service.fsm import (
     AutomatonError,
     FlatSuffixAutomaton,
 )
+from repro.service.shard import ShardIndex
 
 #: ``host:port`` — how a remote backend is named on the CLI
 #: (``--backend NAME=HOST:PORT``) and in the ``ATTACH`` verb (which
@@ -735,36 +736,34 @@ class ShardBackend:
                 f"{self.state})")
 
 
-class BackendShard:
+class BackendShard(ShardIndex):
     """A federation shard answered by a remote daemon process.
 
     Quacks like an in-process :class:`~repro.service.shard.Shard` —
-    the same ownership, gateway, and async entry-query surface the
+    the same ownership index (:class:`~repro.service.shard.ShardIndex`,
+    here the one read out of the daemon's bulk ``TABLE --fsm`` at
+    connect time) and the same async entry-query surface the
     :class:`~repro.service.shard.FederationView` stitches over — but
-    every answer comes from the backend daemon: the index was fetched
-    at attach time (bulk ``TABLE --fsm``), gateway legs are fetched batched
-    and cached per entry (``TABLE``/``COSTS``), and the final in-shard
-    lookup is a ``ROUTE``/``EXACT`` executed *by the daemon*, which is
-    what actually shards the CPU.
+    every answer comes from the backend daemon: gateway legs are
+    fetched batched and cached per entry (``TABLE``/``COSTS``), and
+    the final in-shard lookup is a ``ROUTE``/``EXACT`` executed *by
+    the daemon*, which is what actually shards the CPU.
 
-    Immutable after :meth:`connect`, like every shard: the cached
-    index describes the backend's snapshot as of attach time, and the
-    federation's per-shard RELOAD re-connects a fresh instance.
+    Immutable after :meth:`connect`, like every shard: the index
+    describes the backend's snapshot as of connect time, and the
+    federation's forwarded RELOAD and re-sync connect a fresh
+    instance.
     """
 
     def __init__(self, name: str, backend: ShardBackend,
                  index: list[tuple[str, bool]], version: int,
                  snapshot: str, reloads: int):
-        self.name = name
+        super().__init__(name, index)
         self.backend = backend
         #: The daemon's reload count as of this shard's ``STATS``:
         #: with :attr:`snapshot`, what tells a reload of new bytes at
         #: the same path from the echo of a reload already re-synced.
         self.reloads = reloads
-        self._index = list(index)
-        self._sources = [n for n, is_domain in index if not is_domain]
-        self._source_set = frozenset(self._sources)
-        self._domains = [n for n, is_domain in index if is_domain]
         self._version = version
         self._snapshot = snapshot
         #: per-(entry, gate) leg cache: the leg tuple, or None for a
@@ -808,24 +807,6 @@ class BackendShard:
 
     # -- the Shard surface ----------------------------------------------------
 
-    def sources(self) -> list[str]:
-        """Hosts with route tables in the backend, sorted."""
-        return list(self._sources)
-
-    @property
-    def source_set(self) -> frozenset:
-        """The table-owning hosts as a set (gateway intersection)."""
-        return self._source_set
-
-    def domains(self) -> list[str]:
-        """Sorted public domain names the backend's map declares."""
-        return list(self._domains)
-
-    @property
-    def source_count(self) -> int:
-        """Number of route tables behind the backend."""
-        return len(self._sources)
-
     @property
     def path(self) -> str:
         """Where the shard's answers come from: the backend address
@@ -842,23 +823,17 @@ class BackendShard:
         """The backend's snapshot format version (from STATS)."""
         return self._version
 
-    def routing_index(self) -> list[tuple[str, bool]]:
-        """The source/domain ownership index fetched at attach time."""
-        return list(self._index)
-
-    def has_source(self, source: str) -> bool:
-        """Whether the backend holds a table for ``source``."""
-        return source in self._source_set
-
     def drop_cached_legs(self) -> None:
         """Forget every cached gateway leg.
 
-        Called by the federation's forwarded-RELOAD path: the remote
-        daemon swaps snapshots the moment it accepts the reload, so a
-        lookup pinned to the outgoing view can cache legs from the
-        *new* (or, after a rollback, the briefly-served) snapshot on
-        this outgoing shard — clearing the cache keeps any such
-        mixture from outliving the swap window.
+        Called when the federation re-fetches this shard's picture (a
+        forwarded RELOAD or a re-sync) and when a forwarded RELOAD
+        rolls back: the remote daemon swaps snapshots the moment it
+        accepts a reload, so a lookup pinned to the outgoing view can
+        cache legs from the *new* (or, after a rollback, the
+        briefly-served) snapshot on this outgoing shard — clearing
+        the cache keeps any such mixture from outliving the swap
+        window.
         """
         self._legs.clear()
 

@@ -540,10 +540,10 @@ class LineService:
                 writer.write(data)
                 await writer.drain()
 
-        # NOTIFY subscriptions push unsolicited frames through this
-        # same locked writer, so a push can interleave *between*
-        # reply frames but never tear one mid-line.
-        state["#push"] = write_frames
+        # NOTIFY subscriptions push unsolicited frames straight onto
+        # this writer, each in one write() of a whole frame, as every
+        # reply is: a push lands between replies, never inside one.
+        state["#push"] = writer
 
         async def counted(line: str, state: dict) -> str | None:
             # one tagged request executing, inline or on its own task
@@ -707,16 +707,15 @@ class RouteService(LineService):
         self.default_source = default_source
         self.reloads = 0
         self._reload_lock = asyncio.Lock()
-        #: Per-connection push callables registered by the NOTIFY
-        #: verb: every snapshot swap writes an unsolicited ``NOTIFY
-        #: reloaded ...`` frame to each.  Entries are the connection's
-        #: locked frame writer, discarded by :meth:`connection_closed`
-        #: (or on the first failed push).
+        #: The connections the NOTIFY verb subscribed, as their
+        #: ``StreamWriter``: every snapshot swap writes an unsolicited
+        #: ``NOTIFY reloaded ...`` frame to each, in one ``write()``.
+        #: A writer leaves the set in :meth:`connection_closed`, or at
+        #: the first push that finds its transport closing.
         self.notify_subscribers: set = set()
-        #: Reload-push frames successfully written to subscribers —
-        #: the ``notify_pushes`` STATS key.
+        #: Reload-push frames written to subscribers — the
+        #: ``notify_pushes`` STATS key.
         self.notify_pushes = 0
-        self._notify_tasks: set = set()
 
     # -- the lookup hooks -----------------------------------------------------
 
@@ -861,30 +860,20 @@ class RouteService(LineService):
             return reader
 
     def _push_reloaded(self, reader: SnapshotReader) -> None:
-        """Fan a ``NOTIFY reloaded`` push frame out to subscribers.
+        """Write a ``NOTIFY reloaded`` push frame to every subscriber.
 
-        Fire-and-forget per subscriber: pushes ride each target
-        connection's own locked writer as background tasks, so a slow
-        or dead subscriber never stalls the reload (or the other
-        subscribers).
+        One ``write()`` per subscriber, which buffers and never waits,
+        so a slow subscriber never stalls the reload (or the other
+        subscribers); a subscriber whose transport is closing is
+        unsubscribed instead.
         """
-        if not self.notify_subscribers:
-            return
         frame = (f"NOTIFY reloaded {reader.source_count} "
                  f"{reader.path}\n").encode("utf-8")
-        loop = asyncio.get_running_loop()
-        for push in tuple(self.notify_subscribers):
-            task = loop.create_task(self._push_one(push, frame))
-            self._notify_tasks.add(task)
-            task.add_done_callback(self._notify_tasks.discard)
-
-    async def _push_one(self, push, frame: bytes) -> None:
-        """Write one push frame; a dead connection unsubscribes."""
-        try:
-            await push(frame)
-        except (ConnectionError, OSError):
-            self.notify_subscribers.discard(push)
-        else:
+        for writer in tuple(self.notify_subscribers):
+            if writer.is_closing():
+                self.notify_subscribers.discard(writer)
+                continue
+            writer.write(frame)
             self.notify_pushes += 1
 
     def connection_closed(self, state: dict) -> None:
@@ -934,11 +923,11 @@ class RouteService(LineService):
 
     async def do_NOTIFY(self, args: list[str], state: dict) -> str:
         """Subscribe this connection to reload pushes."""
-        push = state.get("#push")
-        if push is None:
+        writer = state.get("#push")
+        if writer is None:
             return ("ERR notify this transport cannot carry "
                     "unsolicited push frames")
-        self.notify_subscribers.add(push)
+        self.notify_subscribers.add(writer)
         return "OK notify 1"
 
 

@@ -95,6 +95,17 @@ from repro.service.store import (SnapshotError, SnapshotReader,
                                  UnknownSourceError)
 
 
+async def _dial(name: str, addr: tuple[str, int]) -> BackendShard:
+    """Dial the backend daemon at ``addr`` as shard ``name`` and fetch
+    its picture; a failed fetch closes the connection it opened."""
+    backend = ShardBackend(name, *addr)
+    try:
+        return await BackendShard.connect(name, backend)
+    except BaseException:
+        await backend.aclose(grace=0.0)
+        raise
+
+
 class FederationService(LineService):
     """Daemon state: the current federation view plus counters.
 
@@ -163,10 +174,10 @@ class FederationService(LineService):
         #: its cached ownership index without being asked) — the
         #: ``resyncs`` STATS key.
         self.resyncs = 0
-        self._resync_pending: set = set()
-        #: Shards pushed again while their re-sync was pending.
-        self._resync_dirty: set = set()
-        self._resync_tasks: set = set()
+        #: Backend shards pushed since their re-sync last read the
+        #: daemon, and the one re-sync task of each shard that has one.
+        self._stale: set = set()
+        self._resyncs: dict = {}
         #: How long a replaced/detached backend keeps serving
         #: lookups still pinned to the outgoing view before closing.
         self.retire_grace = 2.0
@@ -187,24 +198,28 @@ class FederationService(LineService):
         specs, each dialed now — the ownership index is fetched from
         the daemon before the service answers its first request.
         ``dispatch`` picks the suffix-dispatch engine (see
-        :class:`FederationService`).
+        :class:`FederationService`).  If anything fails, every backend
+        already dialed is closed before the error propagates.
         """
-        objs: list = [Shard.open(name, path, dispatch=dispatch)
-                      for name, path in sorted((shards or {}).items())]
-        for name, spec in sorted((backends or {}).items()):
-            addr = parse_backend_spec(spec)
-            if addr is None:
-                raise FederationError(
-                    f"backend {name}={spec!r} is not of the form "
-                    f"HOST:PORT")
-            backend = ShardBackend(name, addr[0], addr[1])
-            objs.append(await BackendShard.connect(name, backend))
-        service = cls(objs, default_source=default_source,
-                      dispatch=dispatch, cache_size=cache_size)
-        for name, shard in service.view.shards.items():
-            backend = getattr(shard, "backend", None)
-            if backend is not None:
-                await service._subscribe_backend(name, backend)
+        local = [Shard.open(name, path, dispatch=dispatch)
+                 for name, path in sorted((shards or {}).items())]
+        remote: list = []
+        try:
+            for name, spec in sorted((backends or {}).items()):
+                addr = parse_backend_spec(spec)
+                if addr is None:
+                    raise FederationError(
+                        f"backend {name}={spec!r} is not of the form "
+                        f"HOST:PORT")
+                remote.append(await _dial(name, addr))
+            service = cls(local + remote, default_source=default_source,
+                          dispatch=dispatch, cache_size=cache_size)
+            for shard in remote:
+                await service._subscribe_backend(shard.name, shard.backend)
+        except BaseException:
+            for shard in remote:
+                await shard.backend.aclose(grace=0.0)
+            raise
         return service
 
     # -- operations -----------------------------------------------------------
@@ -267,7 +282,7 @@ class FederationService(LineService):
             if backend is not None:
                 await backend.aclose(grace=0.0)
         retiring = dict(self._retiring)
-        tasks = [*self._resync_tasks, *retiring]
+        tasks = [*self._resyncs.values(), *retiring]
         for task in tasks:
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
@@ -277,17 +292,11 @@ class FederationService(LineService):
     async def _open_shard(self, name: str, spec: str):
         """Open an attachable shard from its spec: a ``host:port``
         backend (dialed and index-synced now) or a snapshot path
-        (opened off-loop).  A backend that fails the sync has its
-        freshly-opened connection closed rather than leaked."""
+        (opened off-loop)."""
         addr = parse_backend_spec(spec)
         if addr is not None:
-            backend = ShardBackend(name, addr[0], addr[1])
-            try:
-                shard = await BackendShard.connect(name, backend)
-            except Exception:
-                await backend.aclose(grace=0.0)
-                raise
-            await self._subscribe_backend(name, backend)
+            shard = await _dial(name, addr)
+            await self._subscribe_backend(name, shard.backend)
             return shard
         reader = await asyncio.to_thread(SnapshotReader.open, spec)
         return Shard(name, reader, dispatch=self.dispatch)
@@ -309,12 +318,13 @@ class FederationService(LineService):
             pass
 
     def _on_backend_reload(self, name: str) -> None:
-        """Push callback: schedule a re-sync of shard ``name``.
+        """Push callback: mark shard ``name`` stale, and start its
+        re-sync task unless one is running (it loops while the shard
+        is stale).
 
         Runs on a push or a re-subscription, inside the backend's
-        connection code, so it only *schedules* — the swap itself
-        takes ``_swap_lock``.  Pushes for a shard whose re-sync is
-        already pending coalesce into one more re-sync after it.
+        connection code, so it only marks and starts — the swap itself
+        takes ``_swap_lock``.
 
         The result cache is bumped *immediately* (before the re-sync
         lands): the backend daemon has already swapped its snapshot,
@@ -326,67 +336,61 @@ class FederationService(LineService):
         """
         if self.cache is not None:
             self.cache.bump()
-        if name in self._resync_pending:
-            # that re-sync may already have read the older STATS: mark
-            # the shard so it runs once more when it finishes
-            self._resync_dirty.add(name)
-            return
-        self._schedule_resync(name)
+        self._stale.add(name)
+        if name not in self._resyncs:
+            self._resyncs[name] = asyncio.get_running_loop().create_task(
+                self._resync(name))
 
-    def _schedule_resync(self, name: str) -> None:
-        """Start shard ``name``'s re-sync task and mark it pending."""
-        self._resync_pending.add(name)
-        task = asyncio.get_running_loop().create_task(
-            self._resync_backend(name))
-        self._resync_tasks.add(task)
-        task.add_done_callback(self._resync_tasks.discard)
+    async def _resync(self, name: str) -> None:
+        """Shard ``name``'s re-sync task: while the shard is stale,
+        clear the mark, re-fetch the backend's picture and publish it.
 
-    async def _resync_backend(self, name: str) -> None:
-        """Re-fetch a backend shard's index after its daemon's own
-        reload and swap the refreshed picture into the view.
-
-        Skips the swap when the daemon still reports the snapshot path
-        *and* reload count the view already holds — the echo of a
-        forwarded RELOAD, which :meth:`reload_shard` re-synced inside
-        its own swap.  A reload of new bytes at the same path moves
-        the count, so it re-syncs.  A failed re-fetch leaves the
-        current view serving; the next push (or a front-end RELOAD)
-        tries again.  A push that arrived while this re-sync ran
-        schedules one more re-sync once it finishes (not when it is
-        cancelled), so a reload pushed after this one read ``STATS``
-        is never lost.
+        The mark is cleared before the fetch, so a push that lands
+        after a pass read the daemon's ``STATS`` makes one more pass.
+        A failed re-fetch leaves the current view serving; the next
+        push (or a front-end RELOAD) tries again.  The task drops its
+        ``_resyncs`` entry in ``finally``, in the step of the loop's
+        last check, not in a done-callback: a push landing between
+        the two would find a finished task registered, and be lost.
         """
         try:
-            async with self._swap_lock:
-                await self._swap_resynced(name)
+            while name in self._stale:
+                self._stale.discard(name)
+                async with self._swap_lock:
+                    current = self.view.shards.get(name)
+                    if getattr(current, "backend", None) is None:
+                        continue
+                    try:
+                        shard = await self._refetch(current)
+                    except FederationError:
+                        continue
+                    if shard is not None:
+                        self._publish(self.view.with_shard(shard))
+                        self.resyncs += 1
         finally:
-            self._resync_pending.discard(name)
-        if name in self._resync_dirty:
-            self._resync_dirty.discard(name)
-            self._schedule_resync(name)
+            del self._resyncs[name]
 
-    async def _swap_resynced(self, name: str) -> None:
-        """Fetch backend shard ``name``'s picture and swap it into the
-        view unless it is the one the view holds (caller holds
-        ``_swap_lock``)."""
-        current = self.view.shards.get(name)
-        backend = getattr(current, "backend", None)
-        if backend is None:
-            return
-        try:
-            shard = await BackendShard.connect(name, backend)
-        except FederationError:
-            return
+    async def _refetch(self, current: BackendShard
+                       ) -> BackendShard | None:
+        """Fetch backend shard ``current``'s picture from its daemon
+        (caller holds ``_swap_lock``): None when the daemon reports the
+        snapshot path *and* reload count ``current`` holds (the echo of
+        a reload already fetched; new bytes at the same path move the
+        count), else the new shard, with ``current``'s cached legs
+        dropped."""
+        shard = await BackendShard.connect(current.name, current.backend)
         if (shard.snapshot, shard.reloads) == \
                 (current.snapshot, current.reloads):
-            return
+            return None
         current.drop_cached_legs()
-        self.view = self.view.with_shard(shard)
-        self.resyncs += 1
+        return shard
+
+    def _publish(self, view: FederationView) -> None:
+        """Swap ``view`` in, then bump the result cache, which strands
+        every entry computed against an outgoing view.  Attach,
+        detach, reload and re-sync all publish through here."""
+        self.view = view
         if self.cache is not None:
-            # a second bump, after the swap: lookups cached during the
-            # push-to-re-sync window were computed against the
-            # outgoing view and must not outlive it
             self.cache.bump()
 
     async def attach(self, name: str, spec: str):
@@ -395,10 +399,8 @@ class FederationService(LineService):
         async with self._swap_lock:
             shard = await self._open_shard(name, spec)
             old = self.view.shards.get(name)
-            self.view = self.view.with_shard(shard)
+            self._publish(self.view.with_shard(shard))
             self.attaches += 1
-            if self.cache is not None:
-                self.cache.bump()
         if old is not None:
             self._retire(old)
         return shard
@@ -413,10 +415,8 @@ class FederationService(LineService):
         """
         async with self._swap_lock:
             old = self.view.shards.get(name)
-            self.view = self.view.without_shard(name)
+            self._publish(self.view.without_shard(name))
             self.detaches += 1
-            if self.cache is not None:
-                self.cache.bump()
         self._retire(old)
 
     async def reload_shard(self, name: str, snapshot_path: str):
@@ -432,9 +432,9 @@ class FederationService(LineService):
         moment it accepts the forwarded reload, so a lookup pinned to
         the outgoing view can reach the daemon during the short
         re-sync window and see new-snapshot legs — the outgoing
-        shard's leg cache is cleared (below) so nothing from that
-        window outlives it, but remote shards cannot give the perfect
-        generation pinning local (in-memory) shards do.
+        shard's leg cache is cleared (:meth:`_refetch`) so nothing
+        from that window outlives it, but remote shards cannot give
+        the perfect generation pinning local (in-memory) shards do.
         """
         async with self._swap_lock:
             current = self.view.shards.get(name)
@@ -444,7 +444,7 @@ class FederationService(LineService):
             if backend is not None:
                 await backend.reload(snapshot_path)
                 try:
-                    shard = await BackendShard.connect(name, backend)
+                    shard = await self._refetch(current) or current
                 except FederationError:
                     # The backend daemon already swapped; serving on
                     # with the OLD cached index against its NEW
@@ -469,20 +469,14 @@ class FederationService(LineService):
                         # explicit bump strands them
                         self.cache.bump()
                     raise
-                # same window, success path: the outgoing shard stays
-                # pinned by in-flight lookups; stale-vs-new mixtures
-                # must not survive in its cache either
-                current.drop_cached_legs()
             else:
                 reader = await asyncio.to_thread(SnapshotReader.open,
                                                  snapshot_path)
                 shard = Shard(name, reader, dispatch=self.dispatch)
-            self.view = self.view.with_shard(shard)
+            # after the swap, before the ack: no post-ack request can
+            # be answered from a pre-swap cache entry
+            self._publish(self.view.with_shard(shard))
             self.reloads += 1
-            if self.cache is not None:
-                # after the swap, before the ack: no post-ack request
-                # can be answered from a pre-swap cache entry
-                self.cache.bump()
             return shard
 
     def stats_line(self) -> str:

@@ -55,6 +55,7 @@ answers, no asyncio required for in-process use.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
@@ -94,47 +95,68 @@ def drive_local(coro):
         "surface (aresolve_with_cost/aexact) from an event loop")
 
 
-class Shard:
+class ShardIndex:
+    """A named shard's sorted ``(name, is_domain)`` routing index
+    (:meth:`repro.service.store.SnapshotReader.routing_index`), held
+    once.
+
+    The shard's sources, their set, its domains and its table count
+    all derive from it, so two shards whose indexes are equal own the
+    same names and have the same gateways.  :class:`Shard` and
+    :class:`~repro.service.backend.BackendShard` are both built on it.
+    """
+
+    def __init__(self, name: str, index: list[tuple[str, bool]]):
+        self.name = name
+        self._index = index
+        #: The table-owning hosts as a set (gateway intersection).
+        self.source_set = frozenset(
+            n for n, is_domain in index if not is_domain)
+
+    def routing_index(self) -> list[tuple[str, bool]]:
+        """The sorted source/domain ownership index (the stored list:
+        callers must not mutate it)."""
+        return self._index
+
+    def sources(self) -> list[str]:
+        """Hosts with route tables in this shard, in sorted order."""
+        return [n for n, is_domain in self._index if not is_domain]
+
+    def domains(self) -> list[str]:
+        """Sorted public domain names this shard's map declares."""
+        return [n for n, is_domain in self._index if is_domain]
+
+    @property
+    def source_count(self) -> int:
+        """Number of route tables in this shard."""
+        return len(self.source_set)
+
+    def has_source(self, source: str) -> bool:
+        """Whether this shard holds a table for ``source``."""
+        return source in self.source_set
+
+
+class Shard(ShardIndex):
     """One regional snapshot under a stable name.
 
     A thin, immutable wrapper over a
-    :class:`~repro.service.store.SnapshotReader`: reloading a shard
-    means building a new ``Shard`` around a new reader and swapping it
-    into a new :class:`FederationView` — never mutating this one.
+    :class:`~repro.service.store.SnapshotReader`, whose routing index
+    it reads once, at construction: reloading a shard means building
+    a new ``Shard`` around a new reader and swapping it into a new
+    :class:`FederationView` — never mutating this one.
     """
 
     def __init__(self, name: str, reader: SnapshotReader,
                  dispatch: str = "fsm"):
-        self.name = name
+        super().__init__(name, reader.routing_index())
         self.reader = reader
         self.dispatch = dispatch
-        self._sources = reader.sources()
-        self._source_set = frozenset(self._sources)
-        self._domains = reader.domain_names()
 
     @classmethod
     def open(cls, name: str, path: str | Path,
              dispatch: str = "fsm") -> "Shard":
         """Open the snapshot at ``path`` as the shard called ``name``."""
         return cls(name, SnapshotReader.open(path), dispatch=dispatch)
-
-    def sources(self) -> list[str]:
-        """Hosts with route tables in this shard, in sorted order."""
-        return list(self._sources)
-
-    @property
-    def source_set(self) -> frozenset:
-        """The table-owning hosts as a set (gateway intersection)."""
-        return self._source_set
-
-    def domains(self) -> list[str]:
-        """Sorted public domain names this shard's map declares."""
-        return list(self._domains)
-
-    @property
-    def source_count(self) -> int:
-        """Number of route tables in this shard."""
-        return self.reader.source_count
 
     @property
     def path(self) -> Path:
@@ -145,15 +167,6 @@ class Shard:
     def version(self) -> int:
         """The snapshot format version this shard serves."""
         return self.reader.version
-
-    def routing_index(self) -> list[tuple[str, bool]]:
-        """The shard's sorted source/domain ownership index (see
-        :meth:`repro.service.store.SnapshotReader.routing_index`)."""
-        return self.reader.routing_index()
-
-    def has_source(self, source: str) -> bool:
-        """Whether this shard holds a table for ``source``."""
-        return source in self._source_set
 
     def table(self, source: str):
         """The decoded route table for ``source`` (see the reader)."""
@@ -369,69 +382,22 @@ class FederationView:
     def with_shard(self, shard: Shard) -> "FederationView":
         """A new view with ``shard`` added (or replaced, by name).
 
-        Replacement — the per-shard RELOAD/re-sync path — patches the
-        merged structures incrementally instead of rebuilding them
-        from every shard: under heavy churn (one shard swapping per
-        revision event) the rebuild is the front end's dominant cost,
-        and it re-derives an index that changed in exactly one
-        shard's entries.  Addition still builds from scratch.
+        Share or rebuild.  A replacement whose routing index equals
+        the old shard's owns the same names, and has the same
+        gateways, which derive from the source sets the index fixes:
+        the new view shares this one's ownership map, compiled owner
+        matcher and gateway table, and only ``shards`` changes.  That
+        is the churn path, where revisions reprice links without
+        renaming hosts.  An addition, or a replacement whose index
+        changed, builds the view from scratch.
         """
-        if shard.name not in self.shards:
-            return FederationView(
-                list(self.shards.values()) + [shard],
-                dispatch=self._dispatch)
-        return self._with_replaced(shard)
-
-    def _with_replaced(self, shard: Shard) -> "FederationView":
-        """Clone this view with one same-named shard swapped, patching
-        ``_owners``/``_gateways`` for just that shard's entries —
-        byte-equivalent to a full rebuild, O(one shard's names)
-        instead of O(every shard's).
-
-        When the replacement's routing index is unchanged (the
-        cost-only churn hot path: revisions reprice links without
-        renaming hosts), the merged ownership structures — the
-        compiled owner automaton included — are *shared* with this
-        view, so per-event swap cost stays independent of federation
-        size; otherwise the automaton cache resets and recompiles
-        lazily on the next suffix dispatch.
-        """
-        old = self.shards[shard.name]
-        view = object.__new__(FederationView)
-        view.shards = {name: (shard if name == shard.name else s)
-                       for name, s in self.shards.items()}
-        view._dispatch = self._dispatch
-        old_index = old.routing_index()
-        new_index = shard.routing_index()
-        if old_index == new_index:
-            view._owners = self._owners
-            view._owner_match = self._owner_match
-        else:
-            owners = dict(self._owners)
-            for name, _is_domain in old_index:
-                names = owners.get(name)
-                if names is None:
-                    continue
-                remaining = tuple(n for n in names if n != shard.name)
-                if remaining:
-                    owners[name] = remaining
-                else:
-                    del owners[name]
-            for name, _is_domain in new_index:
-                names = owners.get(name, ())
-                if shard.name not in names:
-                    owners[name] = tuple(sorted(names + (shard.name,)))
-            view._owners = owners
-            view._owner_match = None
-        gateways = dict(self._gateways)
-        for other, other_shard in view.shards.items():
-            if other == shard.name:
-                continue
-            shared = tuple(sorted(
-                shard.source_set & other_shard.source_set))
-            gateways[(shard.name, other)] = shared
-            gateways[(other, shard.name)] = shared
-        view._gateways = gateways
+        shards = {**self.shards, shard.name: shard}
+        old = self.shards.get(shard.name)
+        if old is None or old.routing_index() != shard.routing_index():
+            return FederationView(shards.values(),
+                                  dispatch=self._dispatch)
+        view = copy.copy(self)
+        view.shards = shards
         return view
 
     def without_shard(self, name: str) -> "FederationView":

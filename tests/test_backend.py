@@ -34,7 +34,7 @@ from repro.service.federation import (
     FederationService,
 )
 from repro.service.shard import FederationView, Shard
-from repro.service.store import build_snapshot
+from repro.service.store import SnapshotError, build_snapshot
 
 DATA = Path(__file__).parent / "data"
 REGIONS = ("backbone", "universities", "arpa")
@@ -1105,6 +1105,29 @@ async def _oracle_reply(paths: dict, line: str) -> str:
     oracle = FederationService(paths, default_source="ihnp4",
                                dispatch="dict")
     return await oracle.handle_line(line, oracle.initial_state())
+
+
+class TestFailedCreate:
+    """A ``FederationService.create`` that fails closes every backend
+    it already dialed, so the daemon's connection handler ends."""
+
+    @pytest.mark.parametrize("other, source, error", [
+        ({"b": "127.0.0.1:1"}, None, FederationError),
+        ({}, "ghost", SnapshotError),
+    ], ids=["unreachable", "ghost-source"])
+    def test_dialed_backends_are_closed(self, shard_paths, other, source,
+                                        error):
+        async def scenario(cluster):
+            spec = await cluster.start("backbone", shard_paths["backbone"])
+            with pytest.raises(error):
+                await FederationService.create(
+                    backends={"a": spec, **other}, default_source=source)
+            assert cluster.services["backbone"].connections == 1
+            handlers = cluster.writers["backbone"]
+            await asyncio.wait_for(_until(lambda: not handlers), 1.0)
+            assert not handlers
+
+        _run(scenario)
 
 
 class TestOneConnectionPerBackend:

@@ -516,6 +516,47 @@ class TestNotifyWire:
 
         asyncio.run(scenario_run())
 
+    def test_reload_pushes_without_starting_a_task(self, tmp_path):
+        """The reload writes each push frame itself: it is counted
+        when ``reload`` returns, no task is left to write it, and a
+        subscriber whose transport is closing is dropped unwritten."""
+        _, _, paths = _tiny_snapshots(tmp_path)
+        path = next(iter(paths.values()))
+
+        class ClosingWriter:
+            def is_closing(self):
+                return True
+
+            def write(self, data):
+                raise AssertionError("pushed to a closing transport")
+
+        async def scenario_run():
+            service = RouteService(path)
+            server = await serve(service)
+            port = server.sockets[0].getsockname()[1]
+            sub_r, sub_w = await asyncio.open_connection(
+                "127.0.0.1", port)
+            sub_w.write(b"NOTIFY\n")
+            await sub_w.drain()
+            assert (await sub_r.readline()) == b"OK notify 1\n"
+            closing = ClosingWriter()
+            service.notify_subscribers.add(closing)
+            before = asyncio.all_tasks()
+            await service.reload(path)
+            assert service.notify_pushes == 1
+            assert asyncio.all_tasks() - before == set()
+            assert closing not in service.notify_subscribers
+            assert len(service.notify_subscribers) == 1
+            frame = (await asyncio.wait_for(
+                sub_r.readline(), 5)).decode("utf-8").split()
+            assert frame[:2] == ["NOTIFY", "reloaded"]
+            assert frame[3] == str(path)
+            sub_w.close()
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(scenario_run())
+
     def test_dead_subscriber_is_dropped(self, tmp_path):
         _, _, paths = _tiny_snapshots(tmp_path)
         path = next(iter(paths.values()))

@@ -313,8 +313,7 @@ class TestEdgeCases:
 
     def test_replacement_patch_equals_full_rebuild(self, view,
                                                    shard_paths):
-        """``with_shard`` on an existing name patches the merged
-        structures in place of a rebuild; the result must be
+        """``with_shard`` on an existing name must be
         indistinguishable from constructing the view from scratch."""
         swapped = Shard.open("universities",
                              shard_paths["universities"])
@@ -325,6 +324,41 @@ class TestEdgeCases:
         assert list(patched.shards) == list(rebuilt.shards)
         assert patched._owners == rebuilt._owners
         assert patched._gateways == rebuilt._gateways
+
+    def test_same_index_replacement_shares_the_picture(self,
+                                                       shard_paths):
+        """A replacement whose routing index is unchanged shares the
+        ownership map, the compiled owner matcher and the gateway
+        table with the view it replaces."""
+        view = FederationView([Shard.open(name, path)
+                               for name, path in shard_paths.items()])
+        view.owners_of("caip.rutgers.edu")  # compiles the matcher
+        swapped = Shard.open("universities",
+                             shard_paths["universities"])
+        shared = view.with_shard(swapped)
+        assert shared.shards["universities"] is swapped
+        assert shared._owners is view._owners
+        assert shared._owner_match is view._owner_match
+        assert shared._gateways is view._gateways
+
+    def test_index_changing_replacement_rebuilds(self, view, tmp_path):
+        """A replacement whose routing index changed (a new host)
+        equals a view built from scratch."""
+        text = (DATA / "d.universities").read_text() + \
+            "princeton\tnewhost(DEMAND)\n"
+        path = tmp_path / "universities.snap"
+        build_snapshot(Pathalias().build([("d.universities", text)]),
+                       path)
+        grown = Shard.open("universities", path)
+        replaced = view.with_shard(grown)
+        fresh = FederationView(
+            [s for n, s in view.shards.items() if n != "universities"]
+            + [grown])
+        assert replaced.shard_names() == fresh.shard_names()
+        assert replaced._owners == fresh._owners
+        assert replaced._gateways == fresh._gateways
+        assert replaced.owners_of("newhost") == \
+            fresh.owners_of("newhost") == ("newhost", ("universities",))
 
 
 async def request(reader, writer, line: str) -> str:

@@ -371,7 +371,7 @@ class TestFederationViewDifferential:
     def test_dispatch_survives_shard_swap(self, snaps):
         view = FederationView(
             [Shard.open(n, p) for n, p in snaps.items()])
-        replaced = view._with_replaced(
+        replaced = view.with_shard(
             Shard.open("east", snaps["east"]))
         assert replaced.dispatch == view.dispatch
         assert replaced.owners_of("x.edu") == view.owners_of("x.edu")
