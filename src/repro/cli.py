@@ -527,8 +527,19 @@ def service_main(argv: list[str]) -> int:
             reader = SnapshotReader.open(args.snapshot)
             sources = ([args.localhost] if args.localhost
                        else reader.sources())
+            pool = reader.pool_tables()
             print(f"{args.snapshot}: format v{reader.version}, "
-                  f"{len(reader.sources())} sources")
+                  f"{len(reader.sources())} sources, "
+                  f"{len(pool)} pool blocks")
+            for i, ((_, length), tables) in enumerate(
+                    zip(reader.pool_entries(), pool)):
+                line = f"pool block {i}: {length} bytes"
+                if tables:
+                    auto = tables[0].flat_automaton()
+                    line += (f"  states={auto.state_count} "
+                             f"edges={auto.edge_count}")
+                print(f"{line}  sources: "
+                      f"{' '.join(t.source for t in tables)}")
             for source in sources:
                 table = reader.table(source)
                 blocks = table.block_map()
@@ -537,10 +548,8 @@ def service_main(argv: list[str]) -> int:
                 for tag, off, length in blocks:
                     line = (f"  {tag}  off={off:<10d} "
                             f"len={length:d}")
-                    if tag == "DFSM":
-                        auto = table.flat_automaton()
-                        line += (f"  states={auto.state_count} "
-                                 f"edges={auto.edge_count}")
+                    if tag == "DREF":
+                        line += f"  block={table.dref}"
                     print(line)
             return 0
 

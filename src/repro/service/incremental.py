@@ -16,8 +16,8 @@ the previous snapshot and the new map, this module
    the route text);
 3. remaps only those sources (fanning out over the batch pool) and
    splices every other source's table section out of the old snapshot
-   **verbatim** — the output is byte-identical to a from-scratch
-   rebuild;
+   **verbatim**, but for its pool index when that moved — the output
+   is byte-identical to a from-scratch rebuild;
 4. falls back to a full rebuild whenever the incremental path cannot
    be proven equivalent.
 
@@ -52,6 +52,7 @@ from repro.netsim.mapdiff import MapDiff, diff_link_maps
 from repro.service.store import (
     FLAG_CASE_FOLD,
     FLAG_SECOND_BEST,
+    DfsmPool,
     SnapshotReader,
     build_snapshot,
     check_link_costs,
@@ -60,6 +61,7 @@ from repro.service.store import (
     encode_meta_section,
     encode_table_section,
     revision_payload,
+    splice_table_section,
     write_snapshot,
 )
 
@@ -317,23 +319,28 @@ def update_snapshot(old: str | Path | SnapshotReader,
     # Reachability is cost-independent, but a record's name is not: a
     # host whose tree parent changes to or from a domain is printed
     # under another name ("caip.rutgers" <-> "caip").  So the encoder
-    # decides per table whether the old DFSM block still fits.
-    fresh = {source: encode_table_section(blocks,
-                                          previous=reader.table(source))
-             for source, blocks in zip(affected, payloads)}
+    # decides per table whether the old DFSM block still fits.  The
+    # pool numbers blocks in first-use order, so every section, spliced
+    # or not, takes its block in source order.
+    fresh = dict(zip(affected, payloads))
+    pool = DfsmPool(reader)
+    table_sections = []
+    for source in sources:
+        table = reader.table(source)
+        blocks = fresh.get(source)
+        table_sections.append((source, splice_table_section(table, pool)
+                               if blocks is None else
+                               encode_table_section(blocks, pool,
+                                                    previous=table)))
     try:
         graph_section = encode_graph_section(
             new_cg, previous=(reader.graph_section(), old_cg))
     except struct.error:
         check_link_costs(new_cg)
         raise
-    table_sections = [
-        (source, fresh[source] if source in fresh
-         else reader.table_bytes(source))
-        for source in sources]
     write_snapshot(
         out_path, graph_section,
-        encode_meta_section(cfg), table_sections,
+        encode_meta_section(cfg), table_sections, pool,
         flags=out_flags)
     reason = ("no route-relevant changes" if not changed
               else f"{len(changed)} link cost change(s)")

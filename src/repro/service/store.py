@@ -9,9 +9,9 @@ no mapping, no per-line scan:
 
 ::
 
-    +--------+---------------+------+----------------------+---------+
-    | header | graph section | meta | table sections ...   | index   |
-    +--------+---------------+------+----------------------+---------+
+    +--------+---------------+------+-------------------+------+-------+
+    | header | graph section | meta | table sections .. | pool | index |
+    +--------+---------------+------+-------------------+------+-------+
 
 * the fixed **header** carries a magic, a format version, a CRC of the
   payload, and (offset, length) pointers to every region;
@@ -19,17 +19,19 @@ no mapping, no per-line scan:
   deduplicated string pool (names, operators, warnings);
 * **meta** records the heuristic configuration the tables were mapped
   with, so an incremental update can reproduce them exactly;
-* each **table section** is self-contained: a directory of tagged
-  blocks — route records (``RECS``), unreachable hosts (``UNRC``),
-  tree links (``TREE``), the mapper's full per-state cost/kind
-  records (``STAT``), the section-local string blob (``BLOB``), and
-  the compiled suffix-dispatch automaton (``DFSM``, see
-  :mod:`repro.service.fsm`), every one required.  The ``STAT`` block
-  holds the exact final cost (and state kind, flags, and tree-parent
-  link id) for *every* labeled state — nets, domains, and private
-  shadows included — which is what lets
-  :mod:`repro.service.incremental` run its triangle test on exact
+* each **table section** is a directory of tagged blocks — route
+  records (``RECS``), unreachable hosts (``UNRC``), tree links
+  (``TREE``), the mapper's full per-state cost/kind records
+  (``STAT``), the section-local string blob (``BLOB``), and the pool
+  index of its compiled suffix-dispatch automaton (``DREF``), every
+  one required.  The ``STAT`` block holds the exact final cost (and
+  state kind, flags, and tree-parent link id) for *every* labeled
+  state — nets, domains, and private shadows included — which is what
+  lets :mod:`repro.service.incremental` run its triangle test on exact
   numbers and federation read exact gateway costs;
+* the **pool** holds each distinct compiled suffix automaton (a
+  ``DFSM`` block, see :mod:`repro.service.fsm`) once: the tables of
+  one connected map print the same hosts, so they name one block;
 * the **source index** maps source names (sorted, binary-searchable)
   to their table sections.
 
@@ -39,14 +41,15 @@ other version is refused, and is rebuilt from its map.
 Every encoder here is deterministic — no timestamps, no hash-order
 dependence — so rebuilding a snapshot from the same map bytes yields
 the same file bytes, and an incremental update can splice *unchanged*
-table sections from the old file verbatim while staying byte-identical
-to a from-scratch rebuild.
+table sections from the old file (rewriting at most a section's
+``DREF``) while staying byte-identical to a from-scratch rebuild.
 """
 
 from __future__ import annotations
 
 import copy
 import os
+import re
 import struct
 import sys
 import zlib
@@ -58,6 +61,11 @@ try:  # pragma: no cover - exercised by the fallback-path tests
     import mmap as _mmap
 except ImportError:  # some minimal builds ship without mmap
     _mmap = None  # type: ignore[assignment]
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - no flock (Windows)
+    fcntl = None  # type: ignore[assignment]
 
 from repro.config import DEFAULT_HEURISTICS, HeuristicConfig
 from repro.core.batch import map_sources
@@ -86,20 +94,30 @@ from repro.service.resolver import (Resolution, SuffixResolver,
 MAGIC = b"PATHSNP1"
 
 #: The one snapshot format this store writes and reads.
-VERSION = 2
+VERSION = 3
 
 #: The tagged blocks a table section is made of, in emission order;
-#: the reader requires every one.  ``docs/snapshot-format.md`` must
+#: the reader requires every one.  ``DREF`` comes last, so it is always
+#: a section's last four bytes.  ``docs/snapshot-format.md`` must
 #: document exactly these tags — ``tools/check_docs.py`` enforces it.
-TABLE_SECTION_TAGS = ("RECS", "UNRC", "TREE", "STAT", "BLOB", "DFSM")
+TABLE_SECTION_TAGS = ("RECS", "UNRC", "TREE", "STAT", "BLOB", "DREF")
 
 #: header flag bits
 FLAG_SECOND_BEST = 1
 FLAG_CASE_FOLD = 2
 
 #: magic, version, flags, source_count, crc32, then (offset, length)
-#: for the graph, meta, index and tables regions.
-_HEADER = struct.Struct("<8sIIII8Q")
+#: for the graph, meta, index, tables and pool regions.
+_HEADER = struct.Struct("<8sIIII10Q")
+
+#: a table section's ``DREF`` block: the pool index of its automaton.
+_DREF = struct.Struct("<I")
+
+#: the pool region's block count.
+_POOL_COUNT = struct.Struct("<I")
+
+#: one pool entry: absolute block offset, block length.
+_POOL_ENTRY = struct.Struct("<QI")
 
 #: (offset, length) reference into a section-local string blob.
 _REF = struct.Struct("<II")
@@ -147,13 +165,14 @@ _META = struct.Struct("<qqqqqBB")
 #: their cost fields are signed 64-bit.
 _COST_RANGE = range(-(1 << 63), 1 << 63)
 
-#: Lookups per ``DFSM`` state at which inflating a table's block into
-#: the in-memory trie pays for itself.  A table answers lookups by
-#: walking the stored block in place, and promotes on lookup number
-#: ``ceil(state count x BREAK_EVEN_PER_STATE)``: it inflates the block,
-#: which costs time linear in the states and saves the few
-#: microseconds an in-place match costs over a trie match, and decodes
-#: its ``STAT`` block into a map, so a hot table prices a gateway with
+#: Lookups per ``DFSM`` state at which inflating a pool block into the
+#: in-memory trie pays for itself.  The tables naming a block answer
+#: lookups by walking it in place, and the block promotes on their
+#: lookup number ``ceil(state count x BREAK_EVEN_PER_STATE)``, counted
+#: over all of them: it inflates, which costs time linear in the states
+#: and saves the few microseconds an in-place match costs over a trie
+#: match.  Each table that then looks up through the trie decodes its
+#: own ``STAT`` block into a map, so a hot table prices a gateway with
 #: one dict get instead of a point lookup.  ``benchmarks/bench_service.py
 #: --only dispatch`` measures the break-even at each size
 #: (``break_even.per_state``: 0.15-0.27 from 1k to 100k keys on a
@@ -534,44 +553,170 @@ def _same_name_refs(recs, old_recs) -> bool:
         for byte in _RECORD_NAME_BYTES)
 
 
-def encode_table_section(blocks,
+class DfsmPool:
+    """The pool region a writer assembles: each distinct ``DFSM`` block
+    once, indexed in the order sections first name it.
+
+    :meth:`build` gives a name list's block index, calling
+    :func:`~repro.service.fsm.encode_keys` once per distinct list;
+    :meth:`keep` gives the index of a table's own block.  Blocks are
+    told apart by their bytes, so the pool is a pure function of the
+    blocks its sections name, in section order, however each block
+    was found.
+
+    ``previous`` is the snapshot an incremental update starts from:
+    its blocks are in hand, so a name list equal to one of theirs
+    takes that block instead of building it.
+    """
+
+    def __init__(self, previous: SnapshotReader | None = None):
+        self.blocks: list[bytes] = []
+        self._index: dict[bytes, int] = {}  # block -> its index
+        self._lists: dict[tuple[bytes, ...], int] = {}  # names -> index
+        self._kept: dict[int, int] = {}  # old pool index -> index
+        self._previous = previous
+        self._old_lists: dict[tuple[bytes, ...], SnapshotTable] | None \
+            = None
+
+    def add(self, block: bytes) -> int:
+        """``block``'s index, appended on its first use."""
+        index = self._index.get(block)
+        if index is None:
+            index = self._index[block] = len(self.blocks)
+            self.blocks.append(block)
+        return index
+
+    def keep(self, table: SnapshotTable) -> int:
+        """The index of ``table``'s own block; ``table`` belongs to the
+        snapshot an update starts from, and each of its blocks is
+        copied out once."""
+        index = self._kept.get(table.dref)
+        if index is None:
+            index = self._kept[table.dref] = self.add(table.dfsm_bytes())
+        return index
+
+    def build(self, names: list[bytes]) -> int:
+        """The index of the block compiled from ``names`` (record names
+        as UTF-8 bytes, in record order): an equal list's block when
+        one is in hand, else a new one."""
+        key = tuple(names)
+        index = self._lists.get(key)
+        if index is None:
+            old = self._old_tables().get(key)
+            if old is not None:
+                index = self.keep(old)
+            else:
+                index = self.add(encode_keys(
+                    [name.decode("utf-8") for name in names]))
+            self._lists[key] = index
+        return index
+
+    def _old_tables(self) -> dict[tuple[bytes, ...], SnapshotTable]:
+        """The previous snapshot's name lists, one table naming each of
+        its blocks (read on first need: only a table whose names
+        changed asks)."""
+        if self._old_lists is None:
+            self._old_lists = {}
+            if self._previous is not None:
+                for tables in self._previous.pool_tables():
+                    if tables:
+                        self._old_lists.setdefault(
+                            tuple(tables[0].record_names()), tables[0])
+        return self._old_lists
+
+    def region(self, offset: int) -> bytes:
+        """The pool region's bytes, for a region at file offset
+        ``offset``: the block count, each block's absolute ``(offset,
+        length)``, then the blocks."""
+        at = offset + _POOL_COUNT.size + _POOL_ENTRY.size * len(self.blocks)
+        entries = []
+        for block in self.blocks:
+            entries.append(_POOL_ENTRY.pack(at, len(block)))
+            at += len(block)
+        return b"".join([_POOL_COUNT.pack(len(self.blocks)), *entries,
+                         *self.blocks])
+
+
+def encode_table_section(blocks, pool: DfsmPool,
                          previous: SnapshotTable | None = None) -> bytes:
     """Complete one source's table section from its
     :func:`table_blocks`: the tag directory, those five blocks, and
-    the ``DFSM`` block.
+    the ``DREF`` block naming its automaton in ``pool``.
 
-    ``DFSM`` is the record names compiled into a serialized suffix
-    automaton (:mod:`repro.service.fsm`), built here once so every
-    later open maps it zero-copy.  This is where the choice to copy it
-    is made: ``previous`` is the source's old table when the
-    incremental updater remaps it, and when that table's record names
-    are byte-equal to this section's its ``DFSM`` block is copied
-    verbatim — the encoding is a pure function of the sorted name
-    sequence, so a copied block is byte-identical to a rebuilt one
-    (and asserted so in the tests).  The names are compared as bytes
-    first: an equal ``BLOB`` and equal ``RECS`` name refs (every
-    re-priced section) mean equal names, and only otherwise are the
-    two name lists built and compared.  When they differ,
-    :func:`~repro.service.fsm.encode_keys` builds the block.
+    The automaton is the record names compiled into a serialized
+    suffix automaton (:mod:`repro.service.fsm`), stored once per
+    distinct name list in the snapshot's pool so every later open maps
+    it zero-copy.  This is where the choice to build one is made:
+    ``previous`` is the source's old table when the incremental
+    updater remaps it, and when that table's record names are
+    byte-equal to this section's it keeps its block — the encoding is
+    a pure function of the name sequence, so a kept block is
+    byte-identical to a rebuilt one (and asserted so in the tests).
+    The names are compared as bytes first: an equal ``BLOB`` and equal
+    ``RECS`` name refs (every re-priced section) mean equal names, and
+    only otherwise are the two name lists built and compared.  When
+    they differ, :meth:`DfsmPool.build` finds or builds the block.
     """
     recs, _, _, _, blob = blocks
-    dfsm = None
+    index = None
     if previous is not None:
         old_recs, _, _, _, old_blob = previous.blocks()
         if blob == old_blob and _same_name_refs(recs, old_recs):
-            dfsm = previous.dfsm_bytes()
-    if dfsm is None:
+            index = pool.keep(previous)
+    if index is None:
         names = _record_names(recs, blob)
         if previous is not None and previous.record_names() == names:
-            dfsm = previous.dfsm_bytes()
+            index = pool.keep(previous)
         else:
-            dfsm = encode_keys([name.decode("utf-8") for name in names])
-    blocks = (*blocks, dfsm)
+            index = pool.build(names)
+    blocks = (*blocks, _DREF.pack(index))
     parts = [struct.pack("<I", len(TABLE_SECTION_TAGS))]
     parts += [_TAG.pack(tag.encode("ascii"), len(block))
               for tag, block in zip(TABLE_SECTION_TAGS, blocks)]
     parts += blocks
     return b"".join(parts)
+
+
+def splice_table_section(table: SnapshotTable, pool: DfsmPool) -> bytes:
+    """An unchanged table section copied into a snapshot whose pool is
+    ``pool``: its old bytes, with its ``DREF`` (the last four bytes)
+    rewritten only when its block's index moved."""
+    section = table.section_bytes()
+    index = pool.keep(table)
+    if index == table.dref:
+        return section
+    return section[:-_DREF.size] + _DREF.pack(index)
+
+
+class DfsmBlock:
+    """One pool block of an open snapshot, shared by every table that
+    names it: the stored ``DFSM`` bytes, the in-place matcher over
+    them, the in-memory trie it promotes into, and the lookups walked
+    in place so far, counted over all those tables."""
+
+    __slots__ = ("data", "walks", "auto", "_flat")
+
+    def __init__(self, data):
+        """``data`` is the stored block: bytes, or a view of a mapped
+        snapshot."""
+        self.data = data
+        self.walks = 0
+        self.auto: SuffixAutomaton | None = None
+        self._flat: FlatSuffixAutomaton | None = None
+
+    def flat(self) -> FlatSuffixAutomaton:
+        """The in-place matcher (built once; raises
+        :class:`~repro.service.fsm.AutomatonError`)."""
+        if self._flat is None:
+            self._flat = FlatSuffixAutomaton(self.data)
+        return self._flat
+
+    def inflate(self) -> SuffixAutomaton:
+        """The inflated trie (built once; raises
+        :class:`~repro.service.fsm.AutomatonError`)."""
+        if self.auto is None:
+            self.auto = self.flat().inflate()
+        return self.auto
 
 
 class SnapshotTable(SuffixResolver):
@@ -592,13 +737,15 @@ class SnapshotTable(SuffixResolver):
     the "format appropriate for rapid database retrieval" the paper
     leaves as an exercise.  The suffix-search surface
     (:meth:`resolve_with_cost` and the inherited ``resolve`` /
-    ``resolve_bang``) dispatches through the section's compiled suffix
-    automaton (the ``DFSM`` block): a table answers its first lookups
-    by walking the stored block in place, and *promotes* only on the
-    lookup that makes it pay (see :data:`BREAK_EVEN_PER_STATE`):
-    it inflates the block into the in-memory trie and decodes its
-    ``STAT`` block into one ``{cid: cost}`` map.  Both forms are
-    byte-identical to the dict walk in
+    ``resolve_bang``) dispatches through the compiled suffix automaton
+    the section's ``DREF`` names in its snapshot's pool (a
+    :class:`DfsmBlock`, shared by every table of the reader that names
+    it): the tables answer their first lookups by walking the stored
+    block in place, and the block *promotes* only on the lookup that
+    makes it pay (see :data:`BREAK_EVEN_PER_STATE`): it inflates into
+    the in-memory trie, and each table that then looks up through the
+    trie decodes its own ``STAT`` block into one ``{cid: cost}`` map.
+    Both forms are byte-identical to the dict walk in
     :class:`~repro.service.resolver.SuffixResolver`, which
     :func:`~repro.service.resolver.resolve_with_cost_dict` runs over
     the inherited :meth:`lookup` as the differential oracle.
@@ -615,22 +762,21 @@ class SnapshotTable(SuffixResolver):
                  "_rc", "_uc", "_tc", "_sc",
                  "_records_off", "_unreach_off", "_pairs_off",
                  "_states_off", "_blob_off", "_blob_len", "_file_off",
-                 "_dfsm_off", "_dfsm_len", "_flat", "_auto", "_walks",
-                 "_costs")
+                 "dref", "_block", "_auto", "_costs")
 
     def __init__(self, source: str, data,
-                 file_offset: int | None = None):
+                 file_offset: int | None = None, pool=None):
         """Parse the section's tag directory; every block in
         :data:`TABLE_SECTION_TAGS` must be present.  ``file_offset``
         (when known) is the section's absolute offset in the snapshot
         file, so malformed-section errors can name where in the file
-        the damage sits."""
+        the damage sits.  ``pool`` is the snapshot's sequence of
+        :class:`DfsmBlock`; a section read without it (to re-price or
+        compare its blocks) answers no suffix search."""
         self.source = source
         self._data = data
         self._file_off = file_offset
-        self._flat: FlatSuffixAutomaton | None = None
-        self._auto: SuffixAutomaton | None = None
-        self._walks = 0  # lookups answered in place
+        self._auto: SuffixAutomaton | None = None  # set on promotion
         self._costs: dict[int, int] | None = None  # built on promotion
         try:
             (tag_count,) = struct.unpack_from("<I", data, 0)
@@ -659,7 +805,7 @@ class SnapshotTable(SuffixResolver):
                 f"{len(data)} bytes)")
         for tag, size in ((b"RECS", _RECORD.size), (b"UNRC", _REF.size),
                           (b"TREE", _PAIR.size), (b"STAT", _STATE.size),
-                          (b"BLOB", 1), (b"DFSM", 1)):
+                          (b"BLOB", 1), (b"DREF", _DREF.size)):
             if tag not in blocks:
                 raise SnapshotError(
                     f"table section for {source!r} lacks the "
@@ -679,7 +825,18 @@ class SnapshotTable(SuffixResolver):
         self._states_off, length = blocks[b"STAT"]
         self._sc = length // _STATE.size
         self._blob_off, self._blob_len = blocks[b"BLOB"]
-        self._dfsm_off, self._dfsm_len = blocks[b"DFSM"]
+        off, length = blocks[b"DREF"]
+        if length != _DREF.size:
+            raise self._corrupt(f"DREF block length {length} is not "
+                                f"{_DREF.size}")
+        (self.dref,) = _DREF.unpack_from(data, off)
+        self._block: DfsmBlock | None = None
+        if pool is not None:
+            if self.dref >= len(pool):
+                raise self._corrupt(
+                    f"DREF names pool block {self.dref}, past the "
+                    f"pool's {len(pool)} blocks")
+            self._block = pool[self.dref]
 
     def _where(self) -> str:
         """``" at file offset N"`` when the section offset is known."""
@@ -775,9 +932,8 @@ class SnapshotTable(SuffixResolver):
         """The record names alone, as UTF-8 bytes in (sorted) record
         order — the key sequence the section's ``DFSM`` block is
         compiled from, and what :func:`encode_table_section` compares
-        to decide whether a stored block can be copied verbatim when
-        the new section's ``BLOB`` or name refs differ from this
-        one's."""
+        to decide whether the stored block can be kept when the new
+        section's ``BLOB`` or name refs differ from this one's."""
         data = self._data
         start = self._records_off
         blob_off = self._blob_off
@@ -798,26 +954,35 @@ class SnapshotTable(SuffixResolver):
             (self._states_off, self._sc * _STATE.size),
             (self._blob_off, self._blob_len)))
 
+    def section_bytes(self) -> bytes:
+        """The whole section as real ``bytes`` (what an update splices
+        when the source is not remapped)."""
+        return bytes(self._data)
+
     # -- compiled suffix dispatch ---------------------------------------------
 
+    def _dfsm(self) -> DfsmBlock:
+        """The pool block this section's ``DREF`` names."""
+        if self._block is None:
+            raise self._corrupt(
+                f"DREF names pool block {self.dref}, and the section "
+                f"was read without its snapshot's pool")
+        return self._block
+
     def dfsm_bytes(self) -> bytes:
-        """The raw stored ``DFSM`` block as real ``bytes`` (splice
-        export, like :meth:`SnapshotReader.table_bytes`)."""
-        return bytes(self._data[self._dfsm_off:
-                                self._dfsm_off + self._dfsm_len])
+        """The stored ``DFSM`` block this section names, as real
+        ``bytes`` (splice export, like :meth:`SnapshotReader.table_bytes`)."""
+        return bytes(self._dfsm().data)
 
     def flat_automaton(self) -> FlatSuffixAutomaton:
-        """The in-place matcher over the stored ``DFSM`` block
-        (cached): what a table answers its first lookups with, and
-        what :meth:`automaton` inflates."""
-        if self._flat is None:
-            try:
-                self._flat = FlatSuffixAutomaton(
-                    self._data[self._dfsm_off:
-                               self._dfsm_off + self._dfsm_len])
-            except AutomatonError as exc:
-                raise self._corrupt(exc) from None
-        return self._flat
+        """The in-place matcher over the stored ``DFSM`` block, shared
+        with every table naming the block: what the tables answer
+        their first lookups with, and what :meth:`automaton`
+        inflates."""
+        try:
+            return self._dfsm().flat()
+        except AutomatonError as exc:
+            raise self._corrupt(exc) from None
 
     def _corrupt(self, detail) -> SnapshotError:
         """The section's error for a malformed block, naming the
@@ -827,35 +992,37 @@ class SnapshotTable(SuffixResolver):
             f"{detail}")
 
     def automaton(self) -> SuffixAutomaton:
-        """The section's inflated suffix-dispatch matcher (cached),
-        decoded and linked from the mapped ``DFSM`` block in one pass
-        — no trie rebuild.  Payloads are record indexes into this
-        section's sorted ``RECS`` array.
+        """The inflated suffix-dispatch matcher, decoded and linked
+        from the mapped ``DFSM`` block in one pass — no trie rebuild —
+        and shared with every table naming the block.  Payloads are
+        record indexes into this section's sorted ``RECS`` array.
         """
         if self._auto is None:
-            flat = self.flat_automaton()
+            block = self._dfsm()
             try:
-                self._auto = flat.inflate()
+                self._auto = block.inflate()
             except AutomatonError as exc:
                 raise self._corrupt(exc) from None
         return self._auto
 
     def _cold_match(self, target: str):
         """Match ``target`` on a table not yet promoted: in place off
-        the stored block, or, on the lookup that reaches the block's
-        break-even count, through the trie this inflates (and from then
-        on the table prices nodes from :meth:`node_costs`, decoded
-        once here)."""
-        flat = self.flat_automaton()
-        if self._walks + 1 >= flat.state_count * BREAK_EVEN_PER_STATE:
-            auto = self.automaton()
-            self._costs = self.node_costs()
-            return auto.match(target)
-        self._walks += 1
-        try:
-            return flat.match(target)
-        except AutomatonError as exc:
-            raise self._corrupt(exc) from None
+        the stored block, or, once the block has promoted (on the
+        lookup that reaches its break-even count, by any table naming
+        it), through its trie (and from then on the table prices nodes
+        from :meth:`node_costs`, decoded once here)."""
+        block = self._dfsm()
+        if block.auto is None:
+            flat = self.flat_automaton()
+            if block.walks + 1 < flat.state_count * BREAK_EVEN_PER_STATE:
+                block.walks += 1
+                try:
+                    return flat.match(target)
+                except AutomatonError as exc:
+                    raise self._corrupt(exc) from None
+        auto = self.automaton()
+        self._costs = self.node_costs()
+        return auto.match(target)
 
     def resolve_with_cost(self, target: str, user: str = "%s"
                           ) -> tuple[int, Resolution]:
@@ -1049,8 +1216,10 @@ class SnapshotInfo:
 
 
 class SnapshotReader:
-    """An open snapshot: header + source index parsed up front, tables
-    searched lazily **in place** and cached.
+    """An open snapshot: header, source index and pool directory parsed
+    up front, tables searched lazily **in place** and cached.  Each
+    pool block is one :class:`DfsmBlock`, so the tables that name it
+    share its matchers.
 
     By default :meth:`open` ``mmap``-s the file read-only and every
     access below — header decode, source-index binary search, table
@@ -1065,11 +1234,11 @@ class SnapshotReader:
     readers by plain attribute assignment while in-flight lookups keep
     using the old one.  :meth:`close` releases the reader's own buffer
     references; tables handed out earlier each hold their own view of
-    the map, so the old mapping stays valid until the last such
-    reference drains (the swap is safe mid-request).  ``version``
-    reports the stored format, always :data:`VERSION` (a file of any
-    other version is refused at open).  ``mapped`` tells whether this
-    reader is mmap-backed.
+    the map (and of their pool block), so the old mapping stays valid
+    until the last such reference drains (the swap is safe
+    mid-request).  ``version`` reports the stored format, always
+    :data:`VERSION` (a file of any other version is refused at open).
+    ``mapped`` tells whether this reader is mmap-backed.
     """
 
     def __init__(self, path: str | Path, data, mapping=None):
@@ -1081,11 +1250,13 @@ class SnapshotReader:
         self._data = data
         self._size = len(data)
         self._closed = False
+        self._pool: list[DfsmBlock] = []
         try:
             self._validate(data)
             self._sources: list[str] = []
             self._entries: list[tuple[int, int]] = []
             self._parse_index()
+            self._parse_pool()
         except BaseException:
             self._release()
             raise
@@ -1107,7 +1278,8 @@ class SnapshotReader:
              self._graph_off, self._graph_len,
              self._meta_off, self._meta_len,
              self._index_off, self._index_len,
-             self._tables_off, self._tables_len) = _HEADER.unpack_from(
+             self._tables_off, self._tables_len,
+             self._pool_off, self._pool_len) = _HEADER.unpack_from(
                  data, 0)
         except struct.error as exc:  # pragma: no cover - len gate above
             raise SnapshotError(
@@ -1125,7 +1297,8 @@ class SnapshotReader:
         for off, length in ((self._graph_off, self._graph_len),
                             (self._meta_off, self._meta_len),
                             (self._index_off, self._index_len),
-                            (self._tables_off, self._tables_len)):
+                            (self._tables_off, self._tables_len),
+                            (self._pool_off, self._pool_len)):
             if off < _HEADER.size or off + length > len(data):
                 raise SnapshotError(
                     f"{self.path}: truncated snapshot (section "
@@ -1202,6 +1375,30 @@ class SnapshotReader:
             self._sources.append(name)
             self._entries.append((toff, tlen))
 
+    def _parse_pool(self) -> None:
+        """Check the pool directory — every block must lie inside the
+        pool region, after its directory — and hand each block a
+        :class:`DfsmBlock` over its bytes."""
+        data = self._data
+        start, end = self._pool_off, self._pool_off + self._pool_len
+        count = 0
+        if self._pool_len >= _POOL_COUNT.size:
+            (count,) = _POOL_COUNT.unpack_from(data, start)
+        blocks_at = start + _POOL_COUNT.size + count * _POOL_ENTRY.size
+        if blocks_at > end:
+            raise SnapshotError(
+                f"{self.path}: corrupt snapshot (pool region at offset "
+                f"{start} shorter than its directory)")
+        for i in range(count):
+            entry = start + _POOL_COUNT.size + i * _POOL_ENTRY.size
+            off, length = _POOL_ENTRY.unpack_from(data, entry)
+            if off < blocks_at or off + length > end:
+                raise SnapshotError(
+                    f"{self.path}: corrupt snapshot (pool entry at "
+                    f"offset {entry}: block [{off}, {off + length}) "
+                    f"outside the pool region [{blocks_at}, {end}))")
+            self._pool.append(DfsmBlock(data[off:off + length]))
+
     # -- lifecycle ------------------------------------------------------------
 
     @property
@@ -1219,6 +1416,7 @@ class SnapshotReader:
     def _release(self) -> None:
         """Drop this reader's buffer references and try to unmap."""
         self._data = b""
+        self._pool = []
         mapping, self._mmap = self._mmap, None
         if mapping is not None:
             try:
@@ -1321,9 +1519,26 @@ class SnapshotReader:
                     f"{self.path}: no table for source {source!r}")
             off, length = self._entries[i]
             cached = SnapshotTable(source, data[off:off + length],
-                                   file_offset=off)
+                                   file_offset=off, pool=self._pool)
             self._tables[source] = cached
         return cached
+
+    def pool_entries(self) -> list[tuple[int, int]]:
+        """The pool's blocks as ``(absolute offset, length)``, in index
+        order."""
+        data = self._live()
+        start = self._pool_off + _POOL_COUNT.size
+        return [_POOL_ENTRY.unpack_from(data, start + i * _POOL_ENTRY.size)
+                for i in range(len(self._pool))]
+
+    def pool_tables(self) -> list[list[SnapshotTable]]:
+        """For each pool block, in index order, the tables whose
+        ``DREF`` names it, in source order."""
+        named: list[list[SnapshotTable]] = [[] for _ in self._pool]
+        for source in self._sources:
+            table = self.table(source)
+            named[table.dref].append(table)
+        return named
 
     def resolve(self, source: str, target: str,
                 user: str = "%s") -> Resolution:
@@ -1464,19 +1679,22 @@ def check_link_costs(cg: CompactGraph) -> None:
 def write_snapshot(path: str | Path, graph_section: bytes,
                    meta_section: bytes,
                    table_sections: list[tuple[str, bytes]],
-                   flags: int = 0) -> int:
+                   pool: DfsmPool, flags: int = 0) -> int:
     """Assemble and atomically write a snapshot file.
 
     ``table_sections`` must be sorted by source name and already
-    encoded; the file appears at ``path`` via write-to-temp + rename
-    so a daemon never observes a half-written snapshot.  The temp file
-    is uniquely named in ``path``'s directory, so concurrent writers
-    of one path never share it, and is removed if the write fails.
-    The temp file is synced before the rename and the directory after
-    it, so a power loss cannot leave a renamed but empty snapshot.
-    Returns the byte size.
+    encoded against ``pool``, whose blocks form the pool region; the
+    file appears at ``path`` via write-to-temp + rename so a daemon
+    never observes a half-written snapshot.  The temp file is uniquely
+    named in ``path``'s directory, so concurrent writers of one path
+    never share it, and is removed if the write fails; its writer holds
+    a lock on it until the rename, so a later writer can tell a dead
+    writer's leftover from a live one's file and removes the former
+    (:func:`_open_temp`).  The temp file is synced before the rename
+    and the directory after it, so a power loss cannot leave a renamed
+    but empty snapshot.  Returns the byte size.
     """
-    pool = _StringPool()
+    names = _StringPool()
     header_size = _HEADER.size
     graph_off = header_size
     meta_off = graph_off + len(graph_section)
@@ -1484,23 +1702,56 @@ def write_snapshot(path: str | Path, graph_section: bytes,
     entries = []
     offset = tables_off
     for source, section in table_sections:
-        entries.append((pool.add(source), offset, len(section)))
+        entries.append((names.add(source), offset, len(section)))
         offset += len(section)
     tables_len = offset - tables_off
-    index_off = offset
-    index_blob = pool.getvalue()
+    pool_off = offset
+    pool_region = pool.region(pool_off)
+    index_off = pool_off + len(pool_region)
+    index_blob = names.getvalue()
     index = b"".join(
         _INDEX_ENTRY.pack(nref[0], nref[1], toff, tlen)
         for nref, toff, tlen in entries) + index_blob
     payload = b"".join([graph_section, meta_section,
                         *(section for _, section in table_sections),
-                        index])
+                        pool_region, index])
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     header = _HEADER.pack(
         MAGIC, VERSION, flags, len(table_sections), crc,
         graph_off, len(graph_section), meta_off, len(meta_section),
-        index_off, len(index), tables_off, tables_len)
+        index_off, len(index), tables_off, tables_len,
+        pool_off, len(pool_region))
     path = Path(path)
+    tmp, fd = _open_temp(path)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(header)
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+            # still locked: the rename happens before the lock drops
+            os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    _fsync_directory(path.parent)
+    return header_size + len(payload)
+
+
+def _open_temp(path: Path) -> tuple[Path, int]:
+    """Create and lock a new ``<name>.<8 hex>.tmp`` beside ``path``,
+    then remove the temp files dead writers of ``path`` left.
+
+    The writer takes an exclusive ``flock`` on its temp file right
+    after the ``O_EXCL`` create and keeps it until the rename is done
+    (the descriptor stays open until then).  A sibling temp file whose
+    lock can be taken without waiting has no live writer, so it is
+    unlinked, if its name still points at the inode locked; one whose
+    lock is held is left alone.  A sweeper can unlink a new temp file
+    in the moment before its writer locks it; the writer sees its file
+    has no links left and starts over under a new name.  Where
+    :mod:`fcntl` is missing, neither the lock nor the sweep runs.
+    """
     while True:
         tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
         try:
@@ -1508,21 +1759,48 @@ def write_snapshot(path: str | Path, graph_section: bytes,
             # (mkstemp's 0o600 would hide snapshots from other users)
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
                          | getattr(os, "O_BINARY", 0), 0o666)
-            break
         except FileExistsError:
             continue
+        if fcntl is None:
+            return tmp, fd
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            if os.fstat(fd).st_nlink:
+                _sweep_dead_temps(path, tmp)
+                return tmp, fd
+        except BaseException:
+            os.close(fd)
+            tmp.unlink(missing_ok=True)
+            raise
+        os.close(fd)  # a sweeper removed it first
+
+
+def _sweep_dead_temps(path: Path, own: Path) -> None:
+    """Unlink the ``<name>.<8 hex>.tmp`` siblings of ``path`` whose
+    writer is dead (no one holds their lock); see :func:`_open_temp`."""
+    pattern = re.compile(re.escape(path.name) + r"\.[0-9a-f]{8}\.tmp")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(header)
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    _fsync_directory(path.parent)
-    return header_size + len(payload)
+        siblings = os.listdir(path.parent)
+    except OSError:
+        return
+    for name in siblings:
+        if name == own.name or not pattern.fullmatch(name):
+            continue
+        other = path.with_name(name)
+        try:
+            fd = os.open(other, os.O_RDONLY)
+        except OSError:
+            continue  # gone already, or not ours to open
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            locked = os.fstat(fd)
+            now = os.stat(other)
+            if (now.st_dev, now.st_ino) == (locked.st_dev, locked.st_ino):
+                other.unlink()
+        except OSError:
+            pass  # a live writer holds it (BlockingIOError), or it went
+        finally:
+            os.close(fd)
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -1573,7 +1851,8 @@ def build_snapshot(graph: Graph | CompactGraph, path: str | Path,
     sources = eligible_sources(cg)
     payloads, engine = map_sources(cg, sources, snapshot_payload,
                                    heuristics, jobs)
-    table_sections = [(source, encode_table_section(blocks))
+    pool = DfsmPool()
+    table_sections = [(source, encode_table_section(blocks, pool))
                       for source, blocks in zip(sources, payloads)]
     try:
         graph_section = encode_graph_section(cg)
@@ -1584,7 +1863,7 @@ def build_snapshot(graph: Graph | CompactGraph, path: str | Path,
         | (FLAG_CASE_FOLD if case_fold else 0)
     size = write_snapshot(
         path, graph_section, encode_meta_section(cfg),
-        table_sections, flags=flags)
+        table_sections, pool, flags=flags)
     return SnapshotInfo(path=Path(path), sources=sources, size=size,
                         engine=engine)
 

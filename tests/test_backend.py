@@ -273,7 +273,7 @@ class TestBackendShard:
             assert shard.domains() == local.domains()
             assert shard.routing_index() == local.routing_index()
             assert shard.source_count == local.source_count
-            assert shard.version == local.version == 2
+            assert shard.version == local.version == 3
             assert shard.path == f"tcp://{spec}"
             assert shard.snapshot == shard_paths["arpa"]
             # the async entry-query surface answers like the local one
@@ -1427,7 +1427,7 @@ class TestStalledBackendDeadline:
                         f"failed: TimeoutError")
                 # a call that completes leaves the handle armed ...
                 backend.timeout = 30.0
-                assert (await backend.stats())["format"] == "2"
+                assert (await backend.stats())["format"] == "3"
                 mux = backend._mux
                 assert mux._timer is not None
             finally:

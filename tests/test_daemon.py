@@ -87,7 +87,7 @@ class TestProtocol:
             stats = await request(r, w, "STATS")
             assert stats.startswith("OK lookups=")
             assert "sources=4" in stats
-            assert "format=2" in stats
+            assert "format=3" in stats
             assert await request(r, w, "QUIT") == "OK bye"
             w.close()
             server.close()
@@ -161,7 +161,7 @@ class TestProtocol:
             assert (await request(r, w, "ROUTE d u")).startswith("OK")
             assert (await request(r, w, "EXACT b")).startswith("OK")
             stats = parse(await request(r, w, "STATS"))
-            assert stats["format"] == "2"
+            assert stats["format"] == "3"
             assert stats["n_route"] == "1"
             assert stats["n_exact"] == "1"
             assert stats["n_stats"] == "1"
@@ -171,7 +171,7 @@ class TestProtocol:
             stats = parse(await request(r, w, "STATS"))
             # the reload swapped in another snapshot and reset NO
             # counters
-            assert stats["format"] == "2"
+            assert stats["format"] == "3"
             assert stats["n_route"] == "1"
             assert stats["n_exact"] == "1"
             assert stats["n_reload"] == "1"
@@ -184,7 +184,7 @@ class TestProtocol:
 
     def test_pinned_format_enforced_on_reload(self, snapshots,
                                               v1_stamped):
-        """The served format is pinned to v2 by the reader itself: the
+        """The served format is pinned to v3 by the reader itself: the
         startup open and every later RELOAD refuse a retired-format
         file, so the daemon can never be downgraded mid-flight."""
         snap1, snap2 = snapshots
@@ -323,10 +323,10 @@ class TestMalformedLines:
 
 
 def corrupt_dfsm(snapshot: str, source: str, fault: str, out) -> int:
-    """Write ``snapshot`` to ``out`` with one field of ``source``'s
-    ``DFSM`` block changed on the root's edge to the host ``d`` (the
-    payload CRC re-stamped, so only the block's own checks can catch
-    it); returns the section's file offset.
+    """Write ``snapshot`` to ``out`` with one field of the pool block
+    ``source``'s ``DREF`` names changed on the root's edge to the host
+    ``d`` (the payload CRC re-stamped, so only the block's own checks
+    can catch it); returns the section's file offset.
 
     ``fault`` is ``target`` (the edge's target state past the state
     count), ``label`` (the edge label's byte not UTF-8), ``payload``
@@ -335,8 +335,7 @@ def corrupt_dfsm(snapshot: str, source: str, fault: str, out) -> int:
     reader = SnapshotReader.open(snapshot)
     section = reader._entries[reader._find(source)][0]
     table = reader.table(source)
-    dfsm = section + next(off for tag, off, _ in table.block_map()
-                          if tag == "DFSM")
+    dfsm, _ = reader.pool_entries()[table.dref]
     records = len(table)
     reader.close()
     raw = bytearray(Path(snapshot).read_bytes())

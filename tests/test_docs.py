@@ -69,8 +69,8 @@ class TestDocsSuite:
         docs.mkdir()
         page = (REPO / "docs" / "snapshot-format.md").read_text()
         broken = page.replace(
-            "<!-- table-tags RECS UNRC TREE STAT BLOB DFSM -->",
-            "<!-- table-tags RECS UNRC TREE BLOB DFSM -->")
+            "<!-- table-tags RECS UNRC TREE STAT BLOB DREF -->",
+            "<!-- table-tags RECS UNRC TREE BLOB DREF -->")
         assert broken != page
         (docs / "snapshot-format.md").write_text(broken)
         monkeypatch.setattr(tool, "REPO", tmp_path)

@@ -433,7 +433,7 @@ class TestFederationDaemon:
 
     def test_pinned_format_enforced_on_attach_and_reload(
             self, shard_paths, v1_stamped):
-        """The format pin (v2, enforced by the reader) covers ATTACH
+        """The format pin (v3, enforced by the reader) covers ATTACH
         and per-shard RELOAD, not just startup."""
         from repro.service.store import SnapshotError
 
@@ -453,9 +453,9 @@ class TestFederationDaemon:
             reply = await request(r, w, f"ATTACH extra {v1}")
             assert reply.startswith("ERR attach")
             assert "version 1" in reply
-            # the federation keeps serving v2 shards only
+            # the federation keeps serving v3 shards only
             stats = await request(r, w, "STATS")
-            assert "formats=2,2,2" in stats
+            assert "formats=3,3,3" in stats
             assert (await request(r, w, "ROUTE topaz u")).startswith(
                 "OK 650 ")
             w.close()

@@ -232,20 +232,25 @@ def assert_resolves_as_dict_walk(table, target: str) -> None:
         assert table.resolve_with_cost(target, "u") == expect
 
 
+def fresh_table(reader, source: str) -> SnapshotTable:
+    """``source``'s table from a new reader of ``reader``'s file, so its
+    pool block has walked nothing and promoted nothing."""
+    return SnapshotReader.open(reader.path).table(source)
+
+
 def assert_serving_agrees(reader, source, targets, monkeypatch) -> None:
     """``source``'s serving path answers every target as the dict
     walk does in both forms: on a fresh table held in place, then on
     a fresh table across its promotion — lookups K-1 (in place), K
     (inflating) and K+1 (on the trie) — and every target once more on
     the trie."""
-    data = reader.table_bytes(source)
     with monkeypatch.context() as patch:
         patch.setattr(store, "BREAK_EVEN_PER_STATE", math.inf)
-        cold = SnapshotTable(source, data)
+        cold = fresh_table(reader, source)
         for target in targets:
             assert_resolves_as_dict_walk(cold, target)
         assert cold._auto is None
-    table = SnapshotTable(source, data)
+    table = fresh_table(reader, source)
     k = promotion_lookup(table)
     for n, target in enumerate(islice(cycle(targets), k + len(targets)),
                                start=1):
@@ -303,7 +308,7 @@ class TestSnapshotTableDifferential:
     @pytest.mark.parametrize("seed", range(4))
     def test_byte_flips_in_the_block_fail_as_snapshot_errors(
             self, any_reader, seed, monkeypatch):
-        """A ``DFSM`` block with random bytes flipped, walked in place:
+        """A pool block with random bytes flipped, walked in place:
         each lookup answers a record of the table, or raises
         ``RouteError`` or ``SnapshotError`` — never a raw
         ``struct.error`` or ``IndexError``, and never a payload at or
@@ -315,15 +320,15 @@ class TestSnapshotTableDifferential:
             clean = any_reader.table(source)
             names = [name.decode() for name in clean.record_names()]
             targets = probe_targets(rng, names)
-            start, length = next((off, size) for tag, off, size
-                                 in clean.block_map() if tag == "DFSM")
+            block = clean.dfsm_bytes()
             data = any_reader.table_bytes(source)
             for _ in range(6):
-                raw = bytearray(data)
+                raw = bytearray(block)
                 for _ in range(rng.randint(1, 3)):
-                    raw[start + rng.randrange(length)] ^= \
-                        1 << rng.randrange(8)
-                table = SnapshotTable(source, bytes(raw))
+                    raw[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
+                # the section's DREF names slot clean.dref
+                pool = [store.DfsmBlock(bytes(raw))] * (clean.dref + 1)
+                table = SnapshotTable(source, data, pool=pool)
                 for target in rng.sample(targets, min(12, len(targets))):
                     try:
                         _, res = table.resolve_with_cost(target, "u")
@@ -399,7 +404,11 @@ class TestRouteDatabaseDifferential:
 # -- incremental splice -------------------------------------------------------
 
 class TestIncrementalSplice:
-    def test_cost_only_update_reuses_dfsm_bytes(self, tmp_path):
+    def test_cost_only_update_reuses_the_pool_block(self, tmp_path,
+                                                    monkeypatch):
+        """A cost-only revision remaps tables whose names do not move:
+        each keeps its block and its ``DREF``, and nothing is
+        compiled."""
         from repro.service.incremental import update_snapshot
 
         base = "a b(3), c(5)\nb c(2)\nc a(1)\n"
@@ -408,9 +417,67 @@ class TestIncrementalSplice:
         new = tmp_path / "new.snap"
         build_snapshot(Pathalias().build([("d.map", base)]), old)
         reader = SnapshotReader.open(old)
-        update_snapshot(reader, Pathalias().build(
-            [("d.map", revised)]), new)
+        monkeypatch.setattr(store, "encode_keys", None)  # never called
+        report = update_snapshot(reader, Pathalias().build(
+            [("d.map", revised)]), new, full_threshold=1.0)
+        assert report.mode == "incremental" and report.remapped
         old_r, new_r = SnapshotReader.open(old), SnapshotReader.open(new)
+        assert new_r.pool_entries() == old_r.pool_entries()
         for source in new_r.sources():
+            assert new_r.table(source).dref == old_r.table(source).dref
             assert new_r.table(source).dfsm_bytes() \
                 == old_r.table(source).dfsm_bytes()
+
+
+# -- one block per distinct name list -----------------------------------------
+
+class TestSharedBlocks:
+    """Tables of one reader that name one pool block share its
+    matchers, and promotion counts their lookups together."""
+
+    @pytest.fixture()
+    def backbone(self, tmp_path_factory):
+        """A reader whose 10 tables all name pool block 0."""
+        reader = open_snapshot(tmp_path_factory, "d.backbone",
+                               (DATA / "d.backbone").read_text())
+        assert {reader.table(s).dref for s in reader.sources()} == {0}
+        return SnapshotReader.open(reader.path)
+
+    def test_equal_names_share_one_flat_matcher(self, backbone):
+        first, *others = (backbone.table(s) for s in backbone.sources())
+        assert len(others) == 9
+        for table in others:
+            assert table.record_names() == first.record_names()
+            assert table.flat_automaton() is first.flat_automaton()
+
+    def test_promotion_inflates_one_trie_for_all(self, backbone,
+                                                 monkeypatch):
+        """Lookups from every table count toward the block's one
+        promotion; afterwards each table answers from the same trie,
+        and decodes its own ``STAT`` map on its first lookup there."""
+        inflations = []
+        real = FlatSuffixAutomaton.inflate
+
+        def spy(self):
+            inflations.append(self)
+            return real(self)
+
+        monkeypatch.setattr(FlatSuffixAutomaton, "inflate", spy)
+        # a break-even past one lookup per table
+        monkeypatch.setattr(store, "BREAK_EVEN_PER_STATE", 2.0)
+        tables = [backbone.table(s) for s in backbone.sources()]
+        k = promotion_lookup(tables[0])
+        assert k > len(tables)
+        for n in range(1, k + 1):
+            table = tables[n % len(tables)]
+            table.resolve_with_cost("seismo", "u")
+            assert (table._auto is not None) == (n == k), n
+        assert len(inflations) == 1
+        for table in tables:
+            table.resolve_with_cost("mcvax", "u")
+            assert table._auto is tables[0]._auto
+            assert table._costs == table.node_costs()
+        assert len(inflations) == 1
+        # another reader of the file has its own blocks
+        other = SnapshotReader.open(backbone.path).table(tables[0].source)
+        assert other.flat_automaton() is not tables[0].flat_automaton()

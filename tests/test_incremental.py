@@ -326,7 +326,7 @@ class TestNegativeCostRevisionV2:
         report = update_snapshot(old, revised, out)
         assert report.mode == "full"
         assert "negative link cost" in report.reason
-        assert SnapshotReader.open(out).version == 2
+        assert SnapshotReader.open(out).version == 3
         assert report.reused == 0
         assert len(report.remapped) == report.total_sources
 

@@ -200,11 +200,11 @@ class TestHeuristicsMeta:
 
 
 class TestFormatV2:
-    """The v2 layout's per-state cost records."""
+    """The per-state cost records the v2 layout introduced."""
 
-    def test_default_build_is_v2(self, snapped):
+    def test_default_build_is_v3(self, snapped):
         _, reader = snapped
-        assert reader.version == 2
+        assert reader.version == 3
         for source in reader.sources():
             assert reader.table(source).state_count > 0
 
@@ -298,12 +298,15 @@ class TestDamage:
                         + snap_bytes[12:])
         with pytest.raises(SnapshotError, match="version 99"):
             SnapshotReader.open(bad)
-        # the retired v1 format is refused the same way, with the cure
-        bad.write_bytes(snap_bytes[:8] + b"\x01\x00\x00\x00"
-                        + snap_bytes[12:])
-        with pytest.raises(SnapshotError,
-                           match="version 1.*rebuild it from its map"):
-            SnapshotReader.open(bad)
+        # the retired v1 and v2 formats are refused the same way, with
+        # the cure
+        for version in (1, 2):
+            bad.write_bytes(snap_bytes[:8] + version.to_bytes(4, "little")
+                            + snap_bytes[12:])
+            with pytest.raises(SnapshotError,
+                               match=f"version {version}.*rebuild it "
+                                     f"from its map"):
+                SnapshotReader.open(bad)
 
     @pytest.mark.parametrize("keep", [0, 4, 40, 87, 200])
     def test_truncation_detected_at_any_length(self, tmp_path,
@@ -348,9 +351,10 @@ class TestDamage:
         with pytest.raises(SnapshotError, match="BLOB|UNRC"):
             SnapshotTable("x", directory)
 
-    def test_v2_section_without_dfsm_rejected(self):
-        """The compiled-dispatch block is required like the others: a
-        section carrying every block but DFSM names the missing one."""
+    def test_section_without_dref_rejected(self):
+        """The compiled-dispatch reference is required like the other
+        blocks: a section carrying every block but DREF names the
+        missing one."""
         import struct
 
         from repro.service.store import _TAG
@@ -358,7 +362,7 @@ class TestDamage:
         directory = struct.pack("<I", 5) + b"".join(
             _TAG.pack(tag, 0)
             for tag in (b"RECS", b"UNRC", b"TREE", b"STAT", b"BLOB"))
-        with pytest.raises(SnapshotError, match="lacks the DFSM block"):
+        with pytest.raises(SnapshotError, match="lacks the DREF block"):
             SnapshotTable("x", directory)
 
     def test_v2_section_with_truncated_blocks_rejected(self):
@@ -385,3 +389,111 @@ class TestDamage:
     def test_v2_truncated_tag_directory_rejected(self):
         with pytest.raises(SnapshotError, match="malformed"):
             SnapshotTable("x", b"\x05\x00\x00\x00RE")
+
+
+def restamped(raw: bytearray, out: Path) -> Path:
+    """Write ``raw`` to ``out`` with its payload CRC re-stamped, so only
+    the reader's structural checks can refuse it."""
+    import struct
+    import zlib
+
+    from repro.service import store
+
+    crc = zlib.crc32(bytes(raw[store._HEADER.size:])) & 0xFFFFFFFF
+    struct.pack_into("<I", raw, 20, crc)
+    out.write_bytes(bytes(raw))
+    return out
+
+
+class TestDfsmPool:
+    """Each distinct ``DFSM`` block is stored once, in the pool region,
+    in first-use order, and every table section names its block by
+    index."""
+
+    THREE = [DATA / name for name in ("d.backbone", "d.universities",
+                                      "d.arpa")]
+
+    @pytest.fixture()
+    def three(self, tmp_path):
+        graph = build([(p.name, p.read_text()) for p in self.THREE])
+        out = tmp_path / "three.snap"
+        build_snapshot(graph, out)
+        return out
+
+    def test_one_encode_per_distinct_name_list(self, tmp_path,
+                                               monkeypatch):
+        """The three-map build compiles 4 automata for its 32 tables."""
+        from repro.service import store
+
+        lists = []
+        real = store.encode_keys
+
+        def spy(keys, *args, **kwargs):
+            lists.append(tuple(keys))
+            return real(keys, *args, **kwargs)
+
+        monkeypatch.setattr(store, "encode_keys", spy)
+        graph = build([(p.name, p.read_text()) for p in self.THREE])
+        build_snapshot(graph, tmp_path / "three.snap")
+        assert len(lists) == len(set(lists)) == 4
+        with SnapshotReader.open(tmp_path / "three.snap") as reader:
+            assert reader.source_count == 32
+            assert len(reader.pool_entries()) == 4
+
+    def test_pool_holds_each_named_block_once_in_first_use_order(
+            self, snapped):
+        from repro.service.fsm import encode_keys
+
+        _, reader = snapped
+        drefs = [reader.table(source).dref for source in reader.sources()]
+        first_use = list(dict.fromkeys(drefs))
+        assert first_use == list(range(len(reader.pool_entries())))
+        blocks = []
+        for source in reader.sources():
+            table = reader.table(source)
+            names = [name.decode() for name in table.record_names()]
+            assert table.dfsm_bytes() == encode_keys(names)
+            blocks.append(table.dfsm_bytes())
+        assert len(set(blocks)) == len(first_use)
+        assert [[t.source for t in tables]
+                for tables in reader.pool_tables()] == [
+            [s for s, d in zip(reader.sources(), drefs) if d == i]
+            for i in first_use]
+
+    def test_dref_past_the_pool_names_the_section(self, three, tmp_path):
+        with SnapshotReader.open(three) as reader:
+            source = reader.sources()[-1]
+            off, length = reader._entries[reader._find(source)]
+            blocks = len(reader.pool_entries())
+        raw = bytearray(three.read_bytes())
+        raw[off + length - 4:off + length] = blocks.to_bytes(4, "little")
+        with SnapshotReader.open(restamped(raw, tmp_path / "bad.snap")) \
+                as reader:
+            reader.table(reader.sources()[0])  # other tables still open
+            with pytest.raises(SnapshotError) as err:
+                reader.table(source)
+        assert str(err.value) == (
+            f"table section for {source!r} at file offset {off}: DREF "
+            f"names pool block {blocks}, past the pool's {blocks} blocks")
+
+    @pytest.mark.parametrize("field", ["offset", "length"])
+    def test_pool_entry_outside_its_region(self, three, tmp_path, field):
+        import struct
+
+        from repro.service import store
+
+        raw = bytearray(three.read_bytes())
+        header = store._HEADER.unpack_from(raw, 0)
+        pool_off, pool_len = header[-2:]
+        entry = pool_off + 4 + store._POOL_ENTRY.size  # block 1
+        off, length = store._POOL_ENTRY.unpack_from(raw, entry)
+        if field == "offset":
+            off = pool_off  # over the directory
+        else:
+            length = pool_off + pool_len - off + 1  # one byte past
+        struct.pack_into("<QI", raw, entry, off, length)
+        bad = restamped(raw, tmp_path / "bad.snap")
+        with pytest.raises(SnapshotError) as err:
+            SnapshotReader.open(bad)
+        assert str(err.value).startswith(
+            f"{bad}: corrupt snapshot (pool entry at offset {entry}: ")

@@ -412,6 +412,78 @@ while True:
             others = [p.name for p in work.iterdir() if p != out]
             assert all(temp_name.fullmatch(name) for name in others), \
                 others
+        # the next writer of the path removes what the dead ones left
+        build_snapshot(self.graphs()[1], out)
+        assert [p.name for p in work.iterdir()] == ["x.snap"]
+        assert out.read_bytes() == want[1]
+
+    #: Holds an exclusive lock on the file named by its argument, as a
+    #: live writer holds its temp file, until its stdin closes.
+    HOLDER = """
+import fcntl, os, sys
+fd = os.open(sys.argv[1], os.O_RDWR)
+fcntl.flock(fd, fcntl.LOCK_EX)
+print("locked", flush=True)
+sys.stdin.read()
+"""
+
+    @pytest.mark.skipif(store.fcntl is None, reason="needs flock")
+    def test_live_writers_temp_file_survives_the_sweep(self, tmp_path):
+        """A sibling temp file whose lock a live process holds is left
+        alone; once that process is gone, the next write removes it.
+        Names that only look like temp files are never touched."""
+        first, second = self.graphs()
+        out = tmp_path / "x.snap"
+        live = tmp_path / "x.snap.0123abcd.tmp"
+        live.write_bytes(b"half a snapshot")
+        bystanders = [tmp_path / name for name in (
+            "x.snap.0123ABCD.tmp", "x.snap.0123abc.tmp", "y.snap.0123abcd.tmp",
+            "x.snap.0123abcd.tmp.bak")]
+        for path in bystanders:
+            path.write_bytes(b"not a temp file of x.snap")
+        holder = subprocess.Popen(
+            [sys.executable, "-c", self.HOLDER, str(live)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            build_snapshot(first, out)
+            assert live.read_bytes() == b"half a snapshot"
+        finally:
+            holder.stdin.close()
+            holder.wait(timeout=10)
+            holder.stdout.close()
+        build_snapshot(second, out)
+        assert not live.exists()
+        assert all(path.exists() for path in bystanders)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["x.snap", *(path.name for path in bystanders)])
+
+    @pytest.mark.skipif(store.fcntl is None, reason="needs flock")
+    def test_writer_whose_temp_file_is_swept_starts_over(
+            self, tmp_path, monkeypatch):
+        """A sweeper can unlink a new temp file before its writer locks
+        it; the writer sees its file has no links left and writes under
+        a new name."""
+        first, _ = self.graphs()
+        out = tmp_path / "x.snap"
+        real_flock = store.fcntl.flock
+        created = []
+
+        def flock(fd, op):
+            if op == store.fcntl.LOCK_EX and not created:
+                # a sweeper got there between the create and the lock
+                created.extend(tmp_path.glob("x.snap.*.tmp"))
+                created[0].unlink()
+            return real_flock(fd, op)
+
+        monkeypatch.setattr(store.fcntl, "flock", flock)
+        build_snapshot(first, out)
+        monkeypatch.undo()
+        assert len(created) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["x.snap"]
+        ref = tmp_path / "ref.snap"
+        build_snapshot(first, ref)
+        assert out.read_bytes() == ref.read_bytes()
 
 
 class TestCostRange:

@@ -14,9 +14,12 @@ against whole-block references.
   UTF-8 names, generated maps and over-wide costs;
 * a re-priced section (``table_blocks`` given the old table, when the
   tree did not move) is the full writer's bytes on churn revisions,
-  in process and over workers, and copies its ``DFSM`` on a bytes
+  in process and over workers, and keeps its pool block on a bytes
   check; second-best tables, domain-qualified records, moved trees,
   another source's table and over-wide costs take the full writer;
+* a cost-only revision that renames a record moves the table to the
+  block of its new name list — one in the old pool or a new one — and
+  the update still equals a fresh build;
 * the writer's sort and the reader's UTF-8 byte comparison agree on
   non-ASCII names.
 """
@@ -48,6 +51,8 @@ from repro.graph.compact import CompactGraph, K_NORMAL
 from repro.service import store
 from repro.service.fsm import encode_keys
 from repro.service.store import (
+    DfsmBlock,
+    DfsmPool,
     SnapshotError,
     SnapshotReader,
     SnapshotTable,
@@ -95,10 +100,10 @@ def assert_state_queries(table, states: dict, cids) -> None:
 
 
 def reference_encode_table_section(records, unreachable, tree_links,
-                                   states=()) -> bytes:
+                                   states=(), dref: int = 0) -> bytes:
     """The per-record section encoder: one ``_StringPool.add`` per
-    string and one ``pack`` per record, joined — the bytes the
-    section writer must reproduce."""
+    string and one ``pack`` per record, joined, naming pool block
+    ``dref`` — the bytes the section writer must reproduce."""
     pool = store._StringPool()
     by_name = sorted(records, key=lambda r: r[1].encode("utf-8"))
     record_refs = [(cost, pool.add(name), pool.add(route))
@@ -116,9 +121,8 @@ def reference_encode_table_section(records, unreachable, tree_links,
     stat = b"".join(
         store._STATE.pack(cid, cost, parent, flags, kind)
         for cid, flags, kind, cost, parent in states)
-    dfsm = encode_keys([name for _, name, _ in by_name])
     blocks = dict(RECS=recs, UNRC=unrc, TREE=tree, STAT=stat,
-                  BLOB=blob, DFSM=dfsm)
+                  BLOB=blob, DREF=struct.pack("<I", dref))
     parts = [struct.pack("<I", len(store.TABLE_SECTION_TAGS))]
     parts += [store._TAG.pack(tag.encode("ascii"), len(blocks[tag]))
               for tag in store.TABLE_SECTION_TAGS]
@@ -180,23 +184,34 @@ def reference_payload(mapper, source: str):
             reference_state_costs(result))
 
 
-def reference_section(mapper, source: str) -> bytes:
+def reference_block(records) -> bytes:
+    """The ``DFSM`` block of a reference payload's records: their
+    names compiled in UTF-8 byte order."""
+    return encode_keys(sorted((name for _, name, _ in records),
+                              key=lambda name: name.encode("utf-8")))
+
+
+def reference_section(mapper, source: str, dref: int = 0) -> bytes:
     """One source's section through the reference payload and
     encoder."""
     return reference_encode_table_section(
-        *reference_payload(mapper, source))
+        *reference_payload(mapper, source), dref=dref)
 
 
 def assert_writer_matches_reference(cg: CompactGraph,
                                     cfg: HeuristicConfig) -> int:
     """Every eligible source's section, written from the mapper's
-    arrays, equals the reference; returns the sections checked."""
+    arrays, equals the reference, and so does the block it adds to a
+    new pool; returns the sections checked."""
     mapper = CompactMapper(cg, cfg)
     sources = store.eligible_sources(cg)
     for source in sources:
-        want = reference_section(mapper, source)
-        assert encode_table_section(snapshot_payload(mapper, source)) \
-            == want, source
+        payload = reference_payload(mapper, source)
+        pool = DfsmPool()
+        assert encode_table_section(snapshot_payload(mapper, source),
+                                    pool) \
+            == reference_encode_table_section(*payload), source
+        assert pool.blocks == [reference_block(payload[0])], source
     return len(sources)
 
 
@@ -290,27 +305,35 @@ class TestWriterMatchesReference:
         cg, cfg, _ = fixture_snapshot
         assert assert_writer_matches_reference(cg, cfg) > 0
 
-    def test_previous_block_copied_only_for_equal_names(
+    def test_previous_block_kept_only_for_equal_names(
             self, fixture_snapshot):
-        """``previous`` copies the old ``DFSM`` block when the record
-        names are byte-equal (and then builds none), and rebuilds it
+        """``previous`` keeps the old ``DFSM`` block when the record
+        names are byte-equal (and then builds none), and builds one
         when the old table lacks one record — both give the reference
-        bytes."""
+        section and block."""
         cg, cfg, path = fixture_snapshot
         mapper = CompactMapper(cg, cfg)
         with SnapshotReader.open(path) as reader:
             for source in reader.sources():
                 payload = reference_payload(mapper, source)
                 want = reference_encode_table_section(*payload)
+                block = reference_block(payload[0])
                 blocks = snapshot_payload(mapper, source)
+                pool = DfsmPool()
                 with mock.patch.object(store, "encode_keys",
                                        side_effect=AssertionError):
                     assert encode_table_section(
-                        blocks, previous=reader.table(source)) == want
-                fewer = SnapshotTable(source, reference_encode_table_section(
-                    payload[0][1:], *payload[1:]))
-                assert encode_table_section(blocks, previous=fewer) \
-                    == want
+                        blocks, pool, previous=reader.table(source)) \
+                        == want
+                assert pool.blocks == [block]
+                fewer = SnapshotTable(
+                    source, reference_encode_table_section(
+                        payload[0][1:], *payload[1:]),
+                    pool=[DfsmBlock(reference_block(payload[0][1:]))])
+                pool = DfsmPool()
+                assert encode_table_section(blocks, pool,
+                                            previous=fewer) == want
+                assert pool.blocks == [block]
 
     @pytest.mark.parametrize("text", [DOMAIN_TREE_MAP, MOTOWN_MAP,
                                       DOMAIN_TREE_MAP
@@ -350,8 +373,9 @@ class TestWriterMatchesReference:
     @pytest.mark.parametrize("seed", [42, 2024])
     def test_churn_revision_sections(self, seed, tmp_path):
         """Every table a churn revision remaps is the reference section
-        of the revised graph, written straight from the arrays, with
-        its ``DFSM`` block copied from the old table."""
+        of the revised graph, written straight from the arrays, keeping
+        its old table's ``DFSM`` block; and every revision equals a
+        fresh build."""
         from repro.netsim.churn import ChurnParams, ChurnScenario
         from repro.service.incremental import update_snapshot
 
@@ -374,15 +398,26 @@ class TestWriterMatchesReference:
                 with SnapshotReader.open(paths[name]) as old, \
                         SnapshotReader.open(out) as new:
                     for source in report.remapped:
-                        want = reference_section(mapper, source)
-                        assert new.table_bytes(source) == want
+                        table = new.table(source)
+                        payload = reference_payload(mapper, source)
+                        assert new.table_bytes(source) \
+                            == reference_encode_table_section(
+                                *payload, dref=table.dref)
+                        assert table.dfsm_bytes() \
+                            == reference_block(payload[0])
+                        pool = DfsmPool()
                         with mock.patch.object(
                                 store, "encode_keys",
                                 side_effect=AssertionError):
                             assert encode_table_section(
-                                snapshot_payload(mapper, source),
-                                previous=old.table(source)) == want
+                                snapshot_payload(mapper, source), pool,
+                                previous=old.table(source)) \
+                                == reference_encode_table_section(
+                                    *payload)
                         checked += 1
+                build_snapshot(cg, tmp_path / "fresh.snap")
+                assert out.read_bytes() \
+                    == (tmp_path / "fresh.snap").read_bytes()
                 paths[name] = out
         assert checked > 0
 
@@ -588,15 +623,17 @@ class TestRepricedSections:
         assert str(plain.value).startswith(
             f"source 'a': route to 'c' costs {1 << 63},")
 
-    def test_dfsm_copied_without_name_lists(self, tmp_path):
-        """A re-priced section's ``DFSM`` is copied on the bytes check
-        alone: neither name list is built, and no automaton."""
+    def test_dfsm_kept_without_name_lists(self, tmp_path):
+        """A re-priced section keeps its ``DFSM`` block on the bytes
+        check alone: neither name list is built, and no automaton."""
         cg = compiled(PLAIN_MAP)
         build_snapshot(cg, tmp_path / "s.snap")
         result = CompactMapper(repriced(cg, ("a", "b"), 15)).run("a")
-        want = encode_table_section(table_blocks(result))
+        built = DfsmPool()
+        want = encode_table_section(table_blocks(result), built)
         with SnapshotReader.open(tmp_path / "s.snap") as reader:
             old = reader.table("a")
+            kept = DfsmPool()
             with full_writes() as written, \
                     mock.patch.object(SnapshotTable, "record_names",
                                       side_effect=AssertionError), \
@@ -605,9 +642,11 @@ class TestRepricedSections:
                     mock.patch.object(store, "encode_keys",
                                       side_effect=AssertionError):
                 got = encode_table_section(
-                    table_blocks(result, previous=old), previous=old)
+                    table_blocks(result, previous=old), kept,
+                    previous=old)
         assert written == []
         assert got == want
+        assert kept.blocks == built.blocks
 
     def test_workers_agree_with_one_process(self, tmp_path):
         """``update_snapshot`` over two workers, which re-price from
@@ -639,11 +678,30 @@ class TestRepricedSections:
                 paths[name] = outs[0]
         assert pooled > 0
 
-    def test_reparented_record_name_rebuilds_dfsm(self, tmp_path):
+    @pytest.mark.parametrize("text, built, blocks, moved", [
+        # a's new list is caip's and x's: taken from the old pool, and
+        # the later sections' DREFs move
+        (RUTGERS_MAP, False, (3, 3), ["caip", "rgw", "x"]),
+        # a's old list was only a's and rgw's, both renamed: its block
+        # leaves the pool
+        (RUTGERS_MAP.replace("rgw\t.rutgers(0)",
+                             "rgw\t.rutgers(0), y(1)\ny\tcaip(30)"),
+         False, (3, 2), ["caip", "x", "y"]),
+        # a's new list is a's alone (only a shows z.other): a new
+        # block takes the place of its old one
+        (RUTGERS_MAP.replace("a\tx(10), rgw(10)",
+                             "a\tx(10), rgw(10), .other(0)")
+         .replace("x\tcaip(10)", "x\tcaip(10), z(1)")
+         + ".other = {z}\nz\tx(1)\n", True, (4, 4), []),
+    ], ids=["pooled-list", "block-leaves", "new-block"])
+    def test_reparented_record_name_moves_its_block(self, tmp_path, text,
+                                                    built, blocks, moved):
         """A cost-only revision can rename a record: ``a``'s
-        ``caip.rutgers`` becomes ``caip``.  Its table is rewritten, its
-        ``DFSM`` is built anew, and the update equals a fresh build."""
-        cg = compiled(RUTGERS_MAP)
+        ``caip.rutgers`` becomes ``caip``.  Its table is rewritten and
+        names the block of its new name list — an old block when one
+        is in hand, else a new one — and the update equals a fresh
+        build."""
+        cg = compiled(text)
         old = tmp_path / "old.snap"
         build_snapshot(cg, old)
         revised = repriced(cg, ("rgw", ".rutgers"), 100)
@@ -660,13 +718,18 @@ class TestRepricedSections:
                                      full_threshold=1.0)
         assert report.mode == "incremental" and "a" in report.remapped
         assert "a" in written
-        names = [".rutgers", "a", "aramis.rutgers", "caip", "rgw", "x"]
-        assert names in keys
         with SnapshotReader.open(old) as before, \
                 SnapshotReader.open(tmp_path / "new.snap") as after:
+            names = after.table("a").record_names()
             assert b"caip.rutgers" in before.table("a").record_names()
-            assert after.table("a").record_names() \
-                == [name.encode() for name in names]
+            assert b"caip" in names and b"caip.rutgers" not in names
+            assert keys == ([[name.decode() for name in names]] if built
+                            else [])
+            assert (len(before.pool_entries()),
+                    len(after.pool_entries())) == blocks
+            assert [source for source in after.sources()
+                    if after.table(source).dref
+                    != before.table(source).dref] == moved
         build_snapshot(revised, tmp_path / "full.snap")
         assert (tmp_path / "new.snap").read_bytes() \
             == (tmp_path / "full.snap").read_bytes()
@@ -765,7 +828,8 @@ class TestGeneratedSections:
         whatever the mix of one- to four-byte UTF-8 names."""
         records, unreachable, pairs, states = payload
         table = SnapshotTable("src",
-                              reference_encode_table_section(*payload))
+                              reference_encode_table_section(*payload),
+                              pool=[DfsmBlock(reference_block(records))])
         stored = set(pairs)
         for a, b in pairs + probes:
             assert table.has_tree_link(a, b) == ((a, b) in stored)
