@@ -30,21 +30,21 @@ DATA_MAPS = sorted(DATA.glob("d.*"))
 #: fixture map and the three-file map, as (default, -s, -i).
 GOLDEN_DIGESTS = {
     "d.arpa": (
-        "ecd3f9d621f965207d8d05b948066089bcf1c6526fa791344b28eacba8ff1f52",
-        "cff0cc06e26f99b116a476c943062cbcab27a71c8eb1bf900597fd200720af0a",
-        "ffb967e50369f09e50a1fa3e28f663259a65fe80729a2a0aa31e2a6d84cefd7d"),
+        "df6a1011d0222ba8ec0c93e5455173c1a87ba8fc702f2436bfac36825814f343",
+        "e9e8c2fafd3131882d13a34d275f762a101563ce8cae4587f3471f5fb843860a",
+        "ae04bf7e2d3889182f78a480e297a9755dc6be0d3143e8b93941cfffc81666c6"),
     "d.backbone": (
-        "3695f713cc876422a1cc4b601346d1c551ea15af1c3c522c26b0fa2756831d71",
-        "82eba0fc70a958b066996b52dabe6bc8395e64237be0bb180fd4c67e63e1d317",
-        "ecb89f4397b643b1f4915226366ff0484c215567b462faf4d00aff3093bb4160"),
+        "e6145647d425958cf19ddaf72447970095f7f2abd4424cf06f198d9f0e242529",
+        "f0c9cf3e0d663edd308ef253825ec468799a867066f215ad99cbc4b3d6ce48dd",
+        "18ddca65f9f3fcf6baa58d1c6f1f66d6c87253a5f7a33b79eec3e4c8d030dee9"),
     "d.universities": (
-        "b1873b2f4f7820170351365879333e90b5281a71ca073dc9ff09e72cc8f68627",
-        "dcb53be1b40d47d2f0124f8dd7e8bf05348ef95f5050b5c9fa96345e0421f9f1",
-        "92d315511fda5d593291922b290557d007494ee28a00d3809e2c65594d46286b"),
+        "6108f505f92c092aa8f33c544dbb9513079921c371b179db1910911b59815eb0",
+        "632b535db0ebdb389fb985ca994980f804d85e72f2f7b2e12a564ae2ff0abece",
+        "340852f4cca2bd14ca2dd131ddb3107ce3efb840d6d7007c87d28ec917126797"),
     "d.backbone d.universities d.arpa": (
-        "09411bb711b0f1bff1c1120f9821fa8907fd14b82f4c6fa3e1c1b351afe8987a",
-        "9beb15bbee93a69d9dbab2789db93256ad80cf78f9d732ca1efa7c8365a81fdb",
-        "7c83b6fa2a7dcd532af85d6b5e24dc6f4307c685b8322be67185045a731fbda0"),
+        "03a8e6a60bf7189a732bc636fdfc5a2ac35d43abb0f963f94872e947df0be52b",
+        "2aa52ec3e5a1ded31df024c993b05dc5a898a168421b62c55ec5ae19f5518b4d",
+        "37e97a0870e9cc45bfd4e91a9c1bfb2c8ecd07bd8183a114c93c74aec75512d7"),
 }
 
 
