@@ -324,14 +324,11 @@ def update_snapshot(old: str | Path | SnapshotReader,
     # or not, takes its block in source order.
     fresh = dict(zip(affected, payloads))
     pool = DfsmPool(reader)
-    table_sections = []
-    for source in sources:
-        table = reader.table(source)
-        blocks = fresh.get(source)
-        table_sections.append((source, splice_table_section(table, pool)
-                               if blocks is None else
-                               encode_table_section(blocks, pool,
-                                                    previous=table)))
+    table_sections = [
+        (source, encode_table_section(fresh[source], pool,
+                                      previous=reader.table(source))
+         if source in fresh else splice_table_section(reader, source, pool))
+        for source in sources]
     try:
         graph_section = encode_graph_section(
             new_cg, previous=(reader.graph_section(), old_cg))

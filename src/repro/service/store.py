@@ -677,11 +677,14 @@ def encode_table_section(blocks, pool: DfsmPool,
     return b"".join(parts)
 
 
-def splice_table_section(table: SnapshotTable, pool: DfsmPool) -> bytes:
-    """An unchanged table section copied into a snapshot whose pool is
-    ``pool``: its old bytes, with its ``DREF`` (the last four bytes)
-    rewritten only when its block's index moved."""
-    section = table.section_bytes()
+def splice_table_section(reader: SnapshotReader, source: str,
+                         pool: DfsmPool) -> bytes:
+    """``source``'s unchanged table section, copied from ``reader`` into
+    a snapshot whose pool is ``pool``: its old bytes, with its ``DREF``
+    (the last four bytes) rewritten only when its block's index
+    moved."""
+    table = reader.table(source)
+    section = reader.table_bytes(source)
     index = pool.keep(table)
     if index == table.dref:
         return section
@@ -953,11 +956,6 @@ class SnapshotTable(SuffixResolver):
             (self._pairs_off, self._tc * _PAIR.size),
             (self._states_off, self._sc * _STATE.size),
             (self._blob_off, self._blob_len)))
-
-    def section_bytes(self) -> bytes:
-        """The whole section as real ``bytes`` (what an update splices
-        when the source is not remapped)."""
-        return bytes(self._data)
 
     # -- compiled suffix dispatch ---------------------------------------------
 
