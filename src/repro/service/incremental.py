@@ -323,7 +323,7 @@ def update_snapshot(old: str | Path | SnapshotReader,
     # pool numbers blocks in first-use order, so every section, spliced
     # or not, takes its block in source order.
     fresh = dict(zip(affected, payloads))
-    pool = DfsmPool(reader)
+    pool = DfsmPool()
     table_sections = [
         (source, encode_table_section(fresh[source], pool,
                                       previous=reader.table(source))

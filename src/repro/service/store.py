@@ -171,12 +171,13 @@ _COST_RANGE = range(-(1 << 63), 1 << 63)
 #: lookup number ``ceil(state count x BREAK_EVEN_PER_STATE)``, counted
 #: over all of them: it inflates, which costs time linear in the states
 #: and saves the few microseconds an in-place match costs over a trie
-#: match.  Each table that then looks up through the trie decodes its
-#: own ``STAT`` block into a map, so a hot table prices a gateway with
-#: one dict get instead of a point lookup.  ``benchmarks/bench_service.py
-#: --only dispatch`` measures the break-even at each size
-#: (``break_even.per_state``: 0.15-0.27 from 1k to 100k keys on a
-#: 2-vCPU x86-64 host).
+#: match.  A table decodes its own ``STAT`` block into a map on its own
+#: lookup number ``ceil(state count x BREAK_EVEN_PER_STATE)``, so a hot
+#: table prices a gateway with one dict get instead of a point lookup,
+#: and a table that answers a few lookups off a promoted block decodes
+#: nothing.  ``benchmarks/bench_service.py --only dispatch`` measures
+#: the break-even at each size (``break_even.per_state``: 0.15-0.27
+#: from 1k to 100k keys on a 2-vCPU x86-64 host).
 BREAK_EVEN_PER_STATE = 0.2
 
 
@@ -563,20 +564,13 @@ class DfsmPool:
     told apart by their bytes, so the pool is a pure function of the
     blocks its sections name, in section order, however each block
     was found.
-
-    ``previous`` is the snapshot an incremental update starts from:
-    its blocks are in hand, so a name list equal to one of theirs
-    takes that block instead of building it.
     """
 
-    def __init__(self, previous: SnapshotReader | None = None):
+    def __init__(self):
         self.blocks: list[bytes] = []
         self._index: dict[bytes, int] = {}  # block -> its index
         self._lists: dict[tuple[bytes, ...], int] = {}  # names -> index
         self._kept: dict[int, int] = {}  # old pool index -> index
-        self._previous = previous
-        self._old_lists: dict[tuple[bytes, ...], SnapshotTable] | None \
-            = None
 
     def add(self, block: bytes) -> int:
         """``block``'s index, appended on its first use."""
@@ -597,32 +591,14 @@ class DfsmPool:
 
     def build(self, names: list[bytes]) -> int:
         """The index of the block compiled from ``names`` (record names
-        as UTF-8 bytes, in record order): an equal list's block when
-        one is in hand, else a new one."""
+        as UTF-8 bytes, in record order), compiled on the list's first
+        use."""
         key = tuple(names)
         index = self._lists.get(key)
         if index is None:
-            old = self._old_tables().get(key)
-            if old is not None:
-                index = self.keep(old)
-            else:
-                index = self.add(encode_keys(
-                    [name.decode("utf-8") for name in names]))
-            self._lists[key] = index
+            index = self._lists[key] = self.add(encode_keys(
+                [name.decode("utf-8") for name in names]))
         return index
-
-    def _old_tables(self) -> dict[tuple[bytes, ...], SnapshotTable]:
-        """The previous snapshot's name lists, one table naming each of
-        its blocks (read on first need: only a table whose names
-        changed asks)."""
-        if self._old_lists is None:
-            self._old_lists = {}
-            if self._previous is not None:
-                for tables in self._previous.pool_tables():
-                    if tables:
-                        self._old_lists.setdefault(
-                            tuple(tables[0].record_names()), tables[0])
-        return self._old_lists
 
     def region(self, offset: int) -> bytes:
         """The pool region's bytes, for a region at file offset
@@ -655,7 +631,9 @@ def encode_table_section(blocks, pool: DfsmPool,
     The names are compared as bytes first: an equal ``BLOB`` and equal
     ``RECS`` name refs (every re-priced section) mean equal names, and
     only otherwise are the two name lists built and compared.  When
-    they differ, :meth:`DfsmPool.build` finds or builds the block.
+    they differ, :meth:`DfsmPool.build` compiles the new list, once
+    per distinct list, and a block equal to one the pool holds is
+    stored once.
     """
     recs, _, _, _, blob = blocks
     index = None
@@ -746,8 +724,9 @@ class SnapshotTable(SuffixResolver):
     it): the tables answer their first lookups by walking the stored
     block in place, and the block *promotes* only on the lookup that
     makes it pay (see :data:`BREAK_EVEN_PER_STATE`): it inflates into
-    the in-memory trie, and each table that then looks up through the
-    trie decodes its own ``STAT`` block into one ``{cid: cost}`` map.
+    the in-memory trie that every table naming it then matches with.
+    A table *promotes* on its own break-even lookup: it decodes its
+    ``STAT`` block into one ``{cid: cost}`` map.
     Both forms are byte-identical to the dict walk in
     :class:`~repro.service.resolver.SuffixResolver`, which
     :func:`~repro.service.resolver.resolve_with_cost_dict` runs over
@@ -765,7 +744,7 @@ class SnapshotTable(SuffixResolver):
                  "_rc", "_uc", "_tc", "_sc",
                  "_records_off", "_unreach_off", "_pairs_off",
                  "_states_off", "_blob_off", "_blob_len", "_file_off",
-                 "dref", "_block", "_auto", "_costs")
+                 "dref", "_block", "_lookups", "_auto", "_costs")
 
     def __init__(self, source: str, data,
                  file_offset: int | None = None, pool=None):
@@ -779,6 +758,7 @@ class SnapshotTable(SuffixResolver):
         self.source = source
         self._data = data
         self._file_off = file_offset
+        self._lookups = 0  # suffix searches before promotion
         self._auto: SuffixAutomaton | None = None  # set on promotion
         self._costs: dict[int, int] | None = None  # built on promotion
         try:
@@ -995,32 +975,34 @@ class SnapshotTable(SuffixResolver):
         and shared with every table naming the block.  Payloads are
         record indexes into this section's sorted ``RECS`` array.
         """
-        if self._auto is None:
-            block = self._dfsm()
-            try:
-                self._auto = block.inflate()
-            except AutomatonError as exc:
-                raise self._corrupt(exc) from None
-        return self._auto
+        try:
+            return self._dfsm().inflate()
+        except AutomatonError as exc:
+            raise self._corrupt(exc) from None
 
     def _cold_match(self, target: str):
         """Match ``target`` on a table not yet promoted: in place off
-        the stored block, or, once the block has promoted (on the
-        lookup that reaches its break-even count, by any table naming
-        it), through its trie (and from then on the table prices nodes
-        from :meth:`node_costs`, decoded once here)."""
+        the stored block, or through its trie once the block has
+        promoted (on the lookup that reaches its break-even count, by
+        any table naming it).  On the table's own break-even lookup it
+        promotes: it decodes :meth:`node_costs` for :meth:`state_cost_of`
+        and from then on matches through the trie directly."""
         block = self._dfsm()
-        if block.auto is None:
-            flat = self.flat_automaton()
-            if block.walks + 1 < flat.state_count * BREAK_EVEN_PER_STATE:
-                block.walks += 1
-                try:
-                    return flat.match(target)
-                except AutomatonError as exc:
-                    raise self._corrupt(exc) from None
-        auto = self.automaton()
-        self._costs = self.node_costs()
-        return auto.match(target)
+        flat = self.flat_automaton()
+        break_even = flat.state_count * BREAK_EVEN_PER_STATE
+        self._lookups += 1
+        if self._lookups >= break_even:
+            auto = self.automaton()
+            self._costs = self.node_costs()
+            self._auto = auto
+            return auto.match(target)
+        if block.auto is None and block.walks + 1 < break_even:
+            block.walks += 1
+            try:
+                return flat.match(target)
+            except AutomatonError as exc:
+                raise self._corrupt(exc) from None
+        return self.automaton().match(target)
 
     def resolve_with_cost(self, target: str, user: str = "%s"
                           ) -> tuple[int, Resolution]:
@@ -1748,7 +1730,9 @@ def _open_temp(path: Path) -> tuple[Path, int]:
     lock is held is left alone.  A sweeper can unlink a new temp file
     in the moment before its writer locks it; the writer sees its file
     has no links left and starts over under a new name.  Where
-    :mod:`fcntl` is missing, neither the lock nor the sweep runs.
+    :mod:`fcntl` is missing, or the file system refuses ``flock``
+    (``ENOSYS`` on some network mounts), neither the lock nor the
+    sweep runs.
     """
     while True:
         tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
@@ -1762,7 +1746,10 @@ def _open_temp(path: Path) -> tuple[Path, int]:
         if fcntl is None:
             return tmp, fd
         try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            except OSError:  # refused (EINTR is retried, not raised)
+                return tmp, fd
             if os.fstat(fd).st_nlink:
                 _sweep_dead_temps(path, tmp)
                 return tmp, fd

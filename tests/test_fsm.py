@@ -453,8 +453,10 @@ class TestSharedBlocks:
     def test_promotion_inflates_one_trie_for_all(self, backbone,
                                                  monkeypatch):
         """Lookups from every table count toward the block's one
-        promotion; afterwards each table answers from the same trie,
-        and decodes its own ``STAT`` map on its first lookup there."""
+        promotion, and afterwards every table matches with the same
+        trie.  A table decodes its own ``STAT`` map only on its own
+        K-th lookup, so one first touched after the block promoted
+        prices nodes by point lookup until then."""
         inflations = []
         real = FlatSuffixAutomaton.inflate
 
@@ -465,19 +467,25 @@ class TestSharedBlocks:
         monkeypatch.setattr(FlatSuffixAutomaton, "inflate", spy)
         # a break-even past one lookup per table
         monkeypatch.setattr(store, "BREAK_EVEN_PER_STATE", 2.0)
-        tables = [backbone.table(s) for s in backbone.sources()]
-        k = promotion_lookup(tables[0])
+        late, *tables = [backbone.table(s) for s in backbone.sources()]
+        block = late._dfsm()
+        k = promotion_lookup(late)
         assert k > len(tables)
         for n in range(1, k + 1):
             table = tables[n % len(tables)]
             table.resolve_with_cost("seismo", "u")
-            assert (table._auto is not None) == (n == k), n
+            assert (block.auto is not None) == (n == k), n
         assert len(inflations) == 1
         for table in tables:
-            table.resolve_with_cost("mcvax", "u")
-            assert table._auto is tables[0]._auto
-            assert table._costs == table.node_costs()
+            assert table._auto is None and table._costs is None
+        for n in range(1, k + 1):
+            late.resolve_with_cost("mcvax", "u")
+            assert (late._costs is not None) == (n == k), n
+        assert late._auto is block.auto
+        assert late._costs == late.node_costs()
         assert len(inflations) == 1
+        for table in tables:
+            assert table._costs is None
         # another reader of the file has its own blocks
-        other = SnapshotReader.open(backbone.path).table(tables[0].source)
-        assert other.flat_automaton() is not tables[0].flat_automaton()
+        other = SnapshotReader.open(backbone.path).table(late.source)
+        assert other.flat_automaton() is not late.flat_automaton()

@@ -485,6 +485,32 @@ sys.stdin.read()
         build_snapshot(first, ref)
         assert out.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.skipif(store.fcntl is None, reason="needs flock")
+    def test_file_system_without_flock_still_writes(self, tmp_path,
+                                                    monkeypatch):
+        """Where the file system refuses ``flock`` (``ENOSYS`` on some
+        network mounts) the writer writes unlocked, as where
+        :mod:`fcntl` is missing, and sweeps nothing: a leftover temp
+        file cannot be told from a live writer's."""
+        import errno
+
+        first, _ = self.graphs()
+        out = tmp_path / "x.snap"
+        leftover = tmp_path / "x.snap.0123abcd.tmp"
+        leftover.write_bytes(b"half a snapshot")
+
+        def flock(fd, op):
+            raise OSError(errno.ENOSYS, "Function not implemented")
+
+        monkeypatch.setattr(store.fcntl, "flock", flock)
+        build_snapshot(first, out)
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "x.snap", leftover.name]
+        ref = tmp_path / "ref.snap"
+        build_snapshot(first, ref)
+        assert out.read_bytes() == ref.read_bytes()
+
 
 class TestCostRange:
     """A cost the signed 64-bit cost fields cannot hold is a

@@ -18,8 +18,8 @@ against whole-block references.
   check; second-best tables, domain-qualified records, moved trees,
   another source's table and over-wide costs take the full writer;
 * a cost-only revision that renames a record moves the table to the
-  block of its new name list — one in the old pool or a new one — and
-  the update still equals a fresh build;
+  block of its new name list, compiled once and stored once, and the
+  update still equals a fresh build;
 * the writer's sort and the reader's UTF-8 byte comparison agree on
   non-ASCII names.
 """
@@ -678,29 +678,29 @@ class TestRepricedSections:
                 paths[name] = outs[0]
         assert pooled > 0
 
-    @pytest.mark.parametrize("text, built, blocks, moved", [
-        # a's new list is caip's and x's: taken from the old pool, and
-        # the later sections' DREFs move
-        (RUTGERS_MAP, False, (3, 3), ["caip", "rgw", "x"]),
+    @pytest.mark.parametrize("text, blocks, moved", [
+        # a's new list is caip's and x's: its compiled block is theirs,
+        # stored once, and the later sections' DREFs move
+        (RUTGERS_MAP, (3, 3), ["caip", "rgw", "x"]),
         # a's old list was only a's and rgw's, both renamed: its block
         # leaves the pool
         (RUTGERS_MAP.replace("rgw\t.rutgers(0)",
                              "rgw\t.rutgers(0), y(1)\ny\tcaip(30)"),
-         False, (3, 2), ["caip", "x", "y"]),
+         (3, 2), ["caip", "x", "y"]),
         # a's new list is a's alone (only a shows z.other): a new
         # block takes the place of its old one
         (RUTGERS_MAP.replace("a\tx(10), rgw(10)",
                              "a\tx(10), rgw(10), .other(0)")
          .replace("x\tcaip(10)", "x\tcaip(10), z(1)")
-         + ".other = {z}\nz\tx(1)\n", True, (4, 4), []),
+         + ".other = {z}\nz\tx(1)\n", (4, 4), []),
     ], ids=["pooled-list", "block-leaves", "new-block"])
     def test_reparented_record_name_moves_its_block(self, tmp_path, text,
-                                                    built, blocks, moved):
+                                                    blocks, moved):
         """A cost-only revision can rename a record: ``a``'s
         ``caip.rutgers`` becomes ``caip``.  Its table is rewritten and
-        names the block of its new name list — an old block when one
-        is in hand, else a new one — and the update equals a fresh
-        build."""
+        its new name list compiled once; the block it names is stored
+        once however many tables name it, and the update equals a
+        fresh build."""
         cg = compiled(text)
         old = tmp_path / "old.snap"
         build_snapshot(cg, old)
@@ -723,8 +723,7 @@ class TestRepricedSections:
             names = after.table("a").record_names()
             assert b"caip.rutgers" in before.table("a").record_names()
             assert b"caip" in names and b"caip.rutgers" not in names
-            assert keys == ([[name.decode() for name in names]] if built
-                            else [])
+            assert keys == [[name.decode() for name in names]]
             assert (len(before.pool_entries()),
                     len(after.pool_entries())) == blocks
             assert [source for source in after.sources()
